@@ -23,7 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .configs import Configuration, Window, make_config
-from .engine import GroupWord, Packing, _int_coords, _slot_table, _typed_int_matrix, apply_word
+from .engine import (
+    GroupWord,
+    Packing,
+    _generator_rows,
+    _int_coords,
+    _reflection_matrices,
+    _slot_table,
+    apply_word,
+)
 from .exact import FieldMismatchError, QuadExt, Scalar, as_float
 from .inversive import InversiveCircle, PairClass, classify_pair
 
@@ -315,9 +323,9 @@ def sweep_relation_words(
     gens = cfg.circles_in_window("dual", window)
     if not gens:
         raise ValueError("no dual mirrors meet the window")
-    mats = np.array(
-        [_typed_int_matrix(g.circle, base_slots) for g in gens], dtype=np.float64
-    )
+    mats = _reflection_matrices(
+        slots, "base", gens, _generator_rows(cfg, slots, gens)
+    ).astype(np.float64)
     columns: List[List[int]] = []
     spans: List[slice] = []
     for rel in relations:

@@ -26,24 +26,29 @@ In "super" mode base mirrors do not shrink radii monotonically, so the
 recorded height is the BFS level over the catalogued region, with the
 witness word taken from the first discovery.
 
-Square, triangular and hexagonal families run on integer coordinate
-lattices (each inversive coordinate is an integer times a fixed scale),
-so layers advance through exact int64 matrix actions.  Other exact
-configurations walk circle objects in field arithmetic; float runs use
-rounded-grid deduplication at 1e-9.
+Two lanes run the search.  The array lane holds every circle as a numpy
+row: square, triangular and hexagonal families in exact mode use int64
+rows (each inversive coordinate is an integer times a fixed per-kind
+scale, the "slot"), and every float run uses float64 rows deduplicated
+on a 1e-9 grid.  Its seed and mirror rows are motif rows times integer
+lattice-translation matrices, its reflections are integer matrices
+built in one vectorised step, and it peels all kept rows in one batch:
+seeds by row key, hosts by a spatial prefilter confirmed on the rows
+(exactly on integers).  The object lane walks ``QuadExt`` circles for
+the other exact configurations and peels them one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .configs import Configuration, GeneratorCircle, Window, parse_id
-from .exact import QuadExt, as_float
+from .exact import QuadExt, as_float, scalar_sign
 from .inversive import (
     InversiveCircle,
     PlanarIsometry,
@@ -303,43 +308,30 @@ def _catalog(
 
 
 # ---------------------------------------------------------------------------
-# peeling (exact heights and witness words for the descending modes)
+# object peeling (heights and witness words of the object lane)
 
 
-def _keys_close(c1: InversiveCircle, c2: InversiveCircle, tol: float = 1e-6) -> bool:
-    return all(
-        abs(as_float(a) - as_float(b)) <= tol for a, b in zip(c1.key(), c2.key())
-    )
+_PEEL_STEPS = 96
 
 
 def _seed_id(cfg: Configuration, c: InversiveCircle, kind: str, quotient: bool):
-    if c.is_exact:
-        ident = cfg.contains_circle(c, kind)
-        if ident is None and quotient:
-            ident = cfg.contains_circle(c.reversed(), kind)
-        return ident
-    if c.is_line:
-        return None
-    (cx, cy), r = c.center(), abs(c.radius())
-    local = Window(cx - r - 0.5, cy - r - 0.5, cx + r + 0.5, cy + r + 0.5)
-    for g in cfg.circles_in_window(kind, local):
-        if _keys_close(c, g.circle):
-            return g.ident
-        if quotient and _keys_close(c.reversed(), g.circle):
-            return g.ident
-    return None
+    ident = cfg.contains_circle(c, kind)
+    if ident is None and quotient:
+        ident = cfg.contains_circle(c.reversed(), kind)
+    return ident
 
 
 class _PeelIndex:
-    """Spatial lookup over the cataloged duals and seeds.
+    """Spatial lookup over the cataloged duals for the object lane.
 
     Peeling retraces discovery chains, and every circle on such a chain
     sits inside its discovery mirror, so the containing dual is always in
     the mirror catalog; a float center/radius prefilter narrows the
-    candidates before the exact containment test.
+    candidates before the exact containment test.  The array lane peels
+    its rows in one batch instead (``_ArrayLane.peel``).
     """
 
-    def __init__(self, duals: Sequence[GeneratorCircle], seeds: Sequence[GeneratorCircle]):
+    def __init__(self, duals: Sequence[GeneratorCircle]):
         self.duals = [
             g
             for g in duals
@@ -349,11 +341,6 @@ class _PeelIndex:
         self.d_cx = np.array([c[0] for c, _ in geo] or [0.0])
         self.d_cy = np.array([c[1] for c, _ in geo] or [0.0])
         self.d_r = np.array([r for _, r in geo] or [0.0])
-        self.seeds = list(seeds)
-        self.seed_keys = np.array(
-            [[as_float(x) for x in g.circle.key()] for g in self.seeds]
-            or np.zeros((0, 4))
-        )
 
     def host(self, c: InversiveCircle) -> Optional[GeneratorCircle]:
         """The unique dual whose disk contains c, or None."""
@@ -369,10 +356,9 @@ class _PeelIndex:
         hosts: List[GeneratorCircle] = []
         for i in np.nonzero(cand)[0]:
             g = self.duals[i]
-            mirror = g.circle if c.is_exact else g.circle.as_floats()
-            prod = inversive_product(c, mirror)
-            if _ge(prod, 1) and _ge(c.curvature, mirror.curvature):
-                if not _keys_close(c, mirror, 1e-9):
+            prod = inversive_product(c, g.circle)
+            if prod >= 1 and c.curvature >= g.circle.curvature:
+                if c.key() != g.circle.key():
                     hosts.append(g)
         if not hosts:
             return None
@@ -382,22 +368,6 @@ class _PeelIndex:
                 "the dual family is not disjoint"
             )
         return hosts[0]
-
-    def seed_ident(self, c: InversiveCircle, quotient: bool) -> Optional[str]:
-        if c.is_line or not len(self.seed_keys):
-            return None
-        key = np.array([as_float(x) for x in c.key()])
-        hit = np.abs(self.seed_keys - key).max(axis=1) <= 1e-6
-        if quotient:
-            hit |= np.abs(self.seed_keys + key).max(axis=1) <= 1e-6
-        idx = np.nonzero(hit)[0]
-        return self.seeds[idx[0]].ident if len(idx) else None
-
-
-def _ge(x, y) -> bool:
-    if isinstance(x, QuadExt):
-        return x >= y
-    return float(x) >= float(y) - 1e-9
 
 
 def _peel(
@@ -409,11 +379,8 @@ def _peel(
 ) -> Tuple[GroupWord, str]:
     word: GroupWord = []
     cur = circle
-    for _ in range(96):
-        if cur.is_exact:
-            ident = _seed_id(cfg, cur, seed_kind, quotient)
-        else:
-            ident = index.seed_ident(cur, quotient)
+    for _ in range(_PEEL_STEPS):
+        ident = _seed_id(cfg, cur, seed_kind, quotient)
         if ident is not None:
             return word, ident
         host = index.host(cur)
@@ -423,13 +390,55 @@ def _peel(
                 f"inside any dual (center ~ {cur.center()})"
             )
         word.append(host.ident)
-        mirror = host.circle if cur.is_exact else host.circle.as_floats()
-        cur = reflect(mirror, cur)
-    raise ArithmeticError("peeling did not terminate in 96 steps")
+        cur = reflect(host.circle, cur)
+    raise ArithmeticError(f"peeling did not terminate in {_PEEL_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
-# lattice-typed integer lanes
+# lattice-typed integer rows
+
+
+# Coordinates are ordered (co-curvature, curvature, h1, h2); the inversive
+# product is <v, w> = sum_j _PRODUCT[j] * v[j] * w[_SWAP[j]].
+_SWAP = np.array([1, 0, 2, 3])
+_PRODUCT = (Fraction(-1, 2), Fraction(-1, 2), 1, 1)
+
+# Every int64 product is preceded by a float bound on its sum of absolute
+# terms (as in ``arithmetic.sweep_relation_words``); staying a factor two
+# below 2^63 absorbs the rounding of the bound itself.
+_INT64_BUDGET = 2.0**62
+
+
+class LatticeOverflowError(ArithmeticError):
+    """Integer lattice rows would leave the int64 range.
+
+    ``mirror`` is the id of the mirror whose action would overflow, or of
+    the catalogued circle whose translated row would; ``magnitude`` is the
+    bound on the offending sum that tripped the guard.
+    """
+
+    def __init__(self, mirror: str, magnitude: float) -> None:
+        super().__init__(
+            f"integer coordinates at {mirror} would reach ~{magnitude:.3g}, "
+            "beyond the int64 range; move the window nearer the origin"
+        )
+        self.mirror = mirror
+        self.magnitude = magnitude
+
+
+def _guard(bound: np.ndarray, idents: Union[str, Sequence[str]]) -> None:
+    """Raise LatticeOverflowError if any bound reaches the int64 budget;
+    ``idents`` names the circle of each bound, or of all of them."""
+    if not bound.size:
+        return
+    i = int(np.argmax(bound))
+    if bound[i] >= _INT64_BUDGET:
+        ident = idents if isinstance(idents, str) else idents[i]
+        raise LatticeOverflowError(ident, float(bound[i]))
+
+
+def _abs_f(a: np.ndarray) -> np.ndarray:
+    return np.abs(a.astype(np.float64))
 
 
 def _slot_table(cfg: Configuration) -> Optional[Dict[str, Tuple[QuadExt, ...]]]:
@@ -474,20 +483,196 @@ def _reflection_matrix(mirror: InversiveCircle) -> List[List[QuadExt]]:
     return rows
 
 
-def _typed_int_matrix(
-    mirror: InversiveCircle, slots: Tuple[QuadExt, ...]
+def _translation_coefficients(
+    cfg: Configuration, slots: Tuple[QuadExt, ...]
 ) -> np.ndarray:
-    mat = _reflection_matrix(mirror)
-    out = np.zeros((4, 4), dtype=np.int64)
+    """Integer matrices C[k] with sum_k mono_k(m, n) C[k] the translation by
+    m v1 + n v2 in slot coordinates, for the monomials 1, m, n, m^2, mn, n^2.
+
+    A translation by t keeps b, adds t b to h and adds 2 t.h + |t|^2 b to
+    the co-curvature.  Each coefficient is checked integral once, so every
+    lattice translate of an integral motif row is integral.
+    """
+    zero = QuadExt(0, 0, 1, cfg.d)
+    v1, v2 = cfg.lattice if cfg.lattice is not None else ((zero, zero),) * 2
+    real = [[[zero] * 4 for _ in range(4)] for _ in range(6)]
     for i in range(4):
-        for j in range(4):
-            entry = mat[i][j] * slots[j] / slots[i]
-            if not entry.is_integer():
-                raise ArithmeticError(
-                    "mirror action does not preserve the integer lattice"
-                )
-            out[i, j] = entry.as_integer()
+        real[0][i][i] = zero + 1
+    for k, v in ((1, v1), (2, v2)):
+        real[k][0][2], real[k][0][3] = 2 * v[0], 2 * v[1]
+        real[k][2][1], real[k][3][1] = v[0], v[1]
+    real[3][0][1] = v1[0] * v1[0] + v1[1] * v1[1]
+    real[4][0][1] = 2 * (v1[0] * v2[0] + v1[1] * v2[1])
+    real[5][0][1] = v2[0] * v2[0] + v2[1] * v2[1]
+    out = np.zeros((6, 4, 4), dtype=np.int64)
+    for k in range(6):
+        for i in range(4):
+            for j in range(4):
+                entry = real[k][i][j] * slots[j] / slots[i]
+                if not entry.is_integer():
+                    raise ArithmeticError(
+                        "lattice translation does not preserve the integer lattice"
+                    )
+                out[k, i, j] = entry.as_integer()
     return out
+
+
+def _generator_rows(
+    cfg: Configuration,
+    slots: Dict[str, Tuple[QuadExt, ...]],
+    gens: Sequence[GeneratorCircle],
+) -> np.ndarray:
+    """int64 rows of catalogued circles, each in its own kind's slots: the
+    motif row times the lattice-translation matrix of the id's shift."""
+    out = np.zeros((len(gens), 4), dtype=np.int64)
+    parsed = [parse_id(g.ident) for g in gens]
+    for kind in ("base", "dual"):
+        sel = [i for i, p in enumerate(parsed) if p[0] == kind]
+        if not sel:
+            continue
+        motif = []
+        for i, c in enumerate(cfg.motif(kind)):
+            coords = _int_coords(c, slots[kind])
+            if coords is None:
+                raise ArithmeticError(
+                    f"motif circle {kind} {i} does not fit the integer lattice"
+                )
+            motif.append(coords)
+        u = np.array(motif, dtype=np.int64)[[parsed[i][1] for i in sel]]
+        shift = np.array([parsed[i][2] or (0, 0) for i in sel], dtype=np.int64)
+        m, n = shift[:, 0], shift[:, 1]
+        mono = np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
+        coef = _translation_coefficients(cfg, slots[kind])
+        bound = np.einsum("nk,kij,nj->ni", _abs_f(mono), _abs_f(coef), _abs_f(u))
+        _guard(bound.max(axis=1), [gens[i].ident for i in sel])
+        out[sel] = np.einsum("nk,kij,nj->ni", mono, coef, u)
+    return out
+
+
+def _reflection_matrices(
+    slots: Dict[str, Tuple[QuadExt, ...]],
+    row_kind: str,
+    mirrors: Sequence[GeneratorCircle],
+    mirror_rows: np.ndarray,
+) -> np.ndarray:
+    """int64 matrices (n, 4, 4) of the mirrors' reflections on rows typed by
+    ``slots[row_kind]``, from the mirrors' own integer rows w.
+
+    Entry (i, j) is delta_ij - K_ij w_i w_swap(j) with 16 coefficients
+    K_ij = 2 _PRODUCT[j] s'_i s'_swap(j) s_j / s_i fixed by the row slots s
+    and mirror slots s'; each entry must divide out exactly.
+    """
+    out = np.zeros((len(mirrors), 4, 4), dtype=np.int64)
+    kinds = np.array([g.kind for g in mirrors])
+    for mkind in ("base", "dual"):
+        sel = np.nonzero(kinds == mkind)[0]
+        if not len(sel):
+            continue
+        s, sm = slots[row_kind], slots[mkind]
+        num = np.zeros((4, 4), dtype=np.int64)
+        den = np.ones((4, 4), dtype=np.int64)
+        for i in range(4):
+            for j in range(4):
+                k = 2 * _PRODUCT[j] * sm[i] * sm[_SWAP[j]] * s[j] / s[i]
+                if not k.is_rational:
+                    raise ArithmeticError(
+                        "mirror action does not preserve the integer lattice"
+                    )
+                f = k.as_fraction()
+                num[i, j], den[i, j] = f.numerator, f.denominator
+        w = mirror_rows[sel]
+        wf = _abs_f(w)
+        bound = wf[:, :, None] * wf[:, None, _SWAP] * _abs_f(num)
+        _guard(bound.max(axis=(1, 2)), [mirrors[i].ident for i in sel])
+        prod = w[:, :, None] * w[:, None, _SWAP] * num
+        if (prod % den).any():
+            raise ArithmeticError("mirror action does not preserve the integer lattice")
+        out[sel] = np.eye(4, dtype=np.int64) - prod // den
+    return out
+
+
+@dataclass(frozen=True)
+class _ProductTable:
+    """Exact containment test on integer rows u (row slots s) and w (mirror
+    slots s').
+
+    <u, w> = lam N / 2 with N = sum_j coef_j u_j w_swap(j) an integer and
+    lam^2 = lam2 in {1, d}, so <u, w> >= 1 iff N > 0 and lam2 N^2 >= 4.
+    For positive curvatures, b_u >= b_w iff cu u_1^2 >= cw w_1^2.
+    """
+
+    coef: np.ndarray
+    lam2: int
+    cu: int
+    cw: int
+
+    @classmethod
+    def build(cls, s: Tuple[QuadExt, ...], sm: Tuple[QuadExt, ...]) -> "_ProductTable":
+        g = [_PRODUCT[j] * s[j] * sm[_SWAP[j]] for j in range(4)]
+        d = s[0].d
+        if all(x.b == 0 for x in g):
+            lam, lam2 = QuadExt(1, 0, 1, d), 1
+        elif all(x.a == 0 for x in g):
+            lam, lam2 = QuadExt.sqrt_d(d), d
+        else:
+            raise ArithmeticError("inversive products leave the integer lattice")
+        coef = [2 * x / lam for x in g]
+        bu, bw = s[1] * s[1], sm[1] * sm[1]
+        if not all(x.is_integer() for x in coef) or not (bu.is_rational and bw.is_rational):
+            raise ArithmeticError("inversive products leave the integer lattice")
+        fu, fw = bu.as_fraction(), bw.as_fraction()
+        return cls(
+            np.array([x.as_integer() for x in coef], dtype=np.int64),
+            lam2,
+            fu.numerator * fw.denominator,
+            fw.numerator * fu.denominator,
+        )
+
+    def inside(self, u: np.ndarray, w: np.ndarray, idents: Sequence[str]) -> np.ndarray:
+        """Whether each circle u lies inside, and differs from, its mirror w."""
+        ws = w[:, _SWAP]
+        bound = np.maximum(
+            (_abs_f(u) * _abs_f(ws)) @ _abs_f(self.coef),
+            np.maximum(self.cu * _abs_f(u[:, 1]) ** 2, self.cw * _abs_f(w[:, 1]) ** 2),
+        )
+        _guard(bound, idents)
+        n = (u * ws) @ self.coef
+        nc = np.minimum(n, 3)  # lam2 >= 1, so every n >= 2 clears the bar
+        cmp = self.cu * u[:, 1] * u[:, 1] - self.cw * w[:, 1] * w[:, 1]
+        tangent = self.lam2 * nc * nc == 4
+        return (n > 0) & (self.lam2 * nc * nc >= 4) & (cmp >= 0) & ~(tangent & (cmp == 0))
+
+
+def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of 2-d points with a[i] and b[j] within ``reach``
+    in both coordinates, plus some farther ones.
+
+    A uniform-grid join: points are binned in cells at least ``reach``
+    wide and each a[i] meets the b points of its 3 x 3 cell block, so no
+    dense a-by-b array is formed.
+    """
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    extent = float((np.maximum(a.max(axis=0), b.max(axis=0)) - lo).max())
+    # at most 2^24 cells a side keeps the combined cell key in int64
+    cell = max(reach, extent / 2**24, 1e-300)
+    ca = np.floor((a - lo) / cell).astype(np.int64) + 1
+    cb = np.floor((b - lo) / cell).astype(np.int64) + 1
+    width = int(max(ca[:, 1].max(), cb[:, 1].max())) + 2
+    kb = cb[:, 0] * width + cb[:, 1]
+    order = np.argsort(kb, kind="stable")
+    kb = kb[order]
+    ia, ib = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            ka = (ca[:, 0] + dx) * width + ca[:, 1] + dy
+            start = np.searchsorted(kb, ka, "left")
+            count = np.searchsorted(kb, ka, "right") - start
+            first = np.repeat(np.cumsum(count) - count, count)
+            ia.append(np.repeat(np.arange(len(a)), count))
+            ib.append(order[np.repeat(start, count) + np.arange(first.size) - first])
+    return np.concatenate(ia), np.concatenate(ib)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +683,7 @@ def _typed_int_matrix(
 class _Found:
     circle: InversiveCircle
     level: int
-    word: Optional[GroupWord]  # filled by super mode, peeled otherwise
+    word: GroupWord  # peeled in the descending modes, discovery chain in super
     source: Optional[str]
 
 
@@ -513,9 +698,16 @@ def _canonical_sign(rows: np.ndarray) -> np.ndarray:
     return s
 
 
+def _center_text(fv: np.ndarray) -> str:
+    if fv[1] == 0:
+        return "line"
+    return f"({fv[2] / fv[1]}, {fv[3] / fv[1]})"
+
+
 class _ArrayLane:
     """BFS over numpy rows: int64 rows scaled by per-kind slots, or raw
-    float64 rows with grid deduplication."""
+    float64 rows with grid deduplication.  In the descending modes all kept
+    rows are peeled together by ``peel``."""
 
     def __init__(
         self,
@@ -526,7 +718,6 @@ class _ArrayLane:
         seeds: List[GeneratorCircle],
         slots: Optional[Dict[str, Tuple[QuadExt, ...]]],
         pads: List[float],
-        threads: int,
     ) -> None:
         self.cfg = cfg
         self.mode = mode
@@ -534,16 +725,15 @@ class _ArrayLane:
         self.mirrors = mirrors
         self.slots = slots
         self.pads = pads
-        self.threads = max(1, threads)
         self.quotient = mode != "packing"
         self.exact = slots is not None
         self.kinds = list(_SEED_KINDS[mode])
         if slots is not None:
             self.slot_f = {
-                k: np.array([float(s) for s in slots[k]]) for k in self.kinds
+                k: np.array([float(s) for s in slots[k]]) for k in ("base", "dual")
             }
         else:
-            self.slot_f = {k: np.ones(4) for k in self.kinds}
+            self.slot_f = {k: np.ones(4) for k in ("base", "dual")}
         self.dtype = np.int64 if self.exact else np.float64
 
         # per kind: rows plus per-row metadata
@@ -554,44 +744,54 @@ class _ArrayLane:
         self.seed_of: Dict[str, List[Optional[str]]] = {k: [] for k in self.kinds}
         self.seen: Dict[bytes, None] = {}
 
-        self.mirror_vec = {
-            g.ident: np.array([as_float(x) for x in g.circle.key()])
-            for g in mirrors
-        }
-        self.mirror_geo: Dict[str, Tuple[float, float, float]] = {}
-        for g in mirrors:
-            if not g.circle.is_line:
-                (cx, cy) = g.circle.center()
-                self.mirror_geo[g.ident] = (cx, cy, abs(g.circle.radius()))
-        self.mirror_mats: Dict[Tuple[str, str], np.ndarray] = {}
+        # Mirrors: float rows for the masks and geometry, plus, in the exact
+        # lane, integer rows and every reflection matrix (float matrices are
+        # converted from the exact ones on first use).
+        self.mirror_ids = np.array([g.ident for g in mirrors], dtype=object)
+        self.mirror_rows = self._catalog_rows(mirrors)
+        self.mirror_vec = self._float_rows(self.mirror_rows, mirrors)
+        self.mats: Dict[str, np.ndarray] = {}
+        self.mat_colmax: Dict[str, np.ndarray] = {}
+        self.float_mats: Dict[int, np.ndarray] = {}
+        if self.exact:
+            for k in self.kinds:
+                self.mats[k] = _reflection_matrices(slots, k, mirrors, self.mirror_rows)
+                self.mat_colmax[k] = _abs_f(self.mats[k]).max(axis=1)
+        b = self.mirror_vec[:, 1]
+        self.mirror_circle = np.abs(b) > 1e-9
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.mirror_cx = self.mirror_vec[:, 2] / b
+            self.mirror_cy = self.mirror_vec[:, 3] / b
+            self.mirror_r = np.abs(1.0 / b)
 
-        seed_rows: Dict[str, List[np.ndarray]] = {k: [] for k in self.kinds}
-        seed_ids: Dict[str, List[str]] = {k: [] for k in self.kinds}
-        for g in seeds:
-            if not g.circle.is_line and abs(g.circle.radius()) < limits.min_radius:
-                continue
-            row = self._row_of(g.circle, g.kind)
-            if row is None:
-                raise ArithmeticError(
-                    f"seed {g.ident} does not fit the integer lattice"
-                )
-            seed_rows[g.kind].append(row)
-            seed_ids[g.kind].append(g.ident)
+        # Seeds: all catalogued seeds key the peel; those under the radius
+        # floor do not start the search.
+        self.seed_ids = [g.ident for g in seeds]
+        self.seed_kinds = np.array([g.kind for g in seeds])
+        self.seed_rows = self._catalog_rows(seeds)
+        sb = self._float_rows(self.seed_rows, seeds)[:, 1]
+        with np.errstate(divide="ignore"):
+            root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
         for k in self.kinds:
-            if not seed_rows[k]:
-                continue
-            arr = np.array(seed_rows[k], dtype=self.dtype)
-            self._dedup_append(arr, k, 0, None, None, seed_ids[k])
+            sel = np.nonzero(root & (self.seed_kinds == k))[0]
+            if len(sel):
+                ids = [self.seed_ids[i] for i in sel]
+                self._dedup_append(self.seed_rows[sel], k, 0, None, None, ids)
 
     # -- plumbing ------------------------------------------------------
 
-    def _row_of(self, c: InversiveCircle, kind: str) -> Optional[np.ndarray]:
+    def _catalog_rows(self, gens: Sequence[GeneratorCircle]) -> np.ndarray:
         if self.exact:
-            coords = _int_coords(c, self.slots[kind])
-            if coords is None:
-                return None
-            return np.array(coords, dtype=np.int64)
-        return np.array([as_float(x) for x in c.key()])
+            return _generator_rows(self.cfg, self.slots, gens)
+        return np.array(
+            [[as_float(x) for x in g.circle.key()] for g in gens], dtype=np.float64
+        ).reshape(-1, 4)
+
+    def _float_rows(self, rows: np.ndarray, gens: Sequence[GeneratorCircle]) -> np.ndarray:
+        if not self.exact:
+            return rows
+        scale = np.array([self.slot_f[g.kind] for g in gens]).reshape(-1, 4)
+        return rows.astype(np.float64) * scale
 
     def _keys_of(self, rows: np.ndarray) -> List[bytes]:
         if self.exact:
@@ -646,23 +846,21 @@ class _ArrayLane:
     def _float_view(self, rows: np.ndarray, kind: str) -> np.ndarray:
         return rows.astype(np.float64) * self.slot_f[kind]
 
-    # -- expansion -----------------------------------------------------
-
-    def _matrix_for(self, ident: str, circle: InversiveCircle, kind: str) -> np.ndarray:
-        key = (ident, kind)
-        mat = self.mirror_mats.get(key)
+    def _matrix(self, gi: int, kind: str) -> np.ndarray:
+        if self.exact:
+            return self.mats[kind][gi]
+        mat = self.float_mats.get(gi)
         if mat is None:
-            if self.exact:
-                mat = _typed_int_matrix(circle, self.slots[kind])
-            else:
-                mat = np.array(
-                    [
-                        [as_float(x) for x in row]
-                        for row in _reflection_matrix(circle)
-                    ]
-                )
-            self.mirror_mats[key] = mat
+            mat = np.array(
+                [
+                    [as_float(x) for x in row]
+                    for row in _reflection_matrix(self.mirrors[gi].circle)
+                ]
+            )
+            self.float_mats[gi] = mat
         return mat
+
+    # -- expansion -----------------------------------------------------
 
     def run(self) -> None:
         lim = self.limits
@@ -674,7 +872,8 @@ class _ArrayLane:
                 lim.window.x1 + pad,
                 lim.window.y1 + pad,
             )
-            tasks = []
+            live = self._live_mirrors(win)
+            results = []
             for kind in self.kinds:
                 offs = 0
                 chunks = []
@@ -689,29 +888,27 @@ class _ArrayLane:
                     [np.arange(o, o + len(a)) for o, a in chunks]
                 )
                 fv = self._float_view(prev, kind)
-                for g in self.mirrors:
-                    if self.mode != "super" and not self._mirror_alive(g, win):
-                        continue
-                    # build matrices here so worker threads only read
-                    self._matrix_for(g.ident, g.circle, kind)
-                    tasks.append((kind, prev, base_index, fv, g))
-
-            results = self._run_tasks(tasks, win)
-            for kind, ident, rows_new, parents in results:
+                for gi in live:
+                    results.append(self._expand(kind, prev, base_index, fv, gi, win))
+            for kind, gi, rows_new, parents in results:
                 if len(rows_new):
-                    self._dedup_append(rows_new, kind, level, parents, ident, None)
+                    self._dedup_append(
+                        rows_new, kind, level, parents, self.mirror_ids[gi], None
+                    )
 
-    def _mirror_alive(self, g: GeneratorCircle, win) -> bool:
+    def _live_mirrors(self, win) -> np.ndarray:
         # In descending modes the source sits outside the mirror, so the
         # image curve lands inside the closed mirror disk; a mirror whose
         # disk misses the level window cannot contribute a kept row.
-        if g.ident not in self.mirror_geo:
-            return True
-        cx, cy, rad = self.mirror_geo[g.ident]
-        rad = rad * (1.0 + 1e-6) + 1e-9
-        dx = max(win[0] - cx, 0.0, cx - win[2])
-        dy = max(win[1] - cy, 0.0, cy - win[3])
-        return dx * dx + dy * dy <= rad * rad
+        if self.mode == "super":
+            return np.arange(len(self.mirrors))
+        cx, cy = self.mirror_cx, self.mirror_cy
+        rad = self.mirror_r * (1.0 + 1e-6) + 1e-9
+        with np.errstate(invalid="ignore"):
+            dx = np.maximum(np.maximum(win[0] - cx, 0.0), cx - win[2])
+            dy = np.maximum(np.maximum(win[1] - cy, 0.0), cy - win[3])
+            live = dx * dx + dy * dy <= rad * rad
+        return np.nonzero(live | ~self.mirror_circle)[0]
 
     def _chunk_levels(self, kind: str) -> List[int]:
         # level of the first row of each stored chunk; chunks are
@@ -723,18 +920,8 @@ class _ArrayLane:
             offs += len(arr)
         return out
 
-    def _run_tasks(self, tasks, win):
-        def work(task):
-            kind, prev, base_index, fv, g = task
-            return self._expand(kind, prev, base_index, fv, g, win)
-
-        if self.threads == 1 or len(tasks) < 2:
-            return [work(t) for t in tasks]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(work, tasks))
-
-    def _expand(self, kind, prev, base_index, fv, g, win):
-        mv = self.mirror_vec[g.ident]
+    def _expand(self, kind, prev, base_index, fv, gi, win):
+        mv = self.mirror_vec[gi]
         qm = np.array([-mv[1] / 2.0, -mv[0] / 2.0, mv[2], mv[3]])
         p = fv @ qm
         if self.mode == "super":
@@ -748,10 +935,12 @@ class _ArrayLane:
         floor = self.limits.min_radius * (1.0 - 1e-6)
         mask &= np.abs(fv[:, 1] - 2.0 * p * mv[1]) * floor <= 1.0
         if not mask.any():
-            return (kind, g.ident, np.zeros((0, 4), dtype=self.dtype), None)
+            return (kind, gi, np.zeros((0, 4), dtype=self.dtype), None)
         src = prev[mask]
-        mat = self._matrix_for(g.ident, g.circle, kind)
-        img = src @ mat.T
+        if self.exact:
+            bound = _abs_f(src).max(axis=0) @ self.mat_colmax[kind][gi]
+            _guard(np.array([bound]), self.mirror_ids[gi])
+        img = src @ self._matrix(gi, kind).T
         ifv = img.astype(np.float64) * self.slot_f[kind]
         b = ifv[:, 1]
         ok = b != 0
@@ -764,18 +953,148 @@ class _ArrayLane:
         dy = np.maximum(np.maximum(win[1] - cy, 0.0), cy - win[3])
         ok &= dx * dx + dy * dy <= r * r
         parents = base_index[mask][ok]
-        return (kind, g.ident, img[ok], parents)
+        return (kind, gi, img[ok], parents)
+
+    # -- batched peel ----------------------------------------------------
+
+    def peel(self, kind: str, rows: np.ndarray) -> Tuple[List[GroupWord], List[str]]:
+        """Peel every row back to a seed at once.
+
+        Each step looks the rows up among the catalogued seeds (by row key
+        on integers, within 1e-6 on floats), finds each remaining row's
+        host dual with a center/radius prefilter confirmed on the rows, and
+        reflects it out of its host.  Float rows follow ``_peel``'s float
+        arithmetic step for step.
+        """
+        words: List[GroupWord] = [[] for _ in range(len(rows))]
+        sources = [""] * len(rows)
+        seed_hits = self._seed_lookup(kind)
+        host_of = self._host_lookup(kind)
+        ids = self.mirror_ids
+        active = np.arange(len(rows))
+        cur = rows
+        for _ in range(_PEEL_STEPS):
+            hit = seed_hits(cur)
+            done = hit >= 0
+            for i, s in zip(active[done].tolist(), hit[done].tolist()):
+                sources[i] = self.seed_ids[s]
+            active, cur = active[~done], cur[~done]
+            if not len(active):
+                return words, sources
+            host, prod = host_of(cur)
+            for i, ident in zip(active.tolist(), ids[host].tolist()):
+                words[i].append(ident)
+            if self.exact:
+                bound = (_abs_f(cur) * self.mat_colmax[kind][host]).sum(axis=1)
+                _guard(bound, ids[host])
+                cur = np.einsum("nij,nj->ni", self.mats[kind][host], cur)
+            else:
+                # v - 2<v, m> m, as ``reflect`` computes it
+                cur = cur - (2 * prod)[:, None] * self.mirror_vec[host]
+        raise ArithmeticError(f"peeling did not terminate in {_PEEL_STEPS} steps")
+
+    def _seed_lookup(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+        """Index into the seed catalog of each row's seed, or -1."""
+        sel = np.nonzero(self.seed_kinds == kind)[0]
+        rows = self.seed_rows[sel]
+        if self.exact:
+            table: Dict[bytes, int] = {}
+            for key, i in zip(self._keys_of(rows), sel.tolist()):
+                table.setdefault(key, i)
+            return lambda cur: np.array(
+                [table.get(key, -1) for key in self._keys_of(cur)], dtype=np.intp
+            )
+        # quotient keys also match the reversed seed, as -seed
+        signed = np.concatenate([rows, -rows]) if self.quotient else rows
+        owner = np.concatenate([sel, sel]) if self.quotient else sel
+
+        def lookup(cur: np.ndarray) -> np.ndarray:
+            out = np.full(len(cur), len(self.seed_ids), dtype=np.intp)
+            ri, si = _box_pairs(cur[:, 2:], signed[:, 2:], 1e-6)
+            hit = (np.abs(signed[si] - cur[ri]).max(axis=1) <= 1e-6) & (
+                np.abs(cur[ri, 1]) > 1e-9
+            )
+            np.minimum.at(out, ri[hit], owner[si[hit]])
+            out[out == len(self.seed_ids)] = -1
+            return out
+
+        return lookup
+
+    def _host_lookup(self, kind: str):
+        """Function mapping rows to (host mirror index, <row, host>); the
+        product is returned for float rows only."""
+        elig = np.nonzero(self.mirror_circle & (self.mirror_vec[:, 1] > 0))[0]
+        d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
+        centers = np.column_stack([d_cx, d_cy])
+        reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
+        table = None
+        if self.exact:
+            mkind = _MIRROR_KINDS[self.mode][0]
+            table = _ProductTable.build(self.slots[kind], self.slots[mkind])
+
+        def host_of(cur: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+            fv = self._float_view(cur, kind)
+            b = fv[:, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
+            rows_in = np.nonzero(b > 1e-9)[0]
+            pr, pm = _box_pairs(np.column_stack([cx, cy])[rows_in], centers, reach)
+            pr = rows_in[pr]
+            slack = d_r[pm] - r[pr] + 1e-6
+            dist2 = (d_cx[pm] - cx[pr]) ** 2 + (d_cy[pm] - cy[pr]) ** 2
+            close = (slack > 0) & (dist2 <= slack**2)
+            pr, pm = pr[close], elig[pm[close]]
+            u, w = cur[pr], self.mirror_vec[pm]
+            prod = None
+            if self.exact:
+                inside = table.inside(u, self.mirror_rows[pm], self.mirror_ids[pm])
+            else:
+                # the tolerances of the float object peel
+                prod = (
+                    u[:, 2] * w[:, 2]
+                    + u[:, 3] * w[:, 3]
+                    - (u[:, 1] * w[:, 0] + u[:, 0] * w[:, 1]) / 2.0
+                )
+                inside = (
+                    (prod >= 1.0 - 1e-9)
+                    & (u[:, 1] >= w[:, 1] - 1e-9)
+                    & ~np.all(np.abs(u - w) <= 1e-9, axis=1)
+                )
+                prod = prod[inside]
+            pr, pm = pr[inside], pm[inside]
+            count = np.bincount(pr, minlength=len(cur))
+            if (count == 0).any():
+                i = int(np.argmin(count))
+                raise ArithmeticError(
+                    "peeling reached a circle that is neither a seed nor "
+                    f"inside any dual (center ~ {_center_text(fv[i])})"
+                )
+            if (count > 1).any():
+                i = int(np.argmax(count))
+                raise ArithmeticError(
+                    f"circle at ~{_center_text(fv[i])} sits inside {count[i]} duals; "
+                    "the dual family is not disjoint"
+                )
+            host = np.empty(len(cur), dtype=np.intp)
+            host[pr] = pm
+            if prod is not None:
+                full = np.empty(len(cur))
+                full[pr] = prod
+                prod = full
+            return host, prod
+
+        return host_of
 
     # -- output ----------------------------------------------------------
 
-    def materialize(self, idx: int, kind: str, rows: np.ndarray) -> InversiveCircle:
-        row = rows[idx]
+    def materialize(self, row: np.ndarray, kind: str) -> InversiveCircle:
         if self.exact:
-            coords = tuple(
-                QuadExt(int(u), 0, 1, self.cfg.d) * s
-                for u, s in zip(row, self.slots[kind])
+            return InversiveCircle(
+                *(
+                    QuadExt(u * s.a, u * s.b, s.q, s.d)
+                    for u, s in zip(row.tolist(), self.slots[kind])
+                )
             )
-            return InversiveCircle(*coords)
         return InversiveCircle(*(float(x) for x in row))
 
     def finals(self) -> List[_Found]:
@@ -796,22 +1115,36 @@ class _ArrayLane:
             dx = np.maximum(np.maximum(lim.window.x0 - cx, 0.0), cx - lim.window.x1)
             dy = np.maximum(np.maximum(lim.window.y0 - cy, 0.0), cy - lim.window.y1)
             ok &= dx * dx + dy * dy <= r * r
-            for idx in np.nonzero(ok)[0]:
-                circle = self.materialize(idx, kind, rows)
-                word: Optional[GroupWord] = None
-                source = self.seed_of[kind][idx]
-                if self.mode == "super":
-                    word = []
-                    cur: Tuple[str, int] = (kind, int(idx))
+            kept = np.nonzero(ok)[0]
+            picked = rows[kept]
+            if self.quotient:
+                # report the positively oriented representative
+                picked = np.where(picked[:, 1:2] < -1e-9, -picked, picked)
+            if self.mode == "super":
+                words, sources = [], []
+                for idx in kept.tolist():
+                    word: GroupWord = []
+                    cur: Tuple[str, int] = (kind, idx)
                     while True:
                         k, i = cur
                         via = self.via[k][i]
                         if via is None:
-                            source = self.seed_of[k][i]
+                            sources.append(self.seed_of[k][i])
                             break
                         word.append(via)
                         cur = self.parent[k][i]
-                out.append(_Found(circle, self.level[kind][idx], word, source))
+                    words.append(word)
+            else:
+                words, sources = self.peel(kind, picked)
+            for j, idx in enumerate(kept.tolist()):
+                out.append(
+                    _Found(
+                        self.materialize(picked[j], kind),
+                        self.level[kind][idx],
+                        words[j],
+                        sources[j],
+                    )
+                )
         return out
 
 
@@ -882,6 +1215,7 @@ class _CircleLane:
 
     def finals(self) -> List[_Found]:
         lim = self.limits
+        index = _PeelIndex(self.mirrors) if self.mode != "super" else None
         out = []
         for rec in self.found:
             c = rec.circle
@@ -889,15 +1223,16 @@ class _CircleLane:
             if r < lim.min_radius - 1e-12:
                 continue
             (cx, cy) = c.center()
-            if lim.window.meets_disk(cx, cy, r):
-                out.append(
-                    _Found(
-                        c,
-                        rec.level,
-                        rec.word if self.mode == "super" else None,
-                        rec.source,
-                    )
-                )
+            if not lim.window.meets_disk(cx, cy, r):
+                continue
+            if self.quotient and scalar_sign(c.curvature) < 0:
+                c = c.reversed()
+            if index is None:
+                out.append(_Found(c, rec.level, rec.word, rec.source))
+                continue
+            seed_kind = _SEED_KINDS[self.mode][0]
+            word, source = _peel(self.cfg, c, seed_kind, self.quotient, index)
+            out.append(_Found(c, rec.level, word, source))
         return out
 
 
@@ -910,13 +1245,13 @@ def generate(
     mode: str = "packing",
     limits: Optional[GenerationLimits] = None,
     exact: bool = True,
-    threads: int = 1,
 ) -> Packing:
     """Enumerate the orbit of the seed family over the window.
 
     Every returned circle meets the window, has radius >= min_radius and
     height <= max_height.  Output order is deterministic: by height, then
-    curvature, then center, independent of thread count.
+    curvature, then center.  Exact runs on int64 rows raise
+    LatticeOverflowError when the window lies too far from the origin.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -927,43 +1262,28 @@ def generate(
     seeds = _catalog(cfg, _SEED_KINDS[mode], limits.window, pads[0])
 
     slots = _slot_table(cfg) if exact else None
-    use_arrays = not exact or slots is not None
-    if use_arrays:
-        lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, slots, pads, threads)
-        lane.run()
-        found = lane.finals()
+    lane: Union[_ArrayLane, _CircleLane]
+    if not exact or slots is not None:
+        lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, slots, pads)
     else:
-        clane = _CircleLane(cfg, mode, limits, mirrors, seeds, pads)
-        clane.run()
-        found = clane.finals()
+        lane = _CircleLane(cfg, mode, limits, mirrors, seeds, pads)
+    lane.run()
 
-    quotient = mode != "packing"
-    peel_index = _PeelIndex(
-        mirrors if mode != "super" else [], seeds if mode != "super" else []
-    )
     circles: List[PackedCircle] = []
-    for rec in found:
-        circle = rec.circle
-        if quotient and not circle.is_line and as_float(circle.curvature) < 0:
-            circle = circle.reversed()
-        if mode == "super":
-            height, word, source = rec.level, rec.word or [], rec.source
-        else:
-            seed_kind = _SEED_KINDS[mode][0]
-            word, source = _peel(cfg, circle, seed_kind, quotient, peel_index)
-            height = len(word)
-            if height != rec.level:
-                raise ArithmeticError(
-                    f"BFS level {rec.level} disagrees with peeled height "
-                    f"{height} at center ~ {circle.center()}"
-                )
+    for rec in lane.finals():
+        height = len(rec.word) if mode != "super" else rec.level
+        if height != rec.level:
+            raise ArithmeticError(
+                f"BFS level {rec.level} disagrees with peeled height "
+                f"{height} at center ~ {rec.circle.center()}"
+            )
         circles.append(
             PackedCircle(
-                circle,
+                rec.circle,
                 _CIRCLE_KIND[mode],
                 height,
-                tuple(word),
-                source or "",
+                tuple(rec.word),
+                rec.source or "",
             )
         )
 

@@ -248,7 +248,7 @@ _PACKED_SCHEMA = {
     "type": "object",
     "properties": {
         "circle": _CIRCLE_SCHEMA,
-        "kind": {"enum": ["base", "dual"]},
+        "kind": {"enum": ["base", "dual", "super"]},
         "height": {"type": "integer"},
         "word": {"type": "array", "items": {"type": "string"}},
         "source": {"type": "string"},

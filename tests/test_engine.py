@@ -4,7 +4,8 @@ Covers the word helpers, frozen small runs of every mode, witness-word
 validity, the height adjacency structure (reflecting through the
 containing dual lowers height by one, through any other non-orthogonal
 dual raises it by one), agreement with an independent mask-free
-brute-force oracle, and determinism across thread counts.
+brute-force oracle, the array lane's batched peel against the object
+peel, and the named error for integer rows beyond int64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 from invpack.configs import Window, make_config
 from invpack.engine import (
     GenerationLimits,
+    LatticeOverflowError,
     Packing,
+    _catalog,
+    _margin_schedule,
+    _peel,
+    _PeelIndex,
     apply_word,
     commuting_letters,
     generate,
@@ -236,17 +242,6 @@ class TestSquarePacking:
             b = as_float(c.circle.curvature)
             best[c.height] = min(best.get(c.height, b), b)
         assert best == {0: 1.0, 1: 9.0, 2: 25.0, 3: 49.0}
-
-    def test_thread_counts_agree(self, square):
-        lim = GenerationLimits(
-            max_height=2, min_radius=0.01, window=Window(-1, -3, 5, 3)
-        )
-        runs = [generate(square, "packing", lim, threads=n) for n in (1, 4)]
-        rows = [
-            [(c.circle.key(), c.height, c.word, c.source) for c in p.circles]
-            for p in runs
-        ]
-        assert rows[0] == rows[1]
 
 
 class TestHeightAdjacency:
@@ -514,6 +509,15 @@ class TestOtherConfigs:
                 src = cfg.circle_from_id(rec.source)
                 assert apply_word(cfg, rec.word, src).key() == rec.circle.key()
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mode", ["dual", "super"])
+    def test_quotient_modes_report_bounded_orientation(self, mode, exact):
+        # the enclosing base circle has negative curvature as given
+        cfg = make_config("apollonian")
+        lim = GenerationLimits(max_height=1, min_radius=0.05, window=Window.square(1))
+        p = generate(cfg, mode, lim, exact=exact)
+        assert all(as_float(c.circle.curvature) > 0 for c in p.circles)
+
     def test_wallpaper_lane_runs(self):
         cfg = make_config("wallpaper:p4m")
         p = generate(
@@ -542,3 +546,62 @@ class TestFloatMode:
             for x, y in zip(a.circle.key(), b.circle.key()):
                 assert abs(as_float(x) - y) < 1e-9
             assert not b.circle.is_exact
+
+
+class TestBatchedPeel:
+    """The array lane peels all kept rows in one batch; the object peel,
+    one circle at a time in QuadExt arithmetic, is the reference."""
+
+    LIMITS = dict(max_height=2, min_radius=0.02)
+
+    @staticmethod
+    def window(cfg, shift):
+        # a unit-scale window moved by the lattice vector m v1 + n v2
+        (v1, v2), (m, n) = cfg.lattice, shift
+        ox = m * as_float(v1[0]) + n * as_float(v2[0])
+        oy = m * as_float(v1[1]) + n * as_float(v2[1])
+        return Window(ox - 1.5, oy - 1.5, ox + 1.5, oy + 1.5)
+
+    @pytest.mark.parametrize("shift", [(0, 0), (3, -2)])
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    def test_matches_object_peel(self, name, mode, shift):
+        cfg = make_config(name)
+        lim = GenerationLimits(window=self.window(cfg, shift), **self.LIMITS)
+        packing = generate(cfg, mode, lim)
+        pads = _margin_schedule(cfg, mode, lim)
+        index = _PeelIndex(_catalog(cfg, ("dual",), lim.window, pads[0]))
+        seed_kind = "base" if mode == "packing" else "dual"
+        assert max(p.height for p in packing.circles) == 2
+        for p in packing.circles:
+            word, source = _peel(cfg, p.circle, seed_kind, mode != "packing", index)
+            assert (list(p.word), p.source, p.height) == (word, source, len(word))
+
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    def test_float_words_match_exact(self, name, mode):
+        cfg = make_config(name)
+        lim = GenerationLimits(window=self.window(cfg, (1, 1)), **self.LIMITS)
+        exact = generate(cfg, mode, lim)
+        approx = generate(cfg, mode, lim, exact=False)
+        matched = 0
+        for p in exact.circles:
+            hit = approx.find(p.circle.as_floats())
+            if hit is None:
+                continue
+            matched += 1
+            assert (hit.word, hit.source, hit.height) == (p.word, p.source, p.height)
+        assert matched >= 0.9 * len(exact.circles)
+
+
+class TestLatticeOverflow:
+    def test_far_window_raises_named_error(self, square):
+        # at 4e4 the mirrors' co-curvatures are ~3e9, and the reflection
+        # matrices and their products leave int64
+        far = Window(4e4 - 1, 4e4 - 1, 4e4 + 1, 4e4 + 1)
+        lim = GenerationLimits(max_height=2, min_radius=0.05, window=far)
+        with pytest.raises(LatticeOverflowError) as err:
+            generate(square, "packing", lim)
+        assert isinstance(err.value, ArithmeticError)
+        assert err.value.magnitude >= 2.0**62
+        assert square.circle_from_id(err.value.mirror).is_exact

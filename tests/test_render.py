@@ -158,6 +158,17 @@ class TestJson:
         assert back.circles == square_packing.circles
         assert config_fields_equal(back.config, square_packing.config)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_super_packing_round_trip(self, square, exact):
+        limits = GenerationLimits(2, 0.05, Window(-1.0, -1.0, 1.0, 1.0))
+        packing = generate(square, "super", limits, exact=exact)
+        assert {c.kind for c in packing.circles} == {"super"}
+        doc = to_json(packing)
+        back = from_json(doc)
+        assert back.mode == "super"
+        assert back.circles == packing.circles
+        assert to_json(back) == doc
+
     def test_float_circles_round_trip(self):
         cfg = Configuration(
             "probe",
