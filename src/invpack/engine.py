@@ -9,14 +9,18 @@ shortest reflection word producing it from a seed.
 
 Completeness over the window rests on a locality bound.  Producing a
 circle of radius >= rho across a mirror of radius R requires the source
-circle to sit within sqrt(R^2 r_src / rho + r_src^2) of the mirror
+circle, of radius r, to sit within sqrt(R^2 r / rho + r^2) of the mirror
 center, so every ancestor of a circle meeting the window W lives inside
-W padded by a per-level step built from that bound.  In the descending
-modes each reflection shrinks radii by at least r -> R r / (R + 2 r),
-so deeper levels use smaller steps; mirrors and seeds are catalogued
-over the total pad and each layer is kept over the pad remaining below
-it.  Lines never arise in the descending modes and are dropped in super
-mode, where an orbit member through a mirror center inverts to one.
+W padded by a step built from that bound for each reflection still to
+come.  In the descending modes each reflection shrinks radii by at least
+r -> R r / (R + 2 r), so the steps shrink with depth and a circle's pad
+follows from its own radius: mirrors and seeds are catalogued over the
+pad of the largest motif radius, and every image is kept only over its
+own pad, so heights, unique in these modes, are never reached by a
+pruned row.  Super mode, where radii may grow, keeps the worst-case pad
+of each level.  Lines never arise in the descending modes and are
+dropped in super mode, where an orbit member through a mirror center
+inverts to one.
 
 Heights and witness words in "packing" and "dual" modes are recomputed
 by peeling: a non-seed circle lies inside exactly one dual, and
@@ -31,11 +35,14 @@ row: square, triangular and hexagonal families in exact mode use int64
 rows (each inversive coordinate is an integer times a fixed per-kind
 scale, the "slot"), and every float run uses float64 rows deduplicated
 on a 1e-9 grid.  Its seed and mirror rows are motif rows times integer
-lattice-translation matrices, its reflections are integer matrices
-built in one vectorised step, and it peels all kept rows in one batch:
-seeds by row key, hosts by a spatial prefilter confirmed on the rows
-(exactly on integers).  The object lane walks ``QuadExt`` circles for
-the other exact configurations and peels them one at a time.
+lattice-translation matrices, and its reflections are integer matrices
+built in one vectorised step.  Each BFS level is one spatial join of the
+frontier rows to the mirror centers under the locality bound, one batch
+of images over the joined pairs and one vectorised deduplication.  It
+peels all kept rows in one batch: seeds by row key, hosts by a spatial
+prefilter confirmed on the rows (exactly on integers).  The object lane
+walks ``QuadExt`` circles for the other exact configurations and peels
+them one at a time.
 """
 
 from __future__ import annotations
@@ -266,35 +273,50 @@ def _motif_max_radius(cfg: Configuration, kinds: Sequence[str]) -> float:
     return r_max
 
 
-def _margin_schedule(cfg: Configuration, mode: str, limits: GenerationLimits) -> List[float]:
-    """Minkowski pads for the per-level keep windows.
+def _pad_schedule(src, mirror_r: float, rho: float, levels: int, descending: bool) -> list:
+    """Minkowski pads for a circle of radius ``src`` (a float or an array)
+    with ``levels`` reflections still to come.
 
-    A circle kept at level k only matters if some descendant meets the
-    target window, so level k is searched over the window expanded by
-    pads[k].  A source of radius r can place an image of radius >= rho
-    across a mirror of radius R only when its disk comes within
-    sqrt(R^2 r / rho + r^2) + R + r of the window the image must meet,
-    which gives the per-level step.  In the descending modes every
-    reflection shrinks the radius to at most R r / (R + 2 r), so the
-    steps of deeper levels shrink with it; in super mode radii may grow
-    and the fixed motif-scale step only covers chains whose intermediate
-    circles stay at motif scale.
-
-    pads[0] is also the catalog pad for seeds and mirrors.  Index H is 0.
+    Entry k is the pad of its descendants k reflections down, and entry
+    ``levels`` is 0: a circle matters only if its disk comes within
+    entry 0 of the window.  A source of radius r can place an image of
+    radius >= rho across a mirror of radius at most ``mirror_r`` only
+    when its disk comes within sqrt(R^2 r / rho + r^2) + R + r of the
+    window the image must meet, which gives the step of each reflection.
+    In the descending modes every reflection shrinks the radius to at
+    most R r / (R + 2 r), so the steps shrink with it; otherwise they
+    stay at the radius ``src``.  The bound is monotone in ``src``, so a
+    larger radius always gets the larger pad.
     """
-    height = limits.max_height
-    rho = limits.min_radius
-    mirror_r = _motif_max_radius(cfg, _MIRROR_KINDS[mode])
-    src = _motif_max_radius(cfg, _SEED_KINDS[mode])
     steps = []
-    for _ in range(height):
-        steps.append(math.sqrt(mirror_r**2 * src / rho + src**2) + mirror_r + src + 1e-9)
-        if mode != "super":
+    for _ in range(levels):
+        steps.append(np.sqrt(mirror_r**2 * src / rho + src**2) + mirror_r + src + 1e-9)
+        if descending:
             src = mirror_r * src / (mirror_r + 2.0 * src) * (1.0 + 1e-5)
-    pads = [0.0] * (height + 1)
-    for k in range(height - 1, -1, -1):
+    pads = [0.0] * (levels + 1)
+    for k in range(levels - 1, -1, -1):
         pads[k] = pads[k + 1] + steps[k]
     return pads
+
+
+def _margin_schedule(cfg: Configuration, mode: str, limits: GenerationLimits) -> List[float]:
+    """Worst-case pads of the catalog and of every BFS level.
+
+    ``_pad_schedule`` at the largest motif radius of the seed kinds:
+    pads[k] covers every circle kept at level k, and pads[0] is the
+    catalog pad for seeds and mirrors.  Super mode keeps rows over these
+    pads, which only cover chains whose intermediate circles stay at
+    motif scale; the descending modes keep each row over its own pad,
+    ``_pad_schedule`` at its own radius, which pads[k] bounds.
+    """
+    pads = _pad_schedule(
+        _motif_max_radius(cfg, _SEED_KINDS[mode]),
+        _motif_max_radius(cfg, _MIRROR_KINDS[mode]),
+        limits.min_radius,
+        limits.max_height,
+        mode != "super",
+    )
+    return [float(p) for p in pads]
 
 
 def _catalog(
@@ -410,11 +432,14 @@ _INT64_BUDGET = 2.0**62
 
 
 class LatticeOverflowError(ArithmeticError):
-    """Integer lattice rows would leave the int64 range.
+    """Integer lattice rows, or the 1e-9 grid keys of float rows, would
+    leave the int64 range.
 
-    ``mirror`` is the id of the mirror whose action would overflow, or of
-    the catalogued circle whose translated row would; ``magnitude`` is the
-    bound on the offending sum that tripped the guard.
+    ``mirror`` is the id of the mirror whose action would overflow, of the
+    catalogued circle whose translated row would, or of the mirror (the
+    seed, at level 0) that produced a float row whose grid key would;
+    ``magnitude`` is the bound on the offending value that tripped the
+    guard.
     """
 
     def __init__(self, mirror: str, magnitude: float) -> None:
@@ -704,10 +729,28 @@ def _center_text(fv: np.ndarray) -> str:
     return f"({fv[2] / fv[1]}, {fv[3] / fv[1]})"
 
 
+@dataclass
+class _Chunk:
+    """The rows one BFS level added for one kind.  ``parent`` indexes the
+    kind's rows in storage order, ``via`` the mirrors and ``seed`` the
+    seed catalog; each is -1 where it does not apply."""
+
+    level: int
+    rows: np.ndarray
+    parent: np.ndarray
+    via: np.ndarray
+    seed: np.ndarray
+
+
+# a dedup key: kind index and the four canonical int64 coordinates
+_KEY = np.dtype((np.void, 5 * 8))
+
+
 class _ArrayLane:
     """BFS over numpy rows: int64 rows scaled by per-kind slots, or raw
-    float64 rows with grid deduplication.  In the descending modes all kept
-    rows are peeled together by ``peel``."""
+    float64 rows with grid deduplication.  Each level joins its frontier to
+    the mirror centers once and deduplicates once.  In the descending modes
+    all kept rows are peeled together by ``peel``."""
 
     def __init__(
         self,
@@ -725,6 +768,7 @@ class _ArrayLane:
         self.mirrors = mirrors
         self.slots = slots
         self.pads = pads
+        self.pad_mirror_r = _motif_max_radius(cfg, _MIRROR_KINDS[mode])
         self.quotient = mode != "packing"
         self.exact = slots is not None
         self.kinds = list(_SEED_KINDS[mode])
@@ -734,15 +778,10 @@ class _ArrayLane:
             }
         else:
             self.slot_f = {k: np.ones(4) for k in ("base", "dual")}
-        self.dtype = np.int64 if self.exact else np.float64
 
-        # per kind: rows plus per-row metadata
-        self.rows: Dict[str, List[np.ndarray]] = {k: [] for k in self.kinds}
-        self.level: Dict[str, List[int]] = {k: [] for k in self.kinds}
-        self.parent: Dict[str, List[Tuple[str, int]]] = {k: [] for k in self.kinds}
-        self.via: Dict[str, List[Optional[str]]] = {k: [] for k in self.kinds}
-        self.seed_of: Dict[str, List[Optional[str]]] = {k: [] for k in self.kinds}
-        self.seen: Dict[bytes, None] = {}
+        # per kind: the level chunks in storage order; keys of every stored row
+        self.chunks: Dict[str, List[_Chunk]] = {k: [] for k in self.kinds}
+        self.seen = np.zeros(0, dtype=_KEY)
 
         # Mirrors: float rows for the masks and geometry, plus, in the exact
         # lane, integer rows and every reflection matrix (float matrices are
@@ -750,6 +789,9 @@ class _ArrayLane:
         self.mirror_ids = np.array([g.ident for g in mirrors], dtype=object)
         self.mirror_rows = self._catalog_rows(mirrors)
         self.mirror_vec = self._float_rows(self.mirror_rows, mirrors)
+        mv = self.mirror_vec
+        # <v, m> = v . mirror_q for a float row v
+        self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
         self.mats: Dict[str, np.ndarray] = {}
         self.mat_colmax: Dict[str, np.ndarray] = {}
         self.float_mats: Dict[int, np.ndarray] = {}
@@ -757,11 +799,11 @@ class _ArrayLane:
             for k in self.kinds:
                 self.mats[k] = _reflection_matrices(slots, k, mirrors, self.mirror_rows)
                 self.mat_colmax[k] = _abs_f(self.mats[k]).max(axis=1)
-        b = self.mirror_vec[:, 1]
+        b = mv[:, 1]
         self.mirror_circle = np.abs(b) > 1e-9
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.mirror_cx = self.mirror_vec[:, 2] / b
-            self.mirror_cy = self.mirror_vec[:, 3] / b
+            self.mirror_cx = mv[:, 2] / b
+            self.mirror_cy = mv[:, 3] / b
             self.mirror_r = np.abs(1.0 / b)
 
         # Seeds: all catalogued seeds key the peel; those under the radius
@@ -772,11 +814,12 @@ class _ArrayLane:
         sb = self._float_rows(self.seed_rows, seeds)[:, 1]
         with np.errstate(divide="ignore"):
             root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
+        batch = []
         for k in self.kinds:
             sel = np.nonzero(root & (self.seed_kinds == k))[0]
-            if len(sel):
-                ids = [self.seed_ids[i] for i in sel]
-                self._dedup_append(self.seed_rows[sel], k, 0, None, None, ids)
+            none = np.full(len(sel), -1, dtype=np.intp)
+            batch.append((k, self.seed_rows[sel], none, none, sel))
+        self._admit(0, batch)
 
     # -- plumbing ------------------------------------------------------
 
@@ -793,62 +836,54 @@ class _ArrayLane:
         scale = np.array([self.slot_f[g.kind] for g in gens]).reshape(-1, 4)
         return rows.astype(np.float64) * scale
 
-    def _keys_of(self, rows: np.ndarray) -> List[bytes]:
-        if self.exact:
-            canon = rows
-        else:
-            canon = np.round(rows * 1e9)
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical rows: the rows themselves on integers, a 1e-9 grid
+        (still float) on floats; quotient keys identify the orientations."""
+        canon = rows if self.exact else np.round(rows * 1e9)
         if self.quotient:
             canon = canon * _canonical_sign(canon)[:, None]
-        canon = np.ascontiguousarray(canon.astype(np.int64) if not self.exact else canon)
-        return [r.tobytes() for r in canon]
+        return canon
 
-    def _dedup_append(
-        self,
-        rows: np.ndarray,
-        kind: str,
-        level: int,
-        parents: Optional[np.ndarray],
-        via: Optional[str],
-        seed_ids: Optional[List[str]],
-    ) -> int:
-        keys = self._keys_of(rows)
-        fresh_idx = []
-        prefix = kind.encode()
-        for i, key in enumerate(keys):
-            full = prefix + key
-            if full not in self.seen:
-                self.seen[full] = None
-                fresh_idx.append(i)
-        if not fresh_idx:
-            return 0
-        picked = rows[fresh_idx]
-        self.rows[kind].append(picked)
-        self.level[kind].extend([level] * len(fresh_idx))
-        if parents is None:
-            self.parent[kind].extend([("", -1)] * len(fresh_idx))
-        else:
-            self.parent[kind].extend(
-                [(kind, int(parents[i])) for i in fresh_idx]
-            )
-        self.via[kind].extend([via] * len(fresh_idx))
-        if seed_ids is None:
-            self.seed_of[kind].extend([None] * len(fresh_idx))
-        else:
-            self.seed_of[kind].extend([seed_ids[i] for i in fresh_idx])
-        return len(fresh_idx)
+    def _admit(self, level: int, batch: Sequence[tuple]) -> None:
+        """Store the rows of ``batch`` that are new to the search as one
+        chunk per kind, keeping for each key its first row in batch order.
 
-    def _stacked(self, kind: str) -> np.ndarray:
-        if not self.rows[kind]:
-            return np.zeros((0, 4), dtype=self.dtype)
-        return np.concatenate(self.rows[kind], axis=0)
+        ``batch`` holds (kind, rows, parent, via, seed) in discovery order
+        (kind, mirror, frontier row), which fixes the float representative
+        of each grid key and the discovery chains of super mode.  Float
+        grid keys beyond int64 raise LatticeOverflowError.
+        """
+        keys = []
+        for kind, rows, _, via, seed in batch:
+            canon = self._keys(rows)
+            if not self.exact:
+                names = self.mirror_ids[via] if level else [self.seed_ids[i] for i in seed]
+                _guard(np.abs(canon).max(axis=1, initial=0.0), names)
+            key = np.empty((len(rows), 5), dtype=np.int64)
+            key[:, 0] = self.kinds.index(kind)
+            key[:, 1:] = canon
+            keys.append(key)
+        flat = np.concatenate(keys).view(_KEY).ravel()
+        uniq, first = np.unique(flat, return_index=True)
+        pos = np.searchsorted(self.seen, uniq)
+        old = pos < len(self.seen)
+        old[old] = self.seen[pos[old]] == uniq[old]
+        self.seen = np.insert(self.seen, pos[~old], uniq[~old])
+        fresh = np.sort(first[~old])
+        lo = 0
+        for kind, rows, parent, via, seed in batch:
+            hi = lo + len(rows)
+            sel = fresh[np.searchsorted(fresh, lo) : np.searchsorted(fresh, hi)] - lo
+            lo = hi
+            if len(sel):
+                self.chunks[kind].append(
+                    _Chunk(level, rows[sel], parent[sel], via[sel], seed[sel])
+                )
 
     def _float_view(self, rows: np.ndarray, kind: str) -> np.ndarray:
         return rows.astype(np.float64) * self.slot_f[kind]
 
-    def _matrix(self, gi: int, kind: str) -> np.ndarray:
-        if self.exact:
-            return self.mats[kind][gi]
+    def _float_matrix(self, gi: int) -> np.ndarray:
         mat = self.float_mats.get(gi)
         if mat is None:
             mat = np.array(
@@ -860,100 +895,142 @@ class _ArrayLane:
             self.float_mats[gi] = mat
         return mat
 
+    def _int_images(self, kind: str, rows: np.ndarray, via: np.ndarray) -> np.ndarray:
+        """Each integer row reflected in its mirror ``via``, guarded."""
+        bound = (_abs_f(rows) * self.mat_colmax[kind][via]).sum(axis=1)
+        _guard(bound, self.mirror_ids[via])
+        return np.einsum("nij,nj->ni", self.mats[kind][via], rows)
+
+    def _kept(self, fv: np.ndarray, level: int) -> np.ndarray:
+        """Which float rows a level keeps: radius >= rho and a disk meeting
+        the window padded for the levels below, by each row's own pad in
+        the descending modes.  Level H is the window itself."""
+        lim = self.limits
+        b = fv[:, 1]
+        ok = b != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.abs(1.0 / b)
+            cx = fv[:, 2] / b
+            cy = fv[:, 3] / b
+            if self.mode == "super":
+                pad = self.pads[level]
+            else:
+                pad = _pad_schedule(
+                    r, self.pad_mirror_r, lim.min_radius, lim.max_height - level, True
+                )[0]
+            ok &= r >= lim.min_radius - 1e-12
+            ok &= self._gap2(cx, cy, pad) <= r * r
+        return ok
+
+    def _gap2(self, cx: np.ndarray, cy: np.ndarray, pad) -> np.ndarray:
+        """Squared distance of each point to the window grown by ``pad``."""
+        w = self.limits.window
+        dx = np.maximum(np.maximum(w.x0 - pad - cx, 0.0), cx - (w.x1 + pad))
+        dy = np.maximum(np.maximum(w.y0 - pad - cy, 0.0), cy - (w.y1 + pad))
+        return dx * dx + dy * dy
+
     # -- expansion -----------------------------------------------------
 
     def run(self) -> None:
-        lim = self.limits
-        for level in range(1, lim.max_height + 1):
-            pad = self.pads[level]
-            win = (
-                lim.window.x0 - pad,
-                lim.window.y0 - pad,
-                lim.window.x1 + pad,
-                lim.window.y1 + pad,
-            )
-            live = self._live_mirrors(win)
-            results = []
+        for level in range(1, self.limits.max_height + 1):
+            live = self._live_mirrors(level)
+            batch = []
             for kind in self.kinds:
-                offs = 0
-                chunks = []
-                for arr, lvl0 in zip(self.rows[kind], self._chunk_levels(kind)):
-                    if lvl0 == level - 1:
-                        chunks.append((offs, arr))
-                    offs += len(arr)
-                if not chunks:
+                chunks = self.chunks[kind]
+                if not chunks or chunks[-1].level != level - 1:
                     continue
-                prev = np.concatenate([c[1] for c in chunks], axis=0)
-                base_index = np.concatenate(
-                    [np.arange(o, o + len(a)) for o, a in chunks]
-                )
-                fv = self._float_view(prev, kind)
-                for gi in live:
-                    results.append(self._expand(kind, prev, base_index, fv, gi, win))
-            for kind, gi, rows_new, parents in results:
-                if len(rows_new):
-                    self._dedup_append(
-                        rows_new, kind, level, parents, self.mirror_ids[gi], None
-                    )
+                front = chunks[-1]
+                rows, src, via = self._images(kind, front.rows, live, level)
+                start = sum(len(c.rows) for c in chunks[:-1])
+                batch.append((kind, rows, src + start, via, np.full(len(rows), -1)))
+            if not batch:
+                break
+            self._admit(level, batch)
 
-    def _live_mirrors(self, win) -> np.ndarray:
+    def _live_mirrors(self, level: int) -> np.ndarray:
         # In descending modes the source sits outside the mirror, so the
         # image curve lands inside the closed mirror disk; a mirror whose
-        # disk misses the level window cannot contribute a kept row.
+        # disk misses the level's worst-case window cannot contribute a
+        # kept row.
         if self.mode == "super":
             return np.arange(len(self.mirrors))
-        cx, cy = self.mirror_cx, self.mirror_cy
         rad = self.mirror_r * (1.0 + 1e-6) + 1e-9
         with np.errstate(invalid="ignore"):
-            dx = np.maximum(np.maximum(win[0] - cx, 0.0), cx - win[2])
-            dy = np.maximum(np.maximum(win[1] - cy, 0.0), cy - win[3])
-            live = dx * dx + dy * dy <= rad * rad
+            live = self._gap2(self.mirror_cx, self.mirror_cy, self.pads[level]) <= rad * rad
         return np.nonzero(live | ~self.mirror_circle)[0]
 
-    def _chunk_levels(self, kind: str) -> List[int]:
-        # level of the first row of each stored chunk; chunks are
-        # level-homogeneous because appends happen once per level
-        out = []
-        offs = 0
-        for arr in self.rows[kind]:
-            out.append(self.level[kind][offs])
-            offs += len(arr)
-        return out
+    def _pairs(self, fv: np.ndarray, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, mirror) pairs of a frontier that can give an image of
+        radius >= rho, ordered by mirror, then row.
 
-    def _expand(self, kind, prev, base_index, fv, gi, win):
-        mv = self.mirror_vec[gi]
-        qm = np.array([-mv[1] / 2.0, -mv[0] / 2.0, mv[2], mv[3]])
-        p = fv @ qm
+        A source of radius r gives an image of radius >= rho across a
+        mirror of radius R only from within sqrt(R^2 r / rho + r^2) of the
+        mirror center.  Rows are bucketed by that reach at the largest
+        live radius, in quarter octaves, and each bucket is joined to the
+        mirror centers on a grid of its largest reach, which keeps the
+        3 x 3 cell blocks of the join tight; each pair is then held to the
+        bound at its own mirror's radius, with 1e-6 slack.  Line rows and
+        line mirrors pair with everything.
+        """
+        floor = self.limits.min_radius * (1.0 - 1e-6)
+        b = fv[:, 1]
+        circle = np.abs(b) > 1e-9
+        rows = np.nonzero(circle)[0]
+        r = np.abs(1.0 / b[rows])
+        cx, cy = fv[rows, 2] / b[rows], fv[rows, 3] / b[rows]
+        disks = live[self.mirror_circle[live]]
+        line_mirrors = live[~self.mirror_circle[live]]
+        ri, mi = [], []
+        if len(rows) and len(disks):
+            r_max = float(self.mirror_r[disks].max())
+            reach = np.sqrt(r_max * r_max * r / floor + r * r) * (1.0 + 1e-6)
+            centers = np.column_stack([self.mirror_cx[disks], self.mirror_cy[disks]])
+            scale = np.ceil(4.0 * np.log2(reach))
+            for e in np.unique(scale):
+                sel = np.nonzero(scale == e)[0]
+                a, m = _box_pairs(np.column_stack([cx[sel], cy[sel]]), centers, reach[sel].max())
+                i, j = sel[a], disks[m]
+                d2 = (cx[i] - self.mirror_cx[j]) ** 2 + (cy[i] - self.mirror_cy[j]) ** 2
+                rr = self.mirror_r[j]
+                near = d2 <= (rr * rr * r[i] / floor + r[i] * r[i]) * (1.0 + 1e-6)
+                ri.append(rows[i[near]])
+                mi.append(j[near])
+        line_rows = np.nonzero(~circle)[0]
+        ri += [np.repeat(line_rows, len(live)), np.tile(rows, len(line_mirrors))]
+        mi += [np.tile(live, len(line_rows)), np.repeat(line_mirrors, len(rows))]
+        ri, mi = np.concatenate(ri), np.concatenate(mi)
+        order = np.argsort(mi * len(fv) + ri)
+        return ri[order], mi[order]
+
+    def _images(
+        self, kind: str, front: np.ndarray, live: np.ndarray, level: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The images a level keeps, with their frontier rows and mirrors,
+        in discovery order."""
+        fv = self._float_view(front, kind)
+        src, via = self._pairs(fv, live)
+        p = np.einsum("ij,ij->i", fv[src], self.mirror_q[via])
         if self.mode == "super":
             mask = np.abs(p) > 1e-7
         else:
             mask = p <= -1.0 + 1e-6
-        # Predict the image radius before paying for the matmul.  The image
-        # curvature is b - 2 p m_b exactly, so rows whose image would fall
+        # Predict the image radius before paying for the product.  The image
+        # curvature is b - 2 p m_b exactly, so pairs whose image would fall
         # under the radius floor are dropped here with a loose tolerance;
         # the exact post-filter below stays authoritative.
         floor = self.limits.min_radius * (1.0 - 1e-6)
-        mask &= np.abs(fv[:, 1] - 2.0 * p * mv[1]) * floor <= 1.0
-        if not mask.any():
-            return (kind, gi, np.zeros((0, 4), dtype=self.dtype), None)
-        src = prev[mask]
+        mask &= np.abs(fv[src, 1] - 2.0 * p * self.mirror_vec[via, 1]) * floor <= 1.0
+        src, via = src[mask], via[mask]
         if self.exact:
-            bound = _abs_f(src).max(axis=0) @ self.mat_colmax[kind][gi]
-            _guard(np.array([bound]), self.mirror_ids[gi])
-        img = src @ self._matrix(gi, kind).T
-        ifv = img.astype(np.float64) * self.slot_f[kind]
-        b = ifv[:, 1]
-        ok = b != 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.abs(1.0 / b)
-            cx = ifv[:, 2] / b
-            cy = ifv[:, 3] / b
-        ok &= r >= self.limits.min_radius - 1e-12
-        dx = np.maximum(np.maximum(win[0] - cx, 0.0), cx - win[2])
-        dy = np.maximum(np.maximum(win[1] - cy, 0.0), cy - win[3])
-        ok &= dx * dx + dy * dy <= r * r
-        parents = base_index[mask][ok]
-        return (kind, gi, img[ok], parents)
+            img = self._int_images(kind, front[src], via)
+        else:
+            # float rows: one matrix product per mirror, which fixes their rounding
+            img = np.empty((len(src), 4))
+            starts = np.flatnonzero(np.diff(via, prepend=-1)).tolist()
+            for s, e in zip(starts, starts[1:] + [len(via)]):
+                img[s:e] = front[src[s:e]] @ self._float_matrix(int(via[s])).T
+        ok = self._kept(self._float_view(img, kind), level)
+        return img[ok], src[ok], via[ok]
 
     # -- batched peel ----------------------------------------------------
 
@@ -985,9 +1062,7 @@ class _ArrayLane:
             for i, ident in zip(active.tolist(), ids[host].tolist()):
                 words[i].append(ident)
             if self.exact:
-                bound = (_abs_f(cur) * self.mat_colmax[kind][host]).sum(axis=1)
-                _guard(bound, ids[host])
-                cur = np.einsum("nij,nj->ni", self.mats[kind][host], cur)
+                cur = self._int_images(kind, cur, host)
             else:
                 # v - 2<v, m> m, as ``reflect`` computes it
                 cur = cur - (2 * prod)[:, None] * self.mirror_vec[host]
@@ -999,10 +1074,10 @@ class _ArrayLane:
         rows = self.seed_rows[sel]
         if self.exact:
             table: Dict[bytes, int] = {}
-            for key, i in zip(self._keys_of(rows), sel.tolist()):
-                table.setdefault(key, i)
+            for key, i in zip(self._keys(rows), sel.tolist()):
+                table.setdefault(key.tobytes(), i)
             return lambda cur: np.array(
-                [table.get(key, -1) for key in self._keys_of(cur)], dtype=np.intp
+                [table.get(key.tobytes(), -1) for key in self._keys(cur)], dtype=np.intp
             )
         # quotient keys also match the reversed seed, as -seed
         signed = np.concatenate([rows, -rows]) if self.quotient else rows
@@ -1098,54 +1173,49 @@ class _ArrayLane:
         return InversiveCircle(*(float(x) for x in row))
 
     def finals(self) -> List[_Found]:
-        lim = self.limits
         out: List[_Found] = []
         for kind in self.kinds:
-            rows = self._stacked(kind)
-            if not len(rows):
+            chunks = self.chunks[kind]
+            if not chunks:
                 continue
-            fv = rows.astype(np.float64) * self.slot_f[kind]
-            b = fv[:, 1]
-            ok = b != 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.abs(1.0 / b)
-                cx = fv[:, 2] / b
-                cy = fv[:, 3] / b
-            ok &= r >= lim.min_radius - 1e-12
-            dx = np.maximum(np.maximum(lim.window.x0 - cx, 0.0), cx - lim.window.x1)
-            dy = np.maximum(np.maximum(lim.window.y0 - cy, 0.0), cy - lim.window.y1)
-            ok &= dx * dx + dy * dy <= r * r
-            kept = np.nonzero(ok)[0]
+            rows = np.concatenate([c.rows for c in chunks])
+            level = np.concatenate([np.full(len(c.rows), c.level) for c in chunks])
+            fv = self._float_view(rows, kind)
+            kept = np.nonzero(self._kept(fv, self.limits.max_height))[0]
             picked = rows[kept]
             if self.quotient:
                 # report the positively oriented representative
                 picked = np.where(picked[:, 1:2] < -1e-9, -picked, picked)
             if self.mode == "super":
-                words, sources = [], []
-                for idx in kept.tolist():
-                    word: GroupWord = []
-                    cur: Tuple[str, int] = (kind, idx)
-                    while True:
-                        k, i = cur
-                        via = self.via[k][i]
-                        if via is None:
-                            sources.append(self.seed_of[k][i])
-                            break
-                        word.append(via)
-                        cur = self.parent[k][i]
-                    words.append(word)
+                words, sources = self._chains(chunks, kept)
             else:
                 words, sources = self.peel(kind, picked)
-            for j, idx in enumerate(kept.tolist()):
+            for j, lvl in enumerate(level[kept].tolist()):
                 out.append(
-                    _Found(
-                        self.materialize(picked[j], kind),
-                        self.level[kind][idx],
-                        words[j],
-                        sources[j],
-                    )
+                    _Found(self.materialize(picked[j], kind), lvl, words[j], sources[j])
                 )
         return out
+
+    def _chains(
+        self, chunks: List[_Chunk], kept: np.ndarray
+    ) -> Tuple[List[GroupWord], List[str]]:
+        """Discovery words and seeds of stored rows, by walking each row's
+        parents back to its seed; the leftmost letter is the last mirror."""
+        parent = np.concatenate([c.parent for c in chunks])
+        via = np.concatenate([c.via for c in chunks])
+        seed = np.concatenate([c.seed for c in chunks])
+        words: List[GroupWord] = [[] for _ in range(len(kept))]
+        sources = [""] * len(kept)
+        active, cur = np.arange(len(kept)), kept
+        while len(active):
+            at_seed = via[cur] < 0
+            for i, s in zip(active[at_seed].tolist(), seed[cur[at_seed]].tolist()):
+                sources[i] = self.seed_ids[s]
+            active, cur = active[~at_seed], cur[~at_seed]
+            for i, letter in zip(active.tolist(), self.mirror_ids[via[cur]].tolist()):
+                words[i].append(letter)
+            cur = parent[cur]
+        return words, sources
 
 
 class _CircleLane:

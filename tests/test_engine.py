@@ -4,8 +4,10 @@ Covers the word helpers, frozen small runs of every mode, witness-word
 validity, the height adjacency structure (reflecting through the
 containing dual lowers height by one, through any other non-orthogonal
 dual raises it by one), agreement with an independent mask-free
-brute-force oracle, the array lane's batched peel against the object
-peel, and the named error for integer rows beyond int64.
+brute-force oracle, completeness over the closed window, the array
+lane's level join against dense pairs, its batched peel against the
+object peel, and the named error for integer rows and float grid keys
+beyond int64.
 """
 
 from __future__ import annotations
@@ -17,13 +19,17 @@ from hypothesis import strategies as st
 
 from invpack.configs import Window, make_config
 from invpack.engine import (
+    _MIRROR_KINDS,
+    _SEED_KINDS,
     GenerationLimits,
     LatticeOverflowError,
     Packing,
+    _ArrayLane,
     _catalog,
     _margin_schedule,
     _peel,
     _PeelIndex,
+    _slot_table,
     apply_word,
     commuting_letters,
     generate,
@@ -548,6 +554,71 @@ class TestFloatMode:
             assert not b.circle.is_exact
 
 
+class TestWindowCompleteness:
+    """Every circle of a larger window's run that meets the window must be
+    found, with the same height, word and source, by the window's own run:
+    the per-row pads lose nothing."""
+
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    def test_closed_window(self, name, mode):
+        cfg = make_config(name)
+        w = Window.square(1.5)
+
+        def run(window):
+            lim = GenerationLimits(max_height=3, min_radius=0.02, window=window)
+            return generate(cfg, mode, lim)
+
+        def summary(circles):
+            return sorted(
+                (tuple(str(x) for x in p.circle.key()), p.height, p.word, p.source)
+                for p in circles
+            )
+
+        small = run(w).circles
+        inside = [p for p in run(Window.square(3.0)).circles if w.meets_circle(p.circle)]
+        assert len(small) > 100
+        assert summary(inside) == summary(small)
+
+
+class TestLevelJoin:
+    """The join of a level's frontier to the mirror centers must keep every
+    (row, mirror) pair that the dense product of all rows with all live
+    mirrors would turn into a kept image."""
+
+    @pytest.mark.parametrize(
+        "name, mode, height, half, rho",
+        [("square", "packing", 3, 2.0, 0.02), ("square", "super", 2, 1.0, 0.05),
+         ("hexagonal", "dual", 3, 2.0, 0.02)],
+    )
+    def test_join_covers_dense_pairs(self, name, mode, height, half, rho):
+        cfg = make_config(name)
+        lim = GenerationLimits(max_height=height, min_radius=rho, window=Window.square(half))
+        pads = _margin_schedule(cfg, mode, lim)
+        mirrors = _catalog(cfg, _MIRROR_KINDS[mode], lim.window, pads[0])
+        seeds = _catalog(cfg, _SEED_KINDS[mode], lim.window, pads[0])
+        lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, _slot_table(cfg), pads)
+        lane.run()
+        level = 2
+        live = lane._live_mirrors(level)
+        checked = 0
+        for kind in lane.kinds:
+            (front,) = [c.rows for c in lane.chunks[kind] if c.level == level - 1]
+            fv = lane._float_view(front, kind)
+            # dense: every frontier row against every live mirror
+            p = fv @ lane.mirror_q[live].T
+            mask = np.abs(p) > 1e-7 if mode == "super" else p <= -1.0 + 1e-6
+            src, col = np.nonzero(mask)
+            via = live[col]
+            img = lane._float_view(lane._int_images(kind, front[src], via), kind)
+            kept = lane._kept(img, level)
+            dense = set(zip(src[kept].tolist(), via[kept].tolist()))
+            joined = set(zip(*(x.tolist() for x in lane._pairs(fv, live))))
+            assert dense <= joined
+            checked += len(dense)
+        assert checked > 100
+
+
 class TestBatchedPeel:
     """The array lane peels all kept rows in one batch; the object peel,
     one circle at a time in QuadExt arithmetic, is the reference."""
@@ -605,3 +676,13 @@ class TestLatticeOverflow:
         assert isinstance(err.value, ArithmeticError)
         assert err.value.magnitude >= 2.0**62
         assert square.circle_from_id(err.value.mirror).is_exact
+
+    def test_far_float_grid_raises_named_error(self, square):
+        # at 3e4 the images' co-curvatures are ~1e10, so their 1e-9 grid
+        # keys leave int64; the cast used to wrap into wrong counts
+        far = Window(3e4 - 1, 3e4 - 1, 3e4 + 1, 3e4 + 1)
+        lim = GenerationLimits(max_height=1, min_radius=0.05, window=far)
+        with pytest.raises(LatticeOverflowError) as err:
+            generate(square, "super", lim, exact=False)
+        assert err.value.magnitude >= 2.0**62
+        assert square.circle_from_id(err.value.mirror) is not None
