@@ -320,7 +320,7 @@ def sweep_relation_words(
     if slots is None:
         raise ValueError("relation sweep needs an integer-lattice configuration")
     base_slots = slots["base"]
-    gens = cfg.circles_in_window("dual", window)
+    gens = cfg.catalog("dual", window)
     if not gens:
         raise ValueError("no dual mirrors meet the window")
     mats = _reflection_matrices(

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .exact import QuadExt, Scalar, as_float
 from .inversive import (
@@ -163,6 +165,65 @@ def parse_id(ident: str) -> Tuple[str, int, Optional[Tuple[int, int]]]:
     return kind, int(body), None
 
 
+class Catalog(Sequence[GeneratorCircle]):
+    """Configuration circles held as arrays, in id order.
+
+    ``kind``, ``index`` and ``shift`` give each circle's kind, motif index
+    and lattice shift (m, n) (zero in a finite configuration); ``idents``
+    gives its id.  Indexing or iterating builds the exact circles, all of
+    them, on first use.
+    """
+
+    def __init__(
+        self,
+        cfg: "Configuration",
+        kind: np.ndarray,
+        index: np.ndarray,
+        shift: np.ndarray,
+        idents: List[str],
+    ) -> None:
+        self.cfg = cfg
+        self.kind = kind
+        self.index = index
+        self.shift = shift
+        self.idents = idents
+        self._circles: Optional[List[GeneratorCircle]] = None
+
+    @classmethod
+    def concat(cls, parts: Sequence["Catalog"]) -> "Catalog":
+        """The circles of all parts (at least one, of one configuration),
+        in id order."""
+        idents = [i for p in parts for i in p.idents]
+        order = np.array(sorted(range(len(idents)), key=idents.__getitem__), dtype=np.intp)
+        return cls(
+            parts[0].cfg,
+            np.concatenate([p.kind for p in parts])[order],
+            np.concatenate([p.index for p in parts])[order],
+            np.concatenate([p.shift for p in parts])[order],
+            [idents[i] for i in order.tolist()],
+        )
+
+    def circles(self) -> List[GeneratorCircle]:
+        if self._circles is None:
+            motif = {k: self.cfg.motif(k) for k in ("base", "dual")}
+            self._circles = [
+                GeneratorCircle(ident, kind, self.cfg._placed(motif[kind][i], (m, n)))
+                for ident, kind, i, (m, n) in zip(
+                    self.idents, self.kind.tolist(), self.index.tolist(), self.shift.tolist()
+                )
+            ]
+        return self._circles
+
+    def __len__(self) -> int:
+        return len(self.idents)
+
+    def __getitem__(self, i):
+        return self.circles()[i]
+
+    def __iter__(self) -> Iterator[GeneratorCircle]:
+        return iter(self.circles())
+
+
 class Configuration:
     """Base/dual circle family, finite or repeated by a lattice."""
 
@@ -213,10 +274,17 @@ class Configuration:
             (v1[0] * m + v2[0] * n, v1[1] * m + v2[1] * n)
         )
 
+    def _placed(self, c: InversiveCircle, shift: Tuple[int, int]) -> InversiveCircle:
+        """The motif circle c moved by its lattice shift, exactly."""
+        if self.lattice is None:
+            return c
+        return apply_isometry(self.translation(*shift), c)
+
     def _shift_range(
         self, center: Tuple[float, float], radius: float, w: Window, expand: float
-    ) -> Iterable[Tuple[int, int]]:
-        """Integer (m, n) with center + m v1 + n v2 possibly relevant to w."""
+    ) -> Tuple[int, int, int, int]:
+        """Bounds (m_lo, m_hi, n_lo, n_hi) of the integer (m, n) with
+        center + m v1 + n v2 possibly relevant to w."""
         (a, c), (b, dd) = self._lattice_float
         det = a * dd - b * c
         pad = radius + expand
@@ -231,15 +299,23 @@ class Configuration:
             ns.append((a * py - c * px) / det)
         m_lo, m_hi = math.floor(min(ms)) - 1, math.ceil(max(ms)) + 1
         n_lo, n_hi = math.floor(min(ns)) - 1, math.ceil(max(ns)) + 1
-        for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                yield (m, n)
+        return m_lo, m_hi, n_lo, n_hi
 
-    def circles_in_window(
+    def catalog(
         self, kind: str, w: Window, predicate: str = "meets", expand: float = 0.0
-    ) -> List[GeneratorCircle]:
-        """Every configuration circle of the given kind meeting (or contained
-        in) the window, in deterministic motif-then-lattice order."""
+    ) -> Catalog:
+        """Every configuration circle of the given kind meeting the window
+        grown by ``expand`` (predicate "meets") or contained in the window
+        ("inside"), in id order.
+
+        Lattice translates are tested together on float centers and radii:
+        the motif center plus m v1 + n v2, over the ``_shift_range`` grid of
+        each motif circle.  A translate within a relative slack of 1e-9 of
+        the boundary is a tie, and a tie is decided by ``Window`` on the
+        exact translate, the test every circle went through one at a time
+        before; the slack bounds the rounding that separates the two
+        tests, so both keep the same circles.
+        """
         keep: Callable[[InversiveCircle], bool]
         if predicate == "meets":
             keep = lambda c: w.meets_circle(c, expand)  # noqa: E731
@@ -247,21 +323,76 @@ class Configuration:
             keep = lambda c: w.contains_circle(c)  # noqa: E731
         else:
             raise ValueError(f"unknown predicate {predicate!r}")
-
-        out: List[GeneratorCircle] = []
+        motif = self.motif(kind)
         if self.lattice is None:
-            for i, c in enumerate(self.motif(kind)):
-                if keep(c):
-                    out.append(GeneratorCircle(make_id(kind, i, None), kind, c))
-            return out
-        for i, c in enumerate(self.motif(kind)):
-            (cx, cy), r = c.center(), abs(c.radius())
-            for (m, n) in self._shift_range((cx, cy), r, w, expand):
-                moved = apply_isometry(self.translation(m, n), c)
-                if keep(moved):
-                    out.append(GeneratorCircle(make_id(kind, i, (m, n)), kind, moved))
-        out.sort(key=lambda g: g.ident)
-        return out
+            index = np.array([i for i, c in enumerate(motif) if keep(c)], dtype=np.int64)
+            shift = np.zeros((len(index), 2), dtype=np.int64)
+            idents = [make_id(kind, i, None) for i in index.tolist()]
+            return Catalog(self, np.full(len(index), kind), index, shift, idents)
+
+        geo = np.array([(*c.center(), abs(c.radius())) for c in motif]).reshape(-1, 3)
+        bounds = np.array(
+            [self._shift_range((x, y), r, w, expand) for x, y, r in geo.tolist()],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        m_lo, n_lo = bounds[:, 0], bounds[:, 2]
+        n_count = bounds[:, 3] - n_lo + 1
+        count = (bounds[:, 1] - m_lo + 1) * n_count
+        index = np.repeat(np.arange(len(motif), dtype=np.int64), count)
+        k = np.arange(len(index)) - np.repeat(np.cumsum(count) - count, count)
+        m = m_lo[index] + k // n_count[index]
+        n = n_lo[index] + k % n_count[index]
+
+        (ax, ay), (bx, by) = self._lattice_float
+        x, y, r = geo[index, 0], geo[index, 1], geo[index, 2]
+        cx = x + m * ax + n * bx
+        cy = y + m * ay + n * by
+        if predicate == "meets":
+            dx = np.maximum(np.maximum(w.x0 - cx, 0.0), cx - w.x1)
+            dy = np.maximum(np.maximum(w.y0 - cy, 0.0), cy - w.y1)
+            margin = r + expand - np.hypot(dx, dy)
+        else:
+            margin = np.minimum(
+                np.minimum(cx - r - w.x0, w.x1 - (cx + r)),
+                np.minimum(cy - r - w.y0, w.y1 - (cy + r)),
+            )
+        reach = max(abs(w.x0), abs(w.x1), abs(w.y0), abs(w.y1)) + abs(expand)
+        slack = 1e-9 * (
+            1.0 + reach + r + np.abs(x) + np.abs(y)
+            + np.abs(m) * (abs(ax) + abs(ay)) + np.abs(n) * (abs(bx) + abs(by))
+        )
+        kept = margin > slack
+        for j in np.nonzero(np.abs(margin) <= slack)[0].tolist():
+            kept[j] = keep(self._placed(motif[index[j]], (int(m[j]), int(n[j]))))
+        sel = np.nonzero(kept)[0]
+        idents = [
+            make_id(kind, i, shift)
+            for i, shift in zip(index[sel].tolist(), zip(m[sel].tolist(), n[sel].tolist()))
+        ]
+        perm = sorted(range(len(sel)), key=idents.__getitem__)
+        order = sel[np.array(perm, dtype=np.intp)]
+        return Catalog(
+            self,
+            np.full(len(order), kind),
+            index[order],
+            np.column_stack([m[order], n[order]]),
+            [idents[i] for i in perm],
+        )
+
+    def circles_in_window(
+        self, kind: str, w: Window, predicate: str = "meets", expand: float = 0.0
+    ) -> List[GeneratorCircle]:
+        """The circles of ``catalog`` as exact circles with their ids.
+
+        Every configuration circle of the given kind meeting (or contained
+        in) the window, in id order; only the kept translates are built.
+        A translate within a relative slack of 1e-9 of the window's
+        boundary is decided by ``Window.meets_circle`` (or
+        ``Window.contains_circle``) on its exact translate, so a circle
+        tangent to the window is kept exactly when the float test on its
+        exact coordinates keeps it.
+        """
+        return self.catalog(kind, w, predicate, expand).circles()
 
     def circle_from_id(self, ident: str) -> InversiveCircle:
         kind, idx, shift = parse_id(ident)
@@ -271,7 +402,7 @@ class Configuration:
         c = motif[idx]
         if shift is None:
             return c
-        return apply_isometry(self.translation(*shift), c)
+        return self._placed(c, shift)
 
     def contains_circle(self, c: InversiveCircle, kind: str) -> Optional[str]:
         """Id of the configuration circle equal to c, or None.

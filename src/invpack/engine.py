@@ -34,15 +34,20 @@ Two lanes run the search.  The array lane holds every circle as a numpy
 row: square, triangular and hexagonal families in exact mode use int64
 rows (each inversive coordinate is an integer times a fixed per-kind
 scale, the "slot"), and every float run uses float64 rows deduplicated
-on a 1e-9 grid.  Its seed and mirror rows are motif rows times integer
-lattice-translation matrices, and its reflections are integer matrices
-built in one vectorised step.  Each BFS level is one spatial join of the
-frontier rows to the mirror centers under the locality bound, one batch
-of images over the joined pairs and one vectorised deduplication.  It
-peels all kept rows in one batch: seeds by row key, hosts by a spatial
-prefilter confirmed on the rows (exactly on integers).  The object lane
-walks ``QuadExt`` circles for the other exact configurations and peels
-them one at a time.
+on a 1e-9 grid.  Seeds and mirrors come from the configuration's array
+catalog (motif index and lattice shift of each circle), and on the three
+families their rows are motif rows times integer lattice-translation
+matrices, and their reflections integer matrices built in one vectorised
+step; float runs on these families take the ``as_float`` values of
+those integer rows and matrices.  Each BFS level is one spatial join of
+the frontier rows to the mirror centers under the locality bound, one
+batch of images over the joined pairs and one vectorised deduplication.
+It peels all kept rows in one batch: seeds by row key, hosts by a
+spatial prefilter confirmed on the rows (exactly on integers).  The
+object lane walks ``QuadExt`` circles for the other exact
+configurations and peels them one at a time.  Both lanes hand back
+``as_float`` sort keys with their circles, and the output is sorted on
+those keys without converting a circle again.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .configs import Configuration, GeneratorCircle, Window, parse_id
+from .configs import Catalog, Configuration, GeneratorCircle, Window, parse_id
 from .exact import QuadExt, as_float, scalar_sign
 from .inversive import (
     InversiveCircle,
@@ -319,14 +324,8 @@ def _margin_schedule(cfg: Configuration, mode: str, limits: GenerationLimits) ->
     return [float(p) for p in pads]
 
 
-def _catalog(
-    cfg: Configuration, kinds: Sequence[str], w: Window, pad: float
-) -> List[GeneratorCircle]:
-    out: List[GeneratorCircle] = []
-    for kind in kinds:
-        out.extend(cfg.circles_in_window(kind, w, "meets", expand=pad))
-    out.sort(key=lambda g: g.ident)
-    return out
+def _catalog(cfg: Configuration, kinds: Sequence[str], w: Window, pad: float) -> Catalog:
+    return Catalog.concat([cfg.catalog(kind, w, "meets", expand=pad) for kind in kinds])
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +465,21 @@ def _abs_f(a: np.ndarray) -> np.ndarray:
     return np.abs(a.astype(np.float64))
 
 
+def _as_floats(ints: np.ndarray, scale: QuadExt) -> np.ndarray:
+    """``as_float(k * scale)`` for each integer k of ``ints``, bit for bit.
+
+    Where the scale is a positive integer and every product fits the
+    float64 mantissa, that is the product of the casts; otherwise it is
+    the quotient of Python integers that ``QuadExt.__float__`` rounds.
+    """
+    flat = ints.ravel()
+    if scale.is_integer() and scale.a > 0:
+        if not flat.size or int(np.abs(flat).max()) * scale.a <= 2**53:
+            return ints.astype(np.float64) * float(scale.a)
+    num, den = scale.float_terms()
+    return np.array([k * num / den for k in flat.tolist()], dtype=np.float64).reshape(ints.shape)
+
+
 def _slot_table(cfg: Configuration) -> Optional[Dict[str, Tuple[QuadExt, ...]]]:
     one = QuadExt(1, 0, 1, cfg.d)
     if cfg.name == "square":
@@ -543,17 +557,14 @@ def _translation_coefficients(
 
 
 def _generator_rows(
-    cfg: Configuration,
-    slots: Dict[str, Tuple[QuadExt, ...]],
-    gens: Sequence[GeneratorCircle],
+    cfg: Configuration, slots: Dict[str, Tuple[QuadExt, ...]], gens: Catalog
 ) -> np.ndarray:
     """int64 rows of catalogued circles, each in its own kind's slots: the
-    motif row times the lattice-translation matrix of the id's shift."""
+    motif row times the lattice-translation matrix of its shift."""
     out = np.zeros((len(gens), 4), dtype=np.int64)
-    parsed = [parse_id(g.ident) for g in gens]
     for kind in ("base", "dual"):
-        sel = [i for i, p in enumerate(parsed) if p[0] == kind]
-        if not sel:
+        sel = np.nonzero(gens.kind == kind)[0]
+        if not len(sel):
             continue
         motif = []
         for i, c in enumerate(cfg.motif(kind)):
@@ -563,13 +574,12 @@ def _generator_rows(
                     f"motif circle {kind} {i} does not fit the integer lattice"
                 )
             motif.append(coords)
-        u = np.array(motif, dtype=np.int64)[[parsed[i][1] for i in sel]]
-        shift = np.array([parsed[i][2] or (0, 0) for i in sel], dtype=np.int64)
-        m, n = shift[:, 0], shift[:, 1]
+        u = np.array(motif, dtype=np.int64)[gens.index[sel]]
+        m, n = gens.shift[sel, 0], gens.shift[sel, 1]
         mono = np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
         coef = _translation_coefficients(cfg, slots[kind])
         bound = np.einsum("nk,kij,nj->ni", _abs_f(mono), _abs_f(coef), _abs_f(u))
-        _guard(bound.max(axis=1), [gens[i].ident for i in sel])
+        _guard(bound.max(axis=1), [gens.idents[i] for i in sel.tolist()])
         out[sel] = np.einsum("nk,kij,nj->ni", mono, coef, u)
     return out
 
@@ -577,7 +587,7 @@ def _generator_rows(
 def _reflection_matrices(
     slots: Dict[str, Tuple[QuadExt, ...]],
     row_kind: str,
-    mirrors: Sequence[GeneratorCircle],
+    mirrors: Catalog,
     mirror_rows: np.ndarray,
 ) -> np.ndarray:
     """int64 matrices (n, 4, 4) of the mirrors' reflections on rows typed by
@@ -588,9 +598,8 @@ def _reflection_matrices(
     and mirror slots s'; each entry must divide out exactly.
     """
     out = np.zeros((len(mirrors), 4, 4), dtype=np.int64)
-    kinds = np.array([g.kind for g in mirrors])
     for mkind in ("base", "dual"):
-        sel = np.nonzero(kinds == mkind)[0]
+        sel = np.nonzero(mirrors.kind == mkind)[0]
         if not len(sel):
             continue
         s, sm = slots[row_kind], slots[mkind]
@@ -608,7 +617,7 @@ def _reflection_matrices(
         w = mirror_rows[sel]
         wf = _abs_f(w)
         bound = wf[:, :, None] * wf[:, None, _SWAP] * _abs_f(num)
-        _guard(bound.max(axis=(1, 2)), [mirrors[i].ident for i in sel])
+        _guard(bound.max(axis=(1, 2)), [mirrors.idents[i] for i in sel.tolist()])
         prod = w[:, :, None] * w[:, None, _SWAP] * num
         if (prod % den).any():
             raise ArithmeticError("mirror action does not preserve the integer lattice")
@@ -712,6 +721,30 @@ class _Found:
     source: Optional[str]
 
 
+@dataclass
+class _Finals:
+    """The circles a lane returns, in lane order, with their BFS levels,
+    words and seeds.  ``key`` holds ``as_float`` of each circle's
+    (curvature, h1, h2, co-curvature), bit for bit: the output order
+    after the level."""
+
+    circles: List[InversiveCircle]
+    level: np.ndarray
+    words: List[GroupWord]
+    sources: List[str]
+    key: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: Sequence["_Finals"]) -> "_Finals":
+        return cls(
+            [c for p in parts for c in p.circles],
+            np.concatenate([p.level for p in parts] + [np.zeros(0, dtype=np.int64)]),
+            [w for p in parts for w in p.words],
+            [s for p in parts for s in p.sources],
+            np.concatenate([p.key for p in parts] + [np.zeros((0, 4))]),
+        )
+
+
 def _canonical_sign(rows: np.ndarray) -> np.ndarray:
     s = np.sign(rows[:, 0])
     for j in (1, 2, 3):
@@ -757,8 +790,8 @@ class _ArrayLane:
         cfg: Configuration,
         mode: str,
         limits: GenerationLimits,
-        mirrors: List[GeneratorCircle],
-        seeds: List[GeneratorCircle],
+        mirrors: Catalog,
+        seeds: Catalog,
         slots: Optional[Dict[str, Tuple[QuadExt, ...]]],
         pads: List[float],
     ) -> None:
@@ -772,6 +805,9 @@ class _ArrayLane:
         self.quotient = mode != "packing"
         self.exact = slots is not None
         self.kinds = list(_SEED_KINDS[mode])
+        # float rows of a configuration with a slot table come from its
+        # integer rows too, converted as ``as_float`` converts the circles
+        self.table = slots if slots is not None else _slot_table(cfg)
         if slots is not None:
             self.slot_f = {
                 k: np.array([float(s) for s in slots[k]]) for k in ("base", "dual")
@@ -784,11 +820,13 @@ class _ArrayLane:
         self.seen = np.zeros(0, dtype=_KEY)
 
         # Mirrors: float rows for the masks and geometry, plus, in the exact
-        # lane, integer rows and every reflection matrix (float matrices are
-        # converted from the exact ones on first use).
-        self.mirror_ids = np.array([g.ident for g in mirrors], dtype=object)
-        self.mirror_rows = self._catalog_rows(mirrors)
-        self.mirror_vec = self._float_rows(self.mirror_rows, mirrors)
+        # lane, integer rows and every reflection matrix.  Float matrices
+        # are the integer ones on unscaled coordinates where a slot table
+        # exists, else converted from the exact circles on first use.
+        self.mirror_ids = np.array(mirrors.idents, dtype=object)
+        int_mirrors = None if self.table is None else _generator_rows(cfg, self.table, mirrors)
+        self.mirror_rows = self._catalog_rows(mirrors, int_mirrors)
+        self.mirror_vec = self._float_rows(self.mirror_rows, mirrors.kind)
         mv = self.mirror_vec
         # <v, m> = v . mirror_q for a float row v
         self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
@@ -799,6 +837,15 @@ class _ArrayLane:
             for k in self.kinds:
                 self.mats[k] = _reflection_matrices(slots, k, mirrors, self.mirror_rows)
                 self.mat_colmax[k] = _abs_f(self.mats[k]).max(axis=1)
+        elif self.table is not None:
+            k = self.kinds[0]
+            mats = _reflection_matrices(self.table, k, mirrors, int_mirrors)
+            s = self.table[k]
+            flt = np.empty(mats.shape)
+            for i in range(4):
+                for j in range(4):
+                    flt[:, i, j] = _as_floats(mats[:, i, j], s[i] / s[j])
+            self.float_mats = dict(enumerate(flt))
         b = mv[:, 1]
         self.mirror_circle = np.abs(b) > 1e-9
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -808,10 +855,11 @@ class _ArrayLane:
 
         # Seeds: all catalogued seeds key the peel; those under the radius
         # floor do not start the search.
-        self.seed_ids = [g.ident for g in seeds]
-        self.seed_kinds = np.array([g.kind for g in seeds])
-        self.seed_rows = self._catalog_rows(seeds)
-        sb = self._float_rows(self.seed_rows, seeds)[:, 1]
+        self.seed_ids = seeds.idents
+        self.seed_kinds = seeds.kind
+        int_seeds = None if self.table is None else _generator_rows(cfg, self.table, seeds)
+        self.seed_rows = self._catalog_rows(seeds, int_seeds)
+        sb = self._float_rows(self.seed_rows, seeds.kind)[:, 1]
         with np.errstate(divide="ignore"):
             root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
         batch = []
@@ -823,17 +871,27 @@ class _ArrayLane:
 
     # -- plumbing ------------------------------------------------------
 
-    def _catalog_rows(self, gens: Sequence[GeneratorCircle]) -> np.ndarray:
+    def _catalog_rows(self, gens: Catalog, ints: Optional[np.ndarray]) -> np.ndarray:
+        """The lane's rows of catalogued circles from their integer rows
+        ``ints`` (None without a slot table): those rows themselves in the
+        exact lane, else ``as_float`` of the exact coordinates."""
         if self.exact:
-            return _generator_rows(self.cfg, self.slots, gens)
-        return np.array(
-            [[as_float(x) for x in g.circle.key()] for g in gens], dtype=np.float64
-        ).reshape(-1, 4)
+            return ints
+        if ints is None:
+            return np.array(
+                [[as_float(x) for x in g.circle.key()] for g in gens], dtype=np.float64
+            ).reshape(-1, 4)
+        out = np.empty(ints.shape)
+        for kind in ("base", "dual"):
+            sel = np.nonzero(gens.kind == kind)[0]
+            for j, s in enumerate(self.table[kind]):
+                out[sel, j] = _as_floats(ints[sel, j], s)
+        return out
 
-    def _float_rows(self, rows: np.ndarray, gens: Sequence[GeneratorCircle]) -> np.ndarray:
+    def _float_rows(self, rows: np.ndarray, kinds: np.ndarray) -> np.ndarray:
         if not self.exact:
             return rows
-        scale = np.array([self.slot_f[g.kind] for g in gens]).reshape(-1, 4)
+        scale = np.where((kinds == "base")[:, None], self.slot_f["base"], self.slot_f["dual"])
         return rows.astype(np.float64) * scale
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
@@ -1162,18 +1220,26 @@ class _ArrayLane:
 
     # -- output ----------------------------------------------------------
 
-    def materialize(self, row: np.ndarray, kind: str) -> InversiveCircle:
+    def materialize(self, rows: np.ndarray, kind: str) -> List[InversiveCircle]:
         if self.exact:
-            return InversiveCircle(
-                *(
-                    QuadExt(u * s.a, u * s.b, s.q, s.d)
-                    for u, s in zip(row.tolist(), self.slots[kind])
+            slots = self.slots[kind]
+            return [
+                InversiveCircle(
+                    *(QuadExt(u * s.a, u * s.b, s.q, s.d) for u, s in zip(row, slots))
                 )
-            )
-        return InversiveCircle(*(float(x) for x in row))
+                for row in rows.tolist()
+            ]
+        return [InversiveCircle(*row) for row in rows.tolist()]
 
-    def finals(self) -> List[_Found]:
-        out: List[_Found] = []
+    def _sort_keys(self, rows: np.ndarray, kind: str) -> np.ndarray:
+        """``as_float`` of (curvature, h1, h2, co-curvature) of each row."""
+        if not self.exact:
+            return rows[:, [1, 2, 3, 0]]
+        slots = self.slots[kind]
+        return np.column_stack([_as_floats(rows[:, j], slots[j]) for j in (1, 2, 3, 0)])
+
+    def finals(self) -> _Finals:
+        out: List[_Finals] = []
         for kind in self.kinds:
             chunks = self.chunks[kind]
             if not chunks:
@@ -1190,11 +1256,16 @@ class _ArrayLane:
                 words, sources = self._chains(chunks, kept)
             else:
                 words, sources = self.peel(kind, picked)
-            for j, lvl in enumerate(level[kept].tolist()):
-                out.append(
-                    _Found(self.materialize(picked[j], kind), lvl, words[j], sources[j])
+            out.append(
+                _Finals(
+                    self.materialize(picked, kind),
+                    level[kept],
+                    words,
+                    sources,
+                    self._sort_keys(picked, kind),
                 )
-        return out
+            )
+        return _Finals.concat(out)
 
     def _chains(
         self, chunks: List[_Chunk], kept: np.ndarray
@@ -1283,10 +1354,10 @@ class _CircleLane:
                         nxt.append((img, self.found[-1]))
             frontier = nxt
 
-    def finals(self) -> List[_Found]:
+    def finals(self) -> _Finals:
         lim = self.limits
         index = _PeelIndex(self.mirrors) if self.mode != "super" else None
-        out = []
+        out: List[_Found] = []
         for rec in self.found:
             c = rec.circle
             r = abs(c.radius())
@@ -1303,7 +1374,15 @@ class _CircleLane:
             seed_kind = _SEED_KINDS[self.mode][0]
             word, source = _peel(self.cfg, c, seed_kind, self.quotient, index)
             out.append(_Found(c, rec.level, word, source))
-        return out
+        key = [[as_float(x) for x in (f.circle.curvature, f.circle.h1, f.circle.h2,
+                                      f.circle.co_curvature)] for f in out]
+        return _Finals(
+            [f.circle for f in out],
+            np.array([f.level for f in out], dtype=np.int64),
+            [f.word for f in out],
+            [f.source or "" for f in out],
+            np.array(key, dtype=np.float64).reshape(-1, 4),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1319,8 +1398,9 @@ def generate(
     """Enumerate the orbit of the seed family over the window.
 
     Every returned circle meets the window, has radius >= min_radius and
-    height <= max_height.  Output order is deterministic: by height, then
-    curvature, then center.  Exact runs on int64 rows raise
+    height <= max_height.  Output order is deterministic: a stable sort by
+    height, then ``as_float`` of curvature, h1, h2 and co-curvature, keys
+    the lanes compute from their rows.  Exact runs on int64 rows raise
     LatticeOverflowError when the window lies too far from the origin.
     """
     if mode not in MODES:
@@ -1339,39 +1419,20 @@ def generate(
         lane = _CircleLane(cfg, mode, limits, mirrors, seeds, pads)
     lane.run()
 
-    circles: List[PackedCircle] = []
-    for rec in lane.finals():
-        height = len(rec.word) if mode != "super" else rec.level
-        if height != rec.level:
-            raise ArithmeticError(
-                f"BFS level {rec.level} disagrees with peeled height "
-                f"{height} at center ~ {rec.circle.center()}"
-            )
-        circles.append(
-            PackedCircle(
-                rec.circle,
-                _CIRCLE_KIND[mode],
-                height,
-                tuple(rec.word),
-                rec.source or "",
-            )
-        )
-
-    circles.sort(key=_output_key)
+    found = lane.finals()
+    levels = found.level.tolist()
+    if mode != "super":
+        for i, (word, level) in enumerate(zip(found.words, levels)):
+            if len(word) != level:
+                raise ArithmeticError(
+                    f"BFS level {level} disagrees with peeled height "
+                    f"{len(word)} at center ~ {found.circles[i].center()}"
+                )
+    key = found.key
+    order = np.lexsort((key[:, 3], key[:, 2], key[:, 1], key[:, 0], found.level))
+    kind = _CIRCLE_KIND[mode]
+    circles = [
+        PackedCircle(found.circles[i], kind, levels[i], tuple(found.words[i]), found.sources[i])
+        for i in order.tolist()
+    ]
     return Packing(cfg, mode, limits, circles)
-
-
-def _output_key(p: PackedCircle):
-    c = p.circle
-    return (
-        p.height,
-        as_float(c.curvature),
-        as_float(c.h1),
-        as_float(c.h2),
-        as_float(c.co_curvature),
-    )
-
-
-def height_of(packing: Packing, circle: InversiveCircle) -> int:
-    """Height of a circle inside a generated packing."""
-    return packing.height_of(circle)

@@ -253,8 +253,19 @@ class QuadExt:
     # -- conversions ---------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(
-            (Fraction(self.a) + self.b * _SQRT_FRAC[self.d]) / self.q
+        num, den = self.float_terms()
+        return num / den
+
+    def float_terms(self) -> "tuple[int, int]":
+        """Integers (num, den) with float(k * self) == k * num / den for
+        every integer k.  The value is a + b*sqrt(d) over q with sqrt(d)
+        replaced by its ~70-digit rational, and integer true division
+        rounds that quotient correctly, so it is the correctly rounded
+        double whatever multiple of it is taken."""
+        root = _SQRT_FRAC[self.d]
+        return (
+            self.a * root.denominator + self.b * root.numerator,
+            self.q * root.denominator,
         )
 
     def sqrt(self) -> "QuadExt | None":

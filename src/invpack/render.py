@@ -10,7 +10,13 @@ SVG's downward y convention.
 
 JSON documents carry exact scalars as their canonical strings and
 floats as numbers, which makes the round trip lossless for both
-arithmetic kinds.
+arithmetic kinds.  ``from_json`` checks the fixed document shape
+directly while it builds the objects: required keys, value types, array
+lengths, a mode from ``engine.MODES`` whose circle kind every packed
+circle carries, an ordered window, a positive radius floor and a
+nonnegative height bound.  The first violation raises ValueError
+``invalid document at <json path>: <reason>``, with paths such as
+``$.circles[12].kind``.
 """
 
 from __future__ import annotations
@@ -18,12 +24,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import jsonschema
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from .configs import Configuration, SymmetryDecl, Window
-from .engine import GenerationLimits, PackedCircle, Packing
+from .engine import _CIRCLE_KIND, MODES, GenerationLimits, PackedCircle, Packing
 from .exact import QuadExt, Scalar, as_float, parse_scalar
 from .inversive import InversiveCircle, PlanarIsometry
 
@@ -197,122 +201,16 @@ def to_svg(obj: Union[Packing, Configuration], style: RenderStyle) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-_SCALAR_SCHEMA = {"type": ["string", "number"]}
-_CIRCLE_SCHEMA = {
-    "type": "array",
-    "items": _SCALAR_SCHEMA,
-    "minItems": 4,
-    "maxItems": 4,
-}
-_VEC_SCHEMA = {
-    "type": "array",
-    "items": _SCALAR_SCHEMA,
-    "minItems": 2,
-    "maxItems": 2,
-}
-_SYMMETRY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["translation", "rotation", "mirror", "glide"]},
-        "a": _VEC_SCHEMA,
-        "t": _VEC_SCHEMA,
-        "conj": {"type": "boolean"},
-        "meta": {"type": "object"},
-    },
-    "required": ["kind", "a", "t", "conj"],
-}
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "type": {"const": "configuration"},
-        "name": {"type": "string"},
-        "d": {"type": "integer"},
-        "motif_base": {"type": "array", "items": _CIRCLE_SCHEMA},
-        "motif_dual": {"type": "array", "items": _CIRCLE_SCHEMA},
-        "lattice": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "array",
-                    "items": _VEC_SCHEMA,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            ]
-        },
-        "symmetries": {"type": "array", "items": _SYMMETRY_SCHEMA},
-    },
-    "required": ["type", "name", "d", "motif_base", "motif_dual"],
-}
-_PACKED_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "circle": _CIRCLE_SCHEMA,
-        "kind": {"enum": ["base", "dual", "super"]},
-        "height": {"type": "integer"},
-        "word": {"type": "array", "items": {"type": "string"}},
-        "source": {"type": "string"},
-    },
-    "required": ["circle", "kind", "height", "word", "source"],
-}
-_PACKING_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "type": {"const": "packing"},
-        "config": _CONFIG_SCHEMA,
-        "mode": {"type": "string"},
-        "limits": {
-            "type": "object",
-            "properties": {
-                "max_height": {"type": "integer"},
-                "min_radius": {"type": "number"},
-                "window": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-            },
-            "required": ["max_height", "min_radius", "window"],
-        },
-        "circles": {"type": "array", "items": _PACKED_SCHEMA},
-    },
-    "required": ["type", "config", "mode", "limits", "circles"],
-}
-
-
 def _scalar_out(x: Scalar):
     return str(x) if isinstance(x, QuadExt) else float(x)
-
-
-def _scalar_in(v, where: str) -> Scalar:
-    if isinstance(v, str):
-        try:
-            return parse_scalar(v)
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-    return float(v)
 
 
 def _circle_out(c: InversiveCircle) -> List[object]:
     return [_scalar_out(x) for x in c.key()]
 
 
-def _circle_in(vals: Sequence[object], where: str) -> InversiveCircle:
-    return InversiveCircle(
-        *(_scalar_in(v, f"{where}[{i}]") for i, v in enumerate(vals))
-    )
-
-
 def _vec_out(v: Tuple[Scalar, Scalar]) -> List[object]:
     return [_scalar_out(v[0]), _scalar_out(v[1])]
-
-
-def _vec_in(vals: Sequence[object], where: str) -> Tuple[Scalar, Scalar]:
-    return (
-        _scalar_in(vals[0], f"{where}[0]"),
-        _scalar_in(vals[1], f"{where}[1]"),
-    )
 
 
 def _config_out(cfg: Configuration) -> Dict[str, object]:
@@ -338,41 +236,6 @@ def _config_out(cfg: Configuration) -> Dict[str, object]:
             for s in cfg.symmetries
         ],
     }
-
-
-def _config_in(doc: Dict[str, object]) -> Configuration:
-    lattice = doc.get("lattice")
-    symmetries = [
-        SymmetryDecl(
-            s["kind"],
-            PlanarIsometry(
-                _vec_in(s["a"], f"symmetries[{i}].a"),
-                _vec_in(s["t"], f"symmetries[{i}].t"),
-                bool(s["conj"]),
-            ),
-            dict(s.get("meta", {})),
-        )
-        for i, s in enumerate(doc.get("symmetries", []))
-    ]
-    return Configuration(
-        doc["name"],
-        doc["d"],
-        [
-            _circle_in(c, f"motif_base[{i}]")
-            for i, c in enumerate(doc["motif_base"])
-        ],
-        [
-            _circle_in(c, f"motif_dual[{i}]")
-            for i, c in enumerate(doc["motif_dual"])
-        ],
-        None
-        if lattice is None
-        else (
-            _vec_in(lattice[0], "lattice[0]"),
-            _vec_in(lattice[1], "lattice[1]"),
-        ),
-        symmetries,
-    )
 
 
 def _packing_out(p: Packing) -> Dict[str, object]:
@@ -404,32 +267,205 @@ def _packing_out(p: Packing) -> Dict[str, object]:
     }
 
 
-def _packing_in(doc: Dict[str, object]) -> Packing:
-    lim = doc["limits"]
-    circles = [
-        PackedCircle(
-            _circle_in(pc["circle"], f"circles[{i}].circle"),
-            pc["kind"],
-            pc["height"],
-            tuple(pc["word"]),
-            pc["source"],
+# Reading checks the document's fixed shape while it builds the objects.  A
+# reader raises _Invalid at the first violation; each enclosing reader adds
+# its key or index on the way out, so the path costs nothing until it is
+# needed.
+
+_SYMMETRY_KINDS = ("translation", "rotation", "mirror", "glide")
+
+
+class _Invalid(Exception):
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.path: List[Union[str, int]] = []
+
+    def at(self, part: Union[str, int]) -> "_Invalid":
+        self.path.append(part)
+        return self
+
+    def where(self) -> str:
+        return "$" + "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in reversed(self.path)
         )
-        for i, pc in enumerate(doc["circles"])
-    ]
-    return Packing(
-        _config_in(doc["config"]),
-        doc["mode"],
-        GenerationLimits(
-            lim["max_height"],
-            lim["min_radius"],
-            Window(*lim["window"]),
-        ),
-        circles,
+
+
+T = TypeVar("T")
+
+
+def _field(obj: Dict[str, object], key: str, read: Callable[[object], T]) -> T:
+    if key not in obj:
+        raise _Invalid(f"{key!r} is a required property")
+    try:
+        return read(obj[key])
+    except _Invalid as err:
+        raise err.at(key)
+
+
+def _optional(obj: Dict[str, object], key: str, read: Callable[[object], T], default: T) -> T:
+    return _field(obj, key, read) if key in obj else default
+
+
+def _items(v: object, read: Callable[[object], T], count: Optional[int] = None) -> List[T]:
+    if not isinstance(v, list):
+        raise _Invalid(f"{_brief(v)} is not an array")
+    if count is not None and len(v) != count:
+        raise _Invalid(f"expected {count} items, got {len(v)}")
+    out = []
+    for i, x in enumerate(v):
+        try:
+            out.append(read(x))
+        except _Invalid as err:
+            raise err.at(i)
+    return out
+
+
+def _brief(v: object) -> str:
+    text = repr(v)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _object(v: object) -> Dict[str, object]:
+    if not isinstance(v, dict):
+        raise _Invalid(f"{_brief(v)} is not an object")
+    return v
+
+
+def _string(v: object) -> str:
+    if not isinstance(v, str):
+        raise _Invalid(f"{_brief(v)} is not a string")
+    return v
+
+
+def _boolean(v: object) -> bool:
+    if not isinstance(v, bool):
+        raise _Invalid(f"{_brief(v)} is not a boolean")
+    return v
+
+
+def _integer(v: object) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise _Invalid(f"{_brief(v)} is not an integer")
+    return v
+
+
+def _number(v: object) -> Union[int, float]:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise _Invalid(f"{_brief(v)} is not a number")
+    return v
+
+
+def _one_of(options: Sequence[str]) -> Callable[[object], str]:
+    def read(v: object) -> str:
+        if not isinstance(v, str) or v not in options:
+            raise _Invalid(f"{_brief(v)} is not one of {list(options)}")
+        return v
+
+    return read
+
+
+def _scalar(v: object) -> Scalar:
+    if isinstance(v, str):
+        try:
+            return parse_scalar(v)
+        except ValueError as err:
+            raise _Invalid(str(err)) from None
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise _Invalid(f"{_brief(v)} is not a string or a number")
+    return float(v)
+
+
+def _circle(v: object) -> InversiveCircle:
+    return InversiveCircle(*_items(v, _scalar, 4))
+
+
+def _vec(v: object) -> Tuple[Scalar, Scalar]:
+    x, y = _items(v, _scalar, 2)
+    return (x, y)
+
+
+def _symmetry(v: object) -> SymmetryDecl:
+    doc = _object(v)
+    kind = _field(doc, "kind", _one_of(_SYMMETRY_KINDS))
+    a, t = _field(doc, "a", _vec), _field(doc, "t", _vec)
+    conj = _field(doc, "conj", _boolean)
+    meta = _optional(doc, "meta", _object, {})
+    try:
+        iso = PlanarIsometry(a, t, conj)
+    except ValueError as err:  # |a| != 1
+        raise _Invalid(str(err)).at("a") from None
+    return SymmetryDecl(kind, iso, dict(meta))
+
+
+def _config(v: object) -> Configuration:
+    doc = _object(v)
+    _field(doc, "type", _one_of(("configuration",)))
+    name = _field(doc, "name", _string)
+    d = _field(doc, "d", _integer)
+    motif_base = _field(doc, "motif_base", lambda x: _items(x, _circle))
+    motif_dual = _field(doc, "motif_dual", lambda x: _items(x, _circle))
+    lattice = _optional(
+        doc, "lattice", lambda x: None if x is None else tuple(_items(x, _vec, 2)), None
+    )
+    symmetries = _optional(doc, "symmetries", lambda x: _items(x, _symmetry), [])
+    return Configuration(name, d, motif_base, motif_dual, lattice, symmetries)
+
+
+def _window(v: object) -> Window:
+    try:
+        return Window(*_items(v, _number, 4))
+    except ValueError as err:  # corners out of order
+        raise _Invalid(str(err)) from None
+
+
+def _max_height(v: object) -> int:
+    if _integer(v) < 0:
+        raise _Invalid(f"{v!r} is negative")
+    return v
+
+
+def _min_radius(v: object) -> Union[int, float]:
+    if not _number(v) > 0:
+        raise _Invalid(f"{v!r} is not positive")
+    return v
+
+
+def _limits(v: object) -> GenerationLimits:
+    doc = _object(v)
+    return GenerationLimits(
+        _field(doc, "max_height", _max_height),
+        _field(doc, "min_radius", _min_radius),
+        _field(doc, "window", _window),
     )
 
 
+def _packed(kind: str) -> Callable[[object], PackedCircle]:
+    """Reader of the packed circles of a mode whose circles are ``kind``."""
+    read_kind = _one_of((kind,))
+
+    def read(v: object) -> PackedCircle:
+        doc = _object(v)
+        circle = _field(doc, "circle", _circle)
+        _field(doc, "kind", read_kind)
+        height = _field(doc, "height", _integer)
+        word = _field(doc, "word", lambda x: tuple(_items(x, _string)))
+        return PackedCircle(circle, kind, height, word, _field(doc, "source", _string))
+
+    return read
+
+
+def _packing(doc: Dict[str, object]) -> Packing:
+    config = _field(doc, "config", _config)
+    mode = _field(doc, "mode", _one_of(MODES))
+    limits = _field(doc, "limits", _limits)
+    circles = _field(doc, "circles", lambda x: _items(x, _packed(_CIRCLE_KIND[mode])))
+    return Packing(config, mode, limits, circles)
+
+
 def to_json(obj: Union[Packing, Configuration]) -> str:
-    """Schema-shaped document with exact scalars as canonical strings."""
+    """Document of the shape ``from_json`` checks, with exact scalars as
+    canonical strings."""
     doc = (
         _config_out(obj)
         if isinstance(obj, Configuration)
@@ -439,23 +475,19 @@ def to_json(obj: Union[Packing, Configuration]) -> str:
 
 
 def from_json(text: Union[str, bytes]) -> Union[Packing, Configuration]:
-    """Parse and validate a document produced by to_json.
+    """Parse and check a document produced by to_json.
 
-    Raises ValueError naming the offending field for schema violations
-    and malformed exact scalars alike.
+    Raises ValueError ``invalid document at <json path>: <reason>`` for
+    shape violations, out-of-range limits and malformed exact scalars
+    alike, with paths such as ``$.circles[12].kind``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("document must be an object with a 'type' field")
     kind = doc["type"]
-    if kind == "configuration":
-        schema = _CONFIG_SCHEMA
-    elif kind == "packing":
-        schema = _PACKING_SCHEMA
-    else:
+    if kind not in ("configuration", "packing"):
         raise ValueError(f"unknown document type {kind!r}")
     try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as err:
-        raise ValueError(f"invalid document at {err.json_path}: {err.message}") from None
-    return _config_in(doc) if kind == "configuration" else _packing_in(doc)
+        return _config(doc) if kind == "configuration" else _packing(doc)
+    except _Invalid as err:
+        raise ValueError(f"invalid document at {err.where()}: {err.reason}") from None

@@ -269,3 +269,104 @@ class TestMakeConfig:
         assert failed and all(
             c.witnesses or "no circles" in c.detail for c in failed
         )
+
+
+def per_translate_catalog(cfg, kind, w, predicate="meets", expand=0.0):
+    """The catalog as it was built before the array catalog: one exact
+    translate per (m, n) of the shift range, tested by the window."""
+    from invpack.inversive import apply_isometry
+
+    if predicate == "meets":
+        keep = lambda c: w.meets_circle(c, expand)  # noqa: E731
+    else:
+        keep = lambda c: w.contains_circle(c)  # noqa: E731
+    if cfg.lattice is None:
+        return [make_id(kind, i, None) for i, c in enumerate(cfg.motif(kind)) if keep(c)]
+    out = []
+    for i, c in enumerate(cfg.motif(kind)):
+        (cx, cy), r = c.center(), abs(c.radius())
+        m_lo, m_hi, n_lo, n_hi = cfg._shift_range((cx, cy), r, w, expand)
+        for m in range(m_lo, m_hi + 1):
+            for n in range(n_lo, n_hi + 1):
+                if keep(apply_isometry(cfg.translation(m, n), c)):
+                    out.append(make_id(kind, i, (m, n)))
+    return sorted(out)
+
+
+class TestArrayCatalog:
+    """The array catalog keeps the same circles, in the same order, as the
+    per-translate loop, including circles tangent to the window, where a
+    plain float test on float centers would differ."""
+
+    # benchmark cells beyond the shallow ones every configuration gets:
+    # (mode, max height, min radius, window half side)
+    DEEP = {
+        "square": [("packing", 6, 0.007, 2.0), ("super", 3, 0.02, 2.0),
+                   ("packing", 5, 0.005, 2.0)],
+        "hexagonal": [("dual", 4, 0.01, 3.0)],
+    }
+
+    @classmethod
+    def cases(cls, name, cfg):
+        """(window half side, catalog pad) of the benchmark cells of a
+        configuration, plus pad 0."""
+        from invpack.engine import GenerationLimits, _margin_schedule
+
+        height = 1 if name.startswith("wallpaper:") else 2
+        cells = [(m, 1 if m == "super" else height, 0.05, 1.0) for m in ("packing", "dual", "super")]
+        out = {(1.0, 0.0)}
+        for mode, h, rho, half in cells + cls.DEEP.get(name, []):
+            lim = GenerationLimits(h, rho, Window.square(half))
+            out.add((half, _margin_schedule(cfg, mode, lim)[0]))
+        return sorted(out)
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_same_ids_as_per_translate_loop(self, name):
+        cfg = make_config(name)
+        offsets = [(0.0, 0.0), (3.5, -1.7)]
+        if cfg.lattice is not None:
+            (ax, ay), (bx, by) = [(float(x), float(y)) for x, y in cfg.lattice]
+            offsets.append((ax - 2 * bx, ay - 2 * by))
+        for ox, oy in offsets:
+            for half, pad in self.cases(name, cfg):
+                w = Window(ox - half, oy - half, ox + half, oy + half)
+                for kind in ("base", "dual"):
+                    got = cfg.catalog(kind, w, "meets", pad)
+                    assert got.idents == per_translate_catalog(cfg, kind, w, "meets", pad)
+                    if pad == 0.0:
+                        wrapped = [g.ident for g in cfg.circles_in_window(kind, w)]
+                        assert wrapped == got.idents
+                        inside = cfg.catalog(kind, w, "inside").idents
+                        assert inside == per_translate_catalog(cfg, kind, w, "inside")
+
+    @pytest.mark.parametrize(
+        "name, window, kind, tangent",
+        [("wallpaper:p4", Window(-1, -3, 5, 3), "dual", ("d13@-1,-1", "d13@-1,0")),
+         ("square", Window(-2, -2, 2, 2), "dual", ("d0@-2,0",))],
+    )
+    def test_tangent_circles_decided_as_before(self, name, window, kind, tangent):
+        cfg = make_config(name)
+        got = cfg.catalog(kind, window).idents
+        assert got == per_translate_catalog(cfg, kind, window)
+        for ident in tangent:
+            c = cfg.circle_from_id(ident)
+            (cx, cy), r = c.center(), abs(c.radius())
+            dx = max(window.x0 - cx, 0.0, cx - window.x1)
+            dy = max(window.y0 - cy, 0.0, cy - window.y1)
+            # within rounding of the window, so the exact translate decides
+            assert abs((dx * dx + dy * dy) ** 0.5 - r) < 1e-12
+            assert (ident in got) == window.meets_circle(c)
+
+    def test_catalog_arrays_rebuild_the_circles(self):
+        cfg = make_config("triangular")
+        w = Window(2.5, -3.0, 6.0, 1.0)
+        cat = cfg.catalog("dual", w, expand=0.5)
+        for ident, kind, index, shift, g in zip(
+            cat.idents, cat.kind.tolist(), cat.index.tolist(), cat.shift.tolist(), cat
+        ):
+            assert make_id(kind, index, tuple(shift)) == ident == g.ident
+            assert g.circle == cfg.circle_from_id(ident)
+
+    def test_unknown_predicate(self):
+        with pytest.raises(ValueError, match="unknown predicate"):
+            make_config("square").catalog("base", Window.square(1.0), "touches")

@@ -25,6 +25,7 @@ from invpack.engine import (
     LatticeOverflowError,
     Packing,
     _ArrayLane,
+    _as_floats,
     _catalog,
     _margin_schedule,
     _peel,
@@ -686,3 +687,48 @@ class TestLatticeOverflow:
             generate(square, "super", lim, exact=False)
         assert err.value.magnitude >= 2.0**62
         assert square.circle_from_id(err.value.mirror) is not None
+
+
+class TestOutputOrder:
+    """generate sorts on keys its lanes compute from their rows; the order
+    must be the one given by converting every output circle."""
+
+    @staticmethod
+    def key(p):
+        c = p.circle
+        return (p.height, as_float(c.curvature), as_float(c.h1), as_float(c.h2),
+                as_float(c.co_curvature))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mode", ["packing", "dual", "super"])
+    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    def test_order_is_stable_sort_by_as_float(self, name, mode, exact):
+        cfg = make_config(name)
+        (v1, v2) = cfg.lattice
+        ox, oy = as_float(v1[0] + v2[0]), as_float(v1[1] + v2[1])
+        height = 1 if mode == "super" else 2
+        lim = GenerationLimits(height, 0.05, Window(ox - 1.5, oy - 1.0, ox + 1.0, oy + 1.5))
+        circles = generate(cfg, mode, lim, exact=exact).circles
+        assert len(circles) > 20
+        assert circles == sorted(circles, key=self.key)
+        keys = [self.key(p) for p in circles]
+        # distinct keys: the order does not rest on the lanes' order
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [QuadExt(1), QuadExt(3), QuadExt(-2), QuadExt(1, 0, 3), QuadExt.sqrt_d(3),
+         QuadExt(0, 1, 3, 3), QuadExt(1, 1, 2, 2)],
+        ids=str,
+    )
+    def test_keys_are_as_float_bit_for_bit(self, scale):
+        rng = np.random.default_rng(7)
+        ints = np.concatenate([
+            np.arange(-50, 50),
+            rng.integers(-(2**62), 2**62, 300),
+            rng.integers(-(2**54), 2**54, 300),
+            [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1],
+        ]).astype(np.int64)
+        got = _as_floats(ints.reshape(-1, 4), scale).ravel()
+        want = [as_float(k * scale) for k in ints.tolist()]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))

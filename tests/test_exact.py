@@ -78,6 +78,21 @@ class TestFloat:
         # (5 - 3*sqrt(2))/7, high-precision evaluation frozen as a double
         assert float(QuadExt(5, -3, 7, 2)) == 0.10819418755438784
 
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**20), 10**20),
+        st.integers(1, 10**9),
+        st.sampled_from([1, 2, 3]),
+        st.integers(-(2**62), 2**62),
+    )
+    def test_float_terms_round_every_multiple(self, a, b, den, d, k):
+        # the Fraction evaluation float() used before float_terms
+        root = Fraction(math.isqrt(d * 10**140), 10**70)
+        x = QuadExt(a, b, den, d)
+        assert float(x) == float((Fraction(x.a) + x.b * root) / x.q)
+        num, den_ = x.float_terms()
+        assert float(k * x) == k * num / den_
+
 
 class TestArithmetic:
     def test_division_exact(self):

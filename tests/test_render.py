@@ -9,9 +9,16 @@ scalars, including schema and scalar diagnostics.
 
 from __future__ import annotations
 
+import copy
+import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import invpack
 
 from invpack.configs import Configuration, Window, make_config
 from invpack.engine import GenerationLimits, PackedCircle, Packing, generate
@@ -208,3 +215,122 @@ class TestJson:
         cfg = Configuration("one", 2, [tiny], [tiny])
         back = from_json(to_json(cfg))
         assert back.motif_base[0].key() == tiny.key()
+
+
+@pytest.fixture(scope="module")
+def small_doc(square):
+    limits = GenerationLimits(1, 0.1, Window(-1.0, -1.0, 1.0, 1.0))
+    return json.loads(to_json(generate(square, "packing", limits)))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for part in head:
+            doc = doc[part]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *head, last = path
+        for part in head:
+            doc = doc[part]
+        del doc[last]
+    return mutate
+
+
+def _relabel(kind):
+    def mutate(doc):
+        for pc in doc["circles"]:
+            pc["kind"] = kind
+    return mutate
+
+
+# mutation of a valid packing document -> path of the error it must raise
+MUTATIONS = {
+    "missing config": (_drop(["config"]), "$"),
+    "missing mode": (_drop(["mode"]), "$"),
+    "missing limits": (_drop(["limits"]), "$"),
+    "missing circles": (_drop(["circles"]), "$"),
+    "missing config d": (_drop(["config", "d"]), "$.config"),
+    "missing motif": (_drop(["config", "motif_dual"]), "$.config"),
+    "missing symmetry conj": (_drop(["config", "symmetries", 0, "conj"]), "$.config.symmetries[0]"),
+    "missing window": (_drop(["limits", "window"]), "$.limits"),
+    "missing height": (_drop(["circles", 3, "height"]), "$.circles[3]"),
+    "missing source": (_drop(["circles", 0, "source"]), "$.circles[0]"),
+    "config not an object": (_set(["config"], []), "$.config"),
+    "config type": (_set(["config", "type"], "packing"), "$.config.type"),
+    "d as string": (_set(["config", "d"], "1"), "$.config.d"),
+    "name as number": (_set(["config", "name"], 4), "$.config.name"),
+    "lattice as number": (_set(["config", "lattice"], 5), "$.config.lattice"),
+    "conj as string": (_set(["config", "symmetries", 0, "conj"], "no"), "$.config.symmetries[0].conj"),
+    "symmetry kind": (_set(["config", "symmetries", 0, "kind"], "shear"), "$.config.symmetries[0].kind"),
+    "circles as object": (_set(["circles"], {}), "$.circles"),
+    "circle entry null": (_set(["circles", 2, "circle", 1], None), "$.circles[2].circle[1]"),
+    "word as string": (_set(["circles", 1, "word"], "d0@0,0"), "$.circles[1].word"),
+    "word letter as number": (_set(["circles", 1, "word"], ["d0@0,0", 7]), "$.circles[1].word[1]"),
+    "min_radius as string": (_set(["limits", "min_radius"], "0.1"), "$.limits.min_radius"),
+    "window entry as string": (_set(["limits", "window", 2], "1"), "$.limits.window[2]"),
+    "short circle": (_set(["circles", 4, "circle"], ["1", "1", "0"]), "$.circles[4].circle"),
+    "long window": (_set(["limits", "window"], [-1, -1, 1, 1, 0]), "$.limits.window"),
+    "short lattice vector": (_set(["config", "lattice", 1], ["0"]), "$.config.lattice[1]"),
+    "short motif circle": (_set(["config", "motif_base", 0], ["1"]), "$.config.motif_base[0]"),
+    "kind bogus": (_set(["circles", 2, "kind"], "bogus"), "$.circles[2].kind"),
+    "kind of another mode": (_relabel("dual"), "$.circles[0].kind"),
+    "super kind in packing mode": (_set(["circles", 5, "kind"], "super"), "$.circles[5].kind"),
+    "fractional height": (_set(["circles", 0, "height"], 1.5), "$.circles[0].height"),
+    "boolean height": (_set(["circles", 0, "height"], True), "$.circles[0].height"),
+    "string height": (_set(["circles", 0, "height"], "1"), "$.circles[0].height"),
+    "mode bogus": (_set(["mode"], "bogus"), "$.mode"),
+    "mode as number": (_set(["mode"], 1), "$.mode"),
+    "window out of order": (_set(["limits", "window"], [1, -1, -1, 1]), "$.limits.window"),
+    "zero min_radius": (_set(["limits", "min_radius"], 0), "$.limits.min_radius"),
+    "negative min_radius": (_set(["limits", "min_radius"], -0.5), "$.limits.min_radius"),
+    "negative max_height": (_set(["limits", "max_height"], -1), "$.limits.max_height"),
+    "malformed scalar": (_set(["circles", 3, "circle", 0], "2+oops"), "$.circles[3].circle[0]"),
+    "malformed motif scalar": (_set(["config", "motif_dual", 0, 2], "x"), "$.config.motif_dual[0][2]"),
+}
+
+
+class TestJsonErrors:
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_mutation_names_its_path(self, small_doc, case):
+        mutate, path = MUTATIONS[case]
+        doc = copy.deepcopy(small_doc)
+        mutate(doc)
+        with pytest.raises(ValueError, match=rf"^invalid document at {re.escape(path)}: "):
+            from_json(json.dumps(doc))
+
+    def test_unmutated_document_loads(self, small_doc):
+        assert len(small_doc["circles"]) > 5
+        back = from_json(json.dumps(small_doc))
+        assert json.loads(to_json(back)) == small_doc
+
+    def test_every_mode_accepts_its_own_kind(self, square):
+        limits = GenerationLimits(1, 0.1, Window(-1.0, -1.0, 1.0, 1.0))
+        for mode in ("packing", "dual", "super"):
+            doc = to_json(generate(square, mode, limits))
+            assert to_json(from_json(doc)) == doc
+
+
+def test_invpack_imports_without_jsonschema():
+    # every module, with the import of jsonschema made to fail
+    code = (
+        "import pkgutil, sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        f"sys.path.insert(0, {str(Path(invpack.__file__).parents[1])!r})\n"
+        "import importlib, invpack\n"
+        "names = [m.name for m in pkgutil.iter_modules(invpack.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('invpack.' + name)\n"
+        "from invpack import configs, engine, render\n"
+        "lim = engine.GenerationLimits(1, 0.2, configs.Window.square(1.0))\n"
+        "p = engine.generate(configs.make_config('square'), 'packing', lim)\n"
+        "assert render.to_json(render.from_json(render.to_json(p))) == render.to_json(p)\n"
+        "print(len(names))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) >= 8
