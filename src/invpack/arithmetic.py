@@ -23,15 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .configs import Configuration, Window, make_config
-from .engine import (
-    GroupWord,
-    Packing,
-    _generator_rows,
-    _int_coords,
-    _reflection_matrices,
-    _slot_table,
-    apply_word,
-)
+from .engine import GroupWord, Packing, _row_lattice, apply_word
 from .exact import FieldMismatchError, QuadExt, Scalar, as_float
 from .inversive import InversiveCircle, PairClass, classify_pair
 
@@ -306,7 +298,9 @@ def sweep_relation_words(
     """Certify the relations on all reduced dual words up to ``max_len``.
 
     Enumerates reduced words over the dual mirrors meeting the window,
-    acting on the stacked canonical instances in integer coordinates.
+    acting on the stacked canonical instances in integer coordinates: rows
+    of the packing-mode base lattice, one of whose entries is the
+    curvature.
     Residuals are checked modulo the certificate primes; combined with
     the tracked curvature bound this proves each residual is exactly
     zero (or pinpoints a violation).
@@ -316,23 +310,20 @@ def sweep_relation_words(
             raise ValueError(f"relation {rel.name} belongs to {rel.config!r}")
         if not rel.instance:
             raise ValueError(f"relation {rel.name} has no canonical instance")
-    slots = _slot_table(cfg)
-    if slots is None:
+    lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
+    (col,) = np.nonzero(lat.basis[:, 1])
+    if lat.q[1] != 1 or lat.basis[:, 5].any() or len(col) != 1 or lat.basis[col[0], 1] != 1:
         raise ValueError("relation sweep needs an integer-lattice configuration")
-    base_slots = slots["base"]
     gens = cfg.catalog("dual", window)
     if not gens:
         raise ValueError("no dual mirrors meet the window")
-    mats = _reflection_matrices(
-        slots, "base", gens, _generator_rows(cfg, slots, gens)
-    ).astype(np.float64)
-    columns: List[List[int]] = []
+    rows = mlat.rows_at(gens.index, gens.shift, gens.idents)
+    mats = lat.reflections(mlat, rows, gens.idents).astype(np.float64)
+    stack = lat.rows_of([c for rel in relations for c in rel.instance]).astype(np.float64).T
     spans: List[slice] = []
     for rel in relations:
-        start = sum(len(c) for c in columns)
-        columns.append([_int_coords(c, base_slots) for c in rel.instance])
+        start = sum(s.stop - s.start for s in spans)
         spans.append(slice(start, start + rel.arity))
-    stack = np.array([row for block in columns for row in block], dtype=np.float64).T
 
     max_entry = float(np.abs(mats).max())
     ok = [True] * len(relations)
@@ -342,7 +333,7 @@ def sweep_relation_words(
     def check(states: np.ndarray) -> None:
         nonlocal max_curv, words
         words += states.shape[0]
-        curv = states[:, 1, :]
+        curv = states[:, col[0], :]
         chunk_max = float(np.abs(curv).max())
         max_curv = max(max_curv, chunk_max)
         for k, rel in enumerate(relations):

@@ -29,6 +29,7 @@ from .inversive import (
     from_center_radius,
     inversive_product,
 )
+from .lattice import RowLattice
 
 Vec = Tuple[Scalar, Scalar]
 
@@ -247,6 +248,8 @@ class Configuration:
             if lattice is None
             else (_vec_float(lattice[0]), _vec_float(lattice[1]))
         )
+        # integer row lattices by (kind, mirror kinds), derived on first use
+        self.row_lattices: Dict[Tuple[str, Tuple[str, ...]], RowLattice] = {}
         self._lookup: Dict[Tuple[str, object], List[Tuple[int, InversiveCircle]]] = {}
         for kind, motif in (("base", self.motif_base), ("dual", self.motif_dual)):
             for i, c in enumerate(motif):

@@ -30,37 +30,32 @@ In "super" mode base mirrors do not shrink radii monotonically, so the
 recorded height is the BFS level over the catalogued region, with the
 witness word taken from the first discovery.
 
-Two lanes run the search.  The array lane holds every circle as a numpy
-row: square, triangular and hexagonal families in exact mode use int64
-rows (each inversive coordinate is an integer times a fixed per-kind
-scale, the "slot"), and every float run uses float64 rows deduplicated
-on a 1e-9 grid.  Seeds and mirrors come from the configuration's array
-catalog (motif index and lattice shift of each circle), and on the three
-families their rows are motif rows times integer lattice-translation
-matrices, and their reflections integer matrices built in one vectorised
-step; float runs on these families take the ``as_float`` values of
-those integer rows and matrices.  Each BFS level is one spatial join of
-the frontier rows to the mirror centers under the locality bound, one
-batch of images over the joined pairs and one vectorised deduplication.
-It peels all kept rows in one batch: seeds by row key, hosts by a
-spatial prefilter confirmed on the rows (exactly on integers).  The
-object lane walks ``QuadExt`` circles for the other exact
-configurations and peels them one at a time.  Both lanes hand back
-``as_float`` sort keys with their circles, and the output is sorted on
-those keys without converting a circle again.
+One lane runs every configuration.  It holds each circle as a numpy
+row of integers over its kind's lattice (``lattice.derive_lattice``,
+derived from the configuration's data), exactly, or as the ``as_float``
+values of those rows, deduplicated on a 1e-9 grid.  Seeds and mirrors
+come from the configuration's array catalog as motif rows times integer
+lattice-translation matrices, and reflections act as integer matrices
+(float runs take the ``as_float`` values of the real ones).  Each BFS
+level is one spatial join of the frontier rows to the mirror centers
+under the locality bound, one batch of images over the joined pairs and
+one vectorised deduplication; a row within 1e-9 of its window or radius
+bound is decided on ``as_float`` of its exact coordinates.  All kept rows
+are peeled in one batch: seeds by row key, hosts by a spatial prefilter
+confirmed on the rows (exactly on integers).  The output is sorted on
+``as_float`` keys of the rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .configs import Catalog, Configuration, GeneratorCircle, Window, parse_id
-from .exact import QuadExt, as_float, scalar_sign
+from .configs import Catalog, Configuration, Window, parse_id
+from .exact import QuadExt, as_float
 from .inversive import (
     InversiveCircle,
     PlanarIsometry,
@@ -68,6 +63,7 @@ from .inversive import (
     inversive_product,
     reflect,
 )
+from .lattice import LatticeOverflowError, RowLattice, _abs_f, _guard, derive_lattice
 
 GroupWord = List[str]
 
@@ -329,352 +325,21 @@ def _catalog(cfg: Configuration, kinds: Sequence[str], w: Window, pad: float) ->
 
 
 # ---------------------------------------------------------------------------
-# object peeling (heights and witness words of the object lane)
+# integer lattices
 
 
 _PEEL_STEPS = 96
 
 
-def _seed_id(cfg: Configuration, c: InversiveCircle, kind: str, quotient: bool):
-    ident = cfg.contains_circle(c, kind)
-    if ident is None and quotient:
-        ident = cfg.contains_circle(c.reversed(), kind)
-    return ident
-
-
-class _PeelIndex:
-    """Spatial lookup over the cataloged duals for the object lane.
-
-    Peeling retraces discovery chains, and every circle on such a chain
-    sits inside its discovery mirror, so the containing dual is always in
-    the mirror catalog; a float center/radius prefilter narrows the
-    candidates before the exact containment test.  The array lane peels
-    its rows in one batch instead (``_ArrayLane.peel``).
-    """
-
-    def __init__(self, duals: Sequence[GeneratorCircle]):
-        self.duals = [
-            g
-            for g in duals
-            if not g.circle.is_line and as_float(g.circle.curvature) > 0
-        ]
-        geo = [(g.circle.center(), abs(g.circle.radius())) for g in self.duals]
-        self.d_cx = np.array([c[0] for c, _ in geo] or [0.0])
-        self.d_cy = np.array([c[1] for c, _ in geo] or [0.0])
-        self.d_r = np.array([r for _, r in geo] or [0.0])
-
-    def host(self, c: InversiveCircle) -> Optional[GeneratorCircle]:
-        """The unique dual whose disk contains c, or None."""
-        if c.is_line or as_float(c.curvature) <= 0:
-            return None
-        if not self.duals:
-            return None
-        (cx, cy), r = c.center(), abs(c.radius())
-        slack = self.d_r - r + 1e-6
-        cand = (slack > 0) & (
-            (self.d_cx - cx) ** 2 + (self.d_cy - cy) ** 2 <= slack**2
-        )
-        hosts: List[GeneratorCircle] = []
-        for i in np.nonzero(cand)[0]:
-            g = self.duals[i]
-            prod = inversive_product(c, g.circle)
-            if prod >= 1 and c.curvature >= g.circle.curvature:
-                if c.key() != g.circle.key():
-                    hosts.append(g)
-        if not hosts:
-            return None
-        if len(hosts) > 1:
-            raise ArithmeticError(
-                f"circle at ~{c.center()} sits inside {len(hosts)} duals; "
-                "the dual family is not disjoint"
-            )
-        return hosts[0]
-
-
-def _peel(
-    cfg: Configuration,
-    circle: InversiveCircle,
-    seed_kind: str,
-    quotient: bool,
-    index: _PeelIndex,
-) -> Tuple[GroupWord, str]:
-    word: GroupWord = []
-    cur = circle
-    for _ in range(_PEEL_STEPS):
-        ident = _seed_id(cfg, cur, seed_kind, quotient)
-        if ident is not None:
-            return word, ident
-        host = index.host(cur)
-        if host is None:
-            raise ArithmeticError(
-                "peeling reached a circle that is neither a seed nor "
-                f"inside any dual (center ~ {cur.center()})"
-            )
-        word.append(host.ident)
-        cur = reflect(host.circle, cur)
-    raise ArithmeticError(f"peeling did not terminate in {_PEEL_STEPS} steps")
-
-
-# ---------------------------------------------------------------------------
-# lattice-typed integer rows
-
-
-# Coordinates are ordered (co-curvature, curvature, h1, h2); the inversive
-# product is <v, w> = sum_j _PRODUCT[j] * v[j] * w[_SWAP[j]].
-_SWAP = np.array([1, 0, 2, 3])
-_PRODUCT = (Fraction(-1, 2), Fraction(-1, 2), 1, 1)
-
-# Every int64 product is preceded by a float bound on its sum of absolute
-# terms (as in ``arithmetic.sweep_relation_words``); staying a factor two
-# below 2^63 absorbs the rounding of the bound itself.
-_INT64_BUDGET = 2.0**62
-
-
-class LatticeOverflowError(ArithmeticError):
-    """Integer lattice rows, or the 1e-9 grid keys of float rows, would
-    leave the int64 range.
-
-    ``mirror`` is the id of the mirror whose action would overflow, of the
-    catalogued circle whose translated row would, or of the mirror (the
-    seed, at level 0) that produced a float row whose grid key would;
-    ``magnitude`` is the bound on the offending value that tripped the
-    guard.
-    """
-
-    def __init__(self, mirror: str, magnitude: float) -> None:
-        super().__init__(
-            f"integer coordinates at {mirror} would reach ~{magnitude:.3g}, "
-            "beyond the int64 range; move the window nearer the origin"
-        )
-        self.mirror = mirror
-        self.magnitude = magnitude
-
-
-def _guard(bound: np.ndarray, idents: Union[str, Sequence[str]]) -> None:
-    """Raise LatticeOverflowError if any bound reaches the int64 budget;
-    ``idents`` names the circle of each bound, or of all of them."""
-    if not bound.size:
-        return
-    i = int(np.argmax(bound))
-    if bound[i] >= _INT64_BUDGET:
-        ident = idents if isinstance(idents, str) else idents[i]
-        raise LatticeOverflowError(ident, float(bound[i]))
-
-
-def _abs_f(a: np.ndarray) -> np.ndarray:
-    return np.abs(a.astype(np.float64))
-
-
-def _as_floats(ints: np.ndarray, scale: QuadExt) -> np.ndarray:
-    """``as_float(k * scale)`` for each integer k of ``ints``, bit for bit.
-
-    Where the scale is a positive integer and every product fits the
-    float64 mantissa, that is the product of the casts; otherwise it is
-    the quotient of Python integers that ``QuadExt.__float__`` rounds.
-    """
-    flat = ints.ravel()
-    if scale.is_integer() and scale.a > 0:
-        if not flat.size or int(np.abs(flat).max()) * scale.a <= 2**53:
-            return ints.astype(np.float64) * float(scale.a)
-    num, den = scale.float_terms()
-    return np.array([k * num / den for k in flat.tolist()], dtype=np.float64).reshape(ints.shape)
-
-
-def _slot_table(cfg: Configuration) -> Optional[Dict[str, Tuple[QuadExt, ...]]]:
-    one = QuadExt(1, 0, 1, cfg.d)
-    if cfg.name == "square":
-        return {"base": (one,) * 4, "dual": (one,) * 4}
-    if cfg.d != 3:
-        return None
-    s3 = QuadExt.sqrt_d(3)
-    if cfg.name == "triangular":
-        return {"base": (one, one, one, s3), "dual": (s3, s3, s3, one)}
-    if cfg.name == "hexagonal":
-        return {"base": (3 * one, one, s3, one), "dual": (s3, s3 / 3, one, s3)}
-    return None
-
-
-def _int_coords(c: InversiveCircle, slots: Tuple[QuadExt, ...]) -> Optional[List[int]]:
-    out: List[int] = []
-    for x, s in zip(c.key(), slots):
-        if not isinstance(x, QuadExt):
-            return None
-        q = x / s
-        if not q.is_integer():
-            return None
-        out.append(q.as_integer())
-    return out
-
-
-def _reflection_matrix(mirror: InversiveCircle) -> List[List[QuadExt]]:
-    """Matrix of v -> v - 2<v,m>m in (co-curvature, curvature, h1, h2)."""
-    m = mirror.key()
-    qm = (-m[1] / 2, -m[0] / 2, m[2], m[3])
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            val = -2 * (m[i] * qm[j])
-            if i == j:
-                val = val + 1
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
-def _translation_coefficients(
-    cfg: Configuration, slots: Tuple[QuadExt, ...]
-) -> np.ndarray:
-    """Integer matrices C[k] with sum_k mono_k(m, n) C[k] the translation by
-    m v1 + n v2 in slot coordinates, for the monomials 1, m, n, m^2, mn, n^2.
-
-    A translation by t keeps b, adds t b to h and adds 2 t.h + |t|^2 b to
-    the co-curvature.  Each coefficient is checked integral once, so every
-    lattice translate of an integral motif row is integral.
-    """
-    zero = QuadExt(0, 0, 1, cfg.d)
-    v1, v2 = cfg.lattice if cfg.lattice is not None else ((zero, zero),) * 2
-    real = [[[zero] * 4 for _ in range(4)] for _ in range(6)]
-    for i in range(4):
-        real[0][i][i] = zero + 1
-    for k, v in ((1, v1), (2, v2)):
-        real[k][0][2], real[k][0][3] = 2 * v[0], 2 * v[1]
-        real[k][2][1], real[k][3][1] = v[0], v[1]
-    real[3][0][1] = v1[0] * v1[0] + v1[1] * v1[1]
-    real[4][0][1] = 2 * (v1[0] * v2[0] + v1[1] * v2[1])
-    real[5][0][1] = v2[0] * v2[0] + v2[1] * v2[1]
-    out = np.zeros((6, 4, 4), dtype=np.int64)
-    for k in range(6):
-        for i in range(4):
-            for j in range(4):
-                entry = real[k][i][j] * slots[j] / slots[i]
-                if not entry.is_integer():
-                    raise ArithmeticError(
-                        "lattice translation does not preserve the integer lattice"
-                    )
-                out[k, i, j] = entry.as_integer()
-    return out
-
-
-def _generator_rows(
-    cfg: Configuration, slots: Dict[str, Tuple[QuadExt, ...]], gens: Catalog
-) -> np.ndarray:
-    """int64 rows of catalogued circles, each in its own kind's slots: the
-    motif row times the lattice-translation matrix of its shift."""
-    out = np.zeros((len(gens), 4), dtype=np.int64)
-    for kind in ("base", "dual"):
-        sel = np.nonzero(gens.kind == kind)[0]
-        if not len(sel):
-            continue
-        motif = []
-        for i, c in enumerate(cfg.motif(kind)):
-            coords = _int_coords(c, slots[kind])
-            if coords is None:
-                raise ArithmeticError(
-                    f"motif circle {kind} {i} does not fit the integer lattice"
-                )
-            motif.append(coords)
-        u = np.array(motif, dtype=np.int64)[gens.index[sel]]
-        m, n = gens.shift[sel, 0], gens.shift[sel, 1]
-        mono = np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
-        coef = _translation_coefficients(cfg, slots[kind])
-        bound = np.einsum("nk,kij,nj->ni", _abs_f(mono), _abs_f(coef), _abs_f(u))
-        _guard(bound.max(axis=1), [gens.idents[i] for i in sel.tolist()])
-        out[sel] = np.einsum("nk,kij,nj->ni", mono, coef, u)
-    return out
-
-
-def _reflection_matrices(
-    slots: Dict[str, Tuple[QuadExt, ...]],
-    row_kind: str,
-    mirrors: Catalog,
-    mirror_rows: np.ndarray,
-) -> np.ndarray:
-    """int64 matrices (n, 4, 4) of the mirrors' reflections on rows typed by
-    ``slots[row_kind]``, from the mirrors' own integer rows w.
-
-    Entry (i, j) is delta_ij - K_ij w_i w_swap(j) with 16 coefficients
-    K_ij = 2 _PRODUCT[j] s'_i s'_swap(j) s_j / s_i fixed by the row slots s
-    and mirror slots s'; each entry must divide out exactly.
-    """
-    out = np.zeros((len(mirrors), 4, 4), dtype=np.int64)
-    for mkind in ("base", "dual"):
-        sel = np.nonzero(mirrors.kind == mkind)[0]
-        if not len(sel):
-            continue
-        s, sm = slots[row_kind], slots[mkind]
-        num = np.zeros((4, 4), dtype=np.int64)
-        den = np.ones((4, 4), dtype=np.int64)
-        for i in range(4):
-            for j in range(4):
-                k = 2 * _PRODUCT[j] * sm[i] * sm[_SWAP[j]] * s[j] / s[i]
-                if not k.is_rational:
-                    raise ArithmeticError(
-                        "mirror action does not preserve the integer lattice"
-                    )
-                f = k.as_fraction()
-                num[i, j], den[i, j] = f.numerator, f.denominator
-        w = mirror_rows[sel]
-        wf = _abs_f(w)
-        bound = wf[:, :, None] * wf[:, None, _SWAP] * _abs_f(num)
-        _guard(bound.max(axis=(1, 2)), [mirrors.idents[i] for i in sel.tolist()])
-        prod = w[:, :, None] * w[:, None, _SWAP] * num
-        if (prod % den).any():
-            raise ArithmeticError("mirror action does not preserve the integer lattice")
-        out[sel] = np.eye(4, dtype=np.int64) - prod // den
-    return out
-
-
-@dataclass(frozen=True)
-class _ProductTable:
-    """Exact containment test on integer rows u (row slots s) and w (mirror
-    slots s').
-
-    <u, w> = lam N / 2 with N = sum_j coef_j u_j w_swap(j) an integer and
-    lam^2 = lam2 in {1, d}, so <u, w> >= 1 iff N > 0 and lam2 N^2 >= 4.
-    For positive curvatures, b_u >= b_w iff cu u_1^2 >= cw w_1^2.
-    """
-
-    coef: np.ndarray
-    lam2: int
-    cu: int
-    cw: int
-
-    @classmethod
-    def build(cls, s: Tuple[QuadExt, ...], sm: Tuple[QuadExt, ...]) -> "_ProductTable":
-        g = [_PRODUCT[j] * s[j] * sm[_SWAP[j]] for j in range(4)]
-        d = s[0].d
-        if all(x.b == 0 for x in g):
-            lam, lam2 = QuadExt(1, 0, 1, d), 1
-        elif all(x.a == 0 for x in g):
-            lam, lam2 = QuadExt.sqrt_d(d), d
-        else:
-            raise ArithmeticError("inversive products leave the integer lattice")
-        coef = [2 * x / lam for x in g]
-        bu, bw = s[1] * s[1], sm[1] * sm[1]
-        if not all(x.is_integer() for x in coef) or not (bu.is_rational and bw.is_rational):
-            raise ArithmeticError("inversive products leave the integer lattice")
-        fu, fw = bu.as_fraction(), bw.as_fraction()
-        return cls(
-            np.array([x.as_integer() for x in coef], dtype=np.int64),
-            lam2,
-            fu.numerator * fw.denominator,
-            fw.numerator * fu.denominator,
-        )
-
-    def inside(self, u: np.ndarray, w: np.ndarray, idents: Sequence[str]) -> np.ndarray:
-        """Whether each circle u lies inside, and differs from, its mirror w."""
-        ws = w[:, _SWAP]
-        bound = np.maximum(
-            (_abs_f(u) * _abs_f(ws)) @ _abs_f(self.coef),
-            np.maximum(self.cu * _abs_f(u[:, 1]) ** 2, self.cw * _abs_f(w[:, 1]) ** 2),
-        )
-        _guard(bound, idents)
-        n = (u * ws) @ self.coef
-        nc = np.minimum(n, 3)  # lam2 >= 1, so every n >= 2 clears the bar
-        cmp = self.cu * u[:, 1] * u[:, 1] - self.cw * w[:, 1] * w[:, 1]
-        tangent = self.lam2 * nc * nc == 4
-        return (n > 0) & (self.lam2 * nc * nc >= 4) & (cmp >= 0) & ~(tangent & (cmp == 0))
+def _row_lattice(cfg: Configuration, mode: str, kind: str) -> RowLattice:
+    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg``: closed
+    under the mode's reflections where the kind is reflected, under
+    translations only where it only mirrors."""
+    kinds = _MIRROR_KINDS[mode] if kind in _SEED_KINDS[mode] else ()
+    if (kind, kinds) not in cfg.row_lattices:
+        mirrors = [c for k in kinds for c in cfg.motif(k)]
+        cfg.row_lattices[kind, kinds] = derive_lattice(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
+    return cfg.row_lattices[kind, kinds]
 
 
 def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -713,38 +378,6 @@ def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, 
 # breadth-first search lanes
 
 
-@dataclass
-class _Found:
-    circle: InversiveCircle
-    level: int
-    word: GroupWord  # peeled in the descending modes, discovery chain in super
-    source: Optional[str]
-
-
-@dataclass
-class _Finals:
-    """The circles a lane returns, in lane order, with their BFS levels,
-    words and seeds.  ``key`` holds ``as_float`` of each circle's
-    (curvature, h1, h2, co-curvature), bit for bit: the output order
-    after the level."""
-
-    circles: List[InversiveCircle]
-    level: np.ndarray
-    words: List[GroupWord]
-    sources: List[str]
-    key: np.ndarray
-
-    @classmethod
-    def concat(cls, parts: Sequence["_Finals"]) -> "_Finals":
-        return cls(
-            [c for p in parts for c in p.circles],
-            np.concatenate([p.level for p in parts] + [np.zeros(0, dtype=np.int64)]),
-            [w for p in parts for w in p.words],
-            [s for p in parts for s in p.sources],
-            np.concatenate([p.key for p in parts] + [np.zeros((0, 4))]),
-        )
-
-
 def _canonical_sign(rows: np.ndarray) -> np.ndarray:
     s = np.sign(rows[:, 0])
     for j in (1, 2, 3):
@@ -775,15 +408,12 @@ class _Chunk:
     seed: np.ndarray
 
 
-# a dedup key: kind index and the four canonical int64 coordinates
-_KEY = np.dtype((np.void, 5 * 8))
-
-
 class _ArrayLane:
-    """BFS over numpy rows: int64 rows scaled by per-kind slots, or raw
-    float64 rows with grid deduplication.  Each level joins its frontier to
-    the mirror centers once and deduplicates once.  In the descending modes
-    all kept rows are peeled together by ``peel``."""
+    """BFS over numpy rows: int64 rows over each kind's integer lattice, or
+    float64 rows, the ``as_float`` values of the lattice rows, with grid
+    deduplication.  Each level joins its frontier to the mirror centers
+    once and deduplicates once.  In the descending modes all kept rows are
+    peeled together by ``peel``."""
 
     def __init__(
         self,
@@ -792,60 +422,57 @@ class _ArrayLane:
         limits: GenerationLimits,
         mirrors: Catalog,
         seeds: Catalog,
-        slots: Optional[Dict[str, Tuple[QuadExt, ...]]],
+        exact: bool,
         pads: List[float],
     ) -> None:
-        self.cfg = cfg
         self.mode = mode
         self.limits = limits
         self.mirrors = mirrors
-        self.slots = slots
+        self.exact = exact
         self.pads = pads
         self.pad_mirror_r = _motif_max_radius(cfg, _MIRROR_KINDS[mode])
         self.quotient = mode != "packing"
-        self.exact = slots is not None
         self.kinds = list(_SEED_KINDS[mode])
-        # float rows of a configuration with a slot table come from its
-        # integer rows too, converted as ``as_float`` converts the circles
-        self.table = slots if slots is not None else _slot_table(cfg)
-        if slots is not None:
-            self.slot_f = {
-                k: np.array([float(s) for s in slots[k]]) for k in ("base", "dual")
-            }
-        else:
-            self.slot_f = {k: np.ones(4) for k in ("base", "dual")}
+        self.lat = {
+            k: _row_lattice(cfg, mode, k)
+            for k in ("base", "dual")
+            if k in self.kinds or k in _MIRROR_KINDS[mode]
+        }
+        # rows of every kind share one key width
+        self.width = max(self.lat[k].width for k in self.kinds) if exact else 4
+        self.key = np.dtype((np.void, (1 + self.width) * 8))
 
         # per kind: the level chunks in storage order; keys of every stored row
         self.chunks: Dict[str, List[_Chunk]] = {k: [] for k in self.kinds}
-        self.seen = np.zeros(0, dtype=_KEY)
+        self.seen = np.zeros(0, dtype=self.key)
 
-        # Mirrors: float rows for the masks and geometry, plus, in the exact
-        # lane, integer rows and every reflection matrix.  Float matrices
-        # are the integer ones on unscaled coordinates where a slot table
-        # exists, else converted from the exact circles on first use.
+        # Mirrors: float rows for the masks and geometry, and either every
+        # integer reflection matrix (exact) or the ``as_float`` values of the
+        # real ones (float).
         self.mirror_ids = np.array(mirrors.idents, dtype=object)
-        int_mirrors = None if self.table is None else _generator_rows(cfg, self.table, mirrors)
-        self.mirror_rows = self._catalog_rows(mirrors, int_mirrors)
-        self.mirror_vec = self._float_rows(self.mirror_rows, mirrors.kind)
-        mv = self.mirror_vec
+        view = RowLattice.approx if exact else RowLattice.as_float
+        ints = self._catalog_ints(mirrors)
+        self.mirror_vec = mv = self._view(ints, mirrors.kind, view)
+        self.mirror_rows = ints if exact else mv
         # <v, m> = v . mirror_q for a float row v
         self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
         self.mats: Dict[str, np.ndarray] = {}
         self.mat_colmax: Dict[str, np.ndarray] = {}
-        self.float_mats: Dict[int, np.ndarray] = {}
-        if self.exact:
+        if exact:
             for k in self.kinds:
-                self.mats[k] = _reflection_matrices(slots, k, mirrors, self.mirror_rows)
+                w = self.lat[k].width
+                self.mats[k] = np.zeros((len(mirrors), w, w), dtype=np.int64)
+                for sel, lat in self._by_kind(mirrors.kind):
+                    self.mats[k][sel] = self.lat[k].reflections(
+                        lat, ints[sel, : lat.width], self.mirror_ids[sel]
+                    )
                 self.mat_colmax[k] = _abs_f(self.mats[k]).max(axis=1)
-        elif self.table is not None:
-            k = self.kinds[0]
-            mats = _reflection_matrices(self.table, k, mirrors, int_mirrors)
-            s = self.table[k]
-            flt = np.empty(mats.shape)
-            for i in range(4):
-                for j in range(4):
-                    flt[:, i, j] = _as_floats(mats[:, i, j], s[i] / s[j])
-            self.float_mats = dict(enumerate(flt))
+        else:
+            self.float_mats = np.empty((len(mirrors), 4, 4))
+            for sel, lat in self._by_kind(mirrors.kind):
+                self.float_mats[sel] = lat.float_reflections(
+                    ints[sel, : lat.width], self.mirror_ids[sel]
+                )
         b = mv[:, 1]
         self.mirror_circle = np.abs(b) > 1e-9
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -857,42 +484,49 @@ class _ArrayLane:
         # floor do not start the search.
         self.seed_ids = seeds.idents
         self.seed_kinds = seeds.kind
-        int_seeds = None if self.table is None else _generator_rows(cfg, self.table, seeds)
-        self.seed_rows = self._catalog_rows(seeds, int_seeds)
-        sb = self._float_rows(self.seed_rows, seeds.kind)[:, 1]
+        ints = self._catalog_ints(seeds)
+        sv = self._view(ints, seeds.kind, view)
+        self.seed_rows = ints if exact else sv
+        sb = sv[:, 1]
         with np.errstate(divide="ignore"):
             root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
         batch = []
         for k in self.kinds:
             sel = np.nonzero(root & (self.seed_kinds == k))[0]
             none = np.full(len(sel), -1, dtype=np.intp)
-            batch.append((k, self.seed_rows[sel], none, none, sel))
+            batch.append((k, self._stored(k, self.seed_rows[sel]), none, none, sel))
         self._admit(0, batch)
 
     # -- plumbing ------------------------------------------------------
 
-    def _catalog_rows(self, gens: Catalog, ints: Optional[np.ndarray]) -> np.ndarray:
-        """The lane's rows of catalogued circles from their integer rows
-        ``ints`` (None without a slot table): those rows themselves in the
-        exact lane, else ``as_float`` of the exact coordinates."""
-        if self.exact:
-            return ints
-        if ints is None:
-            return np.array(
-                [[as_float(x) for x in g.circle.key()] for g in gens], dtype=np.float64
-            ).reshape(-1, 4)
-        out = np.empty(ints.shape)
-        for kind in ("base", "dual"):
-            sel = np.nonzero(gens.kind == kind)[0]
-            for j, s in enumerate(self.table[kind]):
-                out[sel, j] = _as_floats(ints[sel, j], s)
+    def _by_kind(self, kinds: np.ndarray):
+        """(indices, lattice) of each kind present in ``kinds``."""
+        for k, lat in self.lat.items():
+            sel = np.nonzero(kinds == k)[0]
+            if len(sel):
+                yield sel, lat
+
+    def _catalog_ints(self, gens: Catalog) -> np.ndarray:
+        """Integer rows of catalogued circles, each over its own kind's
+        lattice, padded with zeros to the widest."""
+        out = np.zeros((len(gens), max(lat.width for lat in self.lat.values())), dtype=np.int64)
+        for sel, lat in self._by_kind(gens.kind):
+            out[sel, : lat.width] = lat.rows_at(
+                gens.index[sel], gens.shift[sel], [gens.idents[i] for i in sel.tolist()]
+            )
         return out
 
-    def _float_rows(self, rows: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-        if not self.exact:
-            return rows
-        scale = np.where((kinds == "base")[:, None], self.slot_f["base"], self.slot_f["dual"])
-        return rows.astype(np.float64) * scale
+    def _view(self, ints: np.ndarray, kinds: np.ndarray, view) -> np.ndarray:
+        """Float rows of integer rows of mixed kinds, by ``view``
+        (``RowLattice.approx`` or ``RowLattice.as_float``)."""
+        out = np.empty((len(ints), 4))
+        for sel, lat in self._by_kind(kinds):
+            out[sel] = view(lat, ints[sel, : lat.width])
+        return out
+
+    def _stored(self, kind: str, rows: np.ndarray) -> np.ndarray:
+        """Rows of ``kind`` from rows padded to the widest kind."""
+        return rows[:, : self.lat[kind].width] if self.exact else rows
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         """Canonical rows: the rows themselves on integers, a 1e-9 grid
@@ -917,11 +551,11 @@ class _ArrayLane:
             if not self.exact:
                 names = self.mirror_ids[via] if level else [self.seed_ids[i] for i in seed]
                 _guard(np.abs(canon).max(axis=1, initial=0.0), names)
-            key = np.empty((len(rows), 5), dtype=np.int64)
+            key = np.zeros((len(rows), 1 + self.width), dtype=np.int64)
             key[:, 0] = self.kinds.index(kind)
-            key[:, 1:] = canon
+            key[:, 1 : 1 + canon.shape[1]] = canon
             keys.append(key)
-        flat = np.concatenate(keys).view(_KEY).ravel()
+        flat = np.concatenate(keys).view(self.key).ravel()
         uniq, first = np.unique(flat, return_index=True)
         pos = np.searchsorted(self.seen, uniq)
         old = pos < len(self.seen)
@@ -939,19 +573,7 @@ class _ArrayLane:
                 )
 
     def _float_view(self, rows: np.ndarray, kind: str) -> np.ndarray:
-        return rows.astype(np.float64) * self.slot_f[kind]
-
-    def _float_matrix(self, gi: int) -> np.ndarray:
-        mat = self.float_mats.get(gi)
-        if mat is None:
-            mat = np.array(
-                [
-                    [as_float(x) for x in row]
-                    for row in _reflection_matrix(self.mirrors[gi].circle)
-                ]
-            )
-            self.float_mats[gi] = mat
-        return mat
+        return self.lat[kind].approx(rows) if self.exact else rows
 
     def _int_images(self, kind: str, rows: np.ndarray, via: np.ndarray) -> np.ndarray:
         """Each integer row reflected in its mirror ``via``, guarded."""
@@ -959,13 +581,29 @@ class _ArrayLane:
         _guard(bound, self.mirror_ids[via])
         return np.einsum("nij,nj->ni", self.mats[kind][via], rows)
 
-    def _kept(self, fv: np.ndarray, level: int) -> np.ndarray:
-        """Which float rows a level keeps: radius >= rho and a disk meeting
-        the window padded for the levels below, by each row's own pad in
-        the descending modes.  Level H is the window itself."""
+    def _kept(
+        self, fv: np.ndarray, level: int, rows: Optional[np.ndarray] = None, kind: str = ""
+    ) -> np.ndarray:
+        """Which rows a level keeps: radius >= rho and a disk meeting the
+        window padded for the levels below, by each row's own pad in the
+        descending modes.  Level H is the window itself.
+
+        ``fv`` is the float view of the rows.  Given the integer ``rows``,
+        a row within a relative 1e-9 of either bound is decided on
+        ``as_float`` of its exact coordinates instead, the view that
+        ``Window.meets_circle`` takes, so ties do not follow the rounding
+        of the float view.
+        """
+        ok, tie = self._meets(fv, level)
+        if rows is not None and tie.any():
+            ok[tie] = self._meets(self.lat[kind].as_float(rows[tie]), level)[0]
+        return ok
+
+    def _meets(self, fv: np.ndarray, level: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``_kept`` on one float view, and which rows are ties."""
         lim = self.limits
+        w = lim.window
         b = fv[:, 1]
-        ok = b != 0
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.abs(1.0 / b)
             cx = fv[:, 2] / b
@@ -976,9 +614,15 @@ class _ArrayLane:
                 pad = _pad_schedule(
                     r, self.pad_mirror_r, lim.min_radius, lim.max_height - level, True
                 )[0]
-            ok &= r >= lim.min_radius - 1e-12
-            ok &= self._gap2(cx, cy, pad) <= r * r
-        return ok
+            floor = lim.min_radius - 1e-12
+            gap2 = self._gap2(cx, cy, pad)
+            ok = (b != 0) & (r >= floor) & (gap2 <= r * r)
+            reach = max(abs(w.x0), abs(w.x1), abs(w.y0), abs(w.y1)) + pad
+            tie = (b != 0) & (
+                (np.abs(r - floor) <= 1e-9 * r)
+                | (np.abs(np.sqrt(gap2) - r) <= 1e-9 * (1.0 + r + np.abs(cx) + np.abs(cy) + reach))
+            )
+        return ok, tie
 
     def _gap2(self, cx: np.ndarray, cy: np.ndarray, pad) -> np.ndarray:
         """Squared distance of each point to the window grown by ``pad``."""
@@ -1086,8 +730,8 @@ class _ArrayLane:
             img = np.empty((len(src), 4))
             starts = np.flatnonzero(np.diff(via, prepend=-1)).tolist()
             for s, e in zip(starts, starts[1:] + [len(via)]):
-                img[s:e] = front[src[s:e]] @ self._float_matrix(int(via[s])).T
-        ok = self._kept(self._float_view(img, kind), level)
+                img[s:e] = front[src[s:e]] @ self.float_mats[int(via[s])].T
+        ok = self._kept(self._float_view(img, kind), level, img if self.exact else None, kind)
         return img[ok], src[ok], via[ok]
 
     # -- batched peel ----------------------------------------------------
@@ -1097,9 +741,8 @@ class _ArrayLane:
 
         Each step looks the rows up among the catalogued seeds (by row key
         on integers, within 1e-6 on floats), finds each remaining row's
-        host dual with a center/radius prefilter confirmed on the rows, and
-        reflects it out of its host.  Float rows follow ``_peel``'s float
-        arithmetic step for step.
+        host dual with a center/radius prefilter confirmed on the rows
+        (exactly on integers), and reflects it out of its host.
         """
         words: List[GroupWord] = [[] for _ in range(len(rows))]
         sources = [""] * len(rows)
@@ -1129,7 +772,7 @@ class _ArrayLane:
     def _seed_lookup(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
         """Index into the seed catalog of each row's seed, or -1."""
         sel = np.nonzero(self.seed_kinds == kind)[0]
-        rows = self.seed_rows[sel]
+        rows = self._stored(kind, self.seed_rows[sel])
         if self.exact:
             table: Dict[bytes, int] = {}
             for key, i in zip(self._keys(rows), sel.tolist()):
@@ -1160,10 +803,7 @@ class _ArrayLane:
         d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
         centers = np.column_stack([d_cx, d_cy])
         reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
-        table = None
-        if self.exact:
-            mkind = _MIRROR_KINDS[self.mode][0]
-            table = _ProductTable.build(self.slots[kind], self.slots[mkind])
+        lat, mlat = self.lat[kind], self.lat[_MIRROR_KINDS[self.mode][0]]
 
         def host_of(cur: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
             fv = self._float_view(cur, kind)
@@ -1180,7 +820,7 @@ class _ArrayLane:
             u, w = cur[pr], self.mirror_vec[pm]
             prod = None
             if self.exact:
-                inside = table.inside(u, self.mirror_rows[pm], self.mirror_ids[pm])
+                inside = lat.inside(mlat, u, self.mirror_rows[pm, : mlat.width], self.mirror_ids[pm])
             else:
                 # the tolerances of the float object peel
                 prod = (
@@ -1220,52 +860,55 @@ class _ArrayLane:
 
     # -- output ----------------------------------------------------------
 
-    def materialize(self, rows: np.ndarray, kind: str) -> List[InversiveCircle]:
-        if self.exact:
-            slots = self.slots[kind]
-            return [
-                InversiveCircle(
-                    *(QuadExt(u * s.a, u * s.b, s.q, s.d) for u, s in zip(row, slots))
-                )
-                for row in rows.tolist()
-            ]
-        return [InversiveCircle(*row) for row in rows.tolist()]
-
-    def _sort_keys(self, rows: np.ndarray, kind: str) -> np.ndarray:
-        """``as_float`` of (curvature, h1, h2, co-curvature) of each row."""
-        if not self.exact:
-            return rows[:, [1, 2, 3, 0]]
-        slots = self.slots[kind]
-        return np.column_stack([_as_floats(rows[:, j], slots[j]) for j in (1, 2, 3, 0)])
-
-    def finals(self) -> _Finals:
-        out: List[_Finals] = []
+    def finals(self) -> List[PackedCircle]:
+        """The kept rows as packed circles in output order: a stable sort by
+        height, then ``as_float`` of curvature, h1, h2 and co-curvature."""
+        circles: List[InversiveCircle] = []
+        words: List[GroupWord] = []
+        sources: List[str] = []
+        levels, keys = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 4))]
         for kind in self.kinds:
-            chunks = self.chunks[kind]
+            chunks, lat = self.chunks[kind], self.lat[kind]
             if not chunks:
                 continue
             rows = np.concatenate([c.rows for c in chunks])
             level = np.concatenate([np.full(len(c.rows), c.level) for c in chunks])
+            exact_rows = rows if self.exact else None
             fv = self._float_view(rows, kind)
-            kept = np.nonzero(self._kept(fv, self.limits.max_height))[0]
+            kept = np.nonzero(self._kept(fv, self.limits.max_height, exact_rows, kind))[0]
             picked = rows[kept]
             if self.quotient:
-                # report the positively oriented representative
-                picked = np.where(picked[:, 1:2] < -1e-9, -picked, picked)
+                # report the positively oriented representative; the float
+                # view of integer rows has the sign of their curvature
+                neg = fv[kept, 1] < (0.0 if self.exact else -1e-9)
+                picked = np.where(neg[:, None], -picked, picked)
             if self.mode == "super":
-                words, sources = self._chains(chunks, kept)
+                w, s = self._chains(chunks, kept)
             else:
-                words, sources = self.peel(kind, picked)
-            out.append(
-                _Finals(
-                    self.materialize(picked, kind),
-                    level[kept],
-                    words,
-                    sources,
-                    self._sort_keys(picked, kind),
-                )
-            )
-        return _Finals.concat(out)
+                w, s = self.peel(kind, picked)
+            words += w
+            sources += s
+            if self.exact:
+                circles += lat.circles(picked)
+                picked = lat.as_float(picked)
+            else:
+                circles += [InversiveCircle(*row) for row in picked.tolist()]
+            levels.append(level[kept])
+            keys.append(picked[:, [1, 2, 3, 0]])
+        level, key = np.concatenate(levels), np.concatenate(keys)
+        if self.mode != "super":
+            for c, word, height in zip(circles, words, level.tolist()):
+                if len(word) != height:
+                    raise ArithmeticError(
+                        f"BFS level {height} disagrees with peeled height "
+                        f"{len(word)} at center ~ {c.center()}"
+                    )
+        order = np.lexsort((key[:, 3], key[:, 2], key[:, 1], key[:, 0], level)).tolist()
+        kind = _CIRCLE_KIND[self.mode]
+        return [
+            PackedCircle(circles[i], kind, int(level[i]), tuple(words[i]), sources[i])
+            for i in order
+        ]
 
     def _chains(
         self, chunks: List[_Chunk], kept: np.ndarray
@@ -1289,102 +932,6 @@ class _ArrayLane:
         return words, sources
 
 
-class _CircleLane:
-    """Sequential BFS over circle objects for configurations without an
-    integer lattice typing (finite and cell-refined families)."""
-
-    def __init__(
-        self,
-        cfg: Configuration,
-        mode: str,
-        limits: GenerationLimits,
-        mirrors: List[GeneratorCircle],
-        seeds: List[GeneratorCircle],
-        pads: List[float],
-    ) -> None:
-        self.cfg = cfg
-        self.mode = mode
-        self.limits = limits
-        self.mirrors = mirrors
-        self.pads = pads
-        self.quotient = mode != "packing"
-        self.found: List[_Found] = []
-        self.seen: Dict[object, None] = {}
-        self.frontier: List[InversiveCircle] = []
-        for g in sorted(seeds, key=lambda s: s.ident):
-            if not g.circle.is_line and abs(g.circle.radius()) < limits.min_radius:
-                continue
-            if self._note(g.circle, 0, [], g.ident):
-                self.frontier.append(g.circle)
-
-    def _note(self, c, level, word, source) -> bool:
-        key = _lookup_key(c, self.quotient)
-        if key in self.seen:
-            return False
-        self.seen[key] = None
-        self.found.append(_Found(c, level, list(word), source))
-        return True
-
-    def run(self) -> None:
-        lim = self.limits
-        frontier = list(zip(self.frontier, [f for f in self.found]))
-        for level in range(1, lim.max_height + 1):
-            pad = self.pads[level]
-            nxt = []
-            for c, rec in frontier:
-                cf = c.as_floats()
-                for g in self.mirrors:
-                    p = as_float(inversive_product(cf, g.circle.as_floats()))
-                    if self.mode == "super":
-                        if abs(p) <= 1e-7:
-                            continue
-                    elif p > -1.0 + 1e-6:
-                        continue
-                    img = reflect(g.circle, c)
-                    if img.is_line:
-                        continue
-                    r = abs(img.radius())
-                    if r < lim.min_radius - 1e-12:
-                        continue
-                    (cx, cy) = img.center()
-                    if not lim.window.meets_disk(cx, cy, r + pad):
-                        continue
-                    word = [g.ident] + rec.word if self.mode == "super" else []
-                    if self._note(img, level, word, rec.source):
-                        nxt.append((img, self.found[-1]))
-            frontier = nxt
-
-    def finals(self) -> _Finals:
-        lim = self.limits
-        index = _PeelIndex(self.mirrors) if self.mode != "super" else None
-        out: List[_Found] = []
-        for rec in self.found:
-            c = rec.circle
-            r = abs(c.radius())
-            if r < lim.min_radius - 1e-12:
-                continue
-            (cx, cy) = c.center()
-            if not lim.window.meets_disk(cx, cy, r):
-                continue
-            if self.quotient and scalar_sign(c.curvature) < 0:
-                c = c.reversed()
-            if index is None:
-                out.append(_Found(c, rec.level, rec.word, rec.source))
-                continue
-            seed_kind = _SEED_KINDS[self.mode][0]
-            word, source = _peel(self.cfg, c, seed_kind, self.quotient, index)
-            out.append(_Found(c, rec.level, word, source))
-        key = [[as_float(x) for x in (f.circle.curvature, f.circle.h1, f.circle.h2,
-                                      f.circle.co_curvature)] for f in out]
-        return _Finals(
-            [f.circle for f in out],
-            np.array([f.level for f in out], dtype=np.int64),
-            [f.word for f in out],
-            [f.source or "" for f in out],
-            np.array(key, dtype=np.float64).reshape(-1, 4),
-        )
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -1400,8 +947,9 @@ def generate(
     Every returned circle meets the window, has radius >= min_radius and
     height <= max_height.  Output order is deterministic: a stable sort by
     height, then ``as_float`` of curvature, h1, h2 and co-curvature, keys
-    the lanes compute from their rows.  Exact runs on int64 rows raise
-    LatticeOverflowError when the window lies too far from the origin.
+    the lane computes from its rows.  Exact and float runs both start from
+    integer lattice rows, and raise LatticeOverflowError when the window
+    lies too far from the origin for them.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -1410,29 +958,6 @@ def generate(
     pads = _margin_schedule(cfg, mode, limits)
     mirrors = _catalog(cfg, _MIRROR_KINDS[mode], limits.window, pads[0])
     seeds = _catalog(cfg, _SEED_KINDS[mode], limits.window, pads[0])
-
-    slots = _slot_table(cfg) if exact else None
-    lane: Union[_ArrayLane, _CircleLane]
-    if not exact or slots is not None:
-        lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, slots, pads)
-    else:
-        lane = _CircleLane(cfg, mode, limits, mirrors, seeds, pads)
+    lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, exact, pads)
     lane.run()
-
-    found = lane.finals()
-    levels = found.level.tolist()
-    if mode != "super":
-        for i, (word, level) in enumerate(zip(found.words, levels)):
-            if len(word) != level:
-                raise ArithmeticError(
-                    f"BFS level {level} disagrees with peeled height "
-                    f"{len(word)} at center ~ {found.circles[i].center()}"
-                )
-    key = found.key
-    order = np.lexsort((key[:, 3], key[:, 2], key[:, 1], key[:, 0], found.level))
-    kind = _CIRCLE_KIND[mode]
-    circles = [
-        PackedCircle(found.circles[i], kind, levels[i], tuple(found.words[i]), found.sources[i])
-        for i in order.tolist()
-    ]
-    return Packing(cfg, mode, limits, circles)
+    return Packing(cfg, mode, limits, lane.finals())

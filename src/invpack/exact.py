@@ -97,22 +97,8 @@ class QuadExt:
             f"cannot mix sqrt({self.d}) and sqrt({other.d}) values"
         )
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.q)
-
     def is_integer(self) -> bool:
         return self.b == 0 and self.q == 1
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self} is not an integer")
-        return self.a
 
     # -- arithmetic --------------------------------------------------------
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .configs import Configuration, Window
+from .configs import Configuration, Window, _vec_float
 from .exact import QuadExt, Scalar, as_float
 from .inversive import (
     InversiveCircle,
@@ -51,10 +51,6 @@ def _cdiv(u: Vec, w: Vec) -> Vec:
         (u[0] * w[0] + u[1] * w[1]) / norm,
         (u[1] * w[0] - u[0] * w[1]) / norm,
     )
-
-
-def _vec_float(v: Vec) -> Tuple[float, float]:
-    return (as_float(v[0]), as_float(v[1]))
 
 
 def _is_integer_scalar(x: Scalar) -> bool:

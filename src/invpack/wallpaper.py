@@ -30,11 +30,6 @@ from .inversive import (
 
 IntPt = Tuple[int, int]
 
-PLANE_GROUPS = (
-    "p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
-    "p4", "p4m", "p4g", "p3", "p3m1", "p31m", "p6", "p6m",
-)
-
 # Square-cell interstitial sizes: middle radius sqrt(2)-1, tiny radius
 # (5-3*sqrt(2))/7 at offset (4*sqrt(2)-2)/7 from the cell center.
 SQ_MID_R = QuadExt(-1, 1, 1, 2)

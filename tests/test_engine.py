@@ -4,9 +4,9 @@ Covers the word helpers, frozen small runs of every mode, witness-word
 validity, the height adjacency structure (reflecting through the
 containing dual lowers height by one, through any other non-orthogonal
 dual raises it by one), agreement with an independent mask-free
-brute-force oracle, completeness over the closed window, the array
-lane's level join against dense pairs, its batched peel against the
-object peel, and the named error for integer rows and float grid keys
+brute-force oracle, completeness over the closed window, the level join
+against dense pairs, the batched peel against a reference object peel
+(kept here), and the named error for integer rows and float grid keys
 beyond int64.
 """
 
@@ -25,12 +25,8 @@ from invpack.engine import (
     LatticeOverflowError,
     Packing,
     _ArrayLane,
-    _as_floats,
     _catalog,
     _margin_schedule,
-    _peel,
-    _PeelIndex,
-    _slot_table,
     apply_word,
     commuting_letters,
     generate,
@@ -38,6 +34,7 @@ from invpack.engine import (
     reduce_word,
 )
 from invpack.exact import QuadExt, as_float
+from invpack.lattice import as_floats
 from invpack.inversive import (
     InversiveCircle,
     PlanarIsometry,
@@ -487,6 +484,24 @@ class TestOracleSquare:
         assert compared >= 100
 
 
+class TestOracleWallpaper:
+    def test_complete_agreement(self):
+        # every chain of two reflections that lands on the unit window
+        # starts and turns within the pad; a wider pad lets the oracle's
+        # rounded float keys split a seed it reaches again at level 2
+        cfg = make_config("wallpaper:p4")
+        w = Window(-1, -1, 1, 1)
+        rho = 0.02
+        p = generate(cfg, "packing", GenerationLimits(max_height=2, min_radius=rho, window=w))
+        pad = Window(-4, -4, 4, 4)
+        seeds = cfg.circles_in_window("base", pad)
+        gens = cfg.circles_in_window("dual", pad)
+        layers = brute_force_orbit(seeds, gens, 2)
+        engine = packing_key_heights(p, w, rho)
+        assert engine == oracle_heights(layers, w, rho)
+        assert {h for h in engine.values()} == {0, 1, 2}
+
+
 # ---------------------------------------------------------------------------
 # other configurations and lanes
 
@@ -598,7 +613,7 @@ class TestLevelJoin:
         pads = _margin_schedule(cfg, mode, lim)
         mirrors = _catalog(cfg, _MIRROR_KINDS[mode], lim.window, pads[0])
         seeds = _catalog(cfg, _SEED_KINDS[mode], lim.window, pads[0])
-        lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, _slot_table(cfg), pads)
+        lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, True, pads)
         lane.run()
         level = 2
         live = lane._live_mirrors(level)
@@ -620,6 +635,79 @@ class TestLevelJoin:
         assert checked > 100
 
 
+_PEEL_STEPS = 96
+
+
+def _seed_id(cfg, c, kind, quotient):
+    ident = cfg.contains_circle(c, kind)
+    if ident is None and quotient:
+        ident = cfg.contains_circle(c.reversed(), kind)
+    return ident
+
+
+class _PeelIndex:
+    """Spatial lookup over the cataloged duals for the reference peel.
+
+    Peeling retraces discovery chains, and every circle on such a chain
+    sits inside its discovery mirror, so the containing dual is always in
+    the mirror catalog; a float center/radius prefilter narrows the
+    candidates before the exact containment test.
+    """
+
+    def __init__(self, duals):
+        self.duals = [
+            g for g in duals if not g.circle.is_line and as_float(g.circle.curvature) > 0
+        ]
+        geo = [(g.circle.center(), abs(g.circle.radius())) for g in self.duals]
+        self.d_cx = np.array([c[0] for c, _ in geo] or [0.0])
+        self.d_cy = np.array([c[1] for c, _ in geo] or [0.0])
+        self.d_r = np.array([r for _, r in geo] or [0.0])
+
+    def host(self, c):
+        """The unique dual whose disk contains c, or None."""
+        if c.is_line or as_float(c.curvature) <= 0 or not self.duals:
+            return None
+        (cx, cy), r = c.center(), abs(c.radius())
+        slack = self.d_r - r + 1e-6
+        cand = (slack > 0) & ((self.d_cx - cx) ** 2 + (self.d_cy - cy) ** 2 <= slack**2)
+        hosts = []
+        for i in np.nonzero(cand)[0]:
+            g = self.duals[i]
+            prod = inversive_product(c, g.circle)
+            if prod >= 1 and c.curvature >= g.circle.curvature and c.key() != g.circle.key():
+                hosts.append(g)
+        if len(hosts) > 1:
+            raise ArithmeticError(f"circle at ~{c.center()} sits inside {len(hosts)} duals")
+        return hosts[0] if hosts else None
+
+
+def _peel(cfg, circle, seed_kind, quotient, index):
+    """Heights and witness words one circle at a time, in QuadExt
+    arithmetic: reflect out of the unique containing dual until a seed."""
+    word = []
+    cur = circle
+    for _ in range(_PEEL_STEPS):
+        ident = _seed_id(cfg, cur, seed_kind, quotient)
+        if ident is not None:
+            return word, ident
+        host = index.host(cur)
+        if host is None:
+            raise ArithmeticError(f"no seed and no host dual at ~{cur.center()}")
+        word.append(host.ident)
+        cur = reflect(host.circle, cur)
+    raise ArithmeticError(f"peeling did not terminate in {_PEEL_STEPS} steps")
+
+
+_SHIFT_IDS = {(0, 0): "shift0", (3, -2): "shift1", (1, -1): "shift2"}
+_PEEL_CASES = (
+    [(n, m, s) for s in ((0, 0), (3, -2)) for m in ("packing", "dual")
+     for n in ("square", "triangular", "hexagonal")]
+    + [("apollonian", m, (0, 0)) for m in ("packing", "dual")]
+    + [(f"wallpaper:{g}", m, s) for s in ((0, 0), (1, -1)) for m in ("packing", "dual")
+       for g in ("p4", "p3m1", "pmg", "p6m")]
+)
+
+
 class TestBatchedPeel:
     """The array lane peels all kept rows in one batch; the object peel,
     one circle at a time in QuadExt arithmetic, is the reference."""
@@ -629,14 +717,17 @@ class TestBatchedPeel:
     @staticmethod
     def window(cfg, shift):
         # a unit-scale window moved by the lattice vector m v1 + n v2
+        if cfg.lattice is None:
+            return Window.square(1.5)
         (v1, v2), (m, n) = cfg.lattice, shift
         ox = m * as_float(v1[0]) + n * as_float(v2[0])
         oy = m * as_float(v1[1]) + n * as_float(v2[1])
         return Window(ox - 1.5, oy - 1.5, ox + 1.5, oy + 1.5)
 
-    @pytest.mark.parametrize("shift", [(0, 0), (3, -2)])
-    @pytest.mark.parametrize("mode", ["packing", "dual"])
-    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    @pytest.mark.parametrize(
+        "name, mode, shift",
+        [pytest.param(*c, id=f"{c[0]}-{c[1]}-{_SHIFT_IDS[c[2]]}") for c in _PEEL_CASES],
+    )
     def test_matches_object_peel(self, name, mode, shift):
         cfg = make_config(name)
         lim = GenerationLimits(window=self.window(cfg, shift), **self.LIMITS)
@@ -725,10 +816,10 @@ class TestOutputOrder:
         rng = np.random.default_rng(7)
         ints = np.concatenate([
             np.arange(-50, 50),
-            rng.integers(-(2**62), 2**62, 300),
+            rng.integers(-(2**61), 2**61, 300),
             rng.integers(-(2**54), 2**54, 300),
             [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1],
         ]).astype(np.int64)
-        got = _as_floats(ints.reshape(-1, 4), scale).ravel()
+        got = as_floats(ints * scale.a, ints * scale.b, scale.q, scale.d)
         want = [as_float(k * scale) for k in ints.tolist()]
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
