@@ -470,9 +470,7 @@ class _ArrayLane:
         else:
             self.float_mats = np.empty((len(mirrors), 4, 4))
             for sel, lat in self._by_kind(mirrors.kind):
-                self.float_mats[sel] = lat.float_reflections(
-                    ints[sel, : lat.width], self.mirror_ids[sel]
-                )
+                self.float_mats[sel] = lat.float_reflections(ints[sel, : lat.width])
         b = mv[:, 1]
         self.mirror_circle = np.abs(b) > 1e-9
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -581,21 +579,19 @@ class _ArrayLane:
         _guard(bound, self.mirror_ids[via])
         return np.einsum("nij,nj->ni", self.mats[kind][via], rows)
 
-    def _kept(
-        self, fv: np.ndarray, level: int, rows: Optional[np.ndarray] = None, kind: str = ""
-    ) -> np.ndarray:
+    def _kept(self, rows: np.ndarray, kind: str, level: int) -> np.ndarray:
         """Which rows a level keeps: radius >= rho and a disk meeting the
         window padded for the levels below, by each row's own pad in the
         descending modes.  Level H is the window itself.
 
-        ``fv`` is the float view of the rows.  Given the integer ``rows``,
-        a row within a relative 1e-9 of either bound is decided on
-        ``as_float`` of its exact coordinates instead, the view that
+        The rows are decided on their float view.  On integer rows, a row
+        within a relative 1e-9 of either bound is decided on ``as_float``
+        of its exact coordinates instead, the view that
         ``Window.meets_circle`` takes, so ties do not follow the rounding
         of the float view.
         """
-        ok, tie = self._meets(fv, level)
-        if rows is not None and tie.any():
+        ok, tie = self._meets(self._float_view(rows, kind), level)
+        if self.exact and tie.any():
             ok[tie] = self._meets(self.lat[kind].as_float(rows[tie]), level)[0]
         return ok
 
@@ -731,7 +727,7 @@ class _ArrayLane:
             starts = np.flatnonzero(np.diff(via, prepend=-1)).tolist()
             for s, e in zip(starts, starts[1:] + [len(via)]):
                 img[s:e] = front[src[s:e]] @ self.float_mats[int(via[s])].T
-        ok = self._kept(self._float_view(img, kind), level, img if self.exact else None, kind)
+        ok = self._kept(img, kind, level)
         return img[ok], src[ok], via[ok]
 
     # -- batched peel ----------------------------------------------------
@@ -873,14 +869,12 @@ class _ArrayLane:
                 continue
             rows = np.concatenate([c.rows for c in chunks])
             level = np.concatenate([np.full(len(c.rows), c.level) for c in chunks])
-            exact_rows = rows if self.exact else None
-            fv = self._float_view(rows, kind)
-            kept = np.nonzero(self._kept(fv, self.limits.max_height, exact_rows, kind))[0]
+            kept = np.nonzero(self._kept(rows, kind, self.limits.max_height))[0]
             picked = rows[kept]
             if self.quotient:
                 # report the positively oriented representative; the float
                 # view of integer rows has the sign of their curvature
-                neg = fv[kept, 1] < (0.0 if self.exact else -1e-9)
+                neg = self._float_view(picked, kind)[:, 1] < (0.0 if self.exact else -1e-9)
                 picked = np.where(neg[:, None], -picked, picked)
             if self.mode == "super":
                 w, s = self._chains(chunks, kept)

@@ -380,7 +380,7 @@ class RowLattice:
         rows: F and F2 hold the coordinates here of each mirror basis
         vector f_p and of sqrt(d) f_p (over fden), G and G2 the rational
         and sqrt(d) parts of -2 <b_v, f_p> for each basis vector b_v here
-        (over gden)."""
+        (over gden).  The cache entry holds ``ml``, so its id stays unique."""
         if id(ml) not in self._actions:
             d, dm = self.d, _lcm(ml._q)
             f, fden = self._solve([_flat(v, dm) for v in ml._basis_values()], dm)
@@ -396,8 +396,8 @@ class RowLattice:
             fg = math.gcd(fden, *f.ravel().tolist(), *f2.ravel().tolist())
             gg = math.gcd(gden, *g.ravel().tolist(), *g2.ravel().tolist())
             tables = [(x // c).astype(np.int64) for x, c in ((f, fg), (f2, fg), (g, gg), (g2, gg))]
-            self._actions[id(ml)] = (*tables, fden // fg, gden // gg)
-        return self._actions[id(ml)]
+            self._actions[id(ml)] = (ml, *tables, fden // fg, gden // gg)
+        return self._actions[id(ml)][1:]
 
     # -- row maps ------------------------------------------------------
 
@@ -418,7 +418,8 @@ class RowLattice:
         out += rs
         if opp[0].size:
             x, y = (v[opp] for v in self.values(rows))
-            if max(np.abs(x).max(), np.abs(y).max()) < 2**31:
+            # both terms under 2^62 keep their difference inside int64
+            if np.maximum(_abs_f(x) ** 2, self.d * _abs_f(y) ** 2).max() < _INT64_BUDGET:
                 norm = x * x - self.d * y * y
             else:
                 norm = [a * a - self.d * b * b for a, b in zip(x.tolist(), y.tolist())]
@@ -489,14 +490,16 @@ class RowLattice:
         same = (n == 0) & (n2 == 0) & (cp == 0) & (cr == 0)
         return (signs(n, n2, self.d) >= 0) & (signs(cp, cr, self.d) >= 0) & ~same
 
-    def float_reflections(self, w: np.ndarray, idents: Sequence[str]) -> np.ndarray:
+    def float_reflections(self, w: np.ndarray) -> np.ndarray:
         """``as_float`` of every entry of the real 4 x 4 reflection matrix
-        of each mirror row w of this lattice, bit for bit."""
+        of each mirror row w of this lattice, bit for bit; products of two
+        coordinates are formed on Python integers where they leave int64."""
         p, r = self.values(w)
         ps, rs = p[:, None, _SWAP], r[:, None, _SWAP]
         p, r = p[:, :, None], r[:, :, None]
         bound = 2.0 * self.d * (_abs_f(p) + _abs_f(r)) * (_abs_f(ps) + _abs_f(rs))
-        _guard(bound.reshape(len(w), -1).max(axis=1, initial=0.0), idents)
+        if bound.max(initial=0.0) >= _INT64_BUDGET:
+            p, r, ps, rs = (x.astype(object) for x in (p, r, ps, rs))
         den = self.q[:, None] * self.q[_SWAP][None, :]
         a = den * np.eye(4, dtype=np.int64) + np.array(_K) * (p * ps + self.d * r * rs)
         return as_floats(a, np.array(_K) * (p * rs + r * ps), den, self.d)

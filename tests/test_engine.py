@@ -626,8 +626,7 @@ class TestLevelJoin:
             mask = np.abs(p) > 1e-7 if mode == "super" else p <= -1.0 + 1e-6
             src, col = np.nonzero(mask)
             via = live[col]
-            img = lane._float_view(lane._int_images(kind, front[src], via), kind)
-            kept = lane._kept(img, level)
+            kept = lane._kept(lane._int_images(kind, front[src], via), kind, level)
             dense = set(zip(src[kept].tolist(), via[kept].tolist()))
             joined = set(zip(*(x.tolist() for x in lane._pairs(fv, live))))
             assert dense <= joined
@@ -814,9 +813,11 @@ class TestOutputOrder:
     )
     def test_keys_are_as_float_bit_for_bit(self, scale):
         rng = np.random.default_rng(7)
+        # k times a numerator of the scale reaches 2^62, the int64 budget
+        top = 2**62 // max(abs(scale.a), abs(scale.b), 1)
         ints = np.concatenate([
             np.arange(-50, 50),
-            rng.integers(-(2**61), 2**61, 300),
+            rng.integers(-top, top, 300),
             rng.integers(-(2**54), 2**54, 300),
             [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1],
         ]).astype(np.int64)

@@ -8,7 +8,9 @@ families and of p4m are pinned literally; Apollonian has no aligned
 lattice and takes the span of its motif rows.  Exact runs of every
 configuration and mode have zero quadric residual, replayable witness
 words, heights equal to word lengths in the descending modes, and a JSON
-round trip that returns them unchanged.
+round trip that returns them unchanged.  Float views of integer rows
+stay accurate where the conjugate norm leaves int64, and float runs reach
+as deep and as far from the origin as their 1e-9 grid keys allow.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from invpack.engine import (
     _SEED_KINDS,
     MODES,
     GenerationLimits,
+    LatticeOverflowError,
     _row_lattice,
     apply_word,
     generate,
 )
-from invpack.exact import QuadExt
+from invpack.exact import QuadExt, as_float
 from invpack.inversive import reflect
+from invpack.lattice import RowLattice
 from invpack.render import from_json, to_json
 
 CONFIGS = config_names()
@@ -111,3 +115,48 @@ class TestEveryConfiguration:
             assert mode == "super" or p.height == len(p.word)
         back = from_json(to_json(packing))
         assert back.circles == packing.circles
+
+
+class TestFloatViews:
+    def test_approx_where_the_conjugate_norm_leaves_int64(self):
+        # rows are (P, R) themselves; |P| < 2^31 but 3 R^2 > 2^63, with
+        # P and R of opposite signs so that the conjugate path is taken
+        lat = RowLattice(3, np.eye(8, dtype=np.int64).tolist(), [1, 1, 1, 1], [], [])
+        rng = np.random.default_rng(3)
+        p = rng.integers(-(2**31) + 1, 2**31, (200, 4))
+        r = -np.sign(p) * rng.integers(1_760_000_000, 2**31, (200, 4))
+        rows = np.concatenate([p, r], axis=1)
+        want = lat.as_float(rows)
+        assert np.allclose(lat.approx(rows), want, rtol=1e-14, atol=0.0)
+
+
+class TestFloatReach:
+    """Float runs read their catalog off integer rows.  Their mirror
+    matrices, whose entries grow with the fourth power of the offset,
+    are formed on Python integers past int64, so the 1e-9 grid keys of
+    the rows bound how far from the origin a float run reaches."""
+
+    @staticmethod
+    def _limits(cfg, height, rho, k):
+        (v1, v2) = cfg.lattice
+        ox, oy = k * as_float(v1[0] + v2[0]), k * as_float(v1[1] + v2[1])
+        return GenerationLimits(height, rho, Window(ox - 1.0, oy - 1.0, ox + 1.0, oy + 1.0))
+
+    def test_deep_float_run_matches_exact(self, configs):
+        cfg = configs["wallpaper:p3"]
+        lim = self._limits(cfg, 6, 0.005, 0)
+        exact = generate(cfg, "packing", lim).circles
+        floats = generate(cfg, "packing", lim, exact=False).circles
+        assert len(exact) == len(floats) == 260
+        assert max(c.height for c in floats) >= 4
+        # near ties of the float keys may order the two runs differently
+        key = {(c.height, c.word, c.source): [as_float(x) for x in c.circle.key()] for c in exact}
+        for f in floats:
+            want = key.pop((f.height, f.word, f.source))
+            assert np.allclose([as_float(x) for x in f.circle.key()], want, rtol=1e-9, atol=1e-9)
+
+    def test_float_super_far_from_the_origin(self, configs):
+        cfg = configs["wallpaper:p3"]
+        assert len(generate(cfg, "super", self._limits(cfg, 2, 0.05, 2500), exact=False)) == 354
+        with pytest.raises(LatticeOverflowError):
+            generate(cfg, "super", self._limits(cfg, 2, 0.05, 3000), exact=False)
