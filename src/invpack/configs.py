@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -145,6 +146,11 @@ class GeneratorCircle:
     ident: str
     kind: str
     circle: InversiveCircle
+
+    @cached_property
+    def floats(self) -> InversiveCircle:
+        """``circle.as_floats()``, converted once."""
+        return self.circle.as_floats()
 
 
 def make_id(kind: str, index: int, shift: Optional[Tuple[int, int]]) -> str:
@@ -506,8 +512,7 @@ _CROSS_KIND_OK = {
 
 
 def _float_product(u: GeneratorCircle, v: GeneratorCircle) -> float:
-    a = u.circle.as_floats()
-    b = v.circle.as_floats()
+    a, b = u.floats, v.floats
     return (
         a.h1 * b.h1
         + a.h2 * b.h2
@@ -743,33 +748,91 @@ def _is_three_connected(
     """Whether removing any two vertices keeps the interior vertices
     mutually connected.  Vertices near the window boundary may legitimately
     dangle after truncation, so only interior connectivity is required."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = len(graph.vertices)
     if n < 5 or len(interior) < 2:
         return None, f"{n} vertices ({len(interior)} interior), too few to test"
-    full = np.zeros((n, n), dtype=np.int8)
+    adj: List[List[int]] = [[] for _ in range(n)]
     for (i, j) in graph.edges:
-        full[i, j] = full[j, i] = 1
-    interior_set = set(interior)
+        adj[i].append(j)
+        adj[j].append(i)
+    inside = [0] * n
+    for v in interior:
+        inside[v] = 1
     for a in range(n):
-        for b in range(a + 1, n):
-            keep = [v for v in range(n) if v not in (a, b)]
-            kept_interior = [k for k, v in enumerate(keep) if v in interior_set]
-            if len(kept_interior) < 2:
-                continue
-            sub = full[np.ix_(keep, keep)]
-            _, labels = connected_components(csr_matrix(sub), directed=False)
-            if len({labels[k] for k in kept_interior}) != 1:
-                va = graph.vertices[a].ident
-                vb = graph.vertices[b].ident
-                return False, f"removing {{{va},{vb}}} splits the interior"
+        b = _splitting_partner(adj, inside, a)
+        if b is not None:
+            va = graph.vertices[a].ident
+            vb = graph.vertices[b].ident
+            return False, f"removing {{{va},{vb}}} splits the interior"
     return True, (
         f"all {n * (n - 1) // 2} removals keep {len(interior)} interior "
         "vertices connected"
     )
+
+
+def _splitting_partner(
+    adj: Sequence[Sequence[int]], inside: Sequence[int], a: int
+) -> Optional[int]:
+    """The least b > a such that removing a and b leaves at least two
+    interior vertices (``inside``) in more than one component, or None.
+
+    One depth-first search of the graph without a finds the components and
+    lowpoints (Hopcroft-Tarjan, *Dividing a graph into triconnected
+    components*, SIAM J. Comput. 1973): removing b cuts off the subtree of
+    each DFS child c with low(c) >= disc(b), which is every child of a
+    root, and leaves the rest of b's component connected.
+    """
+    n = len(adj)
+    disc, low, sub, comp = [-1] * n, [0] * n, [0] * n, [-1] * n
+    children: List[List[int]] = [[] for _ in range(n)]
+    counts: List[int] = []  # interior vertices per component
+    clock = 0
+    for root in range(n):
+        if root == a or disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        comp[root] = len(counts)
+        counts.append(0)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if w == a:
+                    continue
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    comp[w] = comp[root]
+                    children[v].append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                sub[v] += inside[v]
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    sub[p] += sub[v]
+                else:
+                    counts[comp[v]] = sub[v]
+    total = sum(counts)
+    occupied = sum(1 for c in counts if c)
+    for b in range(a + 1, n):
+        if total - inside[b] < 2:
+            continue
+        c = comp[b]
+        rest_count = counts[c] - inside[b]
+        pieces = occupied - (counts[c] > 0)
+        for ch in children[b]:
+            if low[ch] >= disc[b]:
+                rest_count -= sub[ch]
+                pieces += sub[ch] > 0
+        pieces += rest_count > 0
+        if pieces >= 2:
+            return b
+    return None
 
 
 def check_duality(cfg: Configuration, w: Window) -> ValidationReport:

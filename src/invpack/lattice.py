@@ -16,8 +16,9 @@ the Z-span of the motif rows closed in the same way.
 
 A row n of W integers has coordinate j equal to (P_j + R_j sqrt d) / q_j
 with (P, R) = n @ basis.  Float views, exact signs, ``as_float`` values,
-circles, translated rows and the reflections and inversive products of
-mirrors all come from that one integer map, on int64 under ``_guard``.
+circles, translated rows, the images of rows under planar isometries and
+the reflections and inversive products of mirrors all come from that one
+integer map, on int64 under ``_guard``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact import QuadExt
-from .inversive import InversiveCircle
+from .inversive import InversiveCircle, PlanarIsometry
 
 # v - 2<v, m> m, coordinate by coordinate: v'_i = v_i + sum_j _K[j] m_i m_SWAP[j] v_j
 _K = [1, 1, -2, -2]
@@ -367,12 +368,18 @@ class RowLattice:
         """Integer rows of exact circles; ArithmeticError off the lattice."""
         return self._exact_rows([_triples(c.key(), self.d) for c in circles])
 
+    def _solved(self, entries: Entries) -> Tuple[List[List[int]], List[List[int]], int]:
+        """Images of the basis vectors under the linear map with these
+        ``entries``, flat over one denominator, and their coordinates here
+        (num / den), which are right for images in the lattice's span."""
+        den = _lcm(c[2] * self._q[j] for (_, j), c in entries.items())
+        flat = [_flat(_apply(entries, v, self.d), den) for v in self._basis_values()]
+        return (flat, *self._solve(flat, den))
+
     def _map(self, entries: Entries) -> Tuple[List[List[int]], int]:
         """Matrix (num / den) acting on column rows of the linear map with
         these ``entries``."""
-        den = _lcm(c[2] * self._q[j] for (_, j), c in entries.items())
-        flat = [_flat(_apply(entries, v, self.d), den) for v in self._basis_values()]
-        num, den = self._solve(flat, den)
+        _, num, den = self._solved(entries)
         return [list(c) for c in zip(*num)], den
 
     def _action(self, ml: "RowLattice") -> tuple:
@@ -437,7 +444,12 @@ class RowLattice:
 
     def rows_at(self, index: np.ndarray, shift: np.ndarray, idents: Sequence[str]) -> np.ndarray:
         """Rows of motif circles ``index`` moved by lattice shifts (m, n)."""
-        u = self.motif[index]
+        return self.translated(self.motif[index], shift, idents)
+
+    def translated(
+        self, u: np.ndarray, shift: np.ndarray, idents: Union[str, Sequence[str]]
+    ) -> np.ndarray:
+        """Rows ``u`` moved by lattice shifts (m, n), one shift per row."""
         m, n = shift[:, 0], shift[:, 1]
         mono = np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
         bound = np.einsum("nk,kij,nj->ni", _abs_f(mono), _abs_f(self._shift), _abs_f(u))
@@ -446,6 +458,56 @@ class RowLattice:
         if (rows % self._shift_den).any():
             raise ArithmeticError("lattice translation does not preserve the integer lattice")
         return rows // self._shift_den
+
+    def moved(
+        self, g: PlanarIsometry, rows: np.ndarray, idents: Union[str, Sequence[str]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of the images of ``rows`` under the exact isometry ``g``, and
+        which images lie on this lattice; the row of an image off it means
+        nothing.
+
+        g acts linearly on (co-curvature, curvature, h): b' = b,
+        h' = A h + b t and bt' = bt + 2 t.(A h) + |t|^2 b, with A the matrix
+        of a, taken after the conjugation when g.conj.  An image lies on the
+        lattice when it lies in its span and den divides it, both exactly.
+        """
+        d = self.d
+        (a0, a1), (t0, t1) = _triples(g.a, d), _triples(g.t, d)
+        neg = lambda x: (-x[0], -x[1], x[2])  # noqa: E731
+        rot = [[a0, a1], [a1, neg(a0)]] if g.conj else [[a0, neg(a1)], [a1, a0]]
+        entries: Entries = {(0, 0): (1, 0, 1), (1, 1): (1, 0, 1), (2, 1): t0, (3, 1): t1,
+                            (0, 1): _sum([_mul(t0, t0, d), _mul(t1, t1, d)])}
+        for j in range(2):
+            entries[2, 2 + j], entries[3, 2 + j] = rot[0][j], rot[1][j]
+            tr = _sum([_mul(t0, rot[0][j], d), _mul(t1, rot[1][j], d)])
+            entries[0, 2 + j] = _mul((2, 0, 1), tr, d)
+        flat, num, den = self._solved({ij: c for ij, c in entries.items() if c[0] or c[1]})
+        # row v of off: the image of basis vector v less its solved
+        # reconstruction, zero exactly when that image lies in the span
+        qs = self._q + self._q
+        off = [[x * qs[c] * self._det - sum(k * b[c] for k, b in zip(n, self._basis))
+                for c, x in enumerate(v)] for v, n in zip(flat, num)]
+        g_num = math.gcd(den, *(x for r in num for x in r))
+        g_off = math.gcd(*(x for r in off for x in r))
+        num = self._ints([[x // g_num for x in r] for r in num], "an isometry matrix")
+        off = self._ints([[x // max(g_off, 1) for x in r] for r in off], "an isometry matrix")
+        den //= g_num
+        rf = _abs_f(rows)
+        _guard((rf @ _abs_f(num)).max(axis=1, initial=0.0), idents)
+        images = rows @ num
+        on = ~(images % den).any(axis=1)
+        if g_off:
+            _guard((rf @ _abs_f(off)).max(axis=1, initial=0.0), idents)
+            on &= ~(rows @ off).any(axis=1)
+        return images // den, on
+
+    @staticmethod
+    def _ints(values: List[List[int]], ident: str) -> np.ndarray:
+        """int64 array of Python integers, LatticeOverflowError past the budget."""
+        peak = max((abs(x) for r in values for x in r), default=0)
+        if peak >= _INT64_BUDGET:
+            raise LatticeOverflowError(ident, float(min(peak, 2**1000)))
+        return np.array(values, dtype=np.int64)
 
     def reflections(self, ml: "RowLattice", w: np.ndarray, idents: Sequence[str]) -> np.ndarray:
         """int64 matrices (n, W, W) of the reflections in mirrors with rows

@@ -8,6 +8,14 @@ lattice check make the windowed evidence propagate periodically, so a
 verified isometry is a genuine symmetry rather than a numerical
 coincidence.
 
+Circles are integer rows of the packing-mode lattices of ``lattice``
+(base rows closed under the dual reflections, dual rows under the
+translations).  An isometry maps rows by one integer matrix
+(``RowLattice.moved``); an image off the lattice is no configuration
+circle, and an image on it is one when it equals, row for row, the motif
+circle moved by the lattice shift its float center rounds to.  The
+reflection words of ``trivial_intersection`` act on the same rows.
+
 Classification studies the verified group modulo lattice translations.
 The finite quotient is closed explicitly, the maximal rotation order is
 read off the linear parts, and honest mirrors are separated from glide
@@ -23,18 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .configs import Configuration, Window, _vec_float
-from .exact import QuadExt, Scalar, as_float
-from .inversive import (
-    InversiveCircle,
-    PlanarIsometry,
-    _cconj,
-    _cmul,
-    apply_isometry,
-    reflect,
-)
+from .engine import _row_lattice
+from .exact import QuadExt, Scalar, as_float, scalar_sign
+from .inversive import InversiveCircle, PlanarIsometry, _cadd, _cconj, _cmul
+from .lattice import RowLattice, _abs_f, _guard
 
 Vec = Tuple[Scalar, Scalar]
 
@@ -101,21 +106,55 @@ def _lattice_coords(cfg: Configuration, vec: Vec) -> Optional[Tuple[int, int]]:
     return (round(as_float(m)), round(as_float(n)))
 
 
-Pools = List[Tuple[str, List[InversiveCircle]]]
+Pools = List[Tuple[str, RowLattice, np.ndarray]]
 
 
 def _window_pools(cfg: Configuration, w: Optional[Window]) -> Pools:
-    """Base and dual circles meeting the safe interior of the window."""
+    """Rows of the base and dual circles meeting the safe interior of the
+    window, in catalog order, on the packing-mode lattices."""
+    lats = [(kind, _row_lattice(cfg, "packing", kind)) for kind in ("base", "dual")]
     if cfg.lattice is None:
-        return [(kind, list(cfg.motif(kind))) for kind in ("base", "dual")]
+        return [(kind, lat, lat.motif) for kind, lat in lats]
     w = default_window(cfg) if w is None else w
     inner = w.shrunk(lattice_diameter(cfg))
     if inner is None:
         raise ValueError("window too small for a safe interior")
-    return [
-        (kind, [rec.circle for rec in cfg.circles_in_window(kind, inner)])
-        for kind in ("base", "dual")
-    ]
+    pools = []
+    for kind, lat in lats:
+        cat = cfg.catalog(kind, inner)
+        pools.append((kind, lat, lat.rows_at(cat.index, cat.shift, cat.idents)))
+    return pools
+
+
+def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarray:
+    """Which rows of ``lat`` are circles of the configuration.
+
+    As ``Configuration.contains_circle``: a motif circle of the same
+    curvature, moved by the (m, n) that its float center offset rounds to
+    within 1e-6, must equal the row; the comparison is exact.
+    """
+    motif = lat.motif
+    if cfg.lattice is None:
+        known = {m.tobytes() for m in motif}
+        return np.array([r.tobytes() in known for r in rows], dtype=bool)
+    (p, r), (mp, mr) = lat.values(rows), lat.values(motif)
+    k, i = np.nonzero((p[:, None, 1] == mp[None, :, 1]) & (r[:, None, 1] == mr[None, :, 1]))
+    fv, mv = lat.approx(rows), lat.approx(motif)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
+        py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
+    (a, c), (b, dd) = cfg._lattice_float
+    det = a * dd - b * c
+    mf, nf = (px * dd - py * b) / det, (a * py - c * px) / det
+    m, n = np.rint(mf), np.rint(nf)
+    near = (np.abs(mf - m) <= 1e-6) & (np.abs(nf - n) <= 1e-6)
+    _guard(np.maximum(np.abs(m[near]), np.abs(n[near])), "a lattice shift of an image")
+    k, i = k[near], i[near]
+    shift = np.column_stack([m[near], n[near]]).astype(np.int64)
+    same = (lat.translated(motif[i], shift, "a translated motif circle") == rows[k]).all(axis=1)
+    out = np.zeros(len(rows), dtype=bool)
+    out[k[same]] = True
+    return out
 
 
 def _violation(
@@ -126,10 +165,12 @@ def _violation(
             img = _cmul(g.a, _cconj(v) if g.conj else v)
             if _lattice_coords(cfg, img) is None:
                 return ("lattice", None)
-    for kind, circles in pools:
-        for c in circles:
-            if cfg.contains_circle(apply_isometry(g, c), kind) is None:
-                return (kind, c)
+    for kind, lat, rows in pools:
+        images, ok = lat.moved(g, rows, f"an image of a {kind} circle")
+        ok[ok] = _members(cfg, lat, images[ok])
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            return (kind, lat.circles(rows[bad[:1]])[0])
     return None
 
 
@@ -226,10 +267,6 @@ def _point_order(a: Vec) -> int:
     raise ValueError("linear part has order above six")
 
 
-def _coset_element(q: PlanarIsometry, shift: Vec) -> PlanarIsometry:
-    return PlanarIsometry(q.a, (q.t[0] + shift[0], q.t[1] + shift[1]), q.conj)
-
-
 def _lattice_shifts(cfg: Configuration, reach: int) -> List[Vec]:
     v1, v2 = cfg.lattice
     out = []
@@ -245,13 +282,23 @@ def _mirror_axis_key(g: PlanarIsometry) -> Tuple[Scalar, Scalar, Scalar, Scalar]
     return (g.a[0], g.a[1], g.t[0], g.t[1])
 
 
-def _glide_axis_key(g: PlanarIsometry, square: PlanarIsometry):
-    """Axis key of a glide, i.e. of the glide with its shift removed.
+def _square_shift(a: Vec, t: Vec) -> Vec:
+    """The square of z -> a*conj(z) + t is z -> z + a*conj(t) + t (|a| = 1):
+    the translation by this vector."""
+    return _cadd(_cmul(a, _cconj(t)), t)
 
-    The square of z -> a*conj(z) + t is the translation by twice the
-    shift, so subtracting half of it leaves the underlying mirror."""
-    half = (square.t[0] * _HALF, square.t[1] * _HALF)
-    return (g.a[0], g.a[1], g.t[0] - half[0], g.t[1] - half[1])
+
+def _is_zero(v: Vec) -> bool:
+    return scalar_sign(v[0], 1e-12) == 0 and scalar_sign(v[1], 1e-12) == 0
+
+
+def _glide_axis_key(a: Vec, t: Vec, s: Vec):
+    """Axis key of the glide z -> a*conj(z) + t, i.e. of the glide with its
+    shift removed.
+
+    Its square is the translation by s, twice the shift, so subtracting
+    half of it leaves the underlying mirror."""
+    return (a[0], a[1], t[0] - s[0] * _HALF, t[1] - s[1] * _HALF)
 
 
 def _fixes_point(m: PlanarIsometry, p: Vec) -> bool:
@@ -317,22 +364,21 @@ def _signature_from_quotient(
     reflective = [q for q in reps if q.conj]
     order = max(_point_order(q.a) for q in rotational)
 
+    near, far = _lattice_shifts(cfg, 2), _lattice_shifts(cfg, 4)
     mirrors: List[PlanarIsometry] = []
     for q in reflective:
-        for shift in _lattice_shifts(cfg, 4):
-            g = _coset_element(q, shift)
-            if (g * g).is_identity():
-                mirrors.append(g)
+        for shift in far:
+            t = _cadd(q.t, shift)
+            if _is_zero(_square_shift(q.a, t)):
+                mirrors.append(PlanarIsometry(q.a, t, True))
     mirror_keys = {_mirror_axis_key(m) for m in mirrors}
 
     off_axis = False
     for q in reflective:
-        for shift in _lattice_shifts(cfg, 2):
-            g = _coset_element(q, shift)
-            square = g * g
-            if square.is_identity():
-                continue
-            if _glide_axis_key(g, square) not in mirror_keys:
+        for shift in near:
+            t = _cadd(q.t, shift)
+            s = _square_shift(q.a, t)
+            if not _is_zero(s) and _glide_axis_key(q.a, t, s) not in mirror_keys:
                 off_axis = True
                 break
         if off_axis:
@@ -346,8 +392,8 @@ def _signature_from_quotient(
             if _point_order(q.a) != order:
                 continue
             denom = (1 - q.a[0], -q.a[1])
-            for shift in _lattice_shifts(cfg, 2):
-                c = _cell_rep(cfg, _cdiv(_coset_element(q, shift).t, denom))
+            for shift in near:
+                c = _cell_rep(cfg, _cdiv(_cadd(q.t, shift), denom))
                 key = (c[0], c[1])
                 if key not in seen:
                     seen.add(key)
@@ -434,7 +480,7 @@ class DiscoveredSymmetries:
         mirror_keys = {_mirror_axis_key(m) for m in self.mirrors}
         off_axis = False
         for g in self.glides:
-            if _glide_axis_key(g, g * g) not in mirror_keys:
+            if _glide_axis_key(g.a, g.t, _square_shift(g.a, g.t)) not in mirror_keys:
                 off_axis = True
                 break
         centered: Optional[bool] = None
@@ -471,6 +517,44 @@ def _shortest_parallel(cfg: Configuration, a: Vec) -> Optional[Vec]:
     return best
 
 
+def _probes(cfg: Configuration) -> Iterator[Tuple[str, object, PlanarIsometry]]:
+    """The candidate isometries of ``discover_symmetries`` in probe order:
+    (the ``DiscoveredSymmetries`` list it joins when it verifies, its entry
+    there, the isometry)."""
+    points = _cell_points(cfg)
+    for order, a in _ROTATION_A.items():
+        for p in points:
+            yield "rotations", (order, p), PlanarIsometry.rotation(p, a)
+
+    probed = set()
+    for a in _MIRROR_A:
+        for p in points:
+            m = PlanarIsometry.mirror_a(p, a)
+            key = _mirror_axis_key(m)
+            if key not in probed:
+                probed.add(key)
+                yield "mirrors", m, m
+        par = _shortest_parallel(cfg, a)
+        if par is None:
+            continue
+        shift = (par[0] * _HALF, par[1] * _HALF)
+        for p in points:
+            g = PlanarIsometry.glide_a(p, a, shift)
+            key = _iso_key(g)
+            if key not in probed:
+                probed.add(key)
+                yield "glides", g, g
+
+    zero = QuadExt(0)
+    v1, v2 = cfg.lattice
+    for x in _FRACS:
+        for y in _FRACS:
+            if x == zero and y == zero:
+                continue
+            t = (x * v1[0] + y * v2[0], x * v1[1] + y * v2[1])
+            yield "subtranslations", t, PlanarIsometry.translation(t)
+
+
 def discover_symmetries(
     cfg: Configuration, w: Optional[Window] = None
 ) -> DiscoveredSymmetries:
@@ -482,48 +566,9 @@ def discover_symmetries(
         raise ValueError("discovery needs a periodic configuration")
     pools = _window_pools(cfg, w)
     found = DiscoveredSymmetries()
-    points = _cell_points(cfg)
-
-    def holds(iso: PlanarIsometry) -> bool:
-        return _violation(cfg, iso, pools) is None
-
-    for order, a in _ROTATION_A.items():
-        for p in points:
-            if holds(PlanarIsometry.rotation(p, a)):
-                found.rotations.append((order, p))
-
-    probed = set()
-    for a in _MIRROR_A:
-        for p in points:
-            m = PlanarIsometry.mirror_a(p, a)
-            key = _mirror_axis_key(m)
-            if key in probed:
-                continue
-            probed.add(key)
-            if holds(m):
-                found.mirrors.append(m)
-        par = _shortest_parallel(cfg, a)
-        if par is None:
-            continue
-        shift = (par[0] * _HALF, par[1] * _HALF)
-        for p in points:
-            g = PlanarIsometry.glide_a(p, a, shift)
-            key = _iso_key(g)
-            if key in probed:
-                continue
-            probed.add(key)
-            if holds(g):
-                found.glides.append(g)
-
-    zero = QuadExt(0)
-    for x in _FRACS:
-        for y in _FRACS:
-            if x == zero and y == zero:
-                continue
-            v1, v2 = cfg.lattice
-            t = (x * v1[0] + y * v2[0], x * v1[1] + y * v2[1])
-            if holds(PlanarIsometry.translation(t)):
-                found.subtranslations.append(t)
+    for name, entry, iso in _probes(cfg):
+        if _violation(cfg, iso, pools) is None:
+            getattr(found, name).append(entry)
     return found
 
 
@@ -551,38 +596,56 @@ def trivial_intersection(
     base circles the way a verified symmetry isometry does.
 
     Candidate isometries are the quotient representatives composed with
-    nearby lattice translations; word actions are compared pointwise on
-    the base circles by exact keys.
+    lattice translations (m, n), |m|, |n| <= 6.  A state is the rows of
+    the base circles, in the packing-mode base lattice, under a word; it
+    is compared with the rows of the candidates' images exactly.  Every
+    state lies on the lattice, so a candidate moving some base circle off
+    it is no target.
     """
-    duals = [rec.circle for rec in cfg.circles_in_window("dual", window)]
-    bases = [rec.circle for rec in cfg.circles_in_window("base", window)]
-    if not duals or not bases:
+    duals = cfg.catalog("dual", window)
+    bases = cfg.catalog("base", window)
+    if not len(duals) or not len(bases):
         raise ValueError("window holds no circles to compare")
     reps = quotient_isometries(cfg, [d.iso for d in cfg.symmetries])
+    lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
+    start = lat.rows_at(bases.index, bases.shift, bases.idents)
+    mats = lat.reflections(mlat, mlat.rows_at(duals.index, duals.shift, duals.idents),
+                           duals.idents)
+    colmax = _abs_f(mats).max(axis=1)
 
-    def state(circles: Sequence[InversiveCircle]):
-        return tuple(c.key() for c in circles)
-
+    reach = np.arange(-6, 7, dtype=np.int64)
+    shifts = np.stack(np.meshgrid(reach, reach, indexing="ij"), axis=-1).reshape(-1, 2)
     targets = set()
     for q in reps:
-        for shift in _lattice_shifts(cfg, 6):
-            g = _coset_element(q, shift)
-            targets.add(state([apply_isometry(g, c) for c in bases]))
+        images, on = lat.moved(q, start, bases.idents)
+        # a lattice translate of an off-lattice image stays off the lattice
+        if on.all():
+            moved = lat.translated(np.tile(images, (len(shifts), 1)),
+                                   np.repeat(shifts, len(start), axis=0), bases.idents)
+            targets.update(s.tobytes() for s in moved.reshape(len(shifts), -1))
 
-    frontier = [(-1, tuple(bases))]
-    seen = {state(bases)}
-    for _ in range(max_len):
-        nxt = []
-        for last, circles in frontier:
-            for i, mirror in enumerate(duals):
-                if i == last:
-                    continue
-                image = tuple(reflect(mirror, c) for c in circles)
-                key = state(image)
-                if key in targets:
-                    return False
+    frontier, last = start[None], np.array([-1])
+    seen = {start.tobytes()}
+    for level in range(max_len):
+        final = level == max_len - 1
+        _guard((_abs_f(frontier).reshape(-1, lat.width) @ colmax.T).max(axis=0, initial=0.0),
+               duals.idents)
+        blocks, lasts = [], []
+        for i, mat in enumerate(mats):
+            images = frontier[last != i] @ mat.T
+            keys = [s.tobytes() for s in images]
+            if not targets.isdisjoint(keys):
+                return False
+            if final:
+                continue
+            fresh = []
+            for j, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((i, image))
-        frontier = nxt
+                    fresh.append(j)
+            blocks.append(images[fresh])
+            lasts.append(np.full(len(fresh), i))
+        if final:
+            break
+        frontier, last = np.concatenate(blocks), np.concatenate(lasts)
     return True

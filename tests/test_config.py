@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpack.configs import (
+    GeneratorCircle,
+    TangencyGraph,
     Window,
+    _is_three_connected,
     check_duality,
     config_names,
     kleinian_class,
@@ -239,6 +246,62 @@ class TestTangencyGraph:
                 )
             ]
             assert len(hosts) == 1
+
+
+def brute_three_connected(n, edges, interior):
+    """One breadth-first search per removed pair (a, b), in (a, b) order."""
+    if n < 5 or len(interior) < 2:
+        return None
+    adj = {v: set() for v in range(n)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    for a in range(n):
+        for b in range(a + 1, n):
+            kept = [v for v in interior if v not in (a, b)]
+            if len(kept) < 2:
+                continue
+            seen, todo = {kept[0]}, deque([kept[0]])
+            while todo:
+                for w in adj[todo.popleft()] - seen - {a, b}:
+                    seen.add(w)
+                    todo.append(w)
+            if not seen.issuperset(kept):
+                return (a, b)
+    return True
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 11))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    interior = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    return n, sorted(edges), interior
+
+
+class TestThreeConnected:
+    @given(graphs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_search(self, case):
+        n, edges, interior = case
+        verts = [GeneratorCircle(f"v{i}", "base", None) for i in range(n)]
+        graph = TangencyGraph(verts, edges, [], {})
+        ok, detail = _is_three_connected(graph, interior)
+        want = brute_three_connected(n, edges, interior)
+        if want is None or want is True:
+            assert ok is want
+        else:
+            assert ok is False
+            assert detail == f"removing {{v{want[0]},v{want[1]}}} splits the interior"
+
+    def test_square_grid_passes(self):
+        cfg = make_config("square")
+        w = Window.square(5.0)
+        assert check_duality(cfg, w).checks[-1].line() == (
+            "[pass] base tangency graph 3-connected: all 300 removals keep 9 "
+            "interior vertices connected"
+        )
 
 
 class TestMakeConfig:

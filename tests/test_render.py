@@ -316,10 +316,12 @@ class TestJsonErrors:
 
 
 def test_invpack_imports_without_jsonschema():
-    # every module, with the import of jsonschema made to fail
+    # every module, with the imports of jsonschema and scipy made to fail;
+    # check_duality runs the 3-connectivity test that once needed scipy
     code = (
         "import pkgutil, sys\n"
         "sys.modules['jsonschema'] = None\n"
+        "sys.modules['scipy'] = None\n"
         f"sys.path.insert(0, {str(Path(invpack.__file__).parents[1])!r})\n"
         "import importlib, invpack\n"
         "names = [m.name for m in pkgutil.iter_modules(invpack.__path__)]\n"
@@ -329,6 +331,8 @@ def test_invpack_imports_without_jsonschema():
         "lim = engine.GenerationLimits(1, 0.2, configs.Window.square(1.0))\n"
         "p = engine.generate(configs.make_config('square'), 'packing', lim)\n"
         "assert render.to_json(render.from_json(render.to_json(p))) == render.to_json(p)\n"
+        "rep = configs.check_duality(configs.make_config('square'), configs.Window.square(5.0))\n"
+        "assert rep.checks[-1].passed is True, rep.lines()\n"
         "print(len(names))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

@@ -6,6 +6,8 @@ signature decision tree for all seventeen plane groups, conjugation
 consistency between dual reflections and verified isometries, the
 discovery cross-check on a sample of refined configurations, and the
 empty overlap between reflection words and configuration isometries.
+The integer-row checks are compared with the per-circle ``QuadExt``
+versions they replaced, kept here as references.
 """
 
 from __future__ import annotations
@@ -14,16 +16,25 @@ import math
 
 import pytest
 
-from invpack.configs import Configuration, SymmetryDecl, Window, make_config
+from invpack.configs import Configuration, SymmetryDecl, Window, config_names, make_config
+from invpack.engine import _row_lattice
 from invpack.exact import QuadExt
 from invpack.inversive import (
     PlanarIsometry,
+    _cconj,
+    _cmul,
     apply_isometry,
     from_center_radius,
     reflect,
 )
+from invpack.lattice import LatticeOverflowError
 from invpack.symmetry import (
     SymmetrySignature,
+    _lattice_coords,
+    _lattice_shifts,
+    _probes,
+    _violation,
+    _window_pools,
     classify_wallpaper,
     default_window,
     discover_symmetries,
@@ -296,3 +307,162 @@ class TestTrivialIntersection:
     def test_window_inside_a_circle_rejected(self, square):
         with pytest.raises(ValueError, match="window"):
             trivial_intersection(square, Window(-0.1, -0.1, 0.1, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# the integer-row checks against the per-circle references
+
+
+def reference_pools(cfg, w=None):
+    """Exact circles meeting the safe interior of the window, by kind."""
+    if cfg.lattice is None:
+        return [(kind, list(cfg.motif(kind))) for kind in ("base", "dual")]
+    inner = (default_window(cfg) if w is None else w).shrunk(lattice_diameter(cfg))
+    return [
+        (kind, [rec.circle for rec in cfg.circles_in_window(kind, inner)])
+        for kind in ("base", "dual")
+    ]
+
+
+def reference_violation(cfg, g, pools):
+    """``isometry_violation`` one QuadExt circle at a time."""
+    if cfg.lattice is not None:
+        for v in cfg.lattice:
+            if _lattice_coords(cfg, _cmul(g.a, _cconj(v) if g.conj else v)) is None:
+                return ("lattice", None)
+    for kind, circles in pools:
+        for c in circles:
+            if cfg.contains_circle(apply_isometry(g, c), kind) is None:
+                return (kind, c)
+    return None
+
+
+def reference_trivial_intersection(cfg, window, max_len):
+    """``trivial_intersection`` on tuples of exact circle keys."""
+    duals = [rec.circle for rec in cfg.circles_in_window("dual", window)]
+    bases = [rec.circle for rec in cfg.circles_in_window("base", window)]
+    reps = quotient_isometries(cfg, [d.iso for d in cfg.symmetries])
+
+    def state(circles):
+        return tuple(c.key() for c in circles)
+
+    targets = set()
+    for q in reps:
+        for shift in _lattice_shifts(cfg, 6):
+            g = PlanarIsometry(q.a, (q.t[0] + shift[0], q.t[1] + shift[1]), q.conj)
+            targets.add(state([apply_isometry(g, c) for c in bases]))
+    frontier = [(-1, tuple(bases))]
+    seen = {state(bases)}
+    for _ in range(max_len):
+        nxt = []
+        for last, circles in frontier:
+            for i, mirror in enumerate(duals):
+                if i == last:
+                    continue
+                image = tuple(reflect(mirror, c) for c in circles)
+                key = state(image)
+                if key in targets:
+                    return False
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((i, image))
+        frontier = nxt
+    return True
+
+
+def non_symmetry(cfg):
+    """An exact isometry of the configuration's field that is no symmetry:
+    a third of the cell diagonal, or a quarter turn of a finite one."""
+    if cfg.lattice is None:
+        return PlanarIsometry.rotation((q(0), q(0)), (q(0), q(1)))
+    (ax, ay), (bx, by) = cfg.lattice
+    third = QuadExt(1, 0, 3)
+    return PlanarIsometry.translation(((ax + bx) * third, (ay + by) * third))
+
+
+class TestIsometryRows:
+    @pytest.mark.parametrize("name", config_names())
+    def test_row_map_matches_apply_isometry(self, name):
+        cfg = make_config(name)
+        isos = [d.iso for d in cfg.symmetries] + [non_symmetry(cfg)]
+        for kind in ("base", "dual"):
+            lat = _row_lattice(cfg, "packing", kind)
+            cat = cfg.catalog(kind, Window.square(3.0))
+            rows = lat.rows_at(cat.index, cat.shift, cat.idents)
+            assert len(rows)
+            for g in isos:
+                images, on = lat.moved(g, rows, cat.idents)
+                for k, rec in enumerate(cat):
+                    try:
+                        want = lat.rows_of([apply_isometry(g, rec.circle)])[0]
+                    except ArithmeticError:
+                        assert not on[k]
+                        continue
+                    assert on[k]
+                    assert images[k].tolist() == want.tolist()
+        assert not verify_isometry(cfg, isos[-1])
+
+    def test_image_outside_the_span_is_off_the_lattice(self):
+        # the Apollonian base lattice is the span of its four motif rows; a
+        # shift by sqrt(3) leaves that span although the solved images
+        # come out integral
+        apo = make_config("apollonian")
+        lat = _row_lattice(apo, "packing", "base")
+        g = PlanarIsometry.translation((q3(0, 1), q3(0)))
+        _, on = lat.moved(g, lat.motif, "motif")
+        assert not on.any()
+        for c in apo.motif("base"):
+            with pytest.raises(ArithmeticError):
+                lat.rows_of([apply_isometry(g, c)])
+
+    @pytest.mark.parametrize("group", ["p4m", "p31m", "pgg", "cm"])
+    def test_violation_matches_reference_on_every_probe(self, group):
+        # isometry_violation is _violation on the default window's pools
+        cfg = make_wallpaper(group)
+        pools, ref_pools = _window_pools(cfg, None), reference_pools(cfg)
+        held = 0
+        for _, _, iso in _probes(cfg):
+            got = _violation(cfg, iso, pools)
+            want = reference_violation(cfg, iso, ref_pools)
+            if want is None:
+                held += 1
+                assert got is None
+            else:
+                assert got[0] == want[0]
+                assert (got[1] is None) == (want[1] is None)
+                if want[1] is not None:
+                    assert got[1].key() == want[1].key()
+        assert held
+
+    def test_declared_symmetries_of_a_finite_configuration(self):
+        apo = make_config("apollonian")
+        for decl in apo.symmetries:
+            assert verify_isometry(apo, decl.iso)
+        g = non_symmetry(apo)
+        assert isometry_violation(apo, g) == reference_violation(
+            apo, g, reference_pools(apo)
+        )
+
+
+class TestTrivialIntersectionRows:
+    @pytest.mark.parametrize(
+        "name, window, verdict",
+        [
+            ("square", Window(0.5, 0.5, 1.5, 1.5), False),
+            ("hexagonal", Window.square(1.0), False),
+            ("square", Window.square(1.0), True),
+            ("triangular", Window.square(1.0), True),
+        ],
+    )
+    def test_verdict_matches_reference(self, name, window, verdict):
+        cfg = make_config(name)
+        assert trivial_intersection(cfg, window, max_len=2) is verdict
+        assert reference_trivial_intersection(cfg, window, 2) is verdict
+
+    def test_word_overflow_is_named(self, square):
+        # rows near x = 2e4 fit int64, and so do the first reflections,
+        # but a word of two reflections would not
+        w = Window(2e4 - 1.5, -1.5, 2e4 + 1.5, 1.5)
+        assert trivial_intersection(square, w, max_len=1)
+        with pytest.raises(LatticeOverflowError, match="d0@10000,-1"):
+            trivial_intersection(square, w, max_len=2)
