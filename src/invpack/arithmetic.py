@@ -7,12 +7,14 @@ their Eisenstein coordinate lattices, and polynomial curvature
 relations that persist along reflection orbits.
 
 Relation sweeps enumerate every reduced word up to a length bound over
-the dual mirrors meeting a window.  Orbit states are integer coordinate
-vectors carried in float64, with a magnitude guard keeping every
-intermediate below 2^53 so the arithmetic stays exact.  Residuals of
-quadratic relations can overflow that budget, so they are certified
-zero modulo four 26-bit primes whose product exceeds any residual the
-guarded states could produce.
+the dual mirrors meeting a window.  Orbit states are int64 rows of the
+configuration's integer lattice, moved by the int64 mirror matrices the
+engine uses, with a magnitude guard before every level that raises
+LatticeOverflowError instead of wrapping.  A relation's residual on a word
+is decided exactly from two cheap evaluations, as in the modular exact
+predicates of Broennimann, Emiris, Pan and Pion (SoCG 1997): in int64,
+which gives it modulo 2^64, and in float64, which pins it to within a
+proven error bound smaller than 2^63.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from .configs import Configuration, Window, make_config
 from .engine import GroupWord, Packing, _row_lattice, apply_word
 from .exact import FieldMismatchError, QuadExt, Scalar, as_float
 from .inversive import InversiveCircle, PairClass, classify_pair
+from .lattice import _abs_f, _guard
 
 Term = Tuple[int, Tuple[int, ...]]
 MotifEntry = Tuple[int, int, PairClass]
 
 _SQRT3 = QuadExt.sqrt_d(3)
 
-# four largest primes below 2^26: residues of p^2 scale fit in float64,
-# and the product ~2.0e31 exceeds any residual the sweep guard admits
-_CERT_PRIMES = (67108859, 67108837, 67108819, 67108777)
+# a residual known modulo 2^64 and to within tol is pinned while 2 tol < 2^64;
+# stopping a factor two short absorbs the rounding of tol itself
+_RESIDUE_LIMIT = 2.0**62
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,44 @@ class RelationSweepReport:
     ok: bool
 
 
+def _vanishing(rel: CurvatureRelation, b: np.ndarray, peak: float) -> np.ndarray:
+    """Whether the relation's polynomial is exactly zero on each row of the
+    int64 curvatures ``b`` (rows x arity), every one at most ``peak`` in
+    absolute value.
+
+    The polynomial is evaluated twice: in int64, whose wraparound gives the
+    residual r modulo 2^64 exactly, and in float64, within
+    tol = (2 deg + terms + 2) 2^-52 sum|c| max(1, peak)^deg of r (each
+    monomial has deg roundings of its factors and deg of its products, the
+    sum one per term).  A zero residue leaves r a multiple of 2^64, and a
+    float value within tol of 0 leaves |r| <= 2 tol < 2^64, so r = 0.
+    Raises ArithmeticError where tol reaches 2^62 or a coefficient is not
+    exact in float64.
+    """
+    tol = (2 * rel.degree + len(rel.terms) + 2) * 2.0**-52 * rel.coefficient_sum()
+    for _ in range(rel.degree):
+        tol *= max(1.0, peak)
+    if not tol < _RESIDUE_LIMIT or max(abs(c) for c, _ in rel.terms) > 2**53:
+        raise ArithmeticError(
+            "residual bound exceeds the exact residue test; shrink the window"
+        )
+    bi = np.ascontiguousarray(b.T)
+    bf = bi.astype(np.float64)
+    residue = np.zeros(len(b), dtype=np.int64)
+    approx = np.zeros(len(b))
+    ti, tf = np.empty_like(residue), np.empty_like(approx)
+    for coeff, exps in rel.terms:
+        ti.fill(coeff)
+        tf.fill(coeff)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                ti *= bi[i]
+                tf *= bf[i]
+        residue += ti
+        approx += tf
+    return (residue == 0) & (np.abs(approx) <= tol)
+
+
 def sweep_relation_words(
     cfg: Configuration,
     relations: Sequence[CurvatureRelation],
@@ -298,12 +339,12 @@ def sweep_relation_words(
     """Certify the relations on all reduced dual words up to ``max_len``.
 
     Enumerates reduced words over the dual mirrors meeting the window,
-    acting on the stacked canonical instances in integer coordinates: rows
-    of the packing-mode base lattice, one of whose entries is the
-    curvature.
-    Residuals are checked modulo the certificate primes; combined with
-    the tracked curvature bound this proves each residual is exactly
-    zero (or pinpoints a violation).
+    acting on the stacked canonical instances as int64 rows of the
+    packing-mode base lattice, one of whose entries is the curvature.  Each
+    level is bounded before it is taken and raises LatticeOverflowError,
+    naming the mirror, where a coordinate could leave int64; the last level
+    forms the curvature entry of its images only.  Every relation is
+    decided exactly on every word by ``_vanishing``.
     """
     for rel in relations:
         if rel.config != cfg.name:
@@ -311,92 +352,61 @@ def sweep_relation_words(
         if not rel.instance:
             raise ValueError(f"relation {rel.name} has no canonical instance")
     lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
-    (col,) = np.nonzero(lat.basis[:, 1])
-    if lat.q[1] != 1 or lat.basis[:, 5].any() or len(col) != 1 or lat.basis[col[0], 1] != 1:
+    (cols,) = np.nonzero(lat.basis[:, 1])
+    if lat.q[1] != 1 or lat.basis[:, 5].any() or len(cols) != 1 or lat.basis[cols[0], 1] != 1:
         raise ValueError("relation sweep needs an integer-lattice configuration")
+    col = int(cols[0])
     gens = cfg.catalog("dual", window)
     if not gens:
         raise ValueError("no dual mirrors meet the window")
     rows = mlat.rows_at(gens.index, gens.shift, gens.idents)
-    mats = lat.reflections(mlat, rows, gens.idents).astype(np.float64)
-    stack = lat.rows_of([c for rel in relations for c in rel.instance]).astype(np.float64).T
+    mats = lat.reflections(mlat, rows, gens.idents)
+    colmax = _abs_f(mats).max(axis=1)
+    stack = lat.rows_of([c for rel in relations for c in rel.instance]).T
     spans: List[slice] = []
     for rel in relations:
         start = sum(s.stop - s.start for s in spans)
         spans.append(slice(start, start + rel.arity))
 
-    max_entry = float(np.abs(mats).max())
     ok = [True] * len(relations)
     max_curv = 0.0
     words = 0
 
-    def check(states: np.ndarray) -> None:
+    def check(curv: np.ndarray) -> None:
         nonlocal max_curv, words
-        words += states.shape[0]
-        curv = states[:, col[0], :]
+        words += len(curv)
         chunk_max = float(np.abs(curv).max())
         max_curv = max(max_curv, chunk_max)
         for k, rel in enumerate(relations):
-            b = curv[:, spans[k]]
-            bound = rel.coefficient_sum() * max(1.0, chunk_max) ** rel.degree
-            if 2.0 * bound < 2.0**53:
-                # every monomial stays exact in float64, evaluate directly
-                acc = np.zeros(states.shape[0])
-                for coeff, exps in rel.terms:
-                    term = np.full(states.shape[0], float(coeff))
-                    for i, e in enumerate(exps):
-                        for _ in range(e):
-                            term = term * b[:, i]
-                    acc += term
-                if acc.any():
-                    ok[k] = False
-                continue
-            # certify zero modulo enough primes to clear the bound; signed
-            # coefficients keep each accumulation within +-10 p << 2^53
-            residue = 2.0 * bound
-            for p in _CERT_PRIMES:
-                if residue < 1.0:
-                    break
-                residue /= p
-                bm = np.mod(b, p)
-                acc = np.zeros(states.shape[0])
-                for coeff, exps in rel.terms:
-                    term = np.ones(states.shape[0])
-                    for i, e in enumerate(exps):
-                        for _ in range(e):
-                            term = np.mod(term * bm[:, i], p)
-                    acc += coeff * term
-                if np.mod(acc, p).any():
-                    ok[k] = False
-            if residue >= 1.0:
-                raise ArithmeticError(
-                    "residual bound exceeds the prime certificate; shrink "
-                    "the window"
-                )
+            if not _vanishing(rel, curv[:, spans[k]], chunk_max).all():
+                ok[k] = False
 
-    frontier = stack[None]
+    # states coordinate-major, (W, words, circles), so that a mirror acts on
+    # one contiguous (W, words x circles) block
+    frontier = stack[:, None]
     last = np.array([-1])
-    check(frontier)
+    check(frontier[col])
     for level in range(max_len):
         final = level == max_len - 1
-        if 4.0 * max_entry * float(np.abs(frontier).max()) >= 2.0**53:
-            raise ArithmeticError(
-                "sweep window too large: coordinates would leave the exact "
-                "float64 range"
-            )
+        peak = np.maximum(frontier.max(axis=(1, 2)), -frontier.min(axis=(1, 2)))
+        _guard(colmax @ peak.astype(np.float64), gens.idents)
         blocks, lasts = [], []
-        for gi in range(len(gens)):
+        for gi, mat in enumerate(mats):
             keep = last != gi
             if not keep.any():
                 continue
-            images = np.einsum("ij,njk->nik", mats[gi], frontier[keep])
-            check(images)
-            if not final:
-                blocks.append(images)
-                lasts.append(np.full(images.shape[0], gi))
+            if final:
+                curv = mat[col] @ frontier.reshape(lat.width, -1)
+                check(curv.reshape(len(last), -1)[keep])
+                continue
+            images = mat @ frontier[:, keep].reshape(lat.width, -1)
+            images = images.reshape(lat.width, -1, stack.shape[1])
+            check(images[col])
+            blocks.append(images)
+            lasts.append(np.full(images.shape[1], gi))
         if final or not blocks:
             break
-        frontier = np.concatenate(blocks)
+        frontier = np.concatenate(blocks, axis=1)
         last = np.concatenate(lasts)
 
     return [

@@ -511,15 +511,6 @@ _CROSS_KIND_OK = {
 }
 
 
-def _float_product(u: GeneratorCircle, v: GeneratorCircle) -> float:
-    a, b = u.floats, v.floats
-    return (
-        a.h1 * b.h1
-        + a.h2 * b.h2
-        - 0.5 * (a.curvature * b.co_curvature + a.co_curvature * b.curvature)
-    )
-
-
 def _classified_pairs(
     group_a: List[GeneratorCircle],
     group_b: Optional[List[GeneratorCircle]] = None,
@@ -535,7 +526,7 @@ def _classified_pairs(
     else:
         pairs = ((u, v) for u in group_a for v in group_b)
     for u, v in pairs:
-        if _float_product(u, v) < -1.2:
+        if inversive_product(u.floats, v.floats) < -1.2:
             yield u, v, PairClass.DISJOINT_EXTERIORS
         else:
             yield u, v, classify_pair(u.circle, v.circle)
@@ -549,7 +540,7 @@ def _ring_of(
     (cx, cy) = center.circle.center()
     ring = []
     for g in others:
-        if abs(_float_product(center, g)) > 0.5:
+        if abs(inversive_product(center.floats, g.floats)) > 0.5:
             continue
         if classify_pair(center.circle, g.circle) is PairClass.ORTHOGONAL:
             ring.append(g)
@@ -700,7 +691,7 @@ def tangency_graph(circles: Sequence[GeneratorCircle], w: Window) -> TangencyGra
     edges: List[Tuple[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            if _float_product(verts[i], verts[j]) < -1.2:
+            if inversive_product(verts[i].floats, verts[j].floats) < -1.2:
                 continue
             if classify_pair(verts[i].circle, verts[j].circle) is PairClass.EXTERNALLY_TANGENT:
                 adj[i].append(j)
@@ -868,7 +859,7 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
                 p
                 for p in partners
                 if all(
-                    abs(_float_product(p, g)) < 0.5
+                    abs(inversive_product(p.floats, g.floats)) < 0.5
                     and inversive_product(p.circle, g.circle) == 0
                     for g in boundary
                 )

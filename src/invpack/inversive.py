@@ -138,11 +138,11 @@ def from_line(
 
 
 def inversive_product(v: InversiveCircle, w: InversiveCircle) -> Scalar:
-    two = 2 if v.is_exact else 2.0
+    # an int 2 divides QuadExt exactly and floats as 2.0 would
     return (
         v.h1 * w.h1
         + v.h2 * w.h2
-        - (v.curvature * w.co_curvature + v.co_curvature * w.curvature) / two
+        - (v.curvature * w.co_curvature + v.co_curvature * w.curvature) / 2
     )
 
 
