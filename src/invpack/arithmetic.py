@@ -8,8 +8,8 @@ relations that persist along reflection orbits.
 
 Relation sweeps enumerate every reduced word up to a length bound over
 the dual mirrors meeting a window.  Orbit states are int64 rows of the
-configuration's integer lattice, moved by the int64 mirror matrices the
-engine uses, with a magnitude guard before every level that raises
+configuration's integer lattice, moved along the reduced words of
+``lattice.Mirrors.walk``, which guards every level and raises
 LatticeOverflowError instead of wrapping.  A relation's residual on a word
 is decided exactly from two cheap evaluations, as in the modular exact
 predicates of Broennimann, Emiris, Pan and Pion (SoCG 1997): in int64,
@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, make_config
-from .engine import GroupWord, Packing, _row_lattice, apply_word
+from .configs import Configuration, Window, _catalog_rows, _row_lattice, make_config
+from .engine import GroupWord, Packing, apply_word
 from .exact import FieldMismatchError, QuadExt, Scalar, as_float
 from .inversive import InversiveCircle, PairClass, classify_pair
-from .lattice import _abs_f, _guard
+from .lattice import Mirrors
 
 Term = Tuple[int, Tuple[int, ...]]
 MotifEntry = Tuple[int, int, PairClass]
@@ -340,28 +340,27 @@ def sweep_relation_words(
 
     Enumerates reduced words over the dual mirrors meeting the window,
     acting on the stacked canonical instances as int64 rows of the
-    packing-mode base lattice, one of whose entries is the curvature.  Each
-    level is bounded before it is taken and raises LatticeOverflowError,
-    naming the mirror, where a coordinate could leave int64; the last level
-    forms the curvature entry of its images only.  Every relation is
-    decided exactly on every word by ``_vanishing``.
+    packing-mode base lattice, one of whose entries is the curvature, along
+    ``Mirrors.walk``: each level is guarded before it is taken and raises
+    LatticeOverflowError, naming the mirror, where a coordinate could leave
+    int64, and the last level forms the curvature entry of its images
+    only.  Every relation is decided exactly on every word by
+    ``_vanishing``.
     """
     for rel in relations:
         if rel.config != cfg.name:
             raise ValueError(f"relation {rel.name} belongs to {rel.config!r}")
         if not rel.instance:
             raise ValueError(f"relation {rel.name} has no canonical instance")
-    lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
+    lat = _row_lattice(cfg, "packing", "base")
     (cols,) = np.nonzero(lat.basis[:, 1])
     if lat.q[1] != 1 or lat.basis[:, 5].any() or len(cols) != 1 or lat.basis[cols[0], 1] != 1:
         raise ValueError("relation sweep needs an integer-lattice configuration")
     col = int(cols[0])
-    gens = cfg.catalog("dual", window)
-    if not gens:
+    gens = _catalog_rows(cfg, "dual", window)
+    if not gens.cat:
         raise ValueError("no dual mirrors meet the window")
-    rows = mlat.rows_at(gens.index, gens.shift, gens.idents)
-    mats = lat.reflections(mlat, rows, gens.idents)
-    colmax = _abs_f(mats).max(axis=1)
+    mirrors = Mirrors(lat.reflections(gens.lat, gens.rows, gens.cat.idents), gens.cat.idents)
     stack = lat.rows_of([c for rel in relations for c in rel.instance]).T
     spans: List[slice] = []
     for rel in relations:
@@ -381,36 +380,16 @@ def sweep_relation_words(
             if not _vanishing(rel, curv[:, spans[k]], chunk_max).all():
                 ok[k] = False
 
-    # states coordinate-major, (W, words, circles), so that a mirror acts on
-    # one contiguous (W, words x circles) block
-    frontier = stack[:, None]
-    last = np.array([-1])
-    check(frontier[col])
-    for level in range(max_len):
-        final = level == max_len - 1
-        peak = np.maximum(frontier.max(axis=(1, 2)), -frontier.min(axis=(1, 2)))
-        _guard(colmax @ peak.astype(np.float64), gens.idents)
-        blocks, lasts = [], []
-        for gi, mat in enumerate(mats):
-            keep = last != gi
-            if not keep.any():
-                continue
-            if final:
-                curv = mat[col] @ frontier.reshape(lat.width, -1)
-                check(curv.reshape(len(last), -1)[keep])
-                continue
-            images = mat @ frontier[:, keep].reshape(lat.width, -1)
-            images = images.reshape(lat.width, -1, stack.shape[1])
-            check(images[col])
-            blocks.append(images)
-            lasts.append(np.full(images.shape[1], gi))
-        if final or not blocks:
-            break
-        frontier = np.concatenate(blocks, axis=1)
-        last = np.concatenate(lasts)
+    check(stack[col][None])
+    for i, states, keep in mirrors.walk(stack, max_len):
+        if keep is None:
+            check(states[col])
+        else:
+            curv = mirrors.mats[i][col] @ states.reshape(lat.width, -1)
+            check(curv.reshape(len(keep), -1)[keep])
 
     return [
-        RelationSweepReport(rel.name, len(gens), words, max_curv, ok[k])
+        RelationSweepReport(rel.name, len(gens.cat), words, max_curv, ok[k])
         for k, rel in enumerate(relations)
     ]
 

@@ -5,10 +5,11 @@ repeated by a rank-2 translation lattice.  The built-in families are the
 square and triangular/hexagonal grids, a finite Apollonian-type seed, and
 the refined wallpaper variants constructed in :mod:`invpack.wallpaper`.
 
-All built-in configurations carry exact ``QuadExt`` coordinates, so pair
-classification, ring checks and duality checks can run without floating
-point error.  Validation helpers use a float prefilter to skip clearly
-disjoint far-apart pairs and confirm everything else exactly.
+All built-in configurations carry exact ``QuadExt`` coordinates.  The
+validation, tangency and duality checks take the catalogued circles of a
+window as integer rows of the lattices their translations generate
+(``lattice``) and classify every pair at once by the exact signs of its
+inversive product, ``RowLattice.products``, which the engine's peel uses.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .inversive import (
     PairClass,
     PlanarIsometry,
     apply_isometry,
-    classify_pair,
     from_center_radius,
-    inversive_product,
 )
-from .lattice import RowLattice
+from .lattice import RowLattice, derive_lattice, signs
 
 Vec = Tuple[Scalar, Scalar]
 
@@ -53,6 +52,8 @@ class Window:
     y1: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.x0, self.y0, self.x1, self.y1)):
+            raise ValueError("window corners must be finite")
         if not (self.x0 <= self.x1 and self.y0 <= self.y1):
             raise ValueError("window corners out of order")
 
@@ -85,13 +86,9 @@ class Window:
         dy = max(self.y0 - cy, 0.0, cy - self.y1)
         return dx * dx + dy * dy <= r * r
 
-    def contains_disk(self, cx: float, cy: float, r: float) -> bool:
-        return (
-            self.x0 <= cx - r
-            and cx + r <= self.x1
-            and self.y0 <= cy - r
-            and cy + r <= self.y1
-        )
+    def contains_disk(self, cx, cy, r):
+        """Whether the closed disk lies in the closed window, elementwise."""
+        return (self.x0 <= cx - r) & (cx + r <= self.x1) & (self.y0 <= cy - r) & (cy + r <= self.y1)
 
     def meets_circle(self, c: InversiveCircle, expand: float = 0.0) -> bool:
         if c.is_line:
@@ -146,11 +143,6 @@ class GeneratorCircle:
     ident: str
     kind: str
     circle: InversiveCircle
-
-    @cached_property
-    def floats(self) -> InversiveCircle:
-        """``circle.as_floats()``, converted once."""
-        return self.circle.as_floats()
 
 
 def make_id(kind: str, index: int, shift: Optional[Tuple[int, int]]) -> str:
@@ -461,6 +453,52 @@ class Configuration:
 
 
 # ---------------------------------------------------------------------------
+# integer rows
+
+# the circle kinds that seed, and that mirror, each orbit mode
+_SEED_KINDS = {"packing": ("base",), "dual": ("dual",), "super": ("base", "dual")}
+_MIRROR_KINDS = {"packing": ("dual",), "dual": ("dual",), "super": ("base", "dual")}
+
+
+def _row_lattice(cfg: Configuration, mode: Optional[str], kind: str) -> RowLattice:
+    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg``: closed
+    under the mode's reflections where the kind is reflected, under
+    translations only where it only mirrors or where no mode is given."""
+    kinds = _MIRROR_KINDS[mode] if mode and kind in _SEED_KINDS[mode] else ()
+    if (kind, kinds) not in cfg.row_lattices:
+        mirrors = [c for k in kinds for c in cfg.motif(k)]
+        cfg.row_lattices[kind, kinds] = derive_lattice(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
+    return cfg.row_lattices[kind, kinds]
+
+
+@dataclass
+class _CatalogRows:
+    """``Configuration.catalog`` of a window as integer rows of a lattice."""
+
+    cat: Catalog
+    lat: RowLattice
+    rows: np.ndarray
+
+    @cached_property
+    def geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float centers x, y and radii, as ``InversiveCircle`` gives them."""
+        fv = self.lat.as_float(self.rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
+
+
+def _catalog_rows(
+    cfg: Configuration, kind: str, w: Window, predicate: str = "meets", mode: Optional[str] = None
+) -> _CatalogRows:
+    """Rows on the lattice of ``kind`` in ``mode``: with no mode, the one
+    closed under translations alone, which every exact configuration has,
+    so the validation checks can report on any of them."""
+    cat = cfg.catalog(kind, w, predicate)
+    lat = _row_lattice(cfg, mode, kind)
+    return _CatalogRows(cat, lat, lat.rows_at(cat.index, cat.shift, cat.idents))
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -503,55 +541,41 @@ class ValidationReport:
         return [c.line() for c in self.checks]
 
 
-_SAME_KIND_OK = {PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS}
-_CROSS_KIND_OK = {
-    PairClass.ORTHOGONAL,
-    PairClass.EXTERNALLY_TANGENT,
-    PairClass.DISJOINT_EXTERIORS,
-}
+_SAME_KIND_OK = [PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS]
+_CROSS_KIND_OK = _SAME_KIND_OK + [PairClass.ORTHOGONAL]
 
 
-def _classified_pairs(
-    group_a: List[GeneratorCircle],
-    group_b: Optional[List[GeneratorCircle]] = None,
-) -> Iterable[Tuple[GeneratorCircle, GeneratorCircle, PairClass]]:
-    """Classify pairs, trusting the float product only when it is far below
-    the tangency threshold (clearly disjoint exteriors)."""
-    if group_b is None:
-        pairs = (
-            (group_a[i], group_a[j])
-            for i in range(len(group_a))
-            for j in range(i + 1, len(group_a))
-        )
-    else:
-        pairs = ((u, v) for u in group_a for v in group_b)
-    for u, v in pairs:
-        if inversive_product(u.floats, v.floats) < -1.2:
-            yield u, v, PairClass.DISJOINT_EXTERIORS
-        else:
-            yield u, v, classify_pair(u.circle, v.circle)
+def _pair_classes(fa: _CatalogRows, fb: _CatalogRows) -> np.ndarray:
+    """``classify_pair`` of every pair of an fa circle and an fb circle, as
+    a (len fa, len fb) object array, decided exactly by the sign of each
+    product p against -1, 1 and 0 (``RowLattice.products``).  A pair with
+    p = 1 is equal, and one with p = -1 opposite, where its curvatures and
+    co-curvatures agree, or agree up to sign."""
+    i, j = (x.ravel() for x in np.indices((len(fa.rows), len(fb.rows))))
+    s, s2, den = fa.lat.products(fb.lat, fa.rows[i], fb.rows[j], "a pair of window circles")
+    d = fa.lat.d
+    below, above = signs(s + den, s2, d), signs(s - den, s2, d)
+    classes = np.select(
+        [below == 0, above == 0, below < 0, above > 0, signs(s, s2, d) == 0],
+        [PairClass.EXTERNALLY_TANGENT, PairClass.INTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS,
+         PairClass.NESTED, PairClass.ORTHOGONAL], PairClass.CROSSING)
+    tie = np.flatnonzero((below == 0) | (above == 0))
+    x, y = fa.lat.aligned(fb.lat, fa.rows[i[tie]], fb.rows[j[tie]], [0, 1], "a pair of window circles")
+    classes[tie[(above[tie] == 0) & (x == y).all(axis=1)]] = PairClass.EQUAL
+    classes[tie[(below[tie] == 0) & (x == -y).all(axis=1)]] = PairClass.OPPOSITE
+    return classes.reshape(len(fa.rows), len(fb.rows))
 
 
-def _ring_of(
-    center: GeneratorCircle, others: List[GeneratorCircle]
-) -> Optional[List[GeneratorCircle]]:
-    """Circles orthogonal to `center`, in cyclic order, if they form a ring
-    (>= 3 circles, consecutive ones externally tangent).  None otherwise."""
-    (cx, cy) = center.circle.center()
-    ring = []
-    for g in others:
-        if abs(inversive_product(center.floats, g.floats)) > 0.5:
-            continue
-        if classify_pair(center.circle, g.circle) is PairClass.ORTHOGONAL:
-            ring.append(g)
-    if len(ring) < 3:
-        return None
-    ring.sort(key=lambda g: math.atan2(g.circle.center()[1] - cy, g.circle.center()[0] - cx))
-    for i, g in enumerate(ring):
-        h = ring[(i + 1) % len(ring)]
-        if classify_pair(g.circle, h.circle) is not PairClass.EXTERNALLY_TANGENT:
-            return None
-    return ring
+def _ringed(center: int, f: _CatalogRows, others: _CatalogRows, cross: np.ndarray,
+            within: np.ndarray) -> bool:
+    """Whether the circles of ``others`` orthogonal to circle ``center`` of
+    ``f`` (row ``cross`` of classes) form a ring: at least three, each
+    externally tangent to the next in angular order about the center."""
+    (x, y, _), (ox, oy, _) = f.geometry, others.geometry
+    ring = sorted(np.flatnonzero(cross == PairClass.ORTHOGONAL).tolist(),
+                  key=lambda g: math.atan2(oy[g] - y[center], ox[g] - x[center]))
+    return len(ring) >= 3 and all(within[g, h] is PairClass.EXTERNALLY_TANGENT
+                                  for g, h in zip(ring, ring[1:] + ring[:1]))
 
 
 def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
@@ -559,64 +583,42 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
 
     Pair conditions are checked for every pair meeting the window; ring and
     covering conditions only at a safe margin from the boundary, since
-    truncation removes ring partners.
+    truncation removes ring partners.  Every pair is classified at once on
+    the catalog rows, by the exact products of ``_pair_classes``.
     """
     rep = ValidationReport(cfg.name)
-    bases = cfg.circles_in_window("base", w)
-    duals = cfg.circles_in_window("dual", w)
-    if not bases or not duals:
+    bases, duals = _catalog_rows(cfg, "base", w), _catalog_rows(cfg, "dual", w)
+    if not len(bases.rows) or not len(duals.rows):
         rep.add("nonempty", False, detail="window contains no circles")
         return rep
-    rep.add("nonempty", True, detail=f"{len(bases)} base, {len(duals)} dual")
+    rep.add("nonempty", True, detail=f"{len(bases.rows)} base, {len(duals.rows)} dual")
 
-    bad = [
-        (u, v, cl)
-        for u, v, cl in _classified_pairs(bases)
-        if cl not in _SAME_KIND_OK
-    ]
-    rep.add(
-        "base-base pairs tangent or disjoint",
-        not bad,
-        [f"{u.ident}|{v.ident}:{cl.value}" for u, v, cl in bad[:4]],
-    )
-    bad = [
-        (u, v, cl)
-        for u, v, cl in _classified_pairs(duals)
-        if cl not in _SAME_KIND_OK
-    ]
-    rep.add(
-        "dual-dual pairs tangent or disjoint",
-        not bad,
-        [f"{u.ident}|{v.ident}:{cl.value}" for u, v, cl in bad[:4]],
-    )
-    bad = [
-        (u, v, cl)
-        for u, v, cl in _classified_pairs(bases, duals)
-        if cl not in _CROSS_KIND_OK
-    ]
-    rep.add(
-        "base-dual pairs orthogonal, tangent or disjoint",
-        not bad,
-        [f"{u.ident}|{v.ident}:{cl.value}" for u, v, cl in bad[:4]],
-    )
+    b2b, d2d, b2d = (_pair_classes(*p) for p in ((bases, bases), (duals, duals), (bases, duals)))
+    for label, fa, fb, classes, ok in (
+        ("base-base pairs tangent or disjoint", bases, bases, b2b, _SAME_KIND_OK),
+        ("dual-dual pairs tangent or disjoint", duals, duals, d2d, _SAME_KIND_OK),
+        ("base-dual pairs orthogonal, tangent or disjoint", bases, duals, b2d, _CROSS_KIND_OK),
+    ):
+        i, j = np.triu_indices(len(fa.rows), 1) if fa is fb else np.indices(classes.shape).reshape(2, -1)
+        bad = np.flatnonzero(~np.isin(classes[i, j], ok))
+        rep.add(label, not bad.size, [
+            f"{fa.cat.idents[i[k]]}|{fb.cat.idents[j[k]]}:{classes[i[k], j[k]].value}"
+            for k in bad[:4].tolist()
+        ])
 
-    margin = cfg.safe_margin() if cfg.lattice is not None else 0.0
-    inner = w.shrunk(margin) if cfg.lattice is not None else w
+    inner = w.shrunk(cfg.safe_margin()) if cfg.lattice is not None else w
     ring_fail: List[str] = []
     checked = 0
-    for center_group, other_group, label in (
-        (bases, duals, "base"),
-        (duals, bases, "dual"),
+    for label, f, others, cross, within in (
+        ("base", bases, duals, b2d, d2d),
+        ("dual", duals, bases, b2d.T, b2b),
     ):
-        for g in center_group:
-            (cx, cy), r = g.circle.center(), g.circle.radius()
-            if cfg.lattice is not None and (
-                inner is None or not inner.contains_disk(cx, cy, r)
-            ):
-                continue
-            checked += 1
-            if _ring_of(g, other_group) is None:
-                ring_fail.append(f"{label}:{g.ident}")
+        centers = np.arange(len(f.rows))
+        if cfg.lattice is not None:
+            centers = centers[inner.contains_disk(*f.geometry)] if inner is not None else centers[:0]
+        checked += len(centers)
+        ring_fail += [f"{label}:{f.cat.idents[c]}" for c in centers.tolist()
+                      if not _ringed(c, f, others, cross[c], within)]
     rep.add(
         "every interior circle ringed by >= 3 orthogonal circles",
         None if checked == 0 else not ring_fail,
@@ -625,10 +627,8 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
     )
 
     if inner is not None and inner.x0 < inner.x1 and inner.y0 < inner.y1:
-        disks = [
-            (g.circle.center(), as_float(g.circle.exact_radius()))
-            for g in bases + duals
-        ]
+        disks = [(c.center(), as_float(c.exact_radius()))
+                 for f in (bases, duals) for c in f.lat.circles(f.rows)]
         uncovered = []
         for (x, y) in inner.sample_grid(24):
             hit = False
@@ -651,10 +651,7 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
         sub = Window(
             w.x0 * frac, w.y0 * frac, w.x1 * frac, w.y1 * frac
         )
-        counts.append(
-            len(cfg.circles_in_window("base", sub))
-            + len(cfg.circles_in_window("dual", sub))
-        )
+        counts.append(len(cfg.catalog("base", sub)) + len(cfg.catalog("dual", sub)))
     rep.add(
         "growth of circle counts in nested windows",
         None,
@@ -675,29 +672,28 @@ class TangencyGraph:
     (indices into ``vertices``); the unbounded face is omitted.
     """
 
-    vertices: List[GeneratorCircle]
+    vertices: Sequence[GeneratorCircle]
     edges: List[Tuple[int, int]]
     faces: List[List[int]]
     adjacency: Dict[int, List[int]]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+
+def tangency_graph(cfg: Configuration, kind: str, w: Window) -> TangencyGraph:
+    """Externally tangent pairs, by ``_pair_classes``, among the ``kind``
+    circles inside the window, whose catalog is the vertex list."""
+    return _tangency(_catalog_rows(cfg, kind, w, "inside"))
 
 
-def tangency_graph(circles: Sequence[GeneratorCircle], w: Window) -> TangencyGraph:
-    verts = [g for g in circles if w.contains_circle(g.circle)]
-    n = len(verts)
+def _tangency(verts: _CatalogRows) -> TangencyGraph:
+    n = len(verts.rows)
     adj: Dict[int, List[int]] = {i: [] for i in range(n)}
     edges: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inversive_product(verts[i].floats, verts[j].floats) < -1.2:
-                continue
-            if classify_pair(verts[i].circle, verts[j].circle) is PairClass.EXTERNALLY_TANGENT:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges.append((i, j))
-    centers = [g.circle.center() for g in verts]
+    tangent = np.triu(_pair_classes(verts, verts) == PairClass.EXTERNALLY_TANGENT, 1)
+    for i, j in zip(*(x.tolist() for x in np.nonzero(tangent))):
+        adj[i].append(j)
+        adj[j].append(i)
+        edges.append((i, j))
+    centers = list(zip(*(v.tolist() for v in verts.geometry[:2])))
 
     def angle(i: int, j: int) -> float:
         return math.atan2(centers[j][1] - centers[i][1], centers[j][0] - centers[i][0])
@@ -730,7 +726,7 @@ def tangency_graph(circles: Sequence[GeneratorCircle], w: Window) -> TangencyGra
                 area += x1 * y2 - x2 * y1
             if area > 1e-9 and len(set(cycle)) == len(cycle) and len(cycle) >= 3:
                 faces.append(cycle)
-    return TangencyGraph(verts, edges, faces, adj)
+    return TangencyGraph(verts.cat, edges, faces, adj)
 
 
 def _is_three_connected(
@@ -832,41 +828,34 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
     Each bounded face of the base tangency graph must host exactly one dual
     circle orthogonal to all its boundary circles, and symmetrically for
     the dual graph.  Faces near the window boundary are clipped artifacts
-    and are skipped via the safe margin.
+    and are skipped via the safe margin.  Tangency and orthogonality are
+    read off ``_pair_classes`` of the catalog rows.
     """
     rep = ValidationReport(cfg.name)
-    margin = cfg.safe_margin()
-    inner = w.shrunk(margin) if cfg.lattice is not None else w
-    bases = cfg.circles_in_window("base", w)
-    duals = cfg.circles_in_window("dual", w)
-    for this_kind, graph_circles, partners, label in (
-        ("base", bases, duals, "base graph faces host one orthogonal dual"),
-        ("dual", duals, bases, "dual graph faces host one orthogonal base"),
+    inner = w.shrunk(cfg.safe_margin()) if cfg.lattice is not None else w
+    verts = {kind: _catalog_rows(cfg, kind, w, "inside") for kind in ("base", "dual")}
+    graphs = {kind: _tangency(f) for kind, f in verts.items()}
+    for kind, partner, label in (
+        ("base", "dual", "base graph faces host one orthogonal dual"),
+        ("dual", "base", "dual graph faces host one orthogonal base"),
     ):
-        graph = tangency_graph(graph_circles, w)
+        f, graph = verts[kind], graphs[kind]
+        orth = _pair_classes(_catalog_rows(cfg, partner, w), f) == PairClass.ORTHOGONAL
+        cxs, cys = (v.tolist() for v in f.geometry[:2])
         bad: List[str] = []
         n_checked = 0
         for face in graph.faces:
-            boundary = [graph.vertices[i] for i in face]
-            cx = sum(g.circle.center()[0] for g in boundary) / len(boundary)
-            cy = sum(g.circle.center()[1] for g in boundary) / len(boundary)
+            cx = sum(cxs[i] for i in face) / len(face)
+            cy = sum(cys[i] for i in face) / len(face)
             if cfg.lattice is not None and (
                 inner is None or not inner.contains_point(cx, cy)
             ):
                 continue
             n_checked += 1
-            hosts = [
-                p
-                for p in partners
-                if all(
-                    abs(inversive_product(p.floats, g.floats)) < 0.5
-                    and inversive_product(p.circle, g.circle) == 0
-                    for g in boundary
-                )
-            ]
-            if len(hosts) != 1:
-                ids = "+".join(g.ident for g in boundary)
-                bad.append(f"face[{ids}]:{len(hosts)} hosts")
+            hosts = int(orth[:, face].all(axis=1).sum())
+            if hosts != 1:
+                ids = "+".join(f.cat.idents[i] for i in face)
+                bad.append(f"face[{ids}]:{hosts} hosts")
         rep.add(
             label,
             None if n_checked == 0 else not bad,
@@ -874,18 +863,14 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
             detail=f"{n_checked} faces checked",
         )
 
-    base_graph = tangency_graph(bases, w)
     if cfg.lattice is None:
-        interior = list(range(len(base_graph.vertices)))
+        interior = list(range(len(verts["base"].rows)))
     else:
         v1, v2 = cfg._lattice_float
         core = w.shrunk(max(math.hypot(*v1), math.hypot(*v2)))
-        interior = [
-            i
-            for i, g in enumerate(base_graph.vertices)
-            if core is not None and core.contains_circle(g.circle)
-        ]
-    ok3, detail = _is_three_connected(base_graph, interior)
+        inside = core is not None and core.contains_disk(*verts["base"].geometry)
+        interior = np.flatnonzero(inside).tolist()
+    ok3, detail = _is_three_connected(graphs["base"], interior)
     rep.add("base tangency graph 3-connected", ok3, detail=detail)
     return rep
 

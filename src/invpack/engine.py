@@ -35,8 +35,10 @@ row of integers over its kind's lattice (``lattice.derive_lattice``,
 derived from the configuration's data), exactly, or as the ``as_float``
 values of those rows, deduplicated on a 1e-9 grid.  Seeds and mirrors
 come from the configuration's array catalog as motif rows times integer
-lattice-translation matrices, and reflections act as integer matrices
-(float runs take the ``as_float`` values of the real ones).  Each BFS
+lattice-translation matrices.  Reflections act through the guarded
+``lattice.Mirrors.images`` (float runs take the ``as_float`` values of the
+real matrices), and the peel's host test is the exact
+``RowLattice.products`` of a row and its mirror.  Each BFS
 level is one spatial join of the frontier rows to the mirror centers
 under the locality bound, one batch of images over the joined pairs and
 one vectorised deduplication; a row within 1e-9 of its window or radius
@@ -54,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .configs import Catalog, Configuration, Window, parse_id
+from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, _row_lattice, parse_id
 from .exact import QuadExt, as_float
 from .inversive import (
     InversiveCircle,
@@ -63,14 +65,12 @@ from .inversive import (
     inversive_product,
     reflect,
 )
-from .lattice import LatticeOverflowError, RowLattice, _abs_f, _guard, derive_lattice
+from .lattice import LatticeOverflowError, Mirrors, RowLattice, _guard
 
 GroupWord = List[str]
 
 MODES = ("packing", "dual", "super")
 
-_SEED_KINDS = {"packing": ("base",), "dual": ("dual",), "super": ("base", "dual")}
-_MIRROR_KINDS = {"packing": ("dual",), "dual": ("dual",), "super": ("base", "dual")}
 _CIRCLE_KIND = {"packing": "base", "dual": "dual", "super": "super"}
 
 
@@ -188,7 +188,7 @@ class GenerationLimits:
     def __post_init__(self) -> None:
         if self.max_height < 0:
             raise ValueError("max_height must be nonnegative")
-        if self.min_radius <= 0:
+        if not self.min_radius > 0:
             raise ValueError("min_radius must be positive")
 
 
@@ -331,17 +331,6 @@ def _catalog(cfg: Configuration, kinds: Sequence[str], w: Window, pad: float) ->
 _PEEL_STEPS = 96
 
 
-def _row_lattice(cfg: Configuration, mode: str, kind: str) -> RowLattice:
-    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg``: closed
-    under the mode's reflections where the kind is reflected, under
-    translations only where it only mirrors."""
-    kinds = _MIRROR_KINDS[mode] if kind in _SEED_KINDS[mode] else ()
-    if (kind, kinds) not in cfg.row_lattices:
-        mirrors = [c for k in kinds for c in cfg.motif(k)]
-        cfg.row_lattices[kind, kinds] = derive_lattice(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
-    return cfg.row_lattices[kind, kinds]
-
-
 def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of 2-d points with a[i] and b[j] within ``reach``
     in both coordinates, plus some farther ones.
@@ -456,17 +445,16 @@ class _ArrayLane:
         self.mirror_rows = ints if exact else mv
         # <v, m> = v . mirror_q for a float row v
         self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
-        self.mats: Dict[str, np.ndarray] = {}
-        self.mat_colmax: Dict[str, np.ndarray] = {}
+        self.reflect: Dict[str, Mirrors] = {}
         if exact:
             for k in self.kinds:
                 w = self.lat[k].width
-                self.mats[k] = np.zeros((len(mirrors), w, w), dtype=np.int64)
+                mats = np.zeros((len(mirrors), w, w), dtype=np.int64)
                 for sel, lat in self._by_kind(mirrors.kind):
-                    self.mats[k][sel] = self.lat[k].reflections(
+                    mats[sel] = self.lat[k].reflections(
                         lat, ints[sel, : lat.width], self.mirror_ids[sel]
                     )
-                self.mat_colmax[k] = _abs_f(self.mats[k]).max(axis=1)
+                self.reflect[k] = Mirrors(mats, self.mirror_ids)
         else:
             self.float_mats = np.empty((len(mirrors), 4, 4))
             for sel, lat in self._by_kind(mirrors.kind):
@@ -572,12 +560,6 @@ class _ArrayLane:
 
     def _float_view(self, rows: np.ndarray, kind: str) -> np.ndarray:
         return self.lat[kind].approx(rows) if self.exact else rows
-
-    def _int_images(self, kind: str, rows: np.ndarray, via: np.ndarray) -> np.ndarray:
-        """Each integer row reflected in its mirror ``via``, guarded."""
-        bound = (_abs_f(rows) * self.mat_colmax[kind][via]).sum(axis=1)
-        _guard(bound, self.mirror_ids[via])
-        return np.einsum("nij,nj->ni", self.mats[kind][via], rows)
 
     def _kept(self, rows: np.ndarray, kind: str, level: int) -> np.ndarray:
         """Which rows a level keeps: radius >= rho and a disk meeting the
@@ -720,7 +702,7 @@ class _ArrayLane:
         mask &= np.abs(fv[src, 1] - 2.0 * p * self.mirror_vec[via, 1]) * floor <= 1.0
         src, via = src[mask], via[mask]
         if self.exact:
-            img = self._int_images(kind, front[src], via)
+            img = self.reflect[kind].images(front[src], via)
         else:
             # float rows: one matrix product per mirror, which fixes their rounding
             img = np.empty((len(src), 4))
@@ -759,7 +741,7 @@ class _ArrayLane:
             for i, ident in zip(active.tolist(), ids[host].tolist()):
                 words[i].append(ident)
             if self.exact:
-                cur = self._int_images(kind, cur, host)
+                cur = self.reflect[kind].images(cur, host)
             else:
                 # v - 2<v, m> m, as ``reflect`` computes it
                 cur = cur - (2 * prod)[:, None] * self.mirror_vec[host]

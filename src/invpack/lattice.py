@@ -16,15 +16,22 @@ the Z-span of the motif rows closed in the same way.
 
 A row n of W integers has coordinate j equal to (P_j + R_j sqrt d) / q_j
 with (P, R) = n @ basis.  Float views, exact signs, ``as_float`` values,
-circles, translated rows, the images of rows under planar isometries and
-the reflections and inversive products of mirrors all come from that one
-integer map, on int64 under ``_guard``.
+circles, translated rows and the images of rows under planar isometries
+all come from that one integer map, on int64 under ``_guard``.
+
+Two exact operations serve the engine and the checking modules alike.
+``Mirrors`` reflects rows in catalogued mirrors, each row in its own
+mirror (``images``) or along every reduced word up to a length
+(``walk``), every image guarded before it is formed.
+``RowLattice.products`` gives inversive products of rows of two lattices
+as (S + S2 sqrt d) / den, whose exact signs against -1, 0 and 1 decide
+tangency, orthogonality and inclusion.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -528,29 +535,43 @@ class RowLattice:
             raise ArithmeticError("mirror action does not preserve the integer lattice")
         return np.eye(self.width, dtype=np.int64) + num // (fden * gden)
 
-    def inside(
-        self, ml: "RowLattice", u: np.ndarray, w: np.ndarray, idents: Sequence[str]
-    ) -> np.ndarray:
-        """Whether each circle u lies inside, and differs from, its mirror
-        w (a row of lattice ``ml``): <u, w> >= 1 and b_u >= b_w, exactly.
-
-        -2 <u, w> = (N + N2 sqrt d) / gden with N = u . (w G) and
-        N2 = u . (w G2); an equal circle is the tangent case with equal
-        curvature.
-        """
+    def products(
+        self, ml: "RowLattice", u: np.ndarray, w: np.ndarray, idents: Union[str, Sequence[str]]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Exact inversive products <u_i, w_i> of rows u here and rows w of
+        lattice ``ml``: (S + S2 sqrt d) / den, den > 0, from -2 <u, w> =
+        (u . (w G) + u . (w G2) sqrt d) / gden.  S - c den stays in int64 for
+        |c| <= 1, so ``signs(S - c den, S2, d)`` is the sign of <u, w> - c."""
         _, _, g, g2, _, gden = self._action(ml)
         uf, wf = _abs_f(u), _abs_f(w)
         _guard(np.maximum((uf * (wf @ _abs_f(g))).sum(axis=1),
                           (uf * (wf @ _abs_f(g2))).sum(axis=1)) + 2.0 * gden, idents)
-        n = -((u * (w @ g)).sum(axis=1) + 2 * gden)
-        n2 = -(u * (w @ g2)).sum(axis=1)
+        return -(u * (w @ g)).sum(axis=1), -(u * (w @ g2)).sum(axis=1), 2 * gden
+
+    def aligned(
+        self, ml: "RowLattice", u: np.ndarray, w: np.ndarray, cols: List[int],
+        idents: Union[str, Sequence[str]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """P then R parts of coordinates ``cols`` of rows u here and of rows
+        w of lattice ``ml``, over the common denominators q_j ml.q_j: two
+        arrays whose sums and differences stay in int64, equal exactly
+        where those coordinates are."""
         (pu, ru), (pw, rw) = self.values(u), ml.values(w)
-        qu, qw = self._q[1], ml._q[1]
-        _guard(np.maximum(_abs_f(pu[:, 1]) * qw + _abs_f(pw[:, 1]) * qu,
-                          _abs_f(ru[:, 1]) * qw + _abs_f(rw[:, 1]) * qu), idents)
-        cp, cr = pu[:, 1] * qw - pw[:, 1] * qu, ru[:, 1] * qw - rw[:, 1] * qu
-        same = (n == 0) & (n2 == 0) & (cp == 0) & (cr == 0)
-        return (signs(n, n2, self.d) >= 0) & (signs(cp, cr, self.d) >= 0) & ~same
+        x, y = np.hstack([pu[:, cols], ru[:, cols]]), np.hstack([pw[:, cols], rw[:, cols]])
+        qx, qy = np.tile(ml.q[cols], 2), np.tile(self.q[cols], 2)
+        _guard((_abs_f(x) * qx + _abs_f(y) * qy).max(axis=1, initial=0.0), idents)
+        return x * qx, y * qy
+
+    def inside(
+        self, ml: "RowLattice", u: np.ndarray, w: np.ndarray, idents: Sequence[str]
+    ) -> np.ndarray:
+        """Whether each circle u lies inside, and differs from, its mirror
+        w (a row of lattice ``ml``): <u, w> >= 1 and b_u >= b_w, exactly;
+        an equal circle is the tangent case with equal curvature."""
+        s, s2, den = self.products(ml, u, w, idents)
+        cp, cr = np.subtract(*self.aligned(ml, u, w, [1], idents)).T
+        same = (s == den) & (s2 == 0) & (cp == 0) & (cr == 0)
+        return (signs(s - den, s2, self.d) >= 0) & (signs(cp, cr, self.d) >= 0) & ~same
 
     def float_reflections(self, w: np.ndarray) -> np.ndarray:
         """``as_float`` of every entry of the real 4 x 4 reflection matrix
@@ -565,3 +586,60 @@ class RowLattice:
         den = self.q[:, None] * self.q[_SWAP][None, :]
         a = den * np.eye(4, dtype=np.int64) + np.array(_K) * (p * ps + self.d * r * rs)
         return as_floats(a, np.array(_K) * (p * rs + r * ps), den, self.d)
+
+
+class Mirrors:
+    """Reflections in catalogued mirrors acting on one lattice's rows: the
+    int64 matrices ``mats`` (n, W, W) of ``RowLattice.reflections`` and the
+    ids of their mirrors.  An entry of M v is at most sum_j colmax_j |v_j|,
+    colmax_j the largest |M_ij| in column j; LatticeOverflowError names the
+    mirror where that bound reaches the int64 budget."""
+
+    def __init__(self, mats: np.ndarray, idents: Sequence[str]) -> None:
+        self.mats = mats
+        self.idents = np.asarray(idents, dtype=object)
+        self._colmax = _abs_f(mats).max(axis=1)
+
+    def images(self, rows: np.ndarray, via: np.ndarray) -> np.ndarray:
+        """Each row reflected in its own mirror ``via``."""
+        _guard((_abs_f(rows) * self._colmax[via]).sum(axis=1), self.idents[via])
+        return np.einsum("nij,nj->ni", self.mats[via], rows)
+
+    def walk(
+        self, start: np.ndarray, max_len: int
+    ) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+        """Every nonempty reduced word of length at most ``max_len`` acting
+        on the state ``start``, k rows held coordinate major (W, k).
+
+        Yields (i, states, keep) by length, then by last mirror i.  Below
+        ``max_len``, states (W, words, k) are the images under i of the
+        previous length's states not ending in i, and keep is None; at
+        ``max_len`` they are the previous length's states unreflected, keep
+        masks those i extends, and the caller forms only the entries of
+        ``mats[i] @ states`` it needs.  Each length guards every mirror
+        over every row of the states it acts on, first by a bound over the
+        peak of each coordinate, which is no smaller and passes most.
+        """
+        width, k = start.shape
+        frontier, last = start[:, None], np.array([-1])
+        for length in range(1, max_len + 1):
+            rows = frontier.reshape(width, -1)
+            peak = np.maximum(rows.max(axis=1), -rows.min(axis=1)).astype(np.float64)
+            if (self._colmax @ peak).max(initial=0.0) >= _INT64_BUDGET:
+                rf = _abs_f(rows)
+                _guard(np.array([(c @ rf).max() for c in self._colmax]), self.idents)
+            blocks, lasts = [], []
+            for i, mat in enumerate(self.mats):
+                keep = last != i
+                if not keep.any():
+                    continue
+                if length == max_len:
+                    yield i, frontier, keep
+                    continue
+                images = (mat @ frontier[:, keep].reshape(width, -1)).reshape(width, -1, k)
+                yield i, images, None
+                blocks.append(images)
+                lasts.append(np.full(images.shape[1], i))
+            if not blocks:
+                return
+            frontier, last = np.concatenate(blocks, axis=1), np.concatenate(lasts)

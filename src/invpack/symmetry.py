@@ -14,7 +14,8 @@ translations).  An isometry maps rows by one integer matrix
 (``RowLattice.moved``); an image off the lattice is no configuration
 circle, and an image on it is one when it equals, row for row, the motif
 circle moved by the lattice shift its float center rounds to.  The
-reflection words of ``trivial_intersection`` act on the same rows.
+reflection words of ``trivial_intersection`` act on the same rows, along
+``lattice.Mirrors.walk``.
 
 Classification studies the verified group modulo lattice translations.
 The finite quotient is closed explicitly, the maximal rotation order is
@@ -35,19 +36,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _vec_float
-from .engine import _row_lattice
+from .configs import Configuration, Window, _catalog_rows, _row_lattice, _vec_float
 from .exact import QuadExt, Scalar, as_float, scalar_sign
 from .inversive import InversiveCircle, PlanarIsometry, _cadd, _cconj, _cmul
-from .lattice import RowLattice, _abs_f, _guard
+from .lattice import Mirrors, RowLattice, _guard
 
 Vec = Tuple[Scalar, Scalar]
 
 _HALF = QuadExt(1, 0, 2)
-
-
-def _csub(u: Vec, v: Vec) -> Vec:
-    return (u[0] - v[0], u[1] - v[1])
 
 
 def _cdiv(u: Vec, w: Vec) -> Vec:
@@ -112,18 +108,15 @@ Pools = List[Tuple[str, RowLattice, np.ndarray]]
 def _window_pools(cfg: Configuration, w: Optional[Window]) -> Pools:
     """Rows of the base and dual circles meeting the safe interior of the
     window, in catalog order, on the packing-mode lattices."""
-    lats = [(kind, _row_lattice(cfg, "packing", kind)) for kind in ("base", "dual")]
     if cfg.lattice is None:
-        return [(kind, lat, lat.motif) for kind, lat in lats]
+        return [(kind, lat, lat.motif)
+                for kind, lat in ((k, _row_lattice(cfg, "packing", k)) for k in ("base", "dual"))]
     w = default_window(cfg) if w is None else w
     inner = w.shrunk(lattice_diameter(cfg))
     if inner is None:
         raise ValueError("window too small for a safe interior")
-    pools = []
-    for kind, lat in lats:
-        cat = cfg.catalog(kind, inner)
-        pools.append((kind, lat, lat.rows_at(cat.index, cat.shift, cat.idents)))
-    return pools
+    return [(k, c.lat, c.rows)
+            for k, c in ((k, _catalog_rows(cfg, k, inner, mode="packing")) for k in ("base", "dual"))]
 
 
 def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarray:
@@ -600,52 +593,33 @@ def trivial_intersection(
     the base circles, in the packing-mode base lattice, under a word; it
     is compared with the rows of the candidates' images exactly.  Every
     state lies on the lattice, so a candidate moving some base circle off
-    it is no target.
+    it is no target.  The words are those of ``Mirrors.walk``, none pruned:
+    dual mirrors are tangent or disjoint, so they generate a free product
+    of reflections, and a repeated state would only be checked twice.
     """
-    duals = cfg.catalog("dual", window)
-    bases = cfg.catalog("base", window)
-    if not len(duals) or not len(bases):
+    duals, bases = _catalog_rows(cfg, "dual", window), _catalog_rows(cfg, "base", window, mode="packing")
+    if not duals.cat or not bases.cat:
         raise ValueError("window holds no circles to compare")
+    lat, start, idents = bases.lat, bases.rows, bases.cat.idents
     reps = quotient_isometries(cfg, [d.iso for d in cfg.symmetries])
-    lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
-    start = lat.rows_at(bases.index, bases.shift, bases.idents)
-    mats = lat.reflections(mlat, mlat.rows_at(duals.index, duals.shift, duals.idents),
-                           duals.idents)
-    colmax = _abs_f(mats).max(axis=1)
+    mirrors = Mirrors(lat.reflections(duals.lat, duals.rows, duals.cat.idents), duals.cat.idents)
 
     reach = np.arange(-6, 7, dtype=np.int64)
     shifts = np.stack(np.meshgrid(reach, reach, indexing="ij"), axis=-1).reshape(-1, 2)
     targets = set()
     for q in reps:
-        images, on = lat.moved(q, start, bases.idents)
+        images, on = lat.moved(q, start, idents)
         # a lattice translate of an off-lattice image stays off the lattice
         if on.all():
             moved = lat.translated(np.tile(images, (len(shifts), 1)),
-                                   np.repeat(shifts, len(start), axis=0), bases.idents)
+                                   np.repeat(shifts, len(start), axis=0), idents)
             targets.update(s.tobytes() for s in moved.reshape(len(shifts), -1))
 
-    frontier, last = start[None], np.array([-1])
-    seen = {start.tobytes()}
-    for level in range(max_len):
-        final = level == max_len - 1
-        _guard((_abs_f(frontier).reshape(-1, lat.width) @ colmax.T).max(axis=0, initial=0.0),
-               duals.idents)
-        blocks, lasts = [], []
-        for i, mat in enumerate(mats):
-            images = frontier[last != i] @ mat.T
-            keys = [s.tobytes() for s in images]
-            if not targets.isdisjoint(keys):
-                return False
-            if final:
-                continue
-            fresh = []
-            for j, key in enumerate(keys):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(j)
-            blocks.append(images[fresh])
-            lasts.append(np.full(len(fresh), i))
-        if final:
-            break
-        frontier, last = np.concatenate(blocks), np.concatenate(lasts)
+    for i, states, keep in mirrors.walk(start.T, max_len):
+        if keep is not None:
+            states = mirrors.mats[i] @ states[:, keep].reshape(lat.width, -1)
+        # one state per word, its rows in catalog order as in the targets
+        flat = np.ascontiguousarray(states.reshape(lat.width, -1, len(start)).transpose(1, 2, 0))
+        if not targets.isdisjoint(s.tobytes() for s in flat):
+            return False
     return True

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import weakref
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,12 @@ from hypothesis import strategies as st
 from invpack.configs import (
     GeneratorCircle,
     TangencyGraph,
+    ValidationReport,
     Window,
+    _catalog_rows,
     _is_three_connected,
+    _pair_classes,
+    _row_lattice,
     check_duality,
     config_names,
     kleinian_class,
@@ -23,7 +30,14 @@ from invpack.configs import (
     validate_base_dual,
 )
 from invpack.exact import QuadExt
-from invpack.inversive import InversiveCircle, PairClass, classify_pair
+from invpack.inversive import (
+    InversiveCircle,
+    PairClass,
+    apply_isometry,
+    classify_pair,
+    from_center_radius,
+    inversive_product,
+)
 
 
 def key_of(c):
@@ -48,6 +62,16 @@ class TestWindow:
 
     def test_shrunk_to_nothing(self):
         assert Window.square(1.0).shrunk(2.0) is None
+
+    @pytest.mark.parametrize("corners", [(-math.inf, -1, 1, 1), (0, 0, 1, math.inf),
+                                         (math.nan, 0, 1, 1), (-1e309, 0, 1, 1)])
+    def test_non_finite_corners_rejected(self, corners):
+        with pytest.raises(ValueError, match="window corners must be finite"):
+            Window(*corners)
+
+    def test_parse_rejects_nan(self):
+        with pytest.raises(ValueError, match="window corners must be finite"):
+            Window.parse("nan,0,1,1")
 
 
 class TestIds:
@@ -224,7 +248,7 @@ class TestTangencyGraph:
     def test_square_grid_graph(self):
         cfg = make_config("square")
         w = Window.square(3.0)
-        g = tangency_graph(cfg.circles_in_window("base", w), w)
+        g = tangency_graph(cfg, "base", w)
         assert len(g.vertices) == 9
         assert len(g.edges) == 12
         assert len(g.faces) == 4
@@ -233,7 +257,7 @@ class TestTangencyGraph:
     def test_face_boundaries_ring_a_dual(self):
         cfg = make_config("square")
         w = Window.square(3.0)
-        g = tangency_graph(cfg.circles_in_window("base", w), w)
+        g = tangency_graph(cfg, "base", w)
         from invpack.inversive import inversive_product
 
         duals = cfg.circles_in_window("dual", w)
@@ -334,11 +358,24 @@ class TestMakeConfig:
         )
 
 
+# configuration -> its exact translations by (m, n) and translates by
+# (kind, index, m, n), built by ``per_translate_catalog`` on first use
+_TRANSLATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _translate(cfg, kind, i, m, n):
+    """Motif circle i of ``kind`` moved exactly by m v1 + n v2, memoized."""
+    memo = _TRANSLATES.setdefault(cfg, {})
+    if (kind, i, m, n) not in memo:
+        if (m, n) not in memo:
+            memo[m, n] = cfg.translation(m, n)
+        memo[kind, i, m, n] = apply_isometry(memo[m, n], cfg.motif(kind)[i])
+    return memo[kind, i, m, n]
+
+
 def per_translate_catalog(cfg, kind, w, predicate="meets", expand=0.0):
     """The catalog as it was built before the array catalog: one exact
     translate per (m, n) of the shift range, tested by the window."""
-    from invpack.inversive import apply_isometry
-
     if predicate == "meets":
         keep = lambda c: w.meets_circle(c, expand)  # noqa: E731
     else:
@@ -351,7 +388,7 @@ def per_translate_catalog(cfg, kind, w, predicate="meets", expand=0.0):
         m_lo, m_hi, n_lo, n_hi = cfg._shift_range((cx, cy), r, w, expand)
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
-                if keep(apply_isometry(cfg.translation(m, n), c)):
+                if keep(_translate(cfg, kind, i, m, n)):
                     out.append(make_id(kind, i, (m, n)))
     return sorted(out)
 
@@ -433,3 +470,220 @@ class TestArrayCatalog:
     def test_unknown_predicate(self):
         with pytest.raises(ValueError, match="unknown predicate"):
             make_config("square").catalog("base", Window.square(1.0), "touches")
+
+
+# ---------------------------------------------------------------------------
+# the row checks against the per-circle references
+
+
+def reference_classified_pairs(group_a, group_b=None):
+    """Pairs classified one exact circle at a time, trusting the float
+    product only when it is far below the tangency threshold."""
+    if group_b is None:
+        pairs = [(group_a[i], group_a[j]) for i in range(len(group_a))
+                 for j in range(i + 1, len(group_a))]
+    else:
+        pairs = [(u, v) for u in group_a for v in group_b]
+    for u, v in pairs:
+        if inversive_product(u.circle.as_floats(), v.circle.as_floats()) < -1.2:
+            yield u, v, PairClass.DISJOINT_EXTERIORS
+        else:
+            yield u, v, classify_pair(u.circle, v.circle)
+
+
+def reference_ring_of(center, others):
+    """Circles orthogonal to ``center`` in angular order, if they form a
+    ring of at least three, each externally tangent to the next."""
+    (cx, cy) = center.circle.center()
+    ring = [g for g in others if classify_pair(center.circle, g.circle) is PairClass.ORTHOGONAL]
+    if len(ring) < 3:
+        return None
+    ring.sort(key=lambda g: math.atan2(g.circle.center()[1] - cy, g.circle.center()[0] - cx))
+    for i, g in enumerate(ring):
+        if classify_pair(g.circle, ring[(i + 1) % len(ring)].circle) is not PairClass.EXTERNALLY_TANGENT:
+            return None
+    return ring
+
+
+def reference_validate(cfg, w):
+    """``validate_base_dual`` one exact circle and one pair at a time."""
+    rep = ValidationReport(cfg.name)
+    bases = cfg.circles_in_window("base", w)
+    duals = cfg.circles_in_window("dual", w)
+    if not bases or not duals:
+        rep.add("nonempty", False, detail="window contains no circles")
+        return rep
+    rep.add("nonempty", True, detail=f"{len(bases)} base, {len(duals)} dual")
+    same = {PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS}
+    for label, pairs, ok in (
+        ("base-base pairs tangent or disjoint", reference_classified_pairs(bases), same),
+        ("dual-dual pairs tangent or disjoint", reference_classified_pairs(duals), same),
+        ("base-dual pairs orthogonal, tangent or disjoint",
+         reference_classified_pairs(bases, duals), same | {PairClass.ORTHOGONAL}),
+    ):
+        bad = [(u, v, cl) for u, v, cl in pairs if cl not in ok]
+        rep.add(label, not bad, [f"{u.ident}|{v.ident}:{cl.value}" for u, v, cl in bad[:4]])
+    inner = w.shrunk(cfg.safe_margin()) if cfg.lattice is not None else w
+    ring_fail, checked = [], 0
+    for center_group, other_group, label in ((bases, duals, "base"), (duals, bases, "dual")):
+        for g in center_group:
+            (cx, cy), r = g.circle.center(), g.circle.radius()
+            if cfg.lattice is not None and (inner is None or not inner.contains_disk(cx, cy, r)):
+                continue
+            checked += 1
+            if reference_ring_of(g, other_group) is None:
+                ring_fail.append(f"{label}:{g.ident}")
+    rep.add("every interior circle ringed by >= 3 orthogonal circles",
+            None if checked == 0 else not ring_fail, ring_fail[:4],
+            detail=f"{checked} circles checked")
+    if inner is not None and inner.x0 < inner.x1 and inner.y0 < inner.y1:
+        disks = [(g.circle.center(), float(g.circle.exact_radius())) for g in bases + duals]
+        uncovered = []
+        for (x, y) in inner.sample_grid(24):
+            if not any((r >= 0 and math.hypot(x - cx, y - cy) <= r + 1e-9)
+                       or (r < 0 and math.hypot(x - cx, y - cy) >= -r - 1e-9)
+                       for (cx, cy), r in disks):
+                uncovered.append(f"({x:.3f},{y:.3f})")
+        rep.add("closed disks cover the interior window", not uncovered, uncovered[:4],
+                detail="24x24 sample grid")
+    counts = [len(cfg.circles_in_window("base", Window(w.x0 * f, w.y0 * f, w.x1 * f, w.y1 * f)))
+              + len(cfg.circles_in_window("dual", Window(w.x0 * f, w.y0 * f, w.x1 * f, w.y1 * f)))
+              for f in (1.0 / 3.0, 2.0 / 3.0, 1.0)]
+    rep.add("growth of circle counts in nested windows", None, detail=f"counts={counts}")
+    return rep
+
+
+def reference_tangency_graph(circles, w):
+    """``tangency_graph`` on exact circles, one pair at a time."""
+    verts = [g for g in circles if w.contains_circle(g.circle)]
+    n = len(verts)
+    adj = {i: [] for i in range(n)}
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if classify_pair(verts[i].circle, verts[j].circle) is PairClass.EXTERNALLY_TANGENT:
+                adj[i].append(j)
+                adj[j].append(i)
+                edges.append((i, j))
+    centers = [g.circle.center() for g in verts]
+
+    def angle(i, j):
+        return math.atan2(centers[j][1] - centers[i][1], centers[j][0] - centers[i][0])
+
+    order = {v: sorted(adj[v], key=lambda u: angle(v, u)) for v in range(n)}
+    pos = {(v, u): k for v in range(n) for k, u in enumerate(order[v])}
+    faces, seen = [], set()
+    for v0 in range(n):
+        for u0 in order[v0]:
+            cycle, (v, u) = [], (v0, u0)
+            while (v, u) not in seen:
+                seen.add((v, u))
+                cycle.append(v)
+                v, u = u, order[u][(pos[(u, v)] - 1) % len(order[u])]
+            area = sum(centers[a][0] * centers[b][1] - centers[b][0] * centers[a][1]
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            if area > 1e-9 and len(set(cycle)) == len(cycle) and len(cycle) >= 3:
+                faces.append(cycle)
+    return TangencyGraph(verts, edges, faces, adj)
+
+
+def reference_duality(cfg, w):
+    """``check_duality`` with a host search over every partner circle."""
+    rep = ValidationReport(cfg.name)
+    inner = w.shrunk(cfg.safe_margin()) if cfg.lattice is not None else w
+    bases, duals = cfg.circles_in_window("base", w), cfg.circles_in_window("dual", w)
+    for graph_circles, partners, label in (
+        (bases, duals, "base graph faces host one orthogonal dual"),
+        (duals, bases, "dual graph faces host one orthogonal base"),
+    ):
+        graph = reference_tangency_graph(graph_circles, w)
+        bad, n_checked = [], 0
+        for face in graph.faces:
+            boundary = [graph.vertices[i] for i in face]
+            cx = sum(g.circle.center()[0] for g in boundary) / len(boundary)
+            cy = sum(g.circle.center()[1] for g in boundary) / len(boundary)
+            if cfg.lattice is not None and (inner is None or not inner.contains_point(cx, cy)):
+                continue
+            n_checked += 1
+            hosts = [p for p in partners
+                     if all(inversive_product(p.circle, g.circle) == 0 for g in boundary)]
+            if len(hosts) != 1:
+                bad.append(f"face[{'+'.join(g.ident for g in boundary)}]:{len(hosts)} hosts")
+        rep.add(label, None if n_checked == 0 else not bad, bad[:4],
+                detail=f"{n_checked} faces checked")
+    base_graph = reference_tangency_graph(bases, w)
+    if cfg.lattice is None:
+        interior = list(range(len(base_graph.vertices)))
+    else:
+        v1, v2 = cfg._lattice_float
+        core = w.shrunk(max(math.hypot(*v1), math.hypot(*v2)))
+        interior = [i for i, g in enumerate(base_graph.vertices)
+                    if core is not None and core.contains_circle(g.circle)]
+    ok3, detail = _is_three_connected(base_graph, interior)
+    rep.add("base tangency graph 3-connected", ok3, detail=detail)
+    return rep
+
+
+def _broken_square(radius=QuadExt(1, 0, 2)):
+    """The square configuration with its dual shrunk to ``radius``: most
+    checks have failures to report."""
+    cfg = make_config("square")
+    dual = from_center_radius((QuadExt(1), QuadExt(1)), radius)
+    return type(cfg)("broken", 1, cfg.motif_base, [dual], cfg.lattice)
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("name", config_names())
+    def test_pair_classes_match_classify_pair(self, name):
+        # every base/base, dual/dual and base/dual pair, and every pair with
+        # the second circle reversed, which makes equal pairs opposite,
+        # tangent ones internally tangent and disjoint ones nested
+        cfg = make_config(name)
+        w = Window.square(1.0)
+        fams = {kind: _catalog_rows(cfg, kind, w) for kind in ("base", "dual")}
+        seen = set()
+        for a, b in (("base", "base"), ("dual", "dual"), ("base", "dual")):
+            fa, fb = fams[a], fams[b]
+            flipped = replace(fb, rows=-fb.rows)
+            for other, sign in ((fb, 1), (flipped, -1)):
+                got = _pair_classes(fa, other)
+                for i, u in enumerate(fa.cat):
+                    for j, v in enumerate(fb.cat):
+                        want = classify_pair(u.circle, v.circle if sign > 0 else v.circle.reversed())
+                        assert got[i, j] is want, (u.ident, v.ident, sign)
+                        seen.add(want)
+        assert {PairClass.EQUAL, PairClass.OPPOSITE, PairClass.EXTERNALLY_TANGENT,
+                PairClass.INTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS,
+                PairClass.NESTED} <= seen
+
+    @pytest.mark.parametrize(
+        "name, half",
+        [("square", 6.0), ("triangular", 6.0), ("hexagonal", 6.0), ("apollonian", 6.0),
+         ("wallpaper:p4g", 3.0), ("wallpaper:p31m", 3.0), ("wallpaper:pgg", 4.0),
+         ("wallpaper:cm", 3.0)],
+    )
+    def test_reports_match_per_circle_reference(self, name, half):
+        cfg = make_config(name)
+        w = Window.square(half)
+        assert validate_base_dual(cfg, w).lines() == reference_validate(cfg, w).lines()
+        assert check_duality(cfg, w).lines() == reference_duality(cfg, w).lines()
+
+    def test_failures_match_per_circle_reference(self):
+        cfg, w = _broken_square(), Window.square(6.0)
+        got, duality = validate_base_dual(cfg, w), check_duality(cfg, w)
+        assert [c.passed for c in got.checks] == [True, True, True, False, False, False, None]
+        assert [c.passed for c in duality.checks] == [False, None, True]
+        assert got.lines() == reference_validate(cfg, w).lines()
+        assert duality.lines() == reference_duality(cfg, w).lines()
+
+    def test_configuration_without_an_orbit_lattice_is_reported(self):
+        # the reflections in duals of radius 7/10 close no integer lattice
+        # on the base rows, so no orbit can be generated, but the checks
+        # run on the translations' lattices and report the failures
+        cfg, w = _broken_square(QuadExt(7, 0, 10)), Window.square(6.0)
+        with pytest.raises(ArithmeticError, match="span no integer lattice"):
+            _row_lattice(cfg, "packing", "base")
+        got = validate_base_dual(cfg, w)
+        assert not got.ok
+        assert got.lines() == reference_validate(cfg, w).lines()
+        assert check_duality(cfg, w).lines() == reference_duality(cfg, w).lines()

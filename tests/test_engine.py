@@ -173,6 +173,10 @@ class TestGenerationLimits:
         with pytest.raises(ValueError):
             GenerationLimits(min_radius=0.0)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="min_radius must be positive"):
+            GenerationLimits(2, float("nan"), Window.square(1.0))
+
     def test_unknown_mode_rejected(self, square):
         with pytest.raises(ValueError):
             generate(square, "orbit")
@@ -626,7 +630,7 @@ class TestLevelJoin:
             mask = np.abs(p) > 1e-7 if mode == "super" else p <= -1.0 + 1e-6
             src, col = np.nonzero(mask)
             via = live[col]
-            kept = lane._kept(lane._int_images(kind, front[src], via), kind, level)
+            kept = lane._kept(lane.reflect[kind].images(front[src], via), kind, level)
             dense = set(zip(src[kept].tolist(), via[kept].tolist()))
             joined = set(zip(*(x.tolist() for x in lane._pairs(fv, live))))
             assert dense <= joined

@@ -31,7 +31,7 @@ from invpack.engine import (
 )
 from invpack.exact import QuadExt, as_float
 from invpack.inversive import reflect
-from invpack.lattice import RowLattice
+from invpack.lattice import Mirrors, RowLattice
 from invpack.render import from_json, to_json
 
 CONFIGS = config_names()
@@ -160,3 +160,23 @@ class TestFloatReach:
         assert len(generate(cfg, "super", self._limits(cfg, 2, 0.05, 2500), exact=False)) == 354
         with pytest.raises(LatticeOverflowError):
             generate(cfg, "super", self._limits(cfg, 2, 0.05, 3000), exact=False)
+
+
+class TestMirrorWalk:
+    """``Mirrors.walk`` bounds each mirror over each row it acts on, not
+    over the peaks of the coordinates taken from different rows."""
+
+    def test_rows_under_the_budget_pass(self):
+        big = 3 * 2**60
+        start = np.array([[big, 0], [0, big]], dtype=np.int64)  # two rows, coordinate major
+        shear = Mirrors(np.array([[[1, 1], [0, 1]]], dtype=np.int64), ["m"])
+        # each row's bound is 3 * 2^60, the peaks' is twice that
+        ((i, states, keep),) = shear.walk(start, 1)
+        assert i == 0 and keep.tolist() == [True]
+        assert (shear.mats[i] @ states[:, 0]).tolist() == [[big, big], [0, big]]
+
+    def test_names_the_mirror_over_the_budget(self):
+        start = np.array([[3 * 2**60], [1]], dtype=np.int64)
+        mats = np.array([np.eye(2), [[2, 0], [0, 1]]], dtype=np.int64)
+        with pytest.raises(LatticeOverflowError, match="at m2 would reach"):
+            list(Mirrors(mats, ["m1", "m2"]).walk(start, 1))

@@ -303,6 +303,14 @@ class TestJsonErrors:
         with pytest.raises(ValueError, match=rf"^invalid document at {re.escape(path)}: "):
             from_json(json.dumps(doc))
 
+    def test_infinite_window_corner_is_named(self, small_doc):
+        # json reads 1e309 as infinity, which no window accepts
+        text = json.dumps(small_doc).replace('"window": [-1.0,', '"window": [-1e309,')
+        assert "-1e309" in text
+        with pytest.raises(ValueError, match=r"^invalid document at \$\.limits\.window: "
+                                             "window corners must be finite"):
+            from_json(text)
+
     def test_unmutated_document_loads(self, small_doc):
         assert len(small_doc["circles"]) > 5
         back = from_json(json.dumps(small_doc))

@@ -452,12 +452,27 @@ class TestTrivialIntersectionRows:
             ("hexagonal", Window.square(1.0), False),
             ("square", Window.square(1.0), True),
             ("triangular", Window.square(1.0), True),
+            ("hexagonal", Window(0.5, 0.5, 2.5, 2.5), False),
+            ("wallpaper:p4", Window(-0.3, 0.2, 0.3, 0.8), False),
+            ("wallpaper:cm", Window(-0.3, -0.3, 0.3, 0.3), False),
+            ("wallpaper:p4", Window.square(1.0), True),
+            ("wallpaper:p3", Window.square(1.0), True),
+            ("wallpaper:pgg", Window.square(1.0), True),
         ],
     )
     def test_verdict_matches_reference(self, name, window, verdict):
         cfg = make_config(name)
         assert trivial_intersection(cfg, window, max_len=2) is verdict
         assert reference_trivial_intersection(cfg, window, 2) is verdict
+
+    def test_finite_configuration_has_no_quotient(self):
+        # the isometries are taken modulo lattice translations, which an
+        # Apollonian configuration lacks: the rows and the reference agree
+        # in refusing it
+        apo = make_config("apollonian")
+        for check in (trivial_intersection, reference_trivial_intersection):
+            with pytest.raises(ValueError, match="no translation quotient"):
+                check(apo, Window.square(1.0), 2)
 
     def test_word_overflow_is_named(self, square):
         # rows near x = 2e4 fit int64, and so do the first reflections,
