@@ -281,26 +281,27 @@ class Configuration:
             return c
         return apply_isometry(self.translation(*shift), c)
 
-    def _shift_range(
-        self, center: Tuple[float, float], radius: float, w: Window, expand: float
-    ) -> Tuple[int, int, int, int]:
-        """Bounds (m_lo, m_hi, n_lo, n_hi) of the integer (m, n) with
-        center + m v1 + n v2 possibly relevant to w."""
+    def _cell_coords(self, x, y):
+        """The float (m, n) with (x, y) = m v1 + n v2, elementwise: x and y
+        may be floats or arrays."""
         (a, c), (b, dd) = self._lattice_float
         det = a * dd - b * c
+        return (x * dd - y * b) / det, (a * y - c * x) / det
+
+    def _shift_range(self, center, radius, w: Window, expand: float) -> Tuple[np.ndarray, ...]:
+        """Bounds (m_lo, m_hi, n_lo, n_hi) of the integer (m, n) with
+        center + m v1 + n v2 possibly relevant to w, as int64, elementwise:
+        the center's coordinates and the radius may be floats or arrays."""
         pad = radius + expand
-        corners = [
-            (x - center[0], y - center[1])
+        # by window corner, then m or n, then circle
+        coords = np.array([
+            self._cell_coords(x - center[0], y - center[1])
             for x in (w.x0 - pad, w.x1 + pad)
             for y in (w.y0 - pad, w.y1 + pad)
-        ]
-        ms, ns = [], []
-        for (px, py) in corners:
-            ms.append((px * dd - py * b) / det)
-            ns.append((a * py - c * px) / det)
-        m_lo, m_hi = math.floor(min(ms)) - 1, math.ceil(max(ms)) + 1
-        n_lo, n_hi = math.floor(min(ns)) - 1, math.ceil(max(ns)) + 1
-        return m_lo, m_hi, n_lo, n_hi
+        ])
+        lo = np.floor(coords.min(axis=0)).astype(np.int64) - 1
+        hi = np.ceil(coords.max(axis=0)).astype(np.int64) + 1
+        return lo[0], hi[0], lo[1], hi[1]
 
     def catalog(
         self, kind: str, w: Window, predicate: str = "meets", expand: float = 0.0
@@ -332,13 +333,9 @@ class Configuration:
             return Catalog(self, np.full(len(index), kind), index, shift, idents)
 
         geo = np.array([(*c.center(), abs(c.radius())) for c in motif]).reshape(-1, 3)
-        bounds = np.array(
-            [self._shift_range((x, y), r, w, expand) for x, y, r in geo.tolist()],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        m_lo, n_lo = bounds[:, 0], bounds[:, 2]
-        n_count = bounds[:, 3] - n_lo + 1
-        count = (bounds[:, 1] - m_lo + 1) * n_count
+        m_lo, m_hi, n_lo, n_hi = self._shift_range((geo[:, 0], geo[:, 1]), geo[:, 2], w, expand)
+        n_count = n_hi - n_lo + 1
+        count = (m_hi - m_lo + 1) * n_count
         index = np.repeat(np.arange(len(motif), dtype=np.int64), count)
         k = np.arange(len(index)) - np.repeat(np.cumsum(count) - count, count)
         m = m_lo[index] + k // n_count[index]
@@ -419,14 +416,10 @@ class Configuration:
                 if m.key() == c.key():
                     return make_id(kind, i, None)
             return None
-        (a, cc), (b, dd) = self._lattice_float
-        det = a * dd - b * cc
         cx, cy = c.center()
         for i, mc in cands:
             mx, my = mc.center()
-            px, py = cx - mx, cy - my
-            m_f = (px * dd - py * b) / det
-            n_f = (a * py - cc * px) / det
+            m_f, n_f = self._cell_coords(cx - mx, cy - my)
             m, n = round(m_f), round(n_f)
             if abs(m_f - m) > 1e-6 or abs(n_f - n) > 1e-6:
                 continue
@@ -876,14 +869,13 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
 
 
 def kleinian_class(cfg: Configuration) -> str:
-    """Coarse classification by translational symmetry content."""
+    """Coarse classification by translational symmetry content.
+
+    A configuration with a lattice is the motif repeated over it, so both
+    lattice translations map it onto itself by construction: it is
+    doubly periodic without a check.
+    """
     if cfg.lattice is not None:
-        for m, n in ((1, 0), (0, 1)):
-            t = cfg.translation(m, n)
-            for kind in ("base", "dual"):
-                for c in cfg.motif(kind):
-                    if cfg.contains_circle(apply_isometry(t, c), kind) is None:
-                        return "unclassified"
         return "doubly-periodic"
     for s in cfg.symmetries:
         if s.kind == "translation":

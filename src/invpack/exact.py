@@ -63,10 +63,6 @@ class QuadExt:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int, d: int = 1) -> "QuadExt":
-        return cls(n, 0, 1, d)
-
-    @classmethod
     def from_fraction(cls, f: Fraction, d: int = 1) -> "QuadExt":
         return cls(f.numerator, 0, f.denominator, d)
 
@@ -361,11 +357,3 @@ def scalar_sign(x: Scalar, eps: float = 1e-9) -> int:
 
 def as_float(x: Scalar) -> float:
     return float(x)
-
-
-def exact_sqrt(x: Scalar):
-    """Square root: exact in-field for QuadExt (None if absent), math.sqrt
-    for floats."""
-    if isinstance(x, QuadExt):
-        return x.sqrt()
-    return math.sqrt(x)

@@ -309,9 +309,6 @@ class PlanarIsometry:
         z = _cconj(p) if self.conj else p
         return _cadd(_cmul(self.a, z), self.t)
 
-    def apply(self, v: InversiveCircle) -> InversiveCircle:
-        return apply_isometry(self, v)
-
 
 def apply_isometry(g: PlanarIsometry, v: InversiveCircle) -> InversiveCircle:
     """Act on a circle; uniform over circles and lines.
@@ -360,13 +357,6 @@ class Geom:
             bounded = scalar_sign(self.r, eps=0.0) > 0
             return from_center_radius((self.x, self.y), abs_scalar(self.r), bounded)
         return from_line((self.x, self.y), self.r)
-
-    @classmethod
-    def from_inversive(cls, v: InversiveCircle) -> "Geom":
-        if v.is_line:
-            return cls("line", v.h1, v.h2, v.co_curvature / 2)
-        cx, cy = v.exact_center() if v.is_exact else v.center()
-        return cls("circle", cx, cy, v.exact_radius())
 
 
 def abs_scalar(x: Scalar) -> Scalar:

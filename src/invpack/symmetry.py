@@ -136,9 +136,7 @@ def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
         py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
-    (a, c), (b, dd) = cfg._lattice_float
-    det = a * dd - b * c
-    mf, nf = (px * dd - py * b) / det, (a * py - c * px) / det
+    mf, nf = cfg._cell_coords(px, py)
     m, n = np.rint(mf), np.rint(nf)
     near = (np.abs(mf - m) <= 1e-6) & (np.abs(nf - n) <= 1e-6)
     _guard(np.maximum(np.abs(m[near]), np.abs(n[near])), "a lattice shift of an image")
@@ -204,11 +202,8 @@ def translations(cfg: Configuration) -> Optional[Tuple[Vec, Vec]]:
 def _cell_rep(cfg: Configuration, t: Vec) -> Vec:
     """Translate t by the lattice so its cell coordinates land in [0, 1)."""
     v1, v2 = cfg.lattice
-    (ax, ay), (bx, by) = map(_vec_float, (v1, v2))
-    tx, ty = _vec_float(t)
-    det = ax * by - ay * bx
-    m = math.floor((tx * by - ty * bx) / det + 1e-9)
-    n = math.floor((ax * ty - ay * tx) / det + 1e-9)
+    mf, nf = cfg._cell_coords(*_vec_float(t))
+    m, n = math.floor(mf + 1e-9), math.floor(nf + 1e-9)
     return (t[0] - m * v1[0] - n * v2[0], t[1] - m * v1[1] - n * v2[1])
 
 

@@ -8,6 +8,17 @@ asymmetrically breaks the full grid symmetry down to a prescribed plane
 group while keeping every circle's data in the quadratic field of the
 family (sqrt(2) for square cells, sqrt(3) for triangular ones).
 
+One builder serves both grids.  A family (``_Family``) is data: its field,
+the map from integer grid pairs to exact points, its radii, the tiny
+circles' offset and directions, and the cell shapes its grid points anchor,
+each with its side table.  A group (``_GROUPS``) picks a family, an integer
+lattice, one decoration rule per cell shape and its symmetries beyond the
+lattice.  ``_cells`` lists the cells of one motif, each a center, a
+decoration (the tiny circles' directions, or None for a plain cell) and its
+sides; ``_decorate`` turns them into the motif's base and dual circles, and
+``make_wallpaper`` adds the two lattice translations and the group's other
+symmetries.
+
 Dual circles are rebuilt cell by cell: each tangency face of the decorated
 packing gets the circle through its three tangency points, computed exactly
 as a radical-center solve.
@@ -16,8 +27,7 @@ as a radical-center solve.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configs import Configuration, SymmetryDecl, make_config
 from .exact import QuadExt
@@ -29,6 +39,14 @@ from .inversive import (
 )
 
 IntPt = Tuple[int, int]
+Point = Tuple[QuadExt, QuadExt]
+Dirs = Tuple[str, ...]
+Rule = Callable[[int, int], Optional[Dirs]]
+Sides = Dict[str, Tuple[IntPt, IntPt]]
+# A cell: its center, its decoration (the directions of its tiny circles, or
+# None for a plain cell, which gets one dual) and its sides, each a direction
+# with the grid pairs at its two ends.
+Cell = Tuple[Point, Optional[Dirs], List[Tuple[str, IntPt, IntPt]]]
 
 # Square-cell interstitial sizes: middle radius sqrt(2)-1, tiny radius
 # (5-3*sqrt(2))/7 at offset (4*sqrt(2)-2)/7 from the cell center.
@@ -51,21 +69,21 @@ def _q3(n: int) -> QuadExt:
     return QuadExt(n, 0, 1, 3)
 
 
-_SQ_DIR: Dict[str, Tuple[QuadExt, QuadExt]] = {
+_SQ_DIR: Dict[str, Point] = {
     "N": (_q2(0), _q2(1)),
     "E": (_q2(1), _q2(0)),
     "S": (_q2(0), _q2(-1)),
     "W": (_q2(-1), _q2(0)),
 }
 
-_SQ_SIDES: Dict[str, Tuple[IntPt, IntPt]] = {
+_SQ_SIDES: Sides = {
     "N": ((-1, 1), (1, 1)),
     "E": ((1, -1), (1, 1)),
     "S": ((-1, -1), (1, -1)),
     "W": ((-1, -1), (-1, 1)),
 }
 
-_TRI_DIR: Dict[str, Tuple[QuadExt, QuadExt]] = {
+_TRI_DIR: Dict[str, Point] = {
     "N": (_q3(0), _q3(1)),
     "S": (_q3(0), _q3(-1)),
     "SW": (QuadExt(0, -1, 2, 3), QuadExt(-1, 0, 2, 3)),
@@ -74,17 +92,27 @@ _TRI_DIR: Dict[str, Tuple[QuadExt, QuadExt]] = {
     "NE": (QuadExt(0, 1, 2, 3), QuadExt(1, 0, 2, 3)),
 }
 
+# Up cell anchored at p: vertices p, p+(-1,1), p+(1,1); down cell anchored
+# at p: vertices p, p+(-1,-1), p+(1,-1).  Sides keyed by gap direction.
+_TRI_SIDES_UP: Sides = {
+    "N": ((-1, 1), (1, 1)),
+    "SW": ((0, 0), (-1, 1)),
+    "SE": ((0, 0), (1, 1)),
+}
+_TRI_SIDES_DOWN: Sides = {
+    "S": ((-1, -1), (1, -1)),
+    "NW": ((0, 0), (-1, -1)),
+    "NE": ((0, 0), (1, -1)),
+}
+
 
 def _canon(p: IntPt, v1: IntPt, v2: IntPt) -> IntPt:
-    """Canonical representative of p modulo the integer lattice (v1, v2)."""
+    """Canonical representative of p modulo the integer lattice (v1, v2):
+    with p = a v1 + b v2, the point p - floor(a) v1 - floor(b) v2."""
     det = v1[0] * v2[1] - v1[1] * v2[0]
-    a = Fraction(p[0] * v2[1] - p[1] * v2[0], det)
-    b = Fraction(v1[0] * p[1] - v1[1] * p[0], det)
-    fa = a - math.floor(a)
-    fb = b - math.floor(b)
-    x = fa * v1[0] + fb * v2[0]
-    y = fa * v1[1] + fb * v2[1]
-    return (int(x), int(y))
+    i = (p[0] * v2[1] - p[1] * v2[0]) // det
+    j = (v1[0] * p[1] - v1[1] * p[0]) // det
+    return (p[0] - i * v1[0] - j * v2[0], p[1] - i * v1[1] - j * v2[1])
 
 
 def _reps(
@@ -126,42 +154,175 @@ def radical_circle(circles: Sequence[InversiveCircle]) -> InversiveCircle:
 
 
 # ---------------------------------------------------------------------------
-# square family
-
-SqRule = Callable[[int, int], Optional[Tuple[str, ...]]]
+# families
 
 
-def _rule_p1(x: int, y: int) -> Optional[Tuple[str, ...]]:
+class _Family(NamedTuple):
+    """A grid family as data.
+
+    Grid pairs map to exact points by ``point``.  Base circles of radius
+    one sit at the pairs ``base_at`` accepts, and each pair ``cell_at``
+    accepts anchors one cell per entry of ``shapes``: the cell center's
+    offset from the anchor's point and its side table, in grid offsets from
+    the anchor.  A plain cell gets one dual of radius ``dual_r``.
+    """
+
+    d: int
+    point: Callable[[int, int], Point]
+    dual_r: QuadExt
+    mid_r: QuadExt
+    tiny_r: QuadExt
+    tiny_off: QuadExt
+    dirs: Dict[str, Point]
+    base_at: Callable[[int, int], bool]
+    cell_at: Callable[[int, int], bool]
+    shapes: Tuple[Tuple[Point, Sides], ...]
+
+
+# Grid circles at the even pairs (x, y); one cell centered at each odd pair.
+_SQUARE = _Family(
+    2, lambda x, y: (_q2(x), _q2(y)), _q2(1), SQ_MID_R, SQ_TINY_R, SQ_TINY_OFF, _SQ_DIR,
+    base_at=lambda x, y: x % 2 == 0 and y % 2 == 0,
+    cell_at=lambda x, y: x % 2 == 1 and y % 2 == 1,
+    shapes=(((_q2(0), _q2(0)), _SQ_SIDES),),
+)
+
+# Integer pairs (m, n) stand for the point (m, n*sqrt(3)); the grid circles
+# sit at pairs with m = n mod 2.  Each such point anchors one upward cell
+# (bottom vertex there, side midpoint gaps N, SW, SE) and one downward cell
+# (top vertex there, gaps S, NW, NE), their centroids 2/sqrt(3) above and
+# below it.
+_TRIANGULAR = _Family(
+    3, lambda m, n: (_q3(m), QuadExt(0, n, 1, 3)), QuadExt(0, 1, 3, 3),
+    TRI_MID_R, TRI_TINY_R, TRI_TINY_OFF, _TRI_DIR,
+    base_at=lambda m, n: (m - n) % 2 == 0,
+    cell_at=lambda m, n: (m - n) % 2 == 0,
+    shapes=(
+        ((_q3(0), QuadExt(0, 2, 3, 3)), _TRI_SIDES_UP),
+        ((_q3(0), QuadExt(0, -2, 3, 3)), _TRI_SIDES_DOWN),
+    ),
+)
+
+
+def _cells(
+    fam: _Family, v1: IntPt, v2: IntPt, rules: Sequence[Rule]
+) -> Tuple[List[IntPt], List[Cell]]:
+    """The base pairs and the cells of one motif of the lattice (v1, v2):
+    anchors in sorted order, each anchor's cells in ``fam.shapes`` order,
+    decorated by the rule of their shape."""
+    box = [(i, j) for i in range(-8, 16) for j in range(-8, 16)]
+    base = _reps(v1, v2, [p for p in box if fam.base_at(*p)])
+    cells: List[Cell] = []
+    for i, j in _reps(v1, v2, [p for p in box if fam.cell_at(*p)]):
+        x, y = fam.point(i, j)
+        for ((ox, oy), sides), rule in zip(fam.shapes, rules):
+            ends = [(s, (i + p[0], j + p[1]), (i + q[0], j + q[1])) for s, (p, q) in sides.items()]
+            cells.append(((x + ox, y + oy), rule(i, j), ends))
+    return base, cells
+
+
+def _decorate(
+    fam: _Family, base: List[IntPt], cells: List[Cell]
+) -> Tuple[List[InversiveCircle], List[InversiveCircle]]:
+    """The motif's base circles (the grid's, then each decorated cell's
+    middle and tiny circles) and dual circles (a plain cell's one, or the
+    faces of a decorated cell, side by side)."""
+    one = QuadExt(1, 0, 1, fam.d)
+    motif_base = [from_center_radius(fam.point(*p), one) for p in base]
+    motif_dual: List[InversiveCircle] = []
+    for center, dirs, sides in cells:
+        if dirs is None:
+            motif_dual.append(from_center_radius(center, fam.dual_r))
+            continue
+        mid = from_center_radius(center, fam.mid_r)
+        motif_base.append(mid)
+        tiny: Dict[str, InversiveCircle] = {}
+        for dn in dirs:
+            ux, uy = fam.dirs[dn]
+            at = (center[0] + fam.tiny_off * ux, center[1] + fam.tiny_off * uy)
+            tiny[dn] = from_center_radius(at, fam.tiny_r)
+            motif_base.append(tiny[dn])
+        for side, p1, p2 in sides:
+            b1 = from_center_radius(fam.point(*p1), one)
+            b2 = from_center_radius(fam.point(*p2), one)
+            if side in tiny:
+                t = tiny[side]
+                motif_dual.append(radical_circle((b1, b2, t)))
+                motif_dual.append(radical_circle((b1, t, mid)))
+                motif_dual.append(radical_circle((b2, t, mid)))
+            else:
+                motif_dual.append(radical_circle((b1, b2, mid)))
+    return motif_base, motif_dual
+
+
+def _axis(fam: _Family, vertical: bool) -> Point:
+    """The rotation part u^2 of a mirror with a vertical or horizontal axis."""
+    return (QuadExt(-1 if vertical else 1, 0, 1, fam.d), QuadExt(0, 0, 1, fam.d))
+
+
+def _mirror(fam: _Family, point: IntPt, vertical: bool, label: str) -> SymmetryDecl:
+    return SymmetryDecl(
+        "mirror", PlanarIsometry.mirror_a(fam.point(*point), _axis(fam, vertical)), {"axis": label}
+    )
+
+
+def _glide(fam: _Family, point: IntPt, vertical: bool, shift: IntPt, label: str) -> SymmetryDecl:
+    return SymmetryDecl(
+        "glide",
+        PlanarIsometry.glide_a(fam.point(*point), _axis(fam, vertical), fam.point(*shift)),
+        {"axis": label, "shift": shift},
+    )
+
+
+# (cos, sin) of a turn by 360/order degrees, each as (a, b, q) of
+# (a + b sqrt(d)) / q
+_TURNS = {
+    2: ((-1, 0, 1), (0, 0, 1)),
+    3: ((-1, 0, 2), (0, 1, 2)),
+    4: ((0, 0, 1), (1, 0, 1)),
+    6: ((1, 0, 2), (0, 1, 2)),
+}
+
+
+def _rot(fam: _Family, point: IntPt, order: int) -> SymmetryDecl:
+    cos, sin = (QuadExt(*c, fam.d) for c in _TURNS[order])
+    return SymmetryDecl(
+        "rotation",
+        PlanarIsometry.rotation(fam.point(*point), (cos, sin)),
+        {"center": point, "order": order},
+    )
+
+
+# ---------------------------------------------------------------------------
+# square decorations, by the odd pair (x, y) at the cell center
+
+
+def _table_rule(table: Dict[IntPt, Dirs], mod: int) -> Rule:
+    def rule(x: int, y: int) -> Optional[Dirs]:
+        return table.get((x % mod, y % mod))
+
+    return rule
+
+
+def _rule_p1(x: int, y: int) -> Optional[Dirs]:
     return ("S",) if y % 4 == 1 else ("W",)
 
 
-def _rule_p2(x: int, y: int) -> Optional[Tuple[str, ...]]:
-    # The four cell classes carry half-turn-paired decorations chosen so that
-    # no mirror or glide of the underlying grid survives; pairing {S,W} with
-    # {N,E} alone would keep the diagonal mirror that swaps the two members
-    # of each set.
-    return {
-        (3, 1): ("S", "W"),
-        (1, 3): ("N", "E"),
-        (1, 1): ("N",),
-        (3, 3): ("S",),
-    }[(x % 4, y % 4)]
+# The four cell classes carry half-turn-paired decorations chosen so that
+# no mirror or glide of the underlying grid survives; pairing {S,W} with
+# {N,E} alone would keep the diagonal mirror that swaps the two members
+# of each set.
+_P2 = {(3, 1): ("S", "W"), (1, 3): ("N", "E"), (1, 1): ("N",), (3, 3): ("S",)}
 
 
-def _rule_pm(x: int, y: int) -> Optional[Tuple[str, ...]]:
+def _rule_pm(x: int, y: int) -> Optional[Dirs]:
     return ("N",) if y % 4 == 1 and x % 8 in (5, 7) else None
 
 
-def _rule_pg(x: int, y: int) -> Optional[Tuple[str, ...]]:
-    key = (x % 4, y % 4)
-    if key == (3, 1):
-        return ("N", "W")
-    if key == (1, 3):
-        return ("N", "E")
-    return None
+_PG = {(3, 1): ("N", "W"), (1, 3): ("N", "E")}
 
 
-def _rule_cm(x: int, y: int) -> Optional[Tuple[str, ...]]:
+def _rule_cm(x: int, y: int) -> Optional[Dirs]:
     if x % 4 == 1 and ((x - 1) // 4 + (y - 1) // 2) % 2 == 0:
         return ("N", "E")
     if x % 4 == 3 and ((x - 3) // 4 + (y - 1) // 2) % 2 == 0:
@@ -185,175 +346,8 @@ _P4G = {
 }
 
 
-def _table_rule(table: Dict[IntPt, Tuple[str, ...]], mod: int) -> SqRule:
-    def rule(x: int, y: int) -> Optional[Tuple[str, ...]]:
-        return table.get((x % mod, y % mod))
-
-    return rule
-
-
-def _sq_point(x: int, y: int) -> Tuple[QuadExt, QuadExt]:
-    return (_q2(x), _q2(y))
-
-
-def _sq_mirror(point: IntPt, vertical: bool, label: str) -> SymmetryDecl:
-    a = (_q2(-1), _q2(0)) if vertical else (_q2(1), _q2(0))
-    return SymmetryDecl(
-        "mirror", PlanarIsometry.mirror_a(_sq_point(*point), a), {"axis": label}
-    )
-
-
-def _sq_glide(point: IntPt, vertical: bool, shift: IntPt, label: str) -> SymmetryDecl:
-    a = (_q2(-1), _q2(0)) if vertical else (_q2(1), _q2(0))
-    return SymmetryDecl(
-        "glide",
-        PlanarIsometry.glide_a(_sq_point(*point), a, _sq_point(*shift)),
-        {"axis": label, "shift": shift},
-    )
-
-
-def _sq_rot(point: IntPt, order: int) -> SymmetryDecl:
-    a = {2: (_q2(-1), _q2(0)), 4: (_q2(0), _q2(1))}[order]
-    return SymmetryDecl(
-        "rotation",
-        PlanarIsometry.rotation(_sq_point(*point), a),
-        {"center": point, "order": order},
-    )
-
-
-_SQUARE_TABLES: Dict[str, Dict[str, object]] = {
-    "p1": dict(lattice=((2, 0), (0, 4)), rule=_rule_p1, extra=lambda: []),
-    "p2": dict(
-        lattice=((4, 0), (0, 4)),
-        rule=_rule_p2,
-        extra=lambda: [_sq_rot((0, 0), 2)],
-    ),
-    "pm": dict(
-        lattice=((8, 0), (0, 4)),
-        rule=_rule_pm,
-        extra=lambda: [
-            _sq_mirror((2, 0), True, "x=2"),
-            _sq_mirror((-2, 0), True, "x=-2"),
-        ],
-    ),
-    "pg": dict(
-        lattice=((4, 0), (0, 4)),
-        rule=_rule_pg,
-        extra=lambda: [_sq_glide((0, 0), True, (0, 2), "x=0")],
-    ),
-    "cm": dict(
-        lattice=((4, 2), (4, -2)),
-        rule=_rule_cm,
-        extra=lambda: [_sq_mirror((2, 0), True, "x=2")],
-    ),
-    "pmm": dict(
-        lattice=((8, 0), (0, 8)),
-        rule=_table_rule(_PMM, 8),
-        extra=lambda: [
-            _sq_mirror((2, 0), True, "x=2"),
-            _sq_mirror((-2, 0), True, "x=-2"),
-            _sq_mirror((0, 2), False, "y=2"),
-            _sq_mirror((0, -2), False, "y=-2"),
-        ],
-    ),
-    "pmg": dict(
-        lattice=((8, 0), (0, 8)),
-        rule=_table_rule(_PMG, 8),
-        extra=lambda: [
-            _sq_mirror((0, 2), False, "y=2"),
-            _sq_glide((2, 0), True, (0, 4), "x=2"),
-            _sq_rot((2, 0), 2),
-        ],
-    ),
-    "pgg": dict(
-        lattice=((8, 0), (0, 8)),
-        rule=_table_rule(_PGG, 8),
-        extra=lambda: [
-            _sq_glide((0, 0), False, (4, 0), "y=0"),
-            _sq_glide((0, 0), True, (0, 4), "x=0"),
-            _sq_rot((2, 2), 2),
-        ],
-    ),
-    "cmm": dict(
-        lattice=((4, 4), (4, -4)),
-        rule=_table_rule(_CMM, 8),
-        extra=lambda: [
-            _sq_mirror((2, 0), True, "x=2"),
-            _sq_mirror((0, 2), False, "y=2"),
-            _sq_rot((0, 0), 2),
-        ],
-    ),
-    "p4": dict(
-        lattice=((4, 0), (0, 4)),
-        rule=_table_rule(_P4, 4),
-        extra=lambda: [_sq_rot((0, 0), 4)],
-    ),
-    "p4g": dict(
-        lattice=((4, 4), (4, -4)),
-        rule=_table_rule(_P4G, 8),
-        extra=lambda: [_sq_rot((0, 0), 4), _sq_mirror((2, 0), True, "x=2")],
-    ),
-}
-
-
-def _square_family(group: str) -> Configuration:
-    spec = _SQUARE_TABLES[group]
-    v1, v2 = spec["lattice"]  # type: ignore[misc]
-    rule: SqRule = spec["rule"]  # type: ignore[assignment]
-    box = [(x, y) for x in range(-8, 16) for y in range(-8, 16)]
-    base_pts = _reps(v1, v2, [p for p in box if p[0] % 2 == 0 and p[1] % 2 == 0])
-    cell_pts = _reps(v1, v2, [p for p in box if p[0] % 2 == 1 and p[1] % 2 == 1])
-
-    one = _q2(1)
-    motif_base = [from_center_radius(_sq_point(*p), one) for p in base_pts]
-    motif_dual: List[InversiveCircle] = []
-    for (cx, cy) in cell_pts:
-        dirs = rule(cx, cy)
-        if dirs is None:
-            motif_dual.append(from_center_radius(_sq_point(cx, cy), one))
-            continue
-        mid = from_center_radius(_sq_point(cx, cy), SQ_MID_R)
-        motif_base.append(mid)
-        tiny: Dict[str, InversiveCircle] = {}
-        for dn in dirs:
-            ux, uy = _SQ_DIR[dn]
-            center = (_q2(cx) + SQ_TINY_OFF * ux, _q2(cy) + SQ_TINY_OFF * uy)
-            tiny[dn] = from_center_radius(center, SQ_TINY_R)
-            motif_base.append(tiny[dn])
-        for side in ("N", "E", "S", "W"):
-            (dx1, dy1), (dx2, dy2) = _SQ_SIDES[side]
-            b1 = from_center_radius(_sq_point(cx + dx1, cy + dy1), one)
-            b2 = from_center_radius(_sq_point(cx + dx2, cy + dy2), one)
-            if side in tiny:
-                t = tiny[side]
-                motif_dual.append(radical_circle((b1, b2, t)))
-                motif_dual.append(radical_circle((b1, t, mid)))
-                motif_dual.append(radical_circle((b2, t, mid)))
-            else:
-                motif_dual.append(radical_circle((b1, b2, mid)))
-
-    lattice = (_sq_point(*v1), _sq_point(*v2))
-    syms = [
-        SymmetryDecl(
-            "translation", PlanarIsometry.translation(_sq_point(*v1)), {"vector": v1}
-        ),
-        SymmetryDecl(
-            "translation", PlanarIsometry.translation(_sq_point(*v2)), {"vector": v2}
-        ),
-    ]
-    syms.extend(spec["extra"]())  # type: ignore[operator]
-    return Configuration(f"wallpaper:{group}", 2, motif_base, motif_dual, lattice, syms)
-
-
 # ---------------------------------------------------------------------------
-# triangular family
-#
-# Integer pairs (m, n) stand for the point (m, n*sqrt(3)); the grid circles
-# sit at pairs with m = n mod 2.  Each such point anchors one upward cell
-# (bottom vertex there, side midpoint gaps N, SW, SE) and one downward cell
-# (top vertex there, gaps S, NW, NE).
-
-TriRule = Callable[[int, int], Optional[Tuple[bool, Tuple[str, ...]]]]
+# triangular decorations, by the anchor (m, n) of an up or down cell
 
 
 def _cls3(m: int, n: int) -> int:
@@ -362,10 +356,6 @@ def _cls3(m: int, n: int) -> int:
 
 def _cls6(m: int, n: int) -> Tuple[int, int]:
     return ((m - n) % 6, n % 3)
-
-
-def _tri_rule_p6_up(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    return (True, ({0: ("SW",), 1: ("SE",), 2: ("N",)}[_cls3(m, n)]))
 
 
 def _p3_cls(m: int, n: int, up: bool) -> Tuple[int, int]:
@@ -384,186 +374,117 @@ def _p3_cls(m: int, n: int, up: bool) -> Tuple[int, int]:
 # preserves some mirror of the grid, whatever the up cells carry.
 _P3_UP = {(0, 2): ("N", "SW"), (6, 2): ("SW", "SE"), (3, 5): ("N", "SE")}
 _P3_DOWN = {(0, 4): ("S",), (3, 1): ("NE",), (6, 4): ("NW",)}
+_P31M_UP = {(0, 0): ("SW",), (0, 2): ("SE",), (2, 2): ("N",)}
+_P31M_DOWN = {(2, 1): ("NW",), (0, 2): ("NE",), (2, 2): ("S",)}
+_P6_UP = {0: ("SW",), 1: ("SE",), 2: ("N",)}
+_P6_DOWN = {0: ("NE",), 1: ("S",), 2: ("NW",)}
 
 
-def _tri_rule_p3_up(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    return (True, _P3_UP[_p3_cls(m, n, True)])
+def _tri_rule_p3_up(m: int, n: int) -> Optional[Dirs]:
+    return _P3_UP[_p3_cls(m, n, True)]
 
 
-def _tri_rule_p3_down(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    return (True, _P3_DOWN[_p3_cls(m, n, False)])
+def _tri_rule_p3_down(m: int, n: int) -> Optional[Dirs]:
+    return _P3_DOWN[_p3_cls(m, n, False)]
 
 
-def _tri_rule_p3m1_up(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    return (True, ())
+def _tri_rule_p3m1_up(m: int, n: int) -> Optional[Dirs]:
+    return ()
 
 
-def _tri_rule_p31m_up(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    table = {(0, 0): ("SW",), (0, 2): ("SE",), (2, 2): ("N",)}
-    dirs = table.get(_cls6(m, n))
-    return None if dirs is None else (True, dirs)
+def _tri_rule_p31m_up(m: int, n: int) -> Optional[Dirs]:
+    return _P31M_UP.get(_cls6(m, n))
 
 
-def _tri_rule_p31m_down(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    table = {(2, 1): ("NW",), (0, 2): ("NE",), (2, 2): ("S",)}
-    dirs = table.get(_cls6(m, n))
-    return None if dirs is None else (True, dirs)
+def _tri_rule_p31m_down(m: int, n: int) -> Optional[Dirs]:
+    return _P31M_DOWN.get(_cls6(m, n))
 
 
-def _tri_rule_p6_down(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
-    return (True, ({0: ("NE",), 1: ("S",), 2: ("NW",)}[_cls3(m, n)]))
+def _tri_rule_p6_up(m: int, n: int) -> Optional[Dirs]:
+    return _P6_UP[_cls3(m, n)]
 
 
-def _tri_none(m: int, n: int) -> Optional[Tuple[bool, Tuple[str, ...]]]:
+def _tri_rule_p6_down(m: int, n: int) -> Optional[Dirs]:
+    return _P6_DOWN[_cls3(m, n)]
+
+
+def _tri_none(m: int, n: int) -> Optional[Dirs]:
     return None
 
 
-def _tri_point(m: int, n: int) -> Tuple[QuadExt, QuadExt]:
-    return (_q3(m), QuadExt(0, n, 1, 3))
+# ---------------------------------------------------------------------------
+# groups: family, lattice, one rule per cell shape, symmetries past the lattice
 
-
-def _tri_rot(order: int) -> SymmetryDecl:
-    a = {
-        3: (QuadExt(-1, 0, 2, 3), QuadExt(0, 1, 2, 3)),
-        6: (QuadExt(1, 0, 2, 3), QuadExt(0, 1, 2, 3)),
-    }[order]
-    return SymmetryDecl(
-        "rotation",
-        PlanarIsometry.rotation(_tri_point(0, 0), a),
-        {"center": (0, 0), "order": order},
-    )
-
-
-def _tri_mirror(point: Tuple[int, int], vertical: bool, label: str) -> SymmetryDecl:
-    a = (_q3(-1), _q3(0)) if vertical else (_q3(1), _q3(0))
-    return SymmetryDecl(
-        "mirror", PlanarIsometry.mirror_a(_tri_point(*point), a), {"axis": label}
-    )
-
-
-_TRI_TABLES: Dict[str, Dict[str, object]] = {
-    "p3": dict(
-        lattice=((3, 1), (0, 2)),
-        up=_tri_rule_p3_up,
-        down=_tri_rule_p3_down,
-        extra=lambda: [_tri_rot(3)],
-    ),
-    "p3m1": dict(
-        lattice=((2, 0), (1, 1)),
-        up=_tri_rule_p3m1_up,
-        down=_tri_none,
-        extra=lambda: [_tri_rot(3), _tri_mirror((0, 0), True, "x=0")],
-    ),
-    "p31m": dict(
-        lattice=((6, 0), (3, 3)),
-        up=_tri_rule_p31m_up,
-        down=_tri_rule_p31m_down,
-        extra=lambda: [_tri_rot(3), _tri_mirror((0, -1), False, "y=-sqrt(3)")],
-    ),
-    "p6": dict(
-        lattice=((3, 1), (0, 2)),
-        up=_tri_rule_p6_up,
-        down=_tri_rule_p6_down,
-        extra=lambda: [_tri_rot(6)],
-    ),
+Extra = Callable[[_Family], List[SymmetryDecl]]
+_GROUPS: Dict[str, Tuple[_Family, Tuple[IntPt, IntPt], Tuple[Rule, ...], Extra]] = {
+    "p1": (_SQUARE, ((2, 0), (0, 4)), (_rule_p1,), lambda f: []),
+    "p2": (_SQUARE, ((4, 0), (0, 4)), (_table_rule(_P2, 4),), lambda f: [_rot(f, (0, 0), 2)]),
+    "pm": (_SQUARE, ((8, 0), (0, 4)), (_rule_pm,), lambda f: [
+        _mirror(f, (2, 0), True, "x=2"),
+        _mirror(f, (-2, 0), True, "x=-2"),
+    ]),
+    "pg": (_SQUARE, ((4, 0), (0, 4)), (_table_rule(_PG, 4),), lambda f: [
+        _glide(f, (0, 0), True, (0, 2), "x=0"),
+    ]),
+    "cm": (_SQUARE, ((4, 2), (4, -2)), (_rule_cm,), lambda f: [_mirror(f, (2, 0), True, "x=2")]),
+    "pmm": (_SQUARE, ((8, 0), (0, 8)), (_table_rule(_PMM, 8),), lambda f: [
+        _mirror(f, (2, 0), True, "x=2"),
+        _mirror(f, (-2, 0), True, "x=-2"),
+        _mirror(f, (0, 2), False, "y=2"),
+        _mirror(f, (0, -2), False, "y=-2"),
+    ]),
+    "pmg": (_SQUARE, ((8, 0), (0, 8)), (_table_rule(_PMG, 8),), lambda f: [
+        _mirror(f, (0, 2), False, "y=2"),
+        _glide(f, (2, 0), True, (0, 4), "x=2"),
+        _rot(f, (2, 0), 2),
+    ]),
+    "pgg": (_SQUARE, ((8, 0), (0, 8)), (_table_rule(_PGG, 8),), lambda f: [
+        _glide(f, (0, 0), False, (4, 0), "y=0"),
+        _glide(f, (0, 0), True, (0, 4), "x=0"),
+        _rot(f, (2, 2), 2),
+    ]),
+    "cmm": (_SQUARE, ((4, 4), (4, -4)), (_table_rule(_CMM, 8),), lambda f: [
+        _mirror(f, (2, 0), True, "x=2"),
+        _mirror(f, (0, 2), False, "y=2"),
+        _rot(f, (0, 0), 2),
+    ]),
+    "p4": (_SQUARE, ((4, 0), (0, 4)), (_table_rule(_P4, 4),), lambda f: [_rot(f, (0, 0), 4)]),
+    "p4g": (_SQUARE, ((4, 4), (4, -4)), (_table_rule(_P4G, 8),), lambda f: [
+        _rot(f, (0, 0), 4),
+        _mirror(f, (2, 0), True, "x=2"),
+    ]),
+    "p3": (_TRIANGULAR, ((3, 1), (0, 2)), (_tri_rule_p3_up, _tri_rule_p3_down), lambda f: [
+        _rot(f, (0, 0), 3),
+    ]),
+    "p3m1": (_TRIANGULAR, ((2, 0), (1, 1)), (_tri_rule_p3m1_up, _tri_none), lambda f: [
+        _rot(f, (0, 0), 3),
+        _mirror(f, (0, 0), True, "x=0"),
+    ]),
+    "p31m": (_TRIANGULAR, ((6, 0), (3, 3)), (_tri_rule_p31m_up, _tri_rule_p31m_down), lambda f: [
+        _rot(f, (0, 0), 3),
+        _mirror(f, (0, -1), False, "y=-sqrt(3)"),
+    ]),
+    "p6": (_TRIANGULAR, ((3, 1), (0, 2)), (_tri_rule_p6_up, _tri_rule_p6_down), lambda f: [
+        _rot(f, (0, 0), 6),
+    ]),
 }
-
-# Up cell anchored at p: vertices p, p+(-1,1), p+(1,1); down cell anchored
-# at p: vertices p, p+(-1,-1), p+(1,-1).  Sides keyed by gap direction.
-_TRI_SIDES_UP: Dict[str, Tuple[IntPt, IntPt]] = {
-    "N": ((-1, 1), (1, 1)),
-    "SW": ((0, 0), (-1, 1)),
-    "SE": ((0, 0), (1, 1)),
-}
-_TRI_SIDES_DOWN: Dict[str, Tuple[IntPt, IntPt]] = {
-    "S": ((-1, -1), (1, -1)),
-    "NW": ((0, 0), (-1, -1)),
-    "NE": ((0, 0), (1, -1)),
-}
-
-
-def _tri_centroid(m: int, n: int, up: bool) -> Tuple[QuadExt, QuadExt]:
-    off = 3 * n + 2 if up else 3 * n - 2
-    return (_q3(m), QuadExt(0, off, 3, 3))
-
-
-def _triangular_family(group: str) -> Configuration:
-    spec = _TRI_TABLES[group]
-    v1, v2 = spec["lattice"]  # type: ignore[misc]
-    box = [
-        (m, n)
-        for m in range(-8, 16)
-        for n in range(-8, 16)
-        if (m - n) % 2 == 0
-    ]
-    pts = _reps(v1, v2, box)
-
-    one = _q3(1)
-    dual_r = QuadExt(0, 1, 3, 3)  # 1/sqrt(3)
-    motif_base = [from_center_radius(_tri_point(*p), one) for p in pts]
-    motif_dual: List[InversiveCircle] = []
-    for (m, n) in pts:
-        for up, rule, sides in (
-            (True, spec["up"], _TRI_SIDES_UP),
-            (False, spec["down"], _TRI_SIDES_DOWN),
-        ):
-            res = rule(m, n)  # type: ignore[operator]
-            centroid = _tri_centroid(m, n, up)
-            if res is None:
-                motif_dual.append(from_center_radius(centroid, dual_r))
-                continue
-            _, dirs = res
-            mid = from_center_radius(centroid, TRI_MID_R)
-            motif_base.append(mid)
-            tiny: Dict[str, InversiveCircle] = {}
-            for dn in dirs:
-                ux, uy = _TRI_DIR[dn]
-                center = (
-                    centroid[0] + TRI_TINY_OFF * ux,
-                    centroid[1] + TRI_TINY_OFF * uy,
-                )
-                tiny[dn] = from_center_radius(center, TRI_TINY_R)
-                motif_base.append(tiny[dn])
-            for side in sides:
-                (d1, d2) = sides[side]
-                b1 = from_center_radius(_tri_point(m + d1[0], n + d1[1]), one)
-                b2 = from_center_radius(_tri_point(m + d2[0], n + d2[1]), one)
-                if side in tiny:
-                    t = tiny[side]
-                    motif_dual.append(radical_circle((b1, b2, t)))
-                    motif_dual.append(radical_circle((b1, t, mid)))
-                    motif_dual.append(radical_circle((b2, t, mid)))
-                else:
-                    motif_dual.append(radical_circle((b1, b2, mid)))
-
-    lattice = (_tri_point(*v1), _tri_point(*v2))
-    syms = [
-        SymmetryDecl(
-            "translation",
-            PlanarIsometry.translation(_tri_point(*v1)),
-            {"vector": v1},
-        ),
-        SymmetryDecl(
-            "translation",
-            PlanarIsometry.translation(_tri_point(*v2)),
-            {"vector": v2},
-        ),
-    ]
-    syms.extend(spec["extra"]())  # type: ignore[operator]
-    return Configuration(f"wallpaper:{group}", 3, motif_base, motif_dual, lattice, syms)
 
 
 def make_wallpaper(group: str) -> Configuration:
     """Configuration whose symmetry group is the named plane group."""
-    if group == "p4m":
-        cfg = make_config("square")
-    elif group == "p6m":
-        cfg = make_config("triangular")
-    elif group in _SQUARE_TABLES:
-        return _square_family(group)
-    elif group in _TRI_TABLES:
-        return _triangular_family(group)
-    else:
+    if group in ("p4m", "p6m"):
+        cfg = make_config("square" if group == "p4m" else "triangular")
+        cfg.name = f"wallpaper:{group}"
+        return cfg
+    if group not in _GROUPS:
         raise ValueError(f"unknown plane group {group!r}")
-    cfg.name = f"wallpaper:{group}"
-    return cfg
+    fam, (v1, v2), rules, extra = _GROUPS[group]
+    motif_base, motif_dual = _decorate(fam, *_cells(fam, v1, v2, rules))
+    syms = [
+        SymmetryDecl("translation", PlanarIsometry.translation(fam.point(*v)), {"vector": v})
+        for v in (v1, v2)
+    ]
+    lattice = (fam.point(*v1), fam.point(*v2))
+    return Configuration(
+        f"wallpaper:{group}", fam.d, motif_base, motif_dual, lattice, syms + extra(fam)
+    )

@@ -338,6 +338,16 @@ class TestMakeConfig:
         assert "square" in names and "wallpaper:pgg" in names
         assert len([n for n in names if n.startswith("wallpaper:")]) == 17
 
+    @pytest.mark.parametrize("name", [n for n in config_names() if n != "apollonian"])
+    def test_cell_coords_of_lattice_vectors(self, name):
+        cfg = make_config(name)
+        (ax, ay), (bx, by) = cfg._lattice_float
+        assert cfg._cell_coords(ax, ay) == (1.0, 0.0)
+        assert cfg._cell_coords(bx, by) == (0.0, 1.0)
+        for k in (-7, 3, 10**4):
+            m, n = cfg._cell_coords(k * (ax + bx), k * (ay + by))
+            assert m == pytest.approx(k, rel=1e-12) and n == pytest.approx(k, rel=1e-12)
+
     def test_corrupted_config_detected(self):
         cfg = make_config("square")
         # shift the dual off-center: orthogonality with corner bases breaks

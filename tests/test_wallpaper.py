@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
-from invpack.configs import Window, make_config, validate_base_dual, check_duality
+from invpack import wallpaper
+from invpack.configs import (
+    Configuration,
+    SymmetryDecl,
+    Window,
+    check_duality,
+    make_config,
+    validate_base_dual,
+)
 from invpack.exact import QuadExt
-from invpack.inversive import from_center_radius, inversive_product
+from invpack.inversive import PlanarIsometry, from_center_radius, inversive_product
+from invpack.render import to_json
 from invpack.wallpaper import (
     SQ_MID_R,
     SQ_TINY_OFF,
@@ -149,3 +161,141 @@ class TestValidation:
         cfg = make_wallpaper(group)
         rep = check_duality(cfg, Window.square(4.0))
         assert rep.ok, "\n".join(rep.lines())
+
+
+# ---------------------------------------------------------------------------
+# Reference builder: one loop per family, as the module had them before the
+# families became data, with the lattice reduction on Fractions.  The group
+# data (lattice, decoration rules, symmetries beyond the lattice) and the
+# direction and side tables come from the module.
+
+
+def _ref_canon(p, v1, v2):
+    det = v1[0] * v2[1] - v1[1] * v2[0]
+    a = Fraction(p[0] * v2[1] - p[1] * v2[0], det)
+    b = Fraction(v1[0] * p[1] - v1[1] * p[0], det)
+    fa = a - math.floor(a)
+    fb = b - math.floor(b)
+    x = fa * v1[0] + fb * v2[0]
+    y = fa * v1[1] + fb * v2[1]
+    return (int(x), int(y))
+
+
+def _ref_reps(v1, v2, points):
+    return sorted({_ref_canon(p, v1, v2) for p in points})
+
+
+def _sq_point(x, y):
+    return (q2(x), q2(y))
+
+
+def _tri_point(m, n):
+    return (q3(m), q3(0, n))
+
+
+def _tri_centroid(m, n, up):
+    off = 3 * n + 2 if up else 3 * n - 2
+    return (q3(m), q3(0, off, 3))
+
+
+def _ref_config(group, fam, point, v1, v2, motif_base, motif_dual, extra):
+    syms = [
+        SymmetryDecl("translation", PlanarIsometry.translation(point(*v1)), {"vector": v1}),
+        SymmetryDecl("translation", PlanarIsometry.translation(point(*v2)), {"vector": v2}),
+    ]
+    syms.extend(extra(fam))
+    lattice = (point(*v1), point(*v2))
+    return Configuration(f"wallpaper:{group}", fam.d, motif_base, motif_dual, lattice, syms)
+
+
+def _ref_square_family(group):
+    fam, (v1, v2), (rule,), extra = wallpaper._GROUPS[group]
+    box = [(x, y) for x in range(-8, 16) for y in range(-8, 16)]
+    base_pts = _ref_reps(v1, v2, [p for p in box if p[0] % 2 == 0 and p[1] % 2 == 0])
+    cell_pts = _ref_reps(v1, v2, [p for p in box if p[0] % 2 == 1 and p[1] % 2 == 1])
+
+    one = q2(1)
+    motif_base = [from_center_radius(_sq_point(*p), one) for p in base_pts]
+    motif_dual = []
+    for (cx, cy) in cell_pts:
+        dirs = rule(cx, cy)
+        if dirs is None:
+            motif_dual.append(from_center_radius(_sq_point(cx, cy), one))
+            continue
+        mid = from_center_radius(_sq_point(cx, cy), SQ_MID_R)
+        motif_base.append(mid)
+        tiny = {}
+        for dn in dirs:
+            ux, uy = wallpaper._SQ_DIR[dn]
+            center = (q2(cx) + SQ_TINY_OFF * ux, q2(cy) + SQ_TINY_OFF * uy)
+            tiny[dn] = from_center_radius(center, SQ_TINY_R)
+            motif_base.append(tiny[dn])
+        for side in ("N", "E", "S", "W"):
+            (dx1, dy1), (dx2, dy2) = wallpaper._SQ_SIDES[side]
+            b1 = from_center_radius(_sq_point(cx + dx1, cy + dy1), one)
+            b2 = from_center_radius(_sq_point(cx + dx2, cy + dy2), one)
+            if side in tiny:
+                t = tiny[side]
+                motif_dual.append(radical_circle((b1, b2, t)))
+                motif_dual.append(radical_circle((b1, t, mid)))
+                motif_dual.append(radical_circle((b2, t, mid)))
+            else:
+                motif_dual.append(radical_circle((b1, b2, mid)))
+    return _ref_config(group, fam, _sq_point, v1, v2, motif_base, motif_dual, extra)
+
+
+def _ref_triangular_family(group):
+    fam, (v1, v2), (up_rule, down_rule), extra = wallpaper._GROUPS[group]
+    box = [(m, n) for m in range(-8, 16) for n in range(-8, 16) if (m - n) % 2 == 0]
+    pts = _ref_reps(v1, v2, box)
+
+    one = q3(1)
+    dual_r = q3(0, 1, 3)  # 1/sqrt(3)
+    motif_base = [from_center_radius(_tri_point(*p), one) for p in pts]
+    motif_dual = []
+    for (m, n) in pts:
+        for up, rule, sides in (
+            (True, up_rule, wallpaper._TRI_SIDES_UP),
+            (False, down_rule, wallpaper._TRI_SIDES_DOWN),
+        ):
+            dirs = rule(m, n)
+            centroid = _tri_centroid(m, n, up)
+            if dirs is None:
+                motif_dual.append(from_center_radius(centroid, dual_r))
+                continue
+            mid = from_center_radius(centroid, TRI_MID_R)
+            motif_base.append(mid)
+            tiny = {}
+            for dn in dirs:
+                ux, uy = wallpaper._TRI_DIR[dn]
+                center = (centroid[0] + TRI_TINY_OFF * ux, centroid[1] + TRI_TINY_OFF * uy)
+                tiny[dn] = from_center_radius(center, TRI_TINY_R)
+                motif_base.append(tiny[dn])
+            for side in sides:
+                (d1, d2) = sides[side]
+                b1 = from_center_radius(_tri_point(m + d1[0], n + d1[1]), one)
+                b2 = from_center_radius(_tri_point(m + d2[0], n + d2[1]), one)
+                if side in tiny:
+                    t = tiny[side]
+                    motif_dual.append(radical_circle((b1, b2, t)))
+                    motif_dual.append(radical_circle((b1, t, mid)))
+                    motif_dual.append(radical_circle((b2, t, mid)))
+                else:
+                    motif_dual.append(radical_circle((b1, b2, mid)))
+    return _ref_config(group, fam, _tri_point, v1, v2, motif_base, motif_dual, extra)
+
+
+def _ref_wallpaper(group):
+    if group in ("p4m", "p6m"):
+        cfg = make_config("square" if group == "p4m" else "triangular")
+        cfg.name = f"wallpaper:{group}"
+        return cfg
+    if group in TRIANGULAR_GROUPS:
+        return _ref_triangular_family(group)
+    return _ref_square_family(group)
+
+
+class TestReferenceBuilder:
+    @pytest.mark.parametrize("group", SQUARE_GROUPS + TRIANGULAR_GROUPS)
+    def test_json_matches_reference(self, group):
+        assert to_json(make_wallpaper(group)) == to_json(_ref_wallpaper(group))
