@@ -9,7 +9,8 @@ All built-in configurations carry exact ``QuadExt`` coordinates.  The
 validation, tangency and duality checks take the catalogued circles of a
 window as integer rows of the lattices their translations generate
 (``lattice``) and classify every pair at once by the exact signs of its
-inversive product, ``RowLattice.products``, which the engine's peel uses.
+inversive product, ``RowLattice.products``, which the engine's host
+check uses.
 """
 
 from __future__ import annotations
@@ -153,15 +154,18 @@ def make_id(kind: str, index: int, shift: Optional[Tuple[int, int]]) -> str:
 
 
 def parse_id(ident: str) -> Tuple[str, int, Optional[Tuple[int, int]]]:
-    kind = "base" if ident[0] == "b" else "dual"
-    if ident[0] not in "bd":
+    """The (kind, index, shift) that ``make_id`` writes as ``ident``, with a
+    nonnegative index; ValueError names any other text."""
+    kind = {"b": "base", "d": "dual"}.get(ident[:1])
+    idx, at, shift = ident[1:].partition("@")
+    m, _, n = shift.partition(",")
+    try:
+        out = (kind, int(idx), (int(m), int(n)) if at else None)
+    except ValueError:
+        out = None
+    if kind is None or out is None or out[1] < 0 or make_id(*out) != ident:
         raise ValueError(f"bad circle id {ident!r}")
-    body = ident[1:]
-    if "@" in body:
-        idx, _, shift = body.partition("@")
-        m, _, n = shift.partition(",")
-        return kind, int(idx), (int(m), int(n))
-    return kind, int(body), None
+    return out
 
 
 class Catalog(Sequence[GeneratorCircle]):
@@ -397,6 +401,9 @@ class Configuration:
         motif = self.motif(kind)
         if idx >= len(motif):
             raise KeyError(f"no motif circle {ident!r}")
+        if (shift is None) != (self.lattice is None):
+            want = "a lattice shift" if shift is None else "no shift"
+            raise KeyError(f"circle id {ident!r}: this configuration's ids take {want}")
         c = motif[idx]
         if shift is None:
             return c
@@ -473,9 +480,14 @@ class _CatalogRows:
     rows: np.ndarray
 
     @cached_property
+    def view(self) -> np.ndarray:
+        """``as_float`` of every coordinate of every row."""
+        return self.lat.as_float(self.rows)
+
+    @cached_property
     def geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float centers x, y and radii, as ``InversiveCircle`` gives them."""
-        fv = self.lat.as_float(self.rows)
+        fv = self.view
         with np.errstate(divide="ignore", invalid="ignore"):
             return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
 
@@ -620,17 +632,13 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
     )
 
     if inner is not None and inner.x0 < inner.x1 and inner.y0 < inner.y1:
-        disks = [(c.center(), as_float(c.exact_radius()))
-                 for f in (bases, duals) for c in f.lat.circles(f.rows)]
+        # a disk of negative curvature is the outside of its circle
+        cx, cy, r = (np.concatenate(v) for v in zip(bases.geometry, duals.geometry))
+        outside = np.concatenate([bases.view[:, 1], duals.view[:, 1]]) < 0
         uncovered = []
         for (x, y) in inner.sample_grid(24):
-            hit = False
-            for (cx, cy), r in disks:
-                dd = math.hypot(x - cx, y - cy)
-                if (r >= 0 and dd <= r + 1e-9) or (r < 0 and dd >= -r - 1e-9):
-                    hit = True
-                    break
-            if not hit:
+            dd = np.hypot(x - cx, y - cy)
+            if not np.where(outside, dd >= r - 1e-9, dd <= r + 1e-9).any():
                 uncovered.append(f"({x:.3f},{y:.3f})")
         rep.add(
             "closed disks cover the interior window",

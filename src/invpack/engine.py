@@ -22,13 +22,24 @@ of each level.  Lines never arise in the descending modes and are
 dropped in super mode, where an orbit member through a mirror center
 inverts to one.
 
-Heights and witness words in "packing" and "dual" modes are recomputed
-by peeling: a non-seed circle lies inside exactly one dual, and
-reflecting it back out strictly grows its radius until a seed is
-reached.  The peeled word length is asserted to match the BFS level.
-In "super" mode base mirrors do not shrink radii monotonically, so the
-recorded height is the BFS level over the catalogued region, with the
-witness word taken from the first discovery.
+Every mode takes heights, witness words and sources from the discovery
+chains the BFS stores: each row keeps its parent row and the mirror it was
+reached through, so a chain's length is its level by construction.  In
+super mode base mirrors do not shrink radii monotonically, so the height
+is the BFS level over the catalogued region and the word is the first
+discovery.  In "packing" and "dual" mode a non-seed circle lies inside
+exactly one dual, and reflecting it back out strictly grows its radius,
+so peeling reflects out of that dual until a seed.  Every non-seed row
+on a kept row's chain is checked, once, to lie inside exactly one
+catalogued dual, the mirror it was reached through.  Peeling a kept row
+would then retrace its chain to the same seed, so the chain word is the
+peeled word and the height its length:
+- the ancestors of a kept row are strictly larger than it, so they are
+  above the radius floor;
+- every seed above the floor is stored at level 0, so no row of a later
+  level equals a seed;
+- among equal seeds the first in catalog order is stored, the one a
+  lookup by row would find first.
 
 One lane runs every configuration.  It holds each circle as a numpy
 row of integers over its kind's lattice (``lattice.derive_lattice``,
@@ -37,15 +48,15 @@ values of those rows, deduplicated on a 1e-9 grid.  Seeds and mirrors
 come from the configuration's array catalog as motif rows times integer
 lattice-translation matrices.  Reflections act through the guarded
 ``lattice.Mirrors.images`` (float runs take the ``as_float`` values of the
-real matrices), and the peel's host test is the exact
-``RowLattice.products`` of a row and its mirror.  Each BFS
-level is one spatial join of the frontier rows to the mirror centers
-under the locality bound, one batch of images over the joined pairs and
-one vectorised deduplication; a row within 1e-9 of its window or radius
-bound is decided on ``as_float`` of its exact coordinates.  All kept rows
-are peeled in one batch: seeds by row key, hosts by a spatial prefilter
-confirmed on the rows (exactly on integers).  The output is sorted on
-``as_float`` keys of the rows.
+real matrices), and the host check is the exact ``RowLattice.products``
+of a row and its mirror.  Each BFS level is one spatial join of the
+frontier rows to the mirror centers under the locality bound, one batch
+of images over the joined pairs and one vectorised deduplication; a row
+within 1e-9 of its window or radius bound is decided on ``as_float`` of
+its exact coordinates.  The host check runs in one batch over every
+chain row, hosts found by a spatial prefilter confirmed on the rows
+(exactly on integers).  The output is sorted on ``as_float`` keys of the
+rows.
 """
 
 from __future__ import annotations
@@ -328,9 +339,6 @@ def _catalog(cfg: Configuration, kinds: Sequence[str], w: Window, pad: float) ->
 # integer lattices
 
 
-_PEEL_STEPS = 96
-
-
 def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of 2-d points with a[i] and b[j] within ``reach``
     in both coordinates, plus some farther ones.
@@ -401,8 +409,8 @@ class _ArrayLane:
     """BFS over numpy rows: int64 rows over each kind's integer lattice, or
     float64 rows, the ``as_float`` values of the lattice rows, with grid
     deduplication.  Each level joins its frontier to the mirror centers
-    once and deduplicates once.  In the descending modes all kept rows are
-    peeled together by ``peel``."""
+    once and deduplicates once.  ``finals`` reads words off the chains and,
+    in the descending modes, checks their hosts in one batch."""
 
     def __init__(
         self,
@@ -466,21 +474,20 @@ class _ArrayLane:
             self.mirror_cy = mv[:, 3] / b
             self.mirror_r = np.abs(1.0 / b)
 
-        # Seeds: all catalogued seeds key the peel; those under the radius
-        # floor do not start the search.
+        # Seeds: those under the radius floor start no chain, since every
+        # ancestor of a kept row is larger than it.
         self.seed_ids = seeds.idents
-        self.seed_kinds = seeds.kind
         ints = self._catalog_ints(seeds)
         sv = self._view(ints, seeds.kind, view)
-        self.seed_rows = ints if exact else sv
+        seed_rows = ints if exact else sv
         sb = sv[:, 1]
         with np.errstate(divide="ignore"):
             root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
         batch = []
         for k in self.kinds:
-            sel = np.nonzero(root & (self.seed_kinds == k))[0]
+            sel = np.nonzero(root & (seeds.kind == k))[0]
             none = np.full(len(sel), -1, dtype=np.intp)
-            batch.append((k, self._stored(k, self.seed_rows[sel]), none, none, sel))
+            batch.append((k, self._stored(k, seed_rows[sel]), none, none, sel))
         self._admit(0, batch)
 
     # -- plumbing ------------------------------------------------------
@@ -712,135 +719,12 @@ class _ArrayLane:
         ok = self._kept(img, kind, level)
         return img[ok], src[ok], via[ok]
 
-    # -- batched peel ----------------------------------------------------
-
-    def peel(self, kind: str, rows: np.ndarray) -> Tuple[List[GroupWord], List[str]]:
-        """Peel every row back to a seed at once.
-
-        Each step looks the rows up among the catalogued seeds (by row key
-        on integers, within 1e-6 on floats), finds each remaining row's
-        host dual with a center/radius prefilter confirmed on the rows
-        (exactly on integers), and reflects it out of its host.
-        """
-        words: List[GroupWord] = [[] for _ in range(len(rows))]
-        sources = [""] * len(rows)
-        seed_hits = self._seed_lookup(kind)
-        host_of = self._host_lookup(kind)
-        ids = self.mirror_ids
-        active = np.arange(len(rows))
-        cur = rows
-        for _ in range(_PEEL_STEPS):
-            hit = seed_hits(cur)
-            done = hit >= 0
-            for i, s in zip(active[done].tolist(), hit[done].tolist()):
-                sources[i] = self.seed_ids[s]
-            active, cur = active[~done], cur[~done]
-            if not len(active):
-                return words, sources
-            host, prod = host_of(cur)
-            for i, ident in zip(active.tolist(), ids[host].tolist()):
-                words[i].append(ident)
-            if self.exact:
-                cur = self.reflect[kind].images(cur, host)
-            else:
-                # v - 2<v, m> m, as ``reflect`` computes it
-                cur = cur - (2 * prod)[:, None] * self.mirror_vec[host]
-        raise ArithmeticError(f"peeling did not terminate in {_PEEL_STEPS} steps")
-
-    def _seed_lookup(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
-        """Index into the seed catalog of each row's seed, or -1."""
-        sel = np.nonzero(self.seed_kinds == kind)[0]
-        rows = self._stored(kind, self.seed_rows[sel])
-        if self.exact:
-            table: Dict[bytes, int] = {}
-            for key, i in zip(self._keys(rows), sel.tolist()):
-                table.setdefault(key.tobytes(), i)
-            return lambda cur: np.array(
-                [table.get(key.tobytes(), -1) for key in self._keys(cur)], dtype=np.intp
-            )
-        # quotient keys also match the reversed seed, as -seed
-        signed = np.concatenate([rows, -rows]) if self.quotient else rows
-        owner = np.concatenate([sel, sel]) if self.quotient else sel
-
-        def lookup(cur: np.ndarray) -> np.ndarray:
-            out = np.full(len(cur), len(self.seed_ids), dtype=np.intp)
-            ri, si = _box_pairs(cur[:, 2:], signed[:, 2:], 1e-6)
-            hit = (np.abs(signed[si] - cur[ri]).max(axis=1) <= 1e-6) & (
-                np.abs(cur[ri, 1]) > 1e-9
-            )
-            np.minimum.at(out, ri[hit], owner[si[hit]])
-            out[out == len(self.seed_ids)] = -1
-            return out
-
-        return lookup
-
-    def _host_lookup(self, kind: str):
-        """Function mapping rows to (host mirror index, <row, host>); the
-        product is returned for float rows only."""
-        elig = np.nonzero(self.mirror_circle & (self.mirror_vec[:, 1] > 0))[0]
-        d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
-        centers = np.column_stack([d_cx, d_cy])
-        reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
-        lat, mlat = self.lat[kind], self.lat[_MIRROR_KINDS[self.mode][0]]
-
-        def host_of(cur: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-            fv = self._float_view(cur, kind)
-            b = fv[:, 1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
-            rows_in = np.nonzero(b > 1e-9)[0]
-            pr, pm = _box_pairs(np.column_stack([cx, cy])[rows_in], centers, reach)
-            pr = rows_in[pr]
-            slack = d_r[pm] - r[pr] + 1e-6
-            dist2 = (d_cx[pm] - cx[pr]) ** 2 + (d_cy[pm] - cy[pr]) ** 2
-            close = (slack > 0) & (dist2 <= slack**2)
-            pr, pm = pr[close], elig[pm[close]]
-            u, w = cur[pr], self.mirror_vec[pm]
-            prod = None
-            if self.exact:
-                inside = lat.inside(mlat, u, self.mirror_rows[pm, : mlat.width], self.mirror_ids[pm])
-            else:
-                # the tolerances of the float object peel
-                prod = (
-                    u[:, 2] * w[:, 2]
-                    + u[:, 3] * w[:, 3]
-                    - (u[:, 1] * w[:, 0] + u[:, 0] * w[:, 1]) / 2.0
-                )
-                inside = (
-                    (prod >= 1.0 - 1e-9)
-                    & (u[:, 1] >= w[:, 1] - 1e-9)
-                    & ~np.all(np.abs(u - w) <= 1e-9, axis=1)
-                )
-                prod = prod[inside]
-            pr, pm = pr[inside], pm[inside]
-            count = np.bincount(pr, minlength=len(cur))
-            if (count == 0).any():
-                i = int(np.argmin(count))
-                raise ArithmeticError(
-                    "peeling reached a circle that is neither a seed nor "
-                    f"inside any dual (center ~ {_center_text(fv[i])})"
-                )
-            if (count > 1).any():
-                i = int(np.argmax(count))
-                raise ArithmeticError(
-                    f"circle at ~{_center_text(fv[i])} sits inside {count[i]} duals; "
-                    "the dual family is not disjoint"
-                )
-            host = np.empty(len(cur), dtype=np.intp)
-            host[pr] = pm
-            if prod is not None:
-                full = np.empty(len(cur))
-                full[pr] = prod
-                prod = full
-            return host, prod
-
-        return host_of
-
     # -- output ----------------------------------------------------------
 
     def finals(self) -> List[PackedCircle]:
         """The kept rows as packed circles in output order: a stable sort by
-        height, then ``as_float`` of curvature, h1, h2 and co-curvature."""
+        height, then ``as_float`` of curvature, h1, h2 and co-curvature.  In
+        the descending modes every chain row passes ``_check_hosts``."""
         circles: List[InversiveCircle] = []
         words: List[GroupWord] = []
         sources: List[str] = []
@@ -849,21 +733,16 @@ class _ArrayLane:
             chunks, lat = self.chunks[kind], self.lat[kind]
             if not chunks:
                 continue
-            rows = np.concatenate([c.rows for c in chunks])
+            fields = ("rows", "parent", "via", "seed")
+            rows, parent, via, seed = (np.concatenate([getattr(c, f) for c in chunks]) for f in fields)
             level = np.concatenate([np.full(len(c.rows), c.level) for c in chunks])
             kept = np.nonzero(self._kept(rows, kind, self.limits.max_height))[0]
-            picked = rows[kept]
-            if self.quotient:
-                # report the positively oriented representative; the float
-                # view of integer rows has the sign of their curvature
-                neg = self._float_view(picked, kind)[:, 1] < (0.0 if self.exact else -1e-9)
-                picked = np.where(neg[:, None], -picked, picked)
-            if self.mode == "super":
-                w, s = self._chains(chunks, kept)
-            else:
-                w, s = self.peel(kind, picked)
+            w, s, walked = self._chains(parent, via, seed, kept)
+            if self.mode != "super":
+                self._check_hosts(kind, self._oriented(kind, rows[walked]), via[walked])
             words += w
             sources += s
+            picked = self._oriented(kind, rows[kept])
             if self.exact:
                 circles += lat.circles(picked)
                 picked = lat.as_float(picked)
@@ -872,13 +751,6 @@ class _ArrayLane:
             levels.append(level[kept])
             keys.append(picked[:, [1, 2, 3, 0]])
         level, key = np.concatenate(levels), np.concatenate(keys)
-        if self.mode != "super":
-            for c, word, height in zip(circles, words, level.tolist()):
-                if len(word) != height:
-                    raise ArithmeticError(
-                        f"BFS level {height} disagrees with peeled height "
-                        f"{len(word)} at center ~ {c.center()}"
-                    )
         order = np.lexsort((key[:, 3], key[:, 2], key[:, 1], key[:, 0], level)).tolist()
         kind = _CIRCLE_KIND[self.mode]
         return [
@@ -886,26 +758,94 @@ class _ArrayLane:
             for i in order
         ]
 
+    def _oriented(self, kind: str, rows: np.ndarray) -> np.ndarray:
+        """Rows as reported: in the quotient modes, the positively oriented
+        representative; the float view of integer rows has the sign of
+        their curvature."""
+        if not self.quotient:
+            return rows
+        neg = self._float_view(rows, kind)[:, 1] < (0.0 if self.exact else -1e-9)
+        return np.where(neg[:, None], -rows, rows)
+
     def _chains(
-        self, chunks: List[_Chunk], kept: np.ndarray
-    ) -> Tuple[List[GroupWord], List[str]]:
+        self, parent: np.ndarray, via: np.ndarray, seed: np.ndarray, kept: np.ndarray
+    ) -> Tuple[List[GroupWord], List[str], np.ndarray]:
         """Discovery words and seeds of stored rows, by walking each row's
-        parents back to its seed; the leftmost letter is the last mirror."""
-        parent = np.concatenate([c.parent for c in chunks])
-        via = np.concatenate([c.via for c in chunks])
-        seed = np.concatenate([c.seed for c in chunks])
+        parents back to its seed; the leftmost letter is the last mirror.
+        Also the storage indices of the non-seed rows walked, each once."""
         words: List[GroupWord] = [[] for _ in range(len(kept))]
         sources = [""] * len(kept)
+        walked = [kept[:0]]
         active, cur = np.arange(len(kept)), kept
         while len(active):
             at_seed = via[cur] < 0
             for i, s in zip(active[at_seed].tolist(), seed[cur[at_seed]].tolist()):
                 sources[i] = self.seed_ids[s]
             active, cur = active[~at_seed], cur[~at_seed]
+            walked.append(cur)
             for i, letter in zip(active.tolist(), self.mirror_ids[via[cur]].tolist()):
                 words[i].append(letter)
             cur = parent[cur]
-        return words, sources
+        return words, sources, np.unique(np.concatenate(walked))
+
+    def _check_hosts(self, kind: str, rows: np.ndarray, via: np.ndarray) -> None:
+        """Check that each row lies inside exactly one catalogued dual, and
+        that this dual is ``via``, the mirror it was reached through.
+
+        Candidate hosts come from a center/radius prefilter with 1e-6 slack
+        and are confirmed on the rows: exactly on integers, with the
+        tolerances of the float object peel on floats.
+        """
+        elig = np.nonzero(self.mirror_circle & (self.mirror_vec[:, 1] > 0))[0]
+        d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
+        reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
+        fv = self._float_view(rows, kind)
+        b = fv[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
+        rows_in = np.nonzero(b > 1e-9)[0]
+        pr, pm = _box_pairs(np.column_stack([cx, cy])[rows_in], np.column_stack([d_cx, d_cy]), reach)
+        pr = rows_in[pr]
+        slack = d_r[pm] - r[pr] + 1e-6
+        close = (slack > 0) & ((d_cx[pm] - cx[pr]) ** 2 + (d_cy[pm] - cy[pr]) ** 2 <= slack**2)
+        pr, pm = pr[close], elig[pm[close]]
+        u = rows[pr]
+        if self.exact:
+            mlat = self.lat[_MIRROR_KINDS[self.mode][0]]
+            inside = self.lat[kind].inside(
+                mlat, u, self.mirror_rows[pm, : mlat.width], self.mirror_ids[pm]
+            )
+        else:
+            w = self.mirror_vec[pm]
+            prod = u[:, 2] * w[:, 2] + u[:, 3] * w[:, 3] - (u[:, 1] * w[:, 0] + u[:, 0] * w[:, 1]) / 2.0
+            inside = (
+                (prod >= 1.0 - 1e-9)
+                & (u[:, 1] >= w[:, 1] - 1e-9)
+                & ~np.all(np.abs(u - w) <= 1e-9, axis=1)
+            )
+        pr, pm = pr[inside], pm[inside]
+        count = np.bincount(pr, minlength=len(rows))
+        if (count == 0).any():
+            i = int(np.argmin(count))
+            raise ArithmeticError(
+                "a chain reached a circle that is neither a seed nor "
+                f"inside any dual (center ~ {_center_text(fv[i])})"
+            )
+        if (count > 1).any():
+            i = int(np.argmax(count))
+            raise ArithmeticError(
+                f"circle at ~{_center_text(fv[i])} sits inside {count[i]} duals; "
+                "the dual family is not disjoint"
+            )
+        host = np.empty(len(rows), dtype=np.intp)
+        host[pr] = pm
+        wrong = np.nonzero(host != via)[0]
+        if len(wrong):
+            i = int(wrong[0])
+            raise ArithmeticError(
+                f"circle at ~{_center_text(fv[i])} sits inside {self.mirror_ids[host[i]]}, "
+                f"which is not the mirror it was reached through ({self.mirror_ids[via[i]]})"
+            )
 
 
 # ---------------------------------------------------------------------------

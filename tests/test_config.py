@@ -84,6 +84,25 @@ class TestIds:
         with pytest.raises(ValueError):
             parse_id("x1")
 
+    @pytest.mark.parametrize(
+        "ident",
+        ["b 1", "b+1", "b\u0661", "", "b", "b-1", "d-1@0,0", "b01", "b1@-0,0", "b1@2", "b1@2,3,4"],
+    )
+    def test_rejects_text_make_id_never_writes(self, ident):
+        with pytest.raises(ValueError, match="bad circle id"):
+            parse_id(ident)
+
+    def test_negative_index_is_not_the_last_motif_circle(self):
+        with pytest.raises(ValueError, match="bad circle id 'b-1'"):
+            make_config("wallpaper:p4").circle_from_id("b-1")
+
+    def test_shift_must_match_the_configuration(self):
+        # a finite configuration has no translates, a lattice one no unshifted ids
+        with pytest.raises(KeyError, match="no shift"):
+            make_config("apollonian").circle_from_id("b0@5,5")
+        with pytest.raises(KeyError, match="a lattice shift"):
+            make_config("square").circle_from_id("b0")
+
 
 class TestSquareConfig:
     def setup_method(self):

@@ -5,9 +5,9 @@ validity, the height adjacency structure (reflecting through the
 containing dual lowers height by one, through any other non-orthogonal
 dual raises it by one), agreement with an independent mask-free
 brute-force oracle, completeness over the closed window, the level join
-against dense pairs, the batched peel against a reference object peel
-(kept here), and the named error for integer rows and float grid keys
-beyond int64.
+against dense pairs, the chain words against a reference object peel
+(kept here), the host check's named errors, and the named error for
+integer rows and float grid keys beyond int64.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpack.configs import Window, make_config
+from invpack.configs import Configuration, Window, make_config
 from invpack.engine import (
     _MIRROR_KINDS,
     _SEED_KINDS,
@@ -39,6 +39,7 @@ from invpack.inversive import (
     InversiveCircle,
     PlanarIsometry,
     apply_isometry,
+    from_center_radius,
     inversive_product,
     reflect,
 )
@@ -124,6 +125,10 @@ class TestApplyWord:
         v = square.circle_from_id("b0@0,0")
         assert apply_word(square, [], v).key() == v.key()
 
+    def test_negative_index_is_rejected(self, square):
+        with pytest.raises(ValueError, match="bad circle id 'd-1'"):
+            apply_word(square, ["d-1"], square.circle_from_id("b0@0,0"))
+
 
 class TestNormalForm:
     def test_translation_conjugates_mirror(self, square):
@@ -152,6 +157,10 @@ class TestNormalForm:
         half = PlanarIsometry.translation((QuadExt(1), QuadExt(0)))
         with pytest.raises(ValueError):
             normal_form(square, [half, "d0@0,0"])
+
+    def test_negative_index_is_rejected(self, square):
+        with pytest.raises(ValueError, match="bad circle id 'd-1@0,0'"):
+            normal_form(square, ["d-1@0,0"])
 
     def test_pure_isometry_input(self, square):
         t = square.translation(2, -1)
@@ -601,6 +610,15 @@ class TestWindowCompleteness:
         assert summary(inside) == summary(small)
 
 
+def _lane(cfg, mode, lim, exact=True):
+    pads = _margin_schedule(cfg, mode, lim)
+    mirrors = _catalog(cfg, _MIRROR_KINDS[mode], lim.window, pads[0])
+    seeds = _catalog(cfg, _SEED_KINDS[mode], lim.window, pads[0])
+    lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, exact, pads)
+    lane.run()
+    return lane
+
+
 class TestLevelJoin:
     """The join of a level's frontier to the mirror centers must keep every
     (row, mirror) pair that the dense product of all rows with all live
@@ -614,11 +632,7 @@ class TestLevelJoin:
     def test_join_covers_dense_pairs(self, name, mode, height, half, rho):
         cfg = make_config(name)
         lim = GenerationLimits(max_height=height, min_radius=rho, window=Window.square(half))
-        pads = _margin_schedule(cfg, mode, lim)
-        mirrors = _catalog(cfg, _MIRROR_KINDS[mode], lim.window, pads[0])
-        seeds = _catalog(cfg, _SEED_KINDS[mode], lim.window, pads[0])
-        lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, True, pads)
-        lane.run()
+        lane = _lane(cfg, mode, lim)
         level = 2
         live = lane._live_mirrors(level)
         checked = 0
@@ -712,8 +726,8 @@ _PEEL_CASES = (
 
 
 class TestBatchedPeel:
-    """The array lane peels all kept rows in one batch; the object peel,
-    one circle at a time in QuadExt arithmetic, is the reference."""
+    """The array lane reads words off its discovery chains; the object
+    peel, one circle at a time in QuadExt arithmetic, is the reference."""
 
     LIMITS = dict(max_height=2, min_radius=0.02)
 
@@ -758,6 +772,51 @@ class TestBatchedPeel:
             matched += 1
             assert (hit.word, hit.source, hit.height) == (p.word, p.source, p.height)
         assert matched >= 0.9 * len(exact.circles)
+
+
+class TestHostCheck:
+    """Words come from the discovery chains; in the descending modes every
+    non-seed row on a kept row's chain must lie inside exactly one dual, the
+    mirror it was reached through."""
+
+    LIMITS = GenerationLimits(max_height=2, min_radius=0.05, window=Window.square(2.0))
+
+    @staticmethod
+    def summary(circles):
+        return [(p.circle.key(), p.word, p.source, p.height) for p in circles]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_overlapping_duals_are_named(self, square, exact):
+        # a second unit dual on the cell edge overlaps the one at the cell
+        # center, so some images lie inside both
+        extra = from_center_radius((QuadExt(1), QuadExt(0)), QuadExt(1))
+        cfg = Configuration("square+edge dual", 1, square.motif_base,
+                            square.motif_dual + [extra], square.lattice)
+        with pytest.raises(ArithmeticError, match="inside 2 duals; the dual family is not disjoint"):
+            generate(cfg, "packing", self.LIMITS, exact=exact)
+
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_wrong_via_is_named(self, square, mode, exact):
+        lane = _lane(square, mode, self.LIMITS, exact)
+        kind = lane.kinds[0]
+        chunk = next(c for c in lane.chunks[kind] if c.level == 1)
+        chunk.via[:] = (chunk.via + 1) % len(lane.mirrors)
+        with pytest.raises(ArithmeticError, match="not the mirror it was reached through"):
+            lane.finals()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_dual_rows_in_either_orientation(self, exact):
+        # the quotient keys identify a circle with its reversal, so a stored
+        # row may carry either orientation; the host check and the output
+        # take the positive one
+        cfg = make_config("hexagonal")
+        lane = _lane(cfg, "dual", self.LIMITS, exact)
+        want = self.summary(lane.finals())
+        for chunk in lane.chunks["dual"][1:]:
+            chunk.rows[::2] *= -1
+        assert self.summary(lane.finals()) == want
+        assert max(height for *_, height in want) == 2
 
 
 class TestLatticeOverflow:
