@@ -57,18 +57,24 @@ its exact coordinates.  The host check runs in one batch over every
 chain row, hosts found by a spatial prefilter confirmed on the rows
 (exactly on integers).  The output is sorted on ``as_float`` keys of the
 rows.
+
+A ``Packing`` holds that output as columns (``PackedColumns``): the
+integer terms (P, R, q) of each kept row's coordinates over its lattice,
+or the float rows of a float run, with heights, words and sources in
+output order.  ``render`` writes and reads these columns directly; the
+``PackedCircle`` and ``QuadExt`` objects are built only when the packing's
+circles are asked for.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, _row_lattice, parse_id
-from .exact import QuadExt, as_float
+from .exact import QuadExt, as_float, int_array, scalar_sign
 from .inversive import (
     InversiveCircle,
     PlanarIsometry,
@@ -76,7 +82,7 @@ from .inversive import (
     inversive_product,
     reflect,
 )
-from .lattice import LatticeOverflowError, Mirrors, RowLattice, _guard
+from .lattice import LatticeOverflowError, Mirrors, RowLattice, _guard, as_floats
 
 GroupWord = List[str]
 
@@ -213,25 +219,131 @@ class PackedCircle:
 
 
 @dataclass
-class Packing:
-    config: Configuration
-    mode: str
-    limits: GenerationLimits
-    circles: List[PackedCircle]
+class PackedColumns:
+    """Packed circles as columns, in output order.
+
+    The 4 n scalars, circle by circle in ``InversiveCircle.key`` order, are
+    exact where the flat mask ``exact`` is set, each (a + b sqrt d) / q of
+    the next entries of the integer columns ``terms`` = (a, b, q, d) (int64
+    or Python integers, not necessarily reduced), and otherwise the next
+    entry of ``floats``.
+    """
+
+    exact: np.ndarray
+    terms: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    floats: np.ndarray
+    kinds: List[str]
+    heights: List[int]
+    words: List[Tuple[str, ...]]
+    sources: List[str]
 
     def __len__(self) -> int:
-        return len(self.circles)
+        return len(self.heights)
+
+    @classmethod
+    def of(cls, circles: Sequence[PackedCircle]) -> "PackedColumns":
+        """Columns of packed circle objects."""
+        scalars = [x for pc in circles for x in pc.circle.key()]
+        exact = np.array([isinstance(x, QuadExt) for x in scalars], dtype=bool)
+        terms = [(x.a, x.b, x.q, x.d) for x in scalars if isinstance(x, QuadExt)]
+        return cls(
+            exact,
+            tuple(map(int_array, zip(*terms))) if terms else _NO_TERMS,
+            np.array([float(x) for x in scalars if not isinstance(x, QuadExt)], dtype=np.float64),
+            [pc.kind for pc in circles],
+            [pc.height for pc in circles],
+            [pc.word for pc in circles],
+            [pc.source for pc in circles],
+        )
+
+    def circles(self) -> List[PackedCircle]:
+        """The packed circle objects, one ``QuadExt`` per exact scalar."""
+        exact = map(QuadExt, *(t.tolist() for t in self.terms))
+        if self.exact.all():
+            scalars = iter(exact)
+        else:
+            floats = iter(self.floats.tolist())
+            scalars = iter([next(exact) if e else next(floats) for e in self.exact.tolist()])
+        return [
+            PackedCircle(InversiveCircle(*key), kind, height, word, source)
+            for key, kind, height, word, source in zip(
+                zip(scalars, scalars, scalars, scalars),
+                self.kinds, self.heights, self.words, self.sources,
+            )
+        ]
+
+
+_NO_TERMS = tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+
+
+class Packing:
+    """The circles of one ``generate`` query, in output order.
+
+    ``generate`` and ``render.from_json`` fill a packing with columns
+    (``PackedColumns``): integer terms of the exact scalars, or the floats
+    of a float run, with heights, words and sources.  The ``PackedCircle``
+    objects are built from them once, on the first use of ``circles``,
+    iteration, ``find`` or ``height_of``.  From then on the list is the
+    packing: ``len``, ``columns`` and so ``render.to_json`` read it, and
+    edits to it show.  ``Packing(config, mode, limits, circles)`` starts
+    from a list.
+    """
+
+    def __init__(
+        self,
+        config: Configuration,
+        mode: str,
+        limits: GenerationLimits,
+        circles: Optional[List[PackedCircle]] = None,
+        *,
+        columns: Optional[PackedColumns] = None,
+    ) -> None:
+        if (circles is None) == (columns is None):
+            raise TypeError("a packing takes either circles or columns")
+        self.config = config
+        self.mode = mode
+        self.limits = limits
+        self._circles = circles
+        self._columns = columns
+        self._index: Optional[_Index] = None
+
+    @property
+    def circles(self) -> List[PackedCircle]:
+        if self._circles is None:
+            self._circles = self._columns.circles()
+            self._columns = None
+        return self._circles
+
+    def columns(self) -> PackedColumns:
+        """The circles as columns: those the packing was made with until its
+        list is built, then the list's."""
+        if self._circles is None:
+            return self._columns
+        return PackedColumns.of(self._circles)
+
+    def __len__(self) -> int:
+        return len(self._columns) if self._circles is None else len(self._circles)
 
     def __iter__(self):
         return iter(self.circles)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Packing):
+            return NotImplemented
+        return (self.config, self.mode, self.limits, self.circles) == (
+            other.config, other.mode, other.limits, other.circles
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
     def find(self, circle: InversiveCircle) -> Optional[PackedCircle]:
-        quotient = self.mode != "packing"
-        index = getattr(self, "_index", None)
-        if index is None:
-            index = {_lookup_key(p.circle, quotient): p for p in self.circles}
-            self._index = index
-        return index.get(_lookup_key(circle, quotient))
+        """The packed circle equal to ``circle``, in either orientation in
+        the quotient modes: exactly between exact circles, and within a
+        relative tolerance (``_Index``) where either is float.  The lookup
+        tables are built from the list on the first call."""
+        if self._index is None:
+            self._index = _Index(self.circles, self.mode != "packing")
+        return self._index.find(circle)
 
     def height_of(self, circle: InversiveCircle) -> int:
         hit = self.find(circle)
@@ -241,6 +353,70 @@ class Packing:
                 f"(center ~ {circle.center() if not circle.is_line else 'line'})"
             )
         return hit.height
+
+
+# relative tolerance of float lookups, and generic weights for the
+# projection their keys are sorted on
+_RTOL = 1e-9
+_WEIGHTS = np.array([1.0, 0.7548776662466927, 0.5698402909980532, 0.4301597090019468])
+
+
+class _Index:
+    """Lookup tables of a list of packed circles; a lookup gives the first
+    match in list order.
+
+    Exact coordinates key a dict, up to orientation when ``quotient``.
+    Float keys (``as_float`` of the coordinates) x and y match when
+    |x - y|_inf <= _RTOL max(|x|_inf, |y|_inf).  Every circle has
+    |x|_inf >= 1/sqrt(3), since h1^2 + h2^2 - b bt = 1, so the tolerance is
+    never void.  The keys are sorted on x . w, and a match of y lies within
+    _RTOL |w|_1 |y|_inf / (1 - _RTOL) of y . w.  The tables hold the
+    circles of the list as it was when they were built.
+    """
+
+    def __init__(self, circles: Sequence[PackedCircle], quotient: bool) -> None:
+        self.circles = tuple(circles)
+        self.quotient = quotient
+        self.inexact = np.array([not pc.circle.is_exact for pc in circles], dtype=bool)
+        self._exact: Optional[Dict[tuple, int]] = None
+        self._floats: Optional[tuple] = None
+
+    def find(self, circle: InversiveCircle) -> Optional[PackedCircle]:
+        if circle.is_exact:
+            if self._exact is None:
+                self._exact = {}
+                for i, pc in enumerate(self.circles):
+                    if pc.circle.is_exact:
+                        self._exact.setdefault(_exact_key(pc.circle.key(), self.quotient), i)
+            hit = self._exact.get(_exact_key(circle.key(), self.quotient))
+            if hit is not None:
+                return self.circles[hit]
+            if not self.inexact.any():
+                return None
+        return self._near(np.array([as_float(x) for x in circle.key()]), circle.is_exact)
+
+    def _near(self, key: np.ndarray, among_floats: bool) -> Optional[PackedCircle]:
+        """First circle within the tolerance of the float key ``key``; only
+        float circles when ``among_floats``."""
+        if self._floats is None:
+            keys = np.array([[as_float(x) for x in pc.circle.key()] for pc in self.circles],
+                            dtype=np.float64).reshape(-1, 4)
+            proj = keys @ _WEIGHTS
+            order = np.argsort(proj, kind="stable")
+            self._floats = (keys, np.abs(keys).max(axis=1), order, proj[order])
+        keys, norms, order, proj = self._floats
+        size = float(np.abs(key).max())
+        reach = (_RTOL * _WEIGHTS.sum() / (1.0 - _RTOL) + 1e-15) * size
+        hits = []
+        for k in (key, -key) if self.quotient else (key,):
+            p = float(k @ _WEIGHTS)
+            cand = order[np.searchsorted(proj, p - reach, "left"):np.searchsorted(proj, p + reach, "right")]
+            if among_floats:
+                cand = cand[self.inexact[cand]]
+            close = np.abs(keys[cand] - k).max(axis=1, initial=0.0) <= _RTOL * np.maximum(norms[cand], size)
+            hits.append(cand[close])
+        found = np.concatenate(hits)
+        return self.circles[found.min()] if len(found) else None
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +429,12 @@ def _scalar_is_zero(x) -> bool:
     return abs(float(x)) < 1e-9
 
 
-def _float_key(c: InversiveCircle) -> Tuple[float, float, float, float]:
-    return tuple(round(as_float(x), 9) for x in c.key())
-
-
-def _lookup_key(c: InversiveCircle, quotient: bool):
-    """Dedup key: exact coordinates when available, a rounded grid for
-    floats; quotient keys identify the two orientations of a circle."""
-    k = c.key() if c.is_exact else _float_key(c)
+def _exact_key(k: tuple, quotient: bool) -> tuple:
+    """Dict key of exact coordinates; quotient keys identify the two
+    orientations of a circle."""
     if quotient:
         for x in k:
-            s = x.sign() if isinstance(x, QuadExt) else (0 if x == 0 else math.copysign(1, x))
+            s = scalar_sign(x, 0.0)
             if s < 0:
                 return tuple(-v for v in k)
             if s > 0:
@@ -721,14 +892,14 @@ class _ArrayLane:
 
     # -- output ----------------------------------------------------------
 
-    def finals(self) -> List[PackedCircle]:
-        """The kept rows as packed circles in output order: a stable sort by
+    def finals(self) -> PackedColumns:
+        """The kept rows as packed columns in output order: a stable sort by
         height, then ``as_float`` of curvature, h1, h2 and co-curvature.  In
         the descending modes every chain row passes ``_check_hosts``."""
-        circles: List[InversiveCircle] = []
         words: List[GroupWord] = []
         sources: List[str] = []
         levels, keys = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 4))]
+        terms = [tuple(np.zeros((0, 4), dtype=np.int64) for _ in range(4))]
         for kind in self.kinds:
             chunks, lat = self.chunks[kind], self.lat[kind]
             if not chunks:
@@ -744,19 +915,28 @@ class _ArrayLane:
             sources += s
             picked = self._oriented(kind, rows[kept])
             if self.exact:
-                circles += lat.circles(picked)
-                picked = lat.as_float(picked)
-            else:
-                circles += [InversiveCircle(*row) for row in picked.tolist()]
+                p, r = lat.values(picked)
+                q = np.broadcast_to(lat.q, p.shape)
+                terms.append((p, r, q, np.full(p.shape, lat.d)))
+                picked = as_floats(p, r, q, lat.d)
             levels.append(level[kept])
-            keys.append(picked[:, [1, 2, 3, 0]])
+            keys.append(picked)
         level, key = np.concatenate(levels), np.concatenate(keys)
-        order = np.lexsort((key[:, 3], key[:, 2], key[:, 1], key[:, 0], level)).tolist()
-        kind = _CIRCLE_KIND[self.mode]
-        return [
-            PackedCircle(circles[i], kind, int(level[i]), tuple(words[i]), sources[i])
-            for i in order
-        ]
+        order = np.lexsort((key[:, 0], key[:, 3], key[:, 2], key[:, 1], level))
+        n = len(order)
+        if self.exact:
+            cols = (np.ones(4 * n, dtype=bool),
+                    tuple(np.concatenate(t)[order].ravel() for t in zip(*terms)), np.zeros(0))
+        else:
+            cols = (np.zeros(4 * n, dtype=bool), _NO_TERMS, key[order].ravel())
+        olist = order.tolist()
+        return PackedColumns(
+            *cols,
+            [_CIRCLE_KIND[self.mode]] * n,
+            level[order].tolist(),
+            [tuple(words[i]) for i in olist],
+            [sources[i] for i in olist],
+        )
 
     def _oriented(self, kind: str, rows: np.ndarray) -> np.ndarray:
         """Rows as reported: in the quotient modes, the positively oriented
@@ -876,4 +1056,4 @@ def generate(
     seeds = _catalog(cfg, _SEED_KINDS[mode], limits.window, pads[0])
     lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, exact, pads)
     lane.run()
-    return Packing(cfg, mode, limits, lane.finals())
+    return Packing(cfg, mode, limits, columns=lane.finals())

@@ -9,6 +9,11 @@ q >= 1.  For d = 1 the root is rational and b is folded into a.
 A parallel float path exists throughout the package; helpers at the bottom of
 this module (``scalar_sign``, ``as_float``) make code polymorphic over
 ``QuadExt`` and ``float``.
+
+Columns of many values skip the objects: ``reduce_terms`` and
+``format_terms`` give the stored integers and the text of
+``QuadExt(a, b, q, d)`` elementwise, and ``scalar_terms`` reads one string
+of the language ``parse_scalar`` accepts into its integers.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 SUPPORTED_D = (1, 2, 3)
 
@@ -316,29 +323,92 @@ def _frac_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-_PAREN_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)"
-    r"(?:\s*/\s*(\d+))?$"
+# Every canonical form in one pattern, with the whitespace around and inside
+# it that the forms allow: group 1 opens "(a+b*sqrt(d))", which must then
+# carry its sign, b and d; groups 2-6 are a, the sign, b, d and q.
+_SCALAR_RE = re.compile(
+    r"\s*(\(\s*)?(-?\d+)(?(1)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\))"
+    r"(?:\s*/\s*(\d+))?\s*"
 )
-_RAT_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
+
+
+def _match_terms(m: "re.Match[str]") -> "tuple[int, int, int, int]":
+    """(a, b, q, d) of a match of ``_SCALAR_RE``, unreduced: "a/q" and "a"
+    have b = 0 and d = 1."""
+    _, a, sign, b, d, q = m.groups()
+    if b is None:
+        return int(a), 0, int(q) if q else 1, 1
+    return int(a), int(b) if sign == "+" else -int(b), int(q) if q else 1, int(d)
+
+
+def scalar_terms(text: str) -> "tuple[int, int, int, int] | None":
+    """(a, b, q, d) of a string ``parse_scalar`` accepts, unreduced, or None
+    where it raises.  A bare integer skips the pattern: "-?\\d+" is
+    ``isdecimal`` after an optional minus."""
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
+        return int(text), 0, 1, 1
+    m = _SCALAR_RE.fullmatch(text)
+    if m is None:
+        return None
+    t = _match_terms(m)
+    return t if t[2] and t[3] in SUPPORTED_D else None
 
 
 def parse_scalar(text: str) -> QuadExt:
     """Parse the canonical string forms emitted by ``str(QuadExt)``.
 
-    Accepts "(a+b*sqrt(d))/q", "(a-b*sqrt(d))", "a/q" and "a".
+    Accepts "(a+b*sqrt(d))/q", "(a-b*sqrt(d))", "a/q" and "a", with
+    whitespace around the whole and between the parts.
     """
-    s = text.strip()
-    m = _PAREN_RE.match(s)
-    if m:
-        a, sgn, b, d, q = m.groups()
-        bb = int(b) if sgn == "+" else -int(b)
-        return QuadExt(int(a), bb, int(q) if q else 1, int(d))
-    m = _RAT_RE.match(s)
-    if m:
-        a, q = m.groups()
-        return QuadExt(int(a), 0, int(q) if q else 1, 1)
-    raise ValueError(f"malformed exact scalar: {text!r}")
+    m = _SCALAR_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed exact scalar: {text!r}")
+    return QuadExt(*_match_terms(m))
+
+
+# Integer columns beyond this bound are reduced on Python integers, so that
+# no sum or negation wraps.
+_INT64_SAFE = 2**62
+
+
+def int_array(values) -> np.ndarray:
+    """int64 array of integers, or an array of Python integers past int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def reduce_terms(a, b, q, d) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(a, b, q) of ``QuadExt(a, b, q, d)`` elementwise, as its constructor
+    stores them: b folded into a where d = 1, q > 0 and gcd(a, b, q) = 1.
+
+    a, b and q are integer arrays of one shape, int64 or of Python
+    integers (``int_array``), and every q is nonzero.  Values past 2^62
+    make the whole reduction run on Python integers.
+    """
+    if any(x.dtype == object or (x.size and (x.max() >= _INT64_SAFE or x.min() <= -_INT64_SAFE))
+           for x in (a, b, q)):
+        a, b, q = (x.astype(object) for x in (a, b, q))
+    one = d == 1
+    a, b = np.where(one, a + b, a), np.where(one, 0, b)
+    s = np.where(q < 0, -1, 1)
+    a, b, q = a * s, b * s, q * s
+    g = np.gcd(np.gcd(a, b), q)
+    return a // g, b // g, q // g
+
+
+def format_terms(a, b, q, d) -> "list[str]":
+    """``str(QuadExt(a, b, q, d))`` elementwise, for columns as
+    ``reduce_terms`` takes them."""
+    a, b, q = reduce_terms(a, b, q, d)
+    d = np.broadcast_to(d, a.shape)
+    return [
+        (f"{x}" if z == 1 else f"{x}/{z}") if not y
+        else (f"({x}+{y}*sqrt({e}))" if y > 0 else f"({x}-{-y}*sqrt({e}))")
+        + ("" if z == 1 else f"/{z}")
+        for x, y, z, e in zip(a.tolist(), b.tolist(), q.tolist(), d.tolist())
+    ]
 
 
 Scalar = Union[QuadExt, float]

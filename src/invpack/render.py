@@ -17,18 +17,29 @@ circle carries, an ordered window, a positive radius floor and a
 nonnegative height bound.  The first violation raises ValueError
 ``invalid document at <json path>: <reason>``, with paths such as
 ``$.circles[12].kind``.
+
+A packing's circle array, most of its document, goes through the
+packing's columns (``engine.PackedColumns``) both ways: ``to_json``
+formats the integer terms of exact scalars with ``exact.format_terms``
+and splices the array into the ``json.dumps`` text of the rest, byte for
+byte what ``json.dumps`` would write; ``from_json`` reads the array
+straight into columns, parsing each distinct scalar string once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
+import numpy as np
+
 from .configs import Configuration, SymmetryDecl, Window
-from .engine import _CIRCLE_KIND, MODES, GenerationLimits, PackedCircle, Packing
-from .exact import QuadExt, Scalar, as_float, parse_scalar
+from .engine import _CIRCLE_KIND, _NO_TERMS, MODES, GenerationLimits, PackedColumns, Packing
+from .exact import QuadExt, Scalar, as_float, format_terms, int_array, parse_scalar, scalar_terms
 from .inversive import InversiveCircle, PlanarIsometry
 
 __all__ = [
@@ -238,7 +249,8 @@ def _config_out(cfg: Configuration) -> Dict[str, object]:
     }
 
 
-def _packing_out(p: Packing) -> Dict[str, object]:
+def _packing_head(p: Packing) -> Dict[str, object]:
+    """A packing's document with an empty circle array."""
     lim = p.limits
     return {
         "type": "packing",
@@ -254,17 +266,58 @@ def _packing_out(p: Packing) -> Dict[str, object]:
                 lim.window.y1,
             ],
         },
-        "circles": [
-            {
-                "circle": _circle_out(pc.circle),
-                "kind": pc.kind,
-                "height": pc.height,
-                "word": list(pc.word),
-                "source": pc.source,
-            }
-            for pc in p.circles
-        ],
+        "circles": [],
     }
+
+
+# The packing document as ``json.dumps(indent=2, sort_keys=True)`` writes it,
+# with the circle array, its first key, written here from the columns.
+_HEAD_START = '{\n  "circles": []'
+_PACKED = (
+    '    {\n      "circle": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
+    '      "height": %s,\n      "kind": %s,\n      "source": %s,\n      "word": %s\n    }'
+)
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _packing_text(p: Packing) -> str:
+    head = json.dumps(_packing_head(p), indent=2, sort_keys=True)
+    cols = p.columns()
+    if not len(cols):
+        return head + "\n"
+    texts = iter([f'"{t}"' for t in format_terms(*cols.terms)])
+    if cols.exact.all():
+        scalars = texts
+    else:
+        floats = map(_float_text, cols.floats.tolist())
+        scalars = iter([next(texts) if e else next(floats) for e in cols.exact.tolist()])
+    strings: Dict[str, str] = {}
+
+    def text(x: object) -> str:
+        """A string or number field as ``json.dumps`` writes it."""
+        if type(x) is not str:
+            return str(x) if type(x) is int else json.dumps(x)
+        out = strings.get(x)
+        if out is None:
+            out = strings[x] = encode_basestring_ascii(x)
+        return out
+
+    words = [
+        "[\n        " + ",\n        ".join(map(text, w)) + "\n      ]" if w else "[]"
+        for w in cols.words
+    ]
+    body = ",\n".join([
+        _PACKED % (*key, height, kind, source, word)
+        for key, height, kind, source, word in zip(
+            zip(scalars, scalars, scalars, scalars),
+            map(text, cols.heights), map(text, cols.kinds), map(text, cols.sources), words,
+        )
+    ])
+    return '{\n  "circles": [\n' + body + "\n  ]" + head[len(_HEAD_START):] + "\n"
 
 
 # Reading checks the document's fixed shape while it builds the objects.  A
@@ -369,7 +422,7 @@ def _scalar(v: object) -> Scalar:
     if isinstance(v, str):
         try:
             return parse_scalar(v)
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise _Invalid(str(err)) from None
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise _Invalid(f"{_brief(v)} is not a string or a number")
@@ -440,17 +493,84 @@ def _limits(v: object) -> GenerationLimits:
     )
 
 
-def _packed(kind: str) -> Callable[[object], PackedCircle]:
-    """Reader of the packed circles of a mode whose circles are ``kind``."""
+def _scalar_columns(flat: List[object]) -> Tuple[np.ndarray, tuple, np.ndarray]:
+    """(exact mask, terms, floats) of ``PackedColumns`` for the scalars
+    ``flat`` of circles read four by four.  Each distinct string is parsed
+    once, and the terms are gathered from those of the distinct strings.
+    The first scalar ``_scalar`` refuses raises its error, with its path
+    from the circle array."""
+    exact = [type(x) is str for x in flat]
+    strings = [x for x, e in zip(flat, exact) if e]
+    numbers = [x for x, e in zip(flat, exact) if not e]
+    distinct = list(set(strings))
+    parsed = [scalar_terms(x) for x in distinct]
+    if None in parsed or not all(type(x) is float or type(x) is int for x in numbers):
+        refused = {x for x, t in zip(distinct, parsed) if t is None}
+        for k, x in enumerate(flat):
+            if x in refused if type(x) is str else not (type(x) is float or type(x) is int):
+                try:
+                    _scalar(x)
+                except _Invalid as err:
+                    raise err.at(k % 4).at("circle").at(k // 4)
+    terms = _NO_TERMS
+    if strings:
+        at = {x: i for i, x in enumerate(distinct)}
+        rows = np.fromiter(map(at.__getitem__, strings), dtype=np.intp, count=len(strings))
+        terms = tuple(int_array(parsed)[rows].T)
+    return np.array(exact, dtype=bool), terms, np.array(numbers, dtype=np.float64)
+
+
+def _packed_columns(kind: str) -> Callable[[object], PackedColumns]:
+    """Reader of the packed circles of a mode whose circles are ``kind``,
+    straight into columns.
+
+    Each entry is checked in the order circle, its scalars, kind, height,
+    word, source, and the entries in order, so the first violation is
+    raised.  A value that fails a quick test here is handed to its field's
+    reader, which raises the error with its path; the scalars are checked
+    all at once after the entries (``_scalar_columns``), so a violation
+    found among the entries waits until the scalars before it pass.
+    """
     read_kind = _one_of((kind,))
 
-    def read(v: object) -> PackedCircle:
-        doc = _object(v)
-        circle = _field(doc, "circle", _circle)
-        _field(doc, "kind", read_kind)
-        height = _field(doc, "height", _integer)
-        word = _field(doc, "word", lambda x: tuple(_items(x, _string)))
-        return PackedCircle(circle, kind, height, word, _field(doc, "source", _string))
+    def read(v: object) -> PackedColumns:
+        if not isinstance(v, list):
+            raise _Invalid(f"{_brief(v)} is not an array")
+        flat: List[object] = []
+        heights: List[int] = []
+        words: List[Tuple[str, ...]] = []
+        sources: List[str] = []
+        invalid = None
+        for i, e in enumerate(v):
+            try:
+                if type(e) is not dict:
+                    _object(e)
+                circle = e.get("circle")
+                if type(circle) is not list or len(circle) != 4:
+                    _field(e, "circle", _circle)
+                flat += circle
+                got = e.get("kind")
+                if type(got) is not str or got != kind:
+                    _field(e, "kind", read_kind)
+                height = e.get("height")
+                if type(height) is not int:
+                    _field(e, "height", _integer)
+                word = e.get("word")
+                if type(word) is not list or not all(type(x) is str for x in word):
+                    _field(e, "word", lambda x: _items(x, _string))
+                source = e.get("source")
+                if type(source) is not str:
+                    _field(e, "source", _string)
+            except _Invalid as err:
+                invalid = err.at(i)
+                break
+            heights.append(height)
+            words.append(tuple(word))
+            sources.append(source)
+        exact, terms, floats = _scalar_columns(flat)
+        if invalid is not None:
+            raise invalid
+        return PackedColumns(exact, terms, floats, [kind] * len(heights), heights, words, sources)
 
     return read
 
@@ -459,19 +579,16 @@ def _packing(doc: Dict[str, object]) -> Packing:
     config = _field(doc, "config", _config)
     mode = _field(doc, "mode", _one_of(MODES))
     limits = _field(doc, "limits", _limits)
-    circles = _field(doc, "circles", lambda x: _items(x, _packed(_CIRCLE_KIND[mode])))
-    return Packing(config, mode, limits, circles)
+    circles = _field(doc, "circles", _packed_columns(_CIRCLE_KIND[mode]))
+    return Packing(config, mode, limits, columns=circles)
 
 
 def to_json(obj: Union[Packing, Configuration]) -> str:
     """Document of the shape ``from_json`` checks, with exact scalars as
     canonical strings."""
-    doc = (
-        _config_out(obj)
-        if isinstance(obj, Configuration)
-        else _packing_out(obj)
-    )
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if isinstance(obj, Configuration):
+        return json.dumps(_config_out(obj), indent=2, sort_keys=True) + "\n"
+    return _packing_text(obj)
 
 
 def from_json(text: Union[str, bytes]) -> Union[Packing, Configuration]:

@@ -812,10 +812,10 @@ class TestHostCheck:
         # take the positive one
         cfg = make_config("hexagonal")
         lane = _lane(cfg, "dual", self.LIMITS, exact)
-        want = self.summary(lane.finals())
+        want = self.summary(lane.finals().circles())
         for chunk in lane.chunks["dual"][1:]:
             chunk.rows[::2] *= -1
-        assert self.summary(lane.finals()) == want
+        assert self.summary(lane.finals().circles()) == want
         assert max(height for *_, height in want) == 2
 
 

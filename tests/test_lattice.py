@@ -155,6 +155,23 @@ class TestFloatReach:
             want = key.pop((f.height, f.word, f.source))
             assert np.allclose([as_float(x) for x in f.circle.key()], want, rtol=1e-9, atol=1e-9)
 
+    def test_float_lookup_far_from_the_origin(self, configs):
+        # co-curvatures reach ~1e4 at k = 5, where the float run's values
+        # and as_float of the exact ones differ in the 13th digit
+        cfg = configs["wallpaper:p4"]
+        lim = self._limits(cfg, 2, 0.05, 5)
+        exact = generate(cfg, "packing", lim)
+        floats = generate(cfg, "packing", lim, exact=False)
+        geometry = np.array([[*c.circle.center(), c.circle.radius()] for c in floats.circles])
+        shared = [c for c in exact.circles
+                  if (np.abs(geometry - [*c.circle.center(), c.circle.radius()]).max(axis=1) <= 1e-7).any()]
+        assert (len(exact), len(floats), len(shared)) == (21, 18, 17)
+        for c in shared:
+            hit = floats.find(c.circle.as_floats())
+            assert hit is not None
+            assert np.allclose([as_float(x) for x in hit.circle.key()],
+                               [as_float(x) for x in c.circle.key()], rtol=1e-12, atol=0.0)
+
     def test_float_super_far_from_the_origin(self, configs):
         cfg = configs["wallpaper:p3"]
         assert len(generate(cfg, "super", self._limits(cfg, 2, 0.05, 2500), exact=False)) == 354

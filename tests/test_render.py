@@ -4,7 +4,12 @@ Covers style validation, the frozen circle counts for the square
 configuration, canonical ordering independence from generation order,
 line clipping, the y-axis flip, nine-digit fixed-notation numbers, and
 JSON round trips for configurations and packings with exact and float
-scalars, including schema and scalar diagnostics.
+scalars, including schema and scalar diagnostics.  ``to_json`` writes a
+packing's circles from integer columns; it is held byte for byte to the
+object writer it replaced, kept here as ``reference_to_json``, and the
+column formatter and parser to ``str(QuadExt)`` and ``parse_scalar``.
+Packings build their circle objects only on demand, and once built the
+list is the packing.
 """
 
 from __future__ import annotations
@@ -16,15 +21,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invpack
 
 from invpack.configs import Configuration, Window, make_config
-from invpack.engine import GenerationLimits, PackedCircle, Packing, generate
-from invpack.exact import QuadExt, parse_scalar
+from invpack.engine import MODES, GenerationLimits, PackedCircle, Packing, generate
+from invpack.exact import QuadExt, format_terms, int_array, parse_scalar, reduce_terms, scalar_terms
 from invpack.inversive import InversiveCircle, from_center_radius, from_line
-from invpack.render import RenderStyle, from_json, to_json, to_svg
+from invpack.render import RenderStyle, _config_out, from_json, to_json, to_svg
 from invpack.wallpaper import make_wallpaper
 
 
@@ -241,6 +249,13 @@ def _drop(path):
     return mutate
 
 
+def _both(first, second):
+    def mutate(doc):
+        first(doc)
+        second(doc)
+    return mutate
+
+
 def _relabel(kind):
     def mutate(doc):
         for pc in doc["circles"]:
@@ -291,6 +306,21 @@ MUTATIONS = {
     "negative max_height": (_set(["limits", "max_height"], -1), "$.limits.max_height"),
     "malformed scalar": (_set(["circles", 3, "circle", 0], "2+oops"), "$.circles[3].circle[0]"),
     "malformed motif scalar": (_set(["config", "motif_dual", 0, 2], "x"), "$.config.motif_dual[0][2]"),
+    "zero denominator": (_set(["circles", 3, "circle", 1], "1/0"), "$.circles[3].circle[1]"),
+    "unsupported root": (_set(["circles", 3, "circle", 2], "(1+1*sqrt(5))"), "$.circles[3].circle[2]"),
+    "boolean scalar": (_set(["circles", 2, "circle", 0], True), "$.circles[2].circle[0]"),
+    "scalar before its kind": (
+        _both(_set(["circles", 2, "kind"], "bogus"), _set(["circles", 2, "circle", 3], "x")),
+        "$.circles[2].circle[3]",
+    ),
+    "scalar before a later entry": (
+        _both(_drop(["circles", 4, "source"]), _set(["circles", 1, "circle", 0], "1/0")),
+        "$.circles[1].circle[0]",
+    ),
+    "entry before a later scalar": (
+        _both(_drop(["circles", 1, "source"]), _set(["circles", 4, "circle", 0], "x")),
+        "$.circles[1]",
+    ),
 }
 
 
@@ -346,3 +376,252 @@ def test_invpack_imports_without_jsonschema():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) >= 8
+
+
+# ---------------------------------------------------------------------------
+# the integer writer and reader against the object ones
+
+
+def reference_to_json(p: Packing) -> str:
+    """The packing writer ``to_json`` replaced: every packed circle through
+    its objects, exact scalars by ``str(QuadExt)``, the whole document by
+    ``json.dumps``."""
+
+    def scalar(x):
+        return str(x) if isinstance(x, QuadExt) else float(x)
+
+    lim = p.limits
+    doc = {
+        "type": "packing",
+        "config": _config_out(p.config),
+        "mode": p.mode,
+        "limits": {
+            "max_height": lim.max_height,
+            "min_radius": lim.min_radius,
+            "window": [lim.window.x0, lim.window.y0, lim.window.x1, lim.window.y1],
+        },
+        "circles": [
+            {
+                "circle": [scalar(x) for x in pc.circle.key()],
+                "kind": pc.kind,
+                "height": pc.height,
+                "word": list(pc.word),
+                "source": pc.source,
+            }
+            for pc in p.circles
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+SMALL = {"packing": (2, 0.05), "dual": (2, 0.05), "super": (1, 0.05)}
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "name", ["square", "triangular", "hexagonal", "apollonian", "wallpaper:p4", "wallpaper:p3"]
+    )
+    def test_generated_packings_match_the_object_writer(self, name, mode, exact):
+        height, rho = SMALL[mode]
+        packing = generate(make_config(name), mode, GenerationLimits(height, rho, Window.square(1.0)), exact)
+        text = to_json(packing)
+        assert len(packing) > 0
+        assert text == reference_to_json(packing)
+        back = from_json(text)
+        assert to_json(back) == text
+        assert reference_to_json(back) == text
+
+    def test_hand_built_packings_match_the_object_writer(self, square, square_packing):
+        line = from_line((0.0, 1.0), 0.5)
+        tiny = from_center_radius((QuadExt(0, 0, 1, 2), QuadExt(1, 0, 3, 2)), QuadExt(5, -3, 7, 2))
+        source = 'sêed ☃ "quoted"\\\n'
+        mixed = [
+            PackedCircle(tiny, "base", 7, ("d0@0,0", "été"), source),
+            PackedCircle(line, "base", 0, (), "seed"),
+            PackedCircle(tiny, "base", 1, (), ""),
+        ]
+        lim = square_packing.limits
+        # the line of test_horizontal_line_clipped is labelled "dual", which a
+        # packing-mode document may not carry, so it is written but not read
+        written = Packing(square, "packing", GenerationLimits(), [PackedCircle(line, "dual", 0, (), "seed")])
+        assert to_json(written) == reference_to_json(written)
+        for circles in ([], list(reversed(square_packing.circles)), mixed):
+            packing = Packing(square, "packing", lim, circles)
+            text = to_json(packing)
+            assert text == reference_to_json(packing)
+            assert to_json(from_json(text)) == text
+        assert json.dumps(source) in to_json(Packing(square, "packing", lim, mixed))
+
+
+# integers of every size the columns meet: small ones, unreduced ones and
+# ones past int64 in both directions
+INTS = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, -(2**63), 2**63 - 1, 2**62, -(2**62), 2**62 - 1, 3 * 2**61]),
+)
+
+
+class TestColumnScalars:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(INTS, INTS, INTS.filter(bool), st.sampled_from([1, 2, 3])),
+                    min_size=1, max_size=6))
+    def test_formatter_is_str_of_quadext(self, values):
+        a, b, q, d = zip(*values)
+        got = format_terms(int_array(a), int_array(b), int_array(q), np.array(d))
+        assert got == [str(QuadExt(*v)) for v in values]
+
+    @pytest.mark.parametrize("values", [[(0, 0, 1, 2)], [(6, 4, -10, 2)], [(3, 5, 4, 1), (2**63 - 1, 2**63 - 1, -2, 1)]])
+    def test_formatter_edges(self, values):
+        a, b, q, d = zip(*values)
+        assert format_terms(int_array(a), int_array(b), int_array(q), np.array(d)) == [
+            str(QuadExt(*v)) for v in values
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_parser_accepts_what_parse_scalar_accepts(self, data):
+        self.check_parser(data.draw(SCALAR_TEXTS))
+
+    @pytest.mark.parametrize("text", [
+        "( 1 + 2 * sqrt( 2 ) ) / 3", " -7 / 21\n", "(4-6*sqrt(3))/2", "(1+1*sqrt(1))",
+        "١٢", "1/0", "(1+2*sqrt(5))", "(1+2*sqrt(2))/", "+1", "1_0", "",
+    ])
+    def test_parser_examples(self, text):
+        self.check_parser(text)
+
+    @staticmethod
+    def check_parser(text):
+        want = reference_parse(text)
+        try:
+            got = parse_scalar(text)
+        except (ValueError, ZeroDivisionError):
+            got = None
+        assert got == want
+        terms = scalar_terms(text)
+        assert (terms is None) == (want is None)
+        if want is not None:
+            a, b, q = reduce_terms(*(int_array([t]) for t in terms[:3]), np.array([terms[3]]))
+            assert (a[0], b[0], q[0]) == (want.a, want.b, want.q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reader_reads_what_parse_scalar_reads(self, small_doc, data):
+        text = data.draw(SCALAR_TEXTS)
+        want = reference_parse(text)
+        doc = copy.deepcopy(small_doc)
+        doc["circles"][1]["circle"][2] = text
+        if want is None:
+            with pytest.raises(ValueError, match=r"^invalid document at \$\.circles\[1\]\.circle\[2\]: "):
+                from_json(json.dumps(doc))
+        else:
+            back = from_json(json.dumps(doc))
+            assert back.circles[1].circle.h1 == want
+
+
+_OLD_PAREN_RE = re.compile(
+    r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)"
+    r"(?:\s*/\s*(\d+))?$"
+)
+_OLD_RAT_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
+
+
+def reference_parse(text: str):
+    """``parse_scalar`` as it was written with two patterns, or None where
+    it raised."""
+    s = text.strip()
+    try:
+        m = _OLD_PAREN_RE.match(s)
+        if m:
+            a, sgn, b, d, q = m.groups()
+            return QuadExt(int(a), int(b) if sgn == "+" else -int(b), int(q) if q else 1, int(d))
+        m = _OLD_RAT_RE.match(s)
+        if m:
+            a, q = m.groups()
+            return QuadExt(int(a), 0, int(q) if q else 1, 1)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return None
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", " ", " ", "　"])
+_DIGITS = st.one_of(
+    st.integers(0, 2**70).map(str),
+    st.sampled_from(["0", "00", "007", "٣", "１２", "1_0", "+1", "²"]),
+)
+
+
+@st.composite
+def _scalar_text(draw):
+    w = lambda: draw(_SPACE)  # noqa: E731
+    a = draw(st.sampled_from(["", "-", "--", "+"])) + draw(_DIGITS)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["+", "-", "+-", ""]))
+        root = draw(st.sampled_from(["1", "2", "3", "0", "5", "02", "٢"]))
+        text = f"({w()}{a}{w()}{sign}{w()}{draw(_DIGITS)}{w()}*{w()}sqrt({w()}{root}{w()}){w()})"
+    else:
+        text = a
+    if draw(st.booleans()):
+        text += f"{w()}/{w()}{draw(st.sampled_from(['0', '1', '6', '000', '12345678901234567890123']))}"
+    text = w() + text + w()
+    for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(list("()+-*/ sqrt0123456789x\x00"))) + text[i + 1:]
+    return text
+
+
+SCALAR_TEXTS = _scalar_text()
+
+
+class TestLazyCircles:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generated_and_read_packings_agree(self, square, mode, exact):
+        height, rho = SMALL[mode]
+        packing = generate(square, mode, GenerationLimits(height, rho, Window.square(2.0)), exact)
+        back = from_json(to_json(packing))
+        assert len(packing) == len(back) > 10
+        assert list(packing) == list(back)
+        assert packing.circles == back.circles
+        for pc in packing.circles[::5]:
+            assert packing.find(pc.circle) == back.find(pc.circle) == pc
+            assert packing.height_of(pc.circle) == back.height_of(pc.circle) == pc.height
+            if mode != "packing":
+                assert back.find(pc.circle.reversed()) == pc
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_the_list_is_the_packing_once_built(self, square, read):
+        packing = generate(square, "packing", GenerationLimits(2, 0.05, Window.square(2.0)))
+        if read:
+            packing = from_json(to_json(packing))
+        n = len(packing)
+        dropped = packing.circles.pop()
+        assert len(packing) == n - 1
+        text = to_json(packing)
+        assert text == reference_to_json(packing)
+        assert len(json.loads(text)["circles"]) == n - 1
+        assert packing.find(dropped.circle) is None
+
+    def test_quadext_constructions_do_not_grow_with_the_packing(self, monkeypatch):
+        # generate, to_json and from_json of square packing, exact, rho=0.01,
+        # W=+-2: the count is that of the configuration and limits alone
+        init = QuadExt.__init__
+        count = [0]
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        def run(height):
+            cfg = make_config("square")
+            monkeypatch.setattr(QuadExt, "__init__", counted)
+            count[0] = 0
+            back = from_json(to_json(generate(cfg, "packing", GenerationLimits(height, 0.01, Window.square(2.0)))))
+            monkeypatch.setattr(QuadExt, "__init__", init)
+            return count[0], len(back)
+
+        (low, n_low), (high, n_high) = run(2), run(4)
+        assert n_high > n_low + 100
+        assert low == high
