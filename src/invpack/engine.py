@@ -340,9 +340,11 @@ class Packing:
         """The packed circle equal to ``circle``, in either orientation in
         the quotient modes: exactly between exact circles, and within a
         relative tolerance (``_Index``) where either is float.  The lookup
-        tables are built from the list on the first call."""
-        if self._index is None:
-            self._index = _Index(self.circles, self.mode != "packing")
+        tables are built from the list, and again whenever the list no
+        longer holds the circles they were built from."""
+        circles = tuple(self.circles)
+        if self._index is None or self._index.circles != circles:
+            self._index = _Index(circles, self.mode != "packing")
         return self._index.find(circle)
 
     def height_of(self, circle: InversiveCircle) -> int:
@@ -370,8 +372,9 @@ class _Index:
     |x - y|_inf <= _RTOL max(|x|_inf, |y|_inf).  Every circle has
     |x|_inf >= 1/sqrt(3), since h1^2 + h2^2 - b bt = 1, so the tolerance is
     never void.  The keys are sorted on x . w, and a match of y lies within
-    _RTOL |w|_1 |y|_inf / (1 - _RTOL) of y . w.  The tables hold the
-    circles of the list as it was when they were built.
+    _RTOL |w|_1 |y|_inf / (1 - _RTOL) of y . w.  The tables are of the
+    circles as they were when the index was made; ``Packing.find`` makes
+    a new one when its list has changed.
     """
 
     def __init__(self, circles: Sequence[PackedCircle], quotient: bool) -> None:

@@ -10,9 +10,14 @@ kind of circle from a configuration's data alone: the smallest
 coordinate-aligned lattice that holds the motif rows and is closed under
 the lattice translations and the reflections in the given motif mirrors
 (a translated mirror is a conjugate, so these suffice).  Each coordinate
-then ranges over a Z-module of Q(sqrt d) of rank at most two.  Where the
-modules keep growing (Apollonian: M01 M10 = 1/9 under any scaling), it is
-the Z-span of the motif rows closed in the same way.
+j then ranges over a Z-module M_j of Q(sqrt d) of rank at most two, and
+the closure runs one coordinate at a time: M_i += C_ij M_j, with C_ij the
+span of matrix entry (i, j) over all the maps.  Where the modules keep
+growing (Apollonian: M01 M10 = 1/9 under any scaling), it is the Z-span
+of the motif rows closed in the same way.  Every span grows by
+membership: a new value is reduced against the Hermite basis, one divmod
+per pivot, and only a value outside it costs a Hermite form.  The solves
+that turn values into rows are dots of Python-integer object arrays.
 
 A row n of W integers has coordinate j equal to (P_j + R_j sqrt d) / q_j
 with (P, R) = n @ basis.  Float views, exact signs, ``as_float`` values,
@@ -137,6 +142,10 @@ def _mul(u: Triple, v: Triple, d: int) -> Triple:
     return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0], u[2] * v[2])
 
 
+def _scaled(k: int, t: Triple) -> Triple:
+    return (k * t[0], k * t[1], t[2])
+
+
 def _sum(ts: Sequence[Triple]) -> Triple:
     den = _lcm(t[2] for t in ts)
     return (sum(t[0] * (den // t[2]) for t in ts), sum(t[1] * (den // t[2]) for t in ts), den)
@@ -171,14 +180,20 @@ def _hnf(rows: Sequence[List[int]]) -> List[List[int]]:
             elif piv is None:
                 piv = r
             else:
-                g, s, t = _egcd(piv[col], r[col])
-                p, q = piv[col] // g, r[col] // g
-                piv, r = [s * x + t * y for x, y in zip(piv, r)], [q * x - p * y for x, y in zip(piv, r)]
+                k, m = divmod(r[col], piv[col])
+                if m:
+                    g, s, t = _egcd(piv[col], r[col])
+                    p, q = piv[col] // g, r[col] // g
+                    piv, r = ([s * x + t * y for x, y in zip(piv, r)],
+                              [q * x - p * y for x, y in zip(piv, r)])
+                else:
+                    r = [y - k * x for x, y in zip(piv, r)]
                 rest += [r] if any(r) else []
         rows = rest
         if piv is not None:
             piv = piv if piv[col] > 0 else [-x for x in piv]
-            out = [[x - (r[col] // piv[col]) * y for x, y in zip(r, piv)] for r in out] + [piv]
+            out = [[x - k * y for x, y in zip(r, piv)] if (k := r[col] // piv[col]) else r
+                   for r in out] + [piv]
     return out
 
 
@@ -202,6 +217,43 @@ def _vectors(span: Span) -> List[List[Triple]]:
     return [[(r[j], r[k + j], den) for j in range(k)] for r in rows]
 
 
+def _member(span: Span, v: Sequence[Triple]) -> bool:
+    """Whether the vector of values ``v`` lies in the span: one divmod per
+    Hermite row, at its pivot."""
+    rows, den = span
+    x = []
+    for part in (0, 1):
+        for t in v:
+            n, r = divmod(t[part] * den, t[2])
+            if r:
+                return False
+            x.append(n)
+    for row in rows:
+        c = 0
+        while not row[c]:
+            c += 1
+        k, r = divmod(x[c], row[c])
+        if r:
+            return False
+        if k:
+            x = [a - k * b for a, b in zip(x, row)]
+    return not any(x)
+
+
+_EMPTY: Span = ((), 1)
+
+
+def _grow(span: Span, vectors: Sequence[Sequence[Triple]]) -> Tuple[Span, List[Sequence[Triple]]]:
+    """``span`` grown by ``vectors``, and those of them that lay outside
+    it when they came; a Hermite form is taken only for those."""
+    added = []
+    for v in vectors:
+        if not _member(span, v):
+            span = _span(_vectors(span) + [v])
+            added.append(v)
+    return span, added
+
+
 def _apply(entries: Entries, v: Sequence[Triple], d: int) -> List[Triple]:
     """``v`` under the linear map with these nonzero ``entries``."""
     out = [(0, 0, 1)] * 4
@@ -219,14 +271,62 @@ def _closure(
     d: int, vecs: Sequence[Sequence[Triple]], maps: Sequence[Entries], rounds: int
 ) -> Optional[Span]:
     """The Z-span of ``vecs`` closed under ``maps`` (each adds its image),
-    or None if it does not settle within ``rounds`` rounds."""
-    span = _span(vecs)
+    or None if it still grows in round ``rounds``.  A round maps only the
+    vectors the round before added: with the span before, they generate
+    the span."""
+    span, new = _grow(_EMPTY, vecs)
     for _ in range(rounds):
-        vs = _vectors(span)
-        grown = _span(vs + [_apply(m, v, d) for m in maps for v in vs])
-        if grown == span:
+        span, new = _grow(span, [_apply(m, v, d) for v in new for m in maps])
+        if not new:
             return span
-        span = grown
+    return None
+
+
+def _aligned(
+    d: int, rows: Sequence[Sequence[Triple]], maps: Sequence[Entries], rounds: int
+) -> Optional[Span]:
+    """The smallest block-diagonal span that holds ``rows`` and is closed
+    under ``maps``, or None if it still grows in round ``rounds``.
+
+    Coordinate j ranges over a Z-module M_j of Q(sqrt d) of rank at most
+    two.  A round is M_i += C_ij M_j for every entry (i, j), on the
+    modules of the round before, with C_ij the span of that entry over
+    all maps.  Like ``_closure``, a round after the first multiplies only
+    the values the round before added to M_j.
+
+    The maps are isometries of the inversive form, less the identity,
+    and come in inverse pairs (a reflection is its own inverse).  The
+    form is <v, w> = -sum_j K_j v_s(j) w_j / 2, with s = _SWAP and
+    K = _K, so the inverse of an isometry A has entry (i, j) equal to
+    K_j / K_i times A_{s(j) s(i)}, as the identity has: C_ij is K_j / K_i
+    times C_{s(j) s(i)}, and only one entry of each such pair is spanned.
+    """
+    values: Dict[Tuple[int, int], Dict[Triple, None]] = {}
+    for m in maps:
+        for ij, c in m.items():
+            values.setdefault(ij, {})[c] = None
+    spans: Dict[Tuple[int, int], List[Triple]] = {}
+    for (i, j), cs in values.items():
+        twin = spans.get((_SWAP[j], _SWAP[i]))
+        if twin is None:
+            spans[i, j] = [c for (c,) in _vectors(_grow(_EMPTY, [[c] for c in cs])[0])]
+        else:
+            k, den = _K[i] * _K[j], _K[i] * _K[i]
+            spans[i, j] = [c for (c,) in _vectors(_span([[(k * a, k * b, den * q)]
+                                                         for a, b, q in twin]))]
+    coeffs = [(i, j, c) for (i, j), cs in spans.items() for c in cs]
+    modules = [_grow(_EMPTY, [[c] for c in dict.fromkeys(r[j] for r in rows)])[0] for j in range(4)]
+    new = [_vectors(m) for m in modules]
+    for _ in range(rounds):
+        added: List[List[Sequence[Triple]]] = [[], [], [], []]
+        for i, j, c in coeffs:
+            modules[i], grown = _grow(modules[i], [[_mul(c, v, d)] for (v,) in new[j]])
+            added[i] += grown
+        if not any(added):
+            zero = (0, 0, 1)
+            return _span([[v if k == j else zero for k in range(4)]
+                          for j, m in enumerate(modules) for (v,) in _vectors(m)])
+        new = added
     return None
 
 
@@ -246,26 +346,19 @@ def derive_lattice(
 ) -> "RowLattice":
     """The integer lattice of rows of the ``motif`` circles, closed under
     translation by ``vectors`` (None for a finite configuration) and
-    reflection in ``mirrors``: aligned where that closure settles, plain
-    otherwise."""
+    reflection in ``mirrors``: aligned where the per-coordinate closure
+    (``_aligned``) settles within its rounds, plain (``_closure``)
+    otherwise.  Either gives a span whose Hermite form is canonical, so
+    the basis does not depend on the order in which it grew."""
     rows = [_triples(c.key(), d) for c in motif]
     vecs = [_triples(v, d) for v in vectors or ()]
     maps = [_translation(vx, vy, d) for vx, vy in vecs]
     maps += [_translation((-vx[0], -vx[1], vx[2]), (-vy[0], -vy[1], vy[2]), d) for vx, vy in vecs]
     for m in (_triples(c.key(), d) for c in mirrors):
-        maps.append({(i, j): _mul((_K[j], 0, 1), _mul(m[i], m[_SWAP[j]], d), d)
+        maps.append({(i, j): _scaled(_K[j], _mul(m[i], m[_SWAP[j]], d))
                      for i in range(4) for j in range(4)})
     maps = [{ij: c for ij, c in m.items() if c[0] or c[1]} for m in maps]
-    # Aligned: the coordinates of the motif rows, closed under one map per
-    # generator of the span of each matrix entry over all maps.
-    entries: Dict[Tuple[int, int], List[List[Triple]]] = {}
-    for m in maps:
-        for ij, c in m.items():
-            entries.setdefault(ij, []).append([c])
-    single = [{ij: v[0]} for ij, cs in entries.items() for v in _vectors(_span(cs))]
-    zero = (0, 0, 1)
-    split = [[x if k == j else zero for k, x in enumerate(r)] for r in rows for j in range(4)]
-    span = _closure(d, split, single, _ROUNDS["aligned"]) or _closure(d, rows, maps, _ROUNDS["plain"])
+    span = _aligned(d, rows, maps, _ROUNDS["aligned"]) or _closure(d, rows, maps, _ROUNDS["plain"])
     if span is None:
         raise ArithmeticError("the orbit coordinates of this configuration span no integer lattice")
     flat, den = span
@@ -322,50 +415,52 @@ class RowLattice:
         self._basis, self._q = basis, q
         self._pf = self.basis[:, :4] / self.q
         self._rf = self.basis[:, 4:] * math.sqrt(d) / self.q
-        self._cols, self._adj, self._det = _left_inverse(basis)
+        self._cols, adj, self._det = _left_inverse(basis)
+        # exact solves are dots of Python integers
+        self._exact = np.array(basis, dtype=object).reshape(-1, 8)
+        self._qs = np.array(q + q, dtype=object)
+        self._adj = np.array(adj, dtype=object).reshape(w, w)
         self.motif = self._exact_rows(motif)
         self._actions: Dict[int, tuple] = {}
         # translation by m v1 + n v2 is sum_k mono_k(m, n) shift[k] / shift_den
         # over the monomials 1, m, n, m^2, mn, n^2
-        mats = [([[int(i == j) for j in range(w)] for i in range(w)], 1)]
+        self._shift, self._shift_den = np.zeros((6, w, w), dtype=np.int64), 1
         if vectors:
             (v1x, v1y), (v2x, v2y) = vectors
-            for vx, vy in vectors:
-                mats.append(self._map({ij: c for ij, c in _translation(vx, vy, d).items()
-                                       if ij != (0, 1)}))
+            maps = [{ij: c for ij, c in _translation(vx, vy, d).items() if ij != (0, 1)}
+                    for vx, vy in vectors]
             for ux, uy, vx, vy, k in ((v1x, v1y, v1x, v1y, 1), (v1x, v1y, v2x, v2y, 2),
                                       (v2x, v2y, v2x, v2y, 1)):
-                c = _mul((k, 0, 1), _sum([_mul(ux, vx, d), _mul(uy, vy, d)]), d)
-                mats.append(self._map({(0, 1): c}))
-        self._shift_den = _lcm(den for _, den in mats)
-        self._shift = np.zeros((6, w, w), dtype=np.int64)
-        for k, (num, den) in enumerate(mats):
-            self._shift[k] = np.array(num, dtype=np.int64).reshape(w, w) * (self._shift_den // den)
+                maps.append({(0, 1): _mul((k, 0, 1), _sum([_mul(ux, vx, d), _mul(uy, vy, d)]), d)})
+            _, num, self._shift_den = self._solved(maps)
+            # row v of each map's block is the image of basis vector v; the
+            # tables act on column rows
+            self._shift[1:] = num.reshape(5, w, w).transpose(0, 2, 1)
+        self._shift[0] = np.eye(w, dtype=np.int64) * self._shift_den
 
     # -- exact linear algebra at derivation time -----------------------
 
-    def _solve(self, flat: Sequence[Sequence[int]], den: int) -> Tuple[List[List[int]], int]:
+    @staticmethod
+    def _flats(values: Sequence[Sequence[Triple]], den: int) -> np.ndarray:
+        """``_flat`` of each vector of values, Python integers (n, 8)."""
+        return np.array([_flat(v, den) for v in values], dtype=object).reshape(-1, 8)
+
+    def _solve(self, flat: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
         """Lattice coordinates (num / den') of vectors whose coordinate j
         is (flat[j] + flat[4 + j] sqrt d) / den, read off the columns J;
         exact for vectors of the lattice's span."""
-        qs = self._q + self._q
-        out = []
-        for v in flat:
-            z = [v[c] * qs[c] for c in self._cols]
-            out.append([sum(x * r[k] for x, r in zip(z, self._adj)) for k in range(self.width)])
-        return out, den * self._det
+        return (flat[:, self._cols] * self._qs[self._cols]).dot(self._adj), den * self._det
 
     def _exact_rows(self, values: Sequence[Sequence[Triple]]) -> np.ndarray:
         den = _lcm(t[2] for v in values for t in v)
-        flat = [_flat(v, den) for v in values]
+        flat = self._flats(values, den)
         num, den2 = self._solve(flat, den)
-        qs = self._q + self._q
-        rows = [[x // den2 for x in n] for n in num]
-        for v, n, row in zip(flat, num, rows):
-            back = [sum(x * b[c] for x, b in zip(row, self._basis)) * den for c in range(8)]
-            if any(x % den2 for x in n) or back != [x * y for x, y in zip(v, qs)]:
-                raise ArithmeticError("circle does not lie on the integer lattice")
-        return np.array(rows, dtype=np.int64).reshape(-1, self.width)
+        rows = num // den2
+        # off the lattice: den2 does not divide the solve, or the rows do
+        # not give the values back, which lie outside the span
+        if (num % den2).any() or (rows.dot(self._exact) * den != flat * self._qs).any():
+            raise ArithmeticError("circle does not lie on the integer lattice")
+        return rows.astype(np.int64)
 
     def _basis_values(self) -> List[List[Triple]]:
         """The basis vectors as values."""
@@ -375,19 +470,22 @@ class RowLattice:
         """Integer rows of exact circles; ArithmeticError off the lattice."""
         return self._exact_rows([_triples(c.key(), self.d) for c in circles])
 
-    def _solved(self, entries: Entries) -> Tuple[List[List[int]], List[List[int]], int]:
-        """Images of the basis vectors under the linear map with these
-        ``entries``, flat over one denominator, and their coordinates here
-        (num / den), which are right for images in the lattice's span."""
-        den = _lcm(c[2] * self._q[j] for (_, j), c in entries.items())
-        flat = [_flat(_apply(entries, v, self.d), den) for v in self._basis_values()]
+    def _solved(self, maps: Sequence[Entries]) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Images of the basis vectors under each linear map with these
+        entries, map by map, flat over one denominator, and their
+        coordinates here (num / den), which are right for images in the
+        lattice's span."""
+        den = _lcm(c[2] * self._q[j] for m in maps for (_, j), c in m.items())
+        p, r = self._exact[:, :4], self._exact[:, 4:]
+        flat = np.zeros((len(maps), self.width, 8), dtype=object)
+        for k, m in enumerate(maps):
+            # entry (a + b sqrt d) / q times (P_j + R_j sqrt d) / q_j
+            for (i, j), (a, b, q) in m.items():
+                s = den // (q * self._q[j])
+                flat[k, :, i] += (a * p[:, j] + self.d * b * r[:, j]) * s
+                flat[k, :, 4 + i] += (a * r[:, j] + b * p[:, j]) * s
+        flat = flat.reshape(-1, 8)
         return (flat, *self._solve(flat, den))
-
-    def _map(self, entries: Entries) -> Tuple[List[List[int]], int]:
-        """Matrix (num / den) acting on column rows of the linear map with
-        these ``entries``."""
-        _, num, den = self._solved(entries)
-        return [list(c) for c in zip(*num)], den
 
     def _action(self, ml: "RowLattice") -> tuple:
         """Tables of the reflections in mirrors of lattice ``ml`` on these
@@ -397,16 +495,15 @@ class RowLattice:
         (over gden).  The cache entry holds ``ml``, so its id stays unique."""
         if id(ml) not in self._actions:
             d, dm = self.d, _lcm(ml._q)
-            f, fden = self._solve([_flat(v, dm) for v in ml._basis_values()], dm)
-            f2, _ = self._solve([_flat([_mul((0, 1, 1), t, d) for t in v], dm)
-                                 for v in ml._basis_values()], dm)
+            f, fden = self._solve(self._flats(ml._basis_values(), dm), dm)
+            f2, _ = self._solve(self._flats([[_mul((0, 1, 1), t, d) for t in v]
+                                             for v in ml._basis_values()], dm), dm)
             gden = _lcm(self._q[j] * ml._q[_SWAP[j]] for j in range(4))
             k = np.array([_K[j] * gden // (self._q[j] * ml._q[_SWAP[j]]) for j in range(4)],
                          dtype=object)
-            bm, b = ml.basis.astype(object), self.basis.astype(object).T
+            bm, b = ml._exact, self._exact.T
             g = (bm[:, _SWAP] * k).dot(b[:4]) + d * (bm[:, [4 + s for s in _SWAP]] * k).dot(b[4:])
             g2 = (bm[:, _SWAP] * k).dot(b[4:]) + (bm[:, [4 + s for s in _SWAP]] * k).dot(b[:4])
-            f, f2 = (np.array(x, dtype=object).reshape(ml.width, self.width) for x in (f, f2))
             fg = math.gcd(fden, *f.ravel().tolist(), *f2.ravel().tolist())
             gg = math.gcd(gden, *g.ravel().tolist(), *g2.ravel().tolist())
             tables = [(x // c).astype(np.int64) for x, c in ((f, fg), (f2, fg), (g, gg), (g2, gg))]
@@ -488,16 +585,14 @@ class RowLattice:
             entries[2, 2 + j], entries[3, 2 + j] = rot[0][j], rot[1][j]
             tr = _sum([_mul(t0, rot[0][j], d), _mul(t1, rot[1][j], d)])
             entries[0, 2 + j] = _mul((2, 0, 1), tr, d)
-        flat, num, den = self._solved({ij: c for ij, c in entries.items() if c[0] or c[1]})
+        flat, num, den = self._solved([{ij: c for ij, c in entries.items() if c[0] or c[1]}])
         # row v of off: the image of basis vector v less its solved
         # reconstruction, zero exactly when that image lies in the span
-        qs = self._q + self._q
-        off = [[x * qs[c] * self._det - sum(k * b[c] for k, b in zip(n, self._basis))
-                for c, x in enumerate(v)] for v, n in zip(flat, num)]
-        g_num = math.gcd(den, *(x for r in num for x in r))
-        g_off = math.gcd(*(x for r in off for x in r))
-        num = self._ints([[x // g_num for x in r] for r in num], "an isometry matrix")
-        off = self._ints([[x // max(g_off, 1) for x in r] for r in off], "an isometry matrix")
+        off = flat * self._qs * self._det - num.dot(self._exact)
+        g_num = math.gcd(den, *num.ravel().tolist())
+        g_off = math.gcd(*off.ravel().tolist())
+        num = self._ints(num // g_num, "an isometry matrix")
+        off = self._ints(off // max(g_off, 1), "an isometry matrix")
         den //= g_num
         rf = _abs_f(rows)
         _guard((rf @ _abs_f(num)).max(axis=1, initial=0.0), idents)
@@ -509,12 +604,12 @@ class RowLattice:
         return images // den, on
 
     @staticmethod
-    def _ints(values: List[List[int]], ident: str) -> np.ndarray:
+    def _ints(values: np.ndarray, ident: str) -> np.ndarray:
         """int64 array of Python integers, LatticeOverflowError past the budget."""
-        peak = max((abs(x) for r in values for x in r), default=0)
+        peak = max(map(abs, values.ravel().tolist()), default=0)
         if peak >= _INT64_BUDGET:
             raise LatticeOverflowError(ident, float(min(peak, 2**1000)))
-        return np.array(values, dtype=np.int64)
+        return values.astype(np.int64)
 
     def reflections(self, ml: "RowLattice", w: np.ndarray, idents: Sequence[str]) -> np.ndarray:
         """int64 matrices (n, W, W) of the reflections in mirrors with rows

@@ -249,6 +249,19 @@ class TestSquarePacking:
         with pytest.raises(KeyError):
             square_h2.height_of(icirc(-1, 1, 0, 0).reversed())
 
+    def test_find_follows_edits_to_the_list(self, square):
+        lim = GenerationLimits(max_height=2, min_radius=0.01, window=Window(-1, -3, 5, 3))
+        p = generate(square, "packing", lim)
+        last = p.circles[-1]
+        assert p.find(last.circle) is last
+        p.circles.pop()
+        assert p.find(last.circle) is None
+        with pytest.raises(KeyError):
+            p.height_of(last.circle)
+        p.circles.append(last)
+        assert p.find(last.circle) is last
+        assert p.find(last.circle.as_floats()) is last
+
     def test_min_curvature_per_height_is_odd_square(self, square):
         lim = GenerationLimits(
             max_height=3, min_radius=0.015, window=Window(-4, -4, 4, 4)
