@@ -293,9 +293,9 @@ class RelationSweepReport:
 
 
 def _vanishing(rel: CurvatureRelation, b: np.ndarray, peak: float) -> np.ndarray:
-    """Whether the relation's polynomial is exactly zero on each row of the
-    int64 curvatures ``b`` (rows x arity), every one at most ``peak`` in
-    absolute value.
+    """Whether the relation's polynomial is exactly zero on each column of
+    the int64 curvatures ``b`` (arity x columns, one row per argument),
+    every one at most ``peak`` in absolute value.
 
     The polynomial is evaluated twice: in int64, whose wraparound gives the
     residual r modulo 2^64 exactly, and in float64, within
@@ -313,17 +313,16 @@ def _vanishing(rel: CurvatureRelation, b: np.ndarray, peak: float) -> np.ndarray
         raise ArithmeticError(
             "residual bound exceeds the exact residue test; shrink the window"
         )
-    bi = np.ascontiguousarray(b.T)
-    bf = bi.astype(np.float64)
-    residue = np.zeros(len(b), dtype=np.int64)
-    approx = np.zeros(len(b))
+    bf = b.astype(np.float64)
+    residue = np.zeros(b.shape[1], dtype=np.int64)
+    approx = np.zeros(b.shape[1])
     ti, tf = np.empty_like(residue), np.empty_like(approx)
     for coeff, exps in rel.terms:
         ti.fill(coeff)
         tf.fill(coeff)
         for i, e in enumerate(exps):
             for _ in range(e):
-                ti *= bi[i]
+                ti *= b[i]
                 tf *= bf[i]
         residue += ti
         approx += tf
@@ -376,8 +375,10 @@ def sweep_relation_words(
         words += len(curv)
         chunk_max = float(np.abs(curv).max())
         max_curv = max(max_curv, chunk_max)
+        # one copy per check, with each argument's curvatures contiguous
+        by_arg = np.ascontiguousarray(curv.T)
         for k, rel in enumerate(relations):
-            if not _vanishing(rel, curv[:, spans[k]], chunk_max).all():
+            if not _vanishing(rel, by_arg[spans[k]], chunk_max).all():
                 ok[k] = False
 
     check(stack[col][None])

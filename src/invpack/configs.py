@@ -435,14 +435,6 @@ class Configuration:
                 return make_id(kind, i, (m, n))
         return None
 
-    def motif_extent(self) -> float:
-        """Radius of a disk around the origin covering one motif copy."""
-        worst = 0.0
-        for c in self.motif_base + self.motif_dual:
-            (cx, cy), r = c.center(), abs(c.radius())
-            worst = max(worst, math.hypot(cx, cy) + r)
-        return worst
-
     def safe_margin(self) -> float:
         """Distance from the window boundary beyond which local structure
         (rings, faces) is unaffected by truncation."""

@@ -1,12 +1,13 @@
 """Isometry verification and wallpaper-group classification.
 
-An isometry is accepted as a symmetry when it maps every base circle
-meeting a safe interior of the verification window onto a base circle of
-the configuration, every dual circle onto a dual circle, exactly, and
-when its linear part preserves the lattice.  Exact membership plus the
-lattice check make the windowed evidence propagate periodically, so a
-verified isometry is a genuine symmetry rather than a numerical
-coincidence.
+A periodic configuration is C = M + L: its motif circles M moved by every
+vector of the lattice L spanned by v1 and v2.  Let g be an isometry whose
+linear part A maps L onto itself.  Then g(c + l) = g(c) + A l with A l in L,
+so g maps C into C exactly when it maps every motif circle into C.  An
+isometry is therefore accepted as a symmetry when its linear part preserves
+the lattice and it maps each base motif circle onto a base circle and each
+dual motif circle onto a dual circle, exactly.  A configuration with no
+lattice (Apollonian) has nothing but its motif to check.
 
 Circles are integer rows of the packing-mode lattices of ``lattice``
 (base rows closed under the dual reflections, dual rows under the
@@ -17,106 +18,159 @@ circle moved by the lattice shift its float center rounds to.  The
 reflection words of ``trivial_intersection`` act on the same rows, along
 ``lattice.Mirrors.walk``.
 
-Classification studies the verified group modulo lattice translations.
-The finite quotient is closed explicitly, the maximal rotation order is
-read off the linear parts, and honest mirrors are separated from glide
-reflections by searching each reflective coset for an involution.  The
-resulting signature feeds the standard decision tree over the seventeen
-plane groups.  A discovery pass independently probes a grid of candidate
-rotation centers, axes, and sub-lattice translations, so configurations
-that drop a symmetry under refinement are confirmed to have actually
-dropped it.
+Classification studies the verified group modulo lattice translations, in
+lattice coordinates as the *International Tables for Crystallography*
+(Vol. A) write it: an isometry is x -> A x + tau, A an integer 2x2 matrix
+and tau = B^-1 t rational, with B = [v1 v2].  The finite quotient is closed
+on integer tuples, tau held over one denominator N and reduced modulo N.
+The signature is read off the same tuples: the rotation order is the
+largest order of an A; x -> A x + v with A a reflection is a mirror when
+(A + I) v = 0, and its axis otherwise, the mirror x -> A x + (I - A) v / 2,
+is either in the group or makes it a glide off every mirror axis; a
+rotation center c solves (I - A) c = v.  The signature feeds the standard
+decision tree over the seventeen plane groups (Conway, Burgiel and
+Goodman-Strauss, *The Symmetries of Things*, 2008).  A discovery pass
+independently probes a grid of candidate rotation centers, axes and
+sub-lattice translations and reads the group the verified probes span, so
+configurations that drop a symmetry under refinement are confirmed to have
+actually dropped it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _catalog_rows, _row_lattice, _vec_float
-from .exact import QuadExt, Scalar, as_float, scalar_sign
-from .inversive import InversiveCircle, PlanarIsometry, _cadd, _cconj, _cmul
+from .configs import Configuration, Window, _catalog_rows, _row_lattice
+from .exact import QuadExt, Scalar
+from .inversive import InversiveCircle, PlanarIsometry, _cconj, _cmul
 from .lattice import Mirrors, RowLattice, _guard
 
 Vec = Tuple[Scalar, Scalar]
+Basis = Tuple[Vec, Vec]
+# an integer 2x2 matrix (a, b, c, d) = [[a, b], [c, d]], and an isometry
+# modulo L in lattice coordinates: (A, N tau reduced modulo N)
+Mat = Tuple[int, int, int, int]
+Elem = Tuple[Mat, Tuple[int, int]]
 
-_HALF = QuadExt(1, 0, 2)
+_ONE: Mat = (1, 0, 0, 1)
 
 
-def _cdiv(u: Vec, w: Vec) -> Vec:
-    norm = w[0] * w[0] + w[1] * w[1]
-    return (
-        (u[0] * w[0] + u[1] * w[1]) / norm,
-        (u[1] * w[0] - u[0] * w[1]) / norm,
+def _mat(x: Mat, y: Mat) -> Mat:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _apply(x: Mat, v: Sequence[int]) -> Tuple[int, int]:
+    return (x[0] * v[0] + x[1] * v[1], x[2] * v[0] + x[3] * v[1])
+
+
+def _det(x: Mat) -> int:
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def _act(e: Elem, p: Sequence[int], n: int) -> Tuple[int, int]:
+    """The image under e of the point p / n, over n and modulo n."""
+    w = _apply(e[0], p)
+    return ((w[0] + e[1][0]) % n, (w[1] + e[1][1]) % n)
+
+
+def _order(x: Mat) -> int:
+    """Multiplicative order of the integer matrix x, at most six."""
+    cur = x
+    for k in range(1, 7):
+        if cur == _ONE:
+            return k
+        cur = _mat(cur, x)
+    raise ValueError("linear part has order above six")
+
+
+# ---------------------------------------------------------------------------
+# lattice coordinates
+# ---------------------------------------------------------------------------
+
+
+def _coords(basis: Basis, v: Vec) -> Vec:
+    """Exact (m, n) with v = m v1 + n v2."""
+    (ax, ay), (bx, by) = basis
+    det = ax * by - ay * bx
+    return ((v[0] * by - v[1] * bx) / det, (ax * v[1] - ay * v[0]) / det)
+
+
+def _matrix(basis: Basis, a: Vec, conj: bool) -> Optional[Mat]:
+    """The matrix A of z -> a*z (a*conj(z) when conj) on the basis, or
+    None when it is not an integer matrix: the map does not preserve the
+    lattice."""
+    cols = [_coords(basis, _cmul(a, _cconj(v) if conj else v)) for v in basis]
+    entries = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+    if not all(x.is_integer() for x in entries):
+        return None
+    return tuple(x.a for x in entries)
+
+
+def _quotient(basis: Basis, gens: Sequence[PlanarIsometry]) -> Tuple[List[Elem], int]:
+    """The group the generators span modulo L, as elements (A, N tau mod N)
+    in breadth-first order from the identity, and N.
+
+    N is twelve times the least common denominator of the generators'
+    tau: every element's tau stays over N, and so do the halves, thirds
+    and quarters that the signature reads.  The quotient of a plane group
+    by its full translation lattice has order at most twelve; failure to
+    close by 24 means the lattice is not the full translation subgroup.
+    """
+    forms = []
+    for g in gens:
+        A = _matrix(basis, g.a, g.conj)
+        if A is None:
+            raise ValueError(f"generator {g} does not preserve the lattice")
+        tau = _coords(basis, g.t)
+        if any(x.b for x in tau):
+            raise ValueError(f"translation {tau} of a generator is irrational in lattice coordinates")
+        forms.append((A, tau))
+    if not forms:
+        raise ValueError("no generators to close")
+    n = 12 * math.lcm(*(x.q for _, tau in forms for x in tau))
+    seeds = [(A, tuple(n // x.q * x.a % n for x in tau)) for A, tau in forms]
+    reps: Dict[Elem, None] = {(_ONE, (0, 0)): None}
+    frontier = list(reps)
+    while frontier:
+        nxt = []
+        for A, u in frontier:
+            for seed in seeds:
+                cand = (_mat(seed[0], A), _act(seed, u, n))
+                if cand not in reps:
+                    reps[cand] = None
+                    nxt.append(cand)
+        frontier = nxt
+        if len(reps) > 24:
+            raise ValueError(
+                "translation quotient does not close; the lattice is not "
+                "the full translation subgroup"
+            )
+    return list(reps), n
+
+
+def _isometry(basis: Basis, A: Mat, u: Tuple[int, int], n: int) -> PlanarIsometry:
+    """The isometry x -> A x + u / n of lattice coordinates, in the plane:
+    its a is the image of (1, 0) under B A B^-1, and its t is B u / n."""
+    (ax, ay), (bx, by) = basis
+    det = ax * by - ay * bx
+    m = _apply(A, (by / det, -ay / det))
+    t = (QuadExt(u[0], 0, n), QuadExt(u[1], 0, n))
+    return PlanarIsometry(
+        (m[0] * ax + m[1] * bx, m[0] * ay + m[1] * by),
+        (t[0] * ax + t[1] * bx, t[0] * ay + t[1] * by),
+        _det(A) < 0,
     )
-
-
-def _is_integer_scalar(x: Scalar) -> bool:
-    if isinstance(x, QuadExt):
-        return x.is_integer()
-    return abs(x - round(x)) <= 1e-9
-
-
-def _iso_key(g: PlanarIsometry) -> Tuple[Scalar, Scalar, Scalar, Scalar, bool]:
-    return (g.a[0], g.a[1], g.t[0], g.t[1], g.conj)
 
 
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def lattice_diameter(cfg: Configuration) -> float:
-    """Diameter of the fundamental cell (longest diagonal)."""
-    if cfg.lattice is None:
-        raise ValueError("finite configuration has no lattice")
-    (ax, ay), (bx, by) = map(_vec_float, cfg.lattice)
-    return max(math.hypot(ax + bx, ay + by), math.hypot(ax - bx, ay - by))
-
-
-def default_window(cfg: Configuration) -> Window:
-    """Window whose safe interior still holds a full cell of circles.
-
-    Every circle class has a lattice representative centered within half
-    a cell diameter of the origin, so an interior that wide sees at
-    least one representative of everything after the margin is removed.
-    """
-    if cfg.lattice is None:
-        r = cfg.motif_extent() + 1.0
-    else:
-        r = 1.5 * lattice_diameter(cfg) + 1.0
-    return Window(-r, -r, r, r)
-
-
-def _lattice_coords(cfg: Configuration, vec: Vec) -> Optional[Tuple[int, int]]:
-    """Integer (m, n) with vec = m v1 + n v2, or None."""
-    v1, v2 = cfg.lattice
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    m = (vec[0] * v2[1] - vec[1] * v2[0]) / det
-    n = (v1[0] * vec[1] - v1[1] * vec[0]) / det
-    if not (_is_integer_scalar(m) and _is_integer_scalar(n)):
-        return None
-    return (round(as_float(m)), round(as_float(n)))
-
-
-Pools = List[Tuple[str, RowLattice, np.ndarray]]
-
-
-def _window_pools(cfg: Configuration, w: Optional[Window]) -> Pools:
-    """Rows of the base and dual circles meeting the safe interior of the
-    window, in catalog order, on the packing-mode lattices."""
-    if cfg.lattice is None:
-        return [(kind, lat, lat.motif)
-                for kind, lat in ((k, _row_lattice(cfg, "packing", k)) for k in ("base", "dual"))]
-    w = default_window(cfg) if w is None else w
-    inner = w.shrunk(lattice_diameter(cfg))
-    if inner is None:
-        raise ValueError("window too small for a safe interior")
-    return [(k, c.lat, c.rows)
-            for k, c in ((k, _catalog_rows(cfg, k, inner, mode="packing")) for k in ("base", "dual"))]
 
 
 def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarray:
@@ -148,40 +202,32 @@ def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarra
     return out
 
 
-def _violation(
-    cfg: Configuration, g: PlanarIsometry, pools: Pools
-) -> Optional[Tuple[str, Optional[InversiveCircle]]]:
-    if cfg.lattice is not None:
-        for v in cfg.lattice:
-            img = _cmul(g.a, _cconj(v) if g.conj else v)
-            if _lattice_coords(cfg, img) is None:
-                return ("lattice", None)
-    for kind, lat, rows in pools:
-        images, ok = lat.moved(g, rows, f"an image of a {kind} circle")
-        ok[ok] = _members(cfg, lat, images[ok])
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            return (kind, lat.circles(rows[bad[:1]])[0])
-    return None
-
-
 def isometry_violation(
-    cfg: Configuration, g: PlanarIsometry, w: Optional[Window] = None
+    cfg: Configuration, g: PlanarIsometry
 ) -> Optional[Tuple[str, Optional[InversiveCircle]]]:
-    """First circle g fails to map back into the configuration.
+    """First motif circle g fails to map back into the configuration.
 
     Returns None when g verifies; otherwise ("lattice", None) when the
     linear part does not preserve the lattice, or (kind, circle) for the
-    first base or dual circle whose image is not a configuration circle.
+    first base or dual motif circle whose image is not a configuration
+    circle.  With the lattice preserved, the motif decides for every
+    circle of the configuration.
     """
-    return _violation(cfg, g, _window_pools(cfg, w))
+    if cfg.lattice is not None and _matrix(cfg.lattice, g.a, g.conj) is None:
+        return ("lattice", None)
+    for kind in ("base", "dual"):
+        lat = _row_lattice(cfg, "packing", kind)
+        images, ok = lat.moved(g, lat.motif, f"an image of a {kind} circle")
+        ok[ok] = _members(cfg, lat, images[ok])
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            return (kind, lat.circles(lat.motif[bad[:1]])[0])
+    return None
 
 
-def verify_isometry(
-    cfg: Configuration, g: PlanarIsometry, w: Optional[Window] = None
-) -> bool:
+def verify_isometry(cfg: Configuration, g: PlanarIsometry) -> bool:
     """Does g map base circles to base circles and duals to duals, exactly?"""
-    return isometry_violation(cfg, g, w) is None
+    return isometry_violation(cfg, g) is None
 
 
 def translations(cfg: Configuration) -> Optional[Tuple[Vec, Vec]]:
@@ -194,104 +240,19 @@ def translations(cfg: Configuration) -> Optional[Tuple[Vec, Vec]]:
     return cfg.lattice
 
 
-# ---------------------------------------------------------------------------
-# the quotient modulo lattice translations
-# ---------------------------------------------------------------------------
-
-
-def _cell_rep(cfg: Configuration, t: Vec) -> Vec:
-    """Translate t by the lattice so its cell coordinates land in [0, 1)."""
-    v1, v2 = cfg.lattice
-    mf, nf = cfg._cell_coords(*_vec_float(t))
-    m, n = math.floor(mf + 1e-9), math.floor(nf + 1e-9)
-    return (t[0] - m * v1[0] - n * v2[0], t[1] - m * v1[1] - n * v2[1])
-
-
 def quotient_isometries(
     cfg: Configuration, gens: Sequence[PlanarIsometry]
 ) -> List[PlanarIsometry]:
     """Coset representatives of the group the generators span, modulo
-    lattice translations.  The quotient of a plane symmetry group by its
-    full translation lattice is finite (order at most twelve); failure to
-    close by then means the declared lattice is not the full translation
-    subgroup."""
+    lattice translations, each with its lattice coordinates of t in
+    [0, 1).  Raises ValueError when a generator does not preserve the
+    lattice, when its t has irrational lattice coordinates, or when the
+    quotient does not close by order 24: then the declared lattice is not
+    the full translation subgroup."""
     if cfg.lattice is None:
         raise ValueError("finite configuration has no translation quotient")
-
-    def canon(g: PlanarIsometry) -> PlanarIsometry:
-        return PlanarIsometry(g.a, _cell_rep(cfg, g.t), g.conj)
-
-    seeds = [canon(g) for g in gens]
-    if not seeds:
-        raise ValueError("no generators to close")
-    ident = canon(seeds[0] * seeds[0].inverse())
-    reps: Dict[object, PlanarIsometry] = {_iso_key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for s in seeds:
-                cand = canon(s * q)
-                key = _iso_key(cand)
-                if key not in reps:
-                    reps[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-        if len(reps) > 24:
-            raise ValueError(
-                "translation quotient does not close; the lattice is not "
-                "the full translation subgroup"
-            )
-    return list(reps.values())
-
-
-def _point_order(a: Vec) -> int:
-    """Multiplicative order of the unit complex a, at most six."""
-    cur = a
-    for k in range(1, 7):
-        if cur[0] == 1 and cur[1] == 0:
-            return k
-        cur = _cmul(cur, a)
-    raise ValueError("linear part has order above six")
-
-
-def _lattice_shifts(cfg: Configuration, reach: int) -> List[Vec]:
-    v1, v2 = cfg.lattice
-    out = []
-    for m in range(-reach, reach + 1):
-        for n in range(-reach, reach + 1):
-            out.append((m * v1[0] + n * v2[0], m * v1[1] + n * v2[1]))
-    return out
-
-
-def _mirror_axis_key(g: PlanarIsometry) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
-    """Canonical key of a mirror's axis line: a reflection in normal form
-    z -> a*conj(z) + t determines its axis uniquely, so (a, t) works."""
-    return (g.a[0], g.a[1], g.t[0], g.t[1])
-
-
-def _square_shift(a: Vec, t: Vec) -> Vec:
-    """The square of z -> a*conj(z) + t is z -> z + a*conj(t) + t (|a| = 1):
-    the translation by this vector."""
-    return _cadd(_cmul(a, _cconj(t)), t)
-
-
-def _is_zero(v: Vec) -> bool:
-    return scalar_sign(v[0], 1e-12) == 0 and scalar_sign(v[1], 1e-12) == 0
-
-
-def _glide_axis_key(a: Vec, t: Vec, s: Vec):
-    """Axis key of the glide z -> a*conj(z) + t, i.e. of the glide with its
-    shift removed.
-
-    Its square is the translation by s, twice the shift, so subtracting
-    half of it leaves the underlying mirror."""
-    return (a[0], a[1], t[0] - s[0] * _HALF, t[1] - s[1] * _HALF)
-
-
-def _fixes_point(m: PlanarIsometry, p: Vec) -> bool:
-    q = m.apply_point(p)
-    return bool(q[0] == p[0]) and bool(q[1] == p[1])
+    reps, n = _quotient(cfg.lattice, gens)
+    return [_isometry(cfg.lattice, A, u, n) for A, u in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -345,64 +306,52 @@ class SymmetrySignature:
         return "pg" if glide else "p1"
 
 
-def _signature_from_quotient(
-    cfg: Configuration, reps: Sequence[PlanarIsometry]
-) -> SymmetrySignature:
-    rotational = [q for q in reps if not q.conj]
-    reflective = [q for q in reps if q.conj]
-    order = max(_point_order(q.a) for q in rotational)
+def _signature(reps: Sequence[Elem], n: int) -> SymmetrySignature:
+    """The signature of a group modulo L from its elements (A, N tau).
 
-    near, far = _lattice_shifts(cfg, 2), _lattice_shifts(cfg, 4)
-    mirrors: List[PlanarIsometry] = []
-    for q in reflective:
-        for shift in far:
-            t = _cadd(q.t, shift)
-            if _is_zero(_square_shift(q.a, t)):
-                mirrors.append(PlanarIsometry(q.a, t, True))
-    mirror_keys = {_mirror_axis_key(m) for m in mirrors}
+    For x -> A x + v with A a reflection, the axis x -> A x + (I - A) v / 2
+    depends on v modulo 2L only, and its coset is in the group exactly when
+    the axis is a mirror's; otherwise every element of that class is a glide
+    off the mirrors.  A center c of x -> A x + v solves (I - A) c = v, with
+    v ranging modulo (I - A) L, and lies on a mirror when some reflective
+    element fixes it modulo L.
+    """
+    group = set(reps)
+    rotational = [(A, u) for A, u in reps if _det(A) == 1]
+    reflective = [(A, u) for A, u in reps if _det(A) == -1]
+    order = max(_order(A) for A, _ in rotational)
 
-    off_axis = False
-    for q in reflective:
-        for shift in near:
-            t = _cadd(q.t, shift)
-            s = _square_shift(q.a, t)
-            if not _is_zero(s) and _glide_axis_key(q.a, t, s) not in mirror_keys:
-                off_axis = True
-                break
-        if off_axis:
-            break
+    axes = set()
+    for (a, b, c, d), u in reflective:
+        for s in product((0, 1), repeat=2):
+            w = _apply((1 - a, -b, -c, 1 - d), (u[0] + n * s[0], u[1] + n * s[1]))
+            axes.add(((a, b, c, d), (w[0] // 2 % n, w[1] // 2 % n)))
+    mirrors = axes & group
 
     centered: Optional[bool] = None
     if order >= 2 and mirrors:
-        centers: List[Vec] = []
-        seen = set()
-        for q in rotational:
-            if _point_order(q.a) != order:
+        centers = set()
+        for (a, b, c, d), u in rotational:
+            if _order((a, b, c, d)) != order:
                 continue
-            denom = (1 - q.a[0], -q.a[1])
-            for shift in near:
-                c = _cell_rep(cfg, _cdiv(_cadd(q.t, shift), denom))
-                key = (c[0], c[1])
-                if key not in seen:
-                    seen.add(key)
-                    centers.append(c)
-        on = [any(_fixes_point(m, c) for m in mirrors) for c in centers]
+            k = 2 - a - d  # det(I - A)
+            for s in product(range(k), repeat=2):
+                w = _apply((1 - d, b, c, 1 - a), (u[0] + n * s[0], u[1] + n * s[1]))
+                centers.add((w[0] // k % n, w[1] // k % n))
+        on = [any(_act(e, p, n) == p for e in reflective) for p in centers]
         centered = any(on) if order == 2 else all(on)
-    return SymmetrySignature(order, bool(mirrors), off_axis, centered)
+    return SymmetrySignature(order, bool(mirrors), axes != mirrors, centered)
 
 
-def signature_of(
-    cfg: Configuration, w: Optional[Window] = None
-) -> SymmetrySignature:
+def signature_of(cfg: Configuration) -> SymmetrySignature:
     """Verify the declared generators and read the signature off the
     group they span modulo the lattice."""
     if cfg.lattice is None:
         raise ValueError("finite configuration has no wallpaper signature")
     if not cfg.symmetries:
         raise ValueError(f"{cfg.name} declares no symmetries to verify")
-    pools = _window_pools(cfg, w)
     for decl in cfg.symmetries:
-        bad = _violation(cfg, decl.iso, pools)
+        bad = isometry_violation(cfg, decl.iso)
         if bad is not None:
             kind, circle = bad
             where = "lattice basis" if circle is None else (
@@ -412,8 +361,7 @@ def signature_of(
                 f"declared {decl.kind} {decl.meta} of {cfg.name} is not a "
                 f"symmetry (witness: {where})"
             )
-    reps = quotient_isometries(cfg, [d.iso for d in cfg.symmetries])
-    return _signature_from_quotient(cfg, reps)
+    return _signature(*_quotient(cfg.lattice, [d.iso for d in cfg.symmetries]))
 
 
 def classify_wallpaper(cfg: Configuration) -> str:
@@ -456,29 +404,20 @@ _MIRROR_A: Tuple[Vec, ...] = (
 @dataclass
 class DiscoveredSymmetries:
     """Symmetries found by probing candidate centers, axes, and
-    sub-lattice translations over a fundamental cell."""
+    sub-lattice translations over a fundamental cell of ``basis``;
+    ``isometries`` holds every verified probe."""
 
+    basis: Basis
     rotations: List[Tuple[int, Vec]] = field(default_factory=list)
     mirrors: List[PlanarIsometry] = field(default_factory=list)
     glides: List[PlanarIsometry] = field(default_factory=list)
     subtranslations: List[Vec] = field(default_factory=list)
+    isometries: List[PlanarIsometry] = field(default_factory=list)
 
     def signature(self) -> SymmetrySignature:
-        order = max([o for o, _ in self.rotations], default=1)
-        mirror_keys = {_mirror_axis_key(m) for m in self.mirrors}
-        off_axis = False
-        for g in self.glides:
-            if _glide_axis_key(g.a, g.t, _square_shift(g.a, g.t)) not in mirror_keys:
-                off_axis = True
-                break
-        centered: Optional[bool] = None
-        if order >= 2 and self.mirrors:
-            tops = [c for o, c in self.rotations if o == order]
-            on = [
-                any(_fixes_point(m, c) for m in self.mirrors) for c in tops
-            ]
-            centered = any(on) if order == 2 else all(on)
-        return SymmetrySignature(order, bool(self.mirrors), off_axis, centered)
+        """The signature of the group the verified probes span modulo the
+        lattice, read as ``signature_of`` reads the declared one."""
+        return _signature(*_quotient(self.basis, [PlanarIsometry.identity()] + self.isometries))
 
 
 def _cell_points(cfg: Configuration) -> List[Vec]:
@@ -491,18 +430,18 @@ def _cell_points(cfg: Configuration) -> List[Vec]:
 
 
 def _shortest_parallel(cfg: Configuration, a: Vec) -> Optional[Vec]:
-    """Shortest nonzero lattice vector the reflection z -> a*conj(z) fixes."""
-    best: Optional[Vec] = None
-    best_norm = math.inf
-    for shift in _lattice_shifts(cfg, 3):
-        if shift[0] == 0 and shift[1] == 0:
-            continue
-        img = _cmul(a, _cconj(shift))
-        if bool(img[0] == shift[0]) and bool(img[1] == shift[1]):
-            norm = _vec_float(shift)[0] ** 2 + _vec_float(shift)[1] ** 2
-            if norm < best_norm:
-                best, best_norm = shift, norm
-    return best
+    """A shortest nonzero lattice vector the reflection z -> a*conj(z)
+    fixes, or None when the reflection does not preserve the lattice.
+
+    The fixed vectors of A are the image of A + I; a nonzero column of it
+    divided by its content is primitive."""
+    A = _matrix(cfg.lattice, a, True)
+    if A is None:
+        return None
+    col = (A[0] + 1, A[2]) if (A[0] + 1, A[2]) != (0, 0) else (A[1], A[3] + 1)
+    m, n = (x // math.gcd(*col) for x in col)
+    (ax, ay), (bx, by) = cfg.lattice
+    return (m * ax + n * bx, m * ay + n * by)
 
 
 def _probes(cfg: Configuration) -> Iterator[Tuple[str, object, PlanarIsometry]]:
@@ -518,58 +457,49 @@ def _probes(cfg: Configuration) -> Iterator[Tuple[str, object, PlanarIsometry]]:
     for a in _MIRROR_A:
         for p in points:
             m = PlanarIsometry.mirror_a(p, a)
-            key = _mirror_axis_key(m)
-            if key not in probed:
-                probed.add(key)
+            if m not in probed:
+                probed.add(m)
                 yield "mirrors", m, m
         par = _shortest_parallel(cfg, a)
         if par is None:
             continue
-        shift = (par[0] * _HALF, par[1] * _HALF)
         for p in points:
-            g = PlanarIsometry.glide_a(p, a, shift)
-            key = _iso_key(g)
-            if key not in probed:
-                probed.add(key)
+            g = PlanarIsometry.glide_a(p, a, (par[0] / 2, par[1] / 2))
+            if g not in probed:
+                probed.add(g)
                 yield "glides", g, g
 
-    zero = QuadExt(0)
-    v1, v2 = cfg.lattice
-    for x in _FRACS:
-        for y in _FRACS:
-            if x == zero and y == zero:
-                continue
-            t = (x * v1[0] + y * v2[0], x * v1[1] + y * v2[1])
-            yield "subtranslations", t, PlanarIsometry.translation(t)
+    for t in points[1:]:  # all but the origin
+        yield "subtranslations", t, PlanarIsometry.translation(t)
 
 
-def discover_symmetries(
-    cfg: Configuration, w: Optional[Window] = None
-) -> DiscoveredSymmetries:
+def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
     """Probe rotations, mirrors, glides, and sub-lattice translations on
     a grid of half, third, and quarter cell points, keeping the verified
     ones.  The grid covers every center and axis position the plane
     groups realize, so an empty result is evidence of absence."""
     if cfg.lattice is None:
         raise ValueError("discovery needs a periodic configuration")
-    pools = _window_pools(cfg, w)
-    found = DiscoveredSymmetries()
+    found = DiscoveredSymmetries(cfg.lattice)
     for name, entry, iso in _probes(cfg):
-        if _violation(cfg, iso, pools) is None:
+        if isometry_violation(cfg, iso) is None:
             getattr(found, name).append(entry)
+            found.isometries.append(iso)
     return found
 
 
 def discovery_cross_check(cfg: Configuration) -> bool:
     """Does independent discovery agree with the declared group?
 
-    True when the discovered signature matches the declared one and no
-    sub-lattice translation verifies, i.e. refinement really removed
-    the symmetries it meant to remove and kept the lattice primitive.
+    False as soon as a sub-lattice translation verifies: refinement then
+    left the declared lattice coarser than the true one.  Otherwise True
+    when the group the verified probes span has the declared signature,
+    i.e. refinement really removed the symmetries it meant to remove.
     """
-    declared = signature_of(cfg)
     found = discover_symmetries(cfg)
-    return declared == found.signature() and not found.subtranslations
+    if found.subtranslations:
+        return False
+    return signature_of(cfg) == found.signature()
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ class TestVanishing:
         nudged[np.arange(200), rng.choice(used, size=200)] += 1
         noise = rng.integers(-(2**40), 2**40, size=(200, rel.arity))
         b = np.concatenate([scaled, nudged, noise])
-        got = _vanishing(rel, b, float(np.abs(b).max()))
+        got = _vanishing(rel, b.T, float(np.abs(b).max()))
         assert got.tolist() == [rel.evaluate(row) == 0 for row in b.tolist()]
         assert got[:200].all() and not got[200:].any()
 
@@ -300,24 +300,24 @@ class TestVanishing:
     def test_multiples_of_the_word_size(self, terms, row, r):
         rel = CurvatureRelation("r", 2, terms, ())
         assert rel.evaluate(list(row)) == r
-        assert not _vanishing(rel, np.array([row]), float(max(row)))[0]
+        assert not _vanishing(rel, np.array([row]).T, float(max(row)))[0]
 
     def test_zero_near_the_limit(self):
         # tol just below 2^62: a vanishing row is still recognised
         rel = CurvatureRelation("r", 2, ((1, (2, 0)), (-1, (0, 2))), ())
         x = 3 * 2**53
         b = np.array([[x, x], [x, x - 1]])
-        assert _vanishing(rel, b, float(x)).tolist() == [True, False]
+        assert _vanishing(rel, b.T, float(x)).tolist() == [True, False]
         with pytest.raises(ArithmeticError):
-            _vanishing(rel, b, 2.0**55)
+            _vanishing(rel, b.T, 2.0**55)
 
     def test_past_the_limit_raises(self):
         with pytest.raises(ArithmeticError):
             _vanishing(CurvatureRelation("r", 2, ((1, (1, 1)),), ()),
-                       np.array([[2**57, 1]]), 2.0**57)
+                       np.array([[2**57], [1]]), 2.0**57)
         with pytest.raises(ArithmeticError):
             _vanishing(CurvatureRelation("r", 2, ((1, (3, 0)),), ()),
-                       np.array([[2**40, 1]]), 2.0**40)
+                       np.array([[2**40], [1]]), 2.0**40)
 
 
 # ---------------------------------------------------------------------------

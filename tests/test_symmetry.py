@@ -4,10 +4,12 @@ Covers exact verification of declared symmetries on the grid packings,
 lattice confirmation, quotient closure modulo translations, the
 signature decision tree for all seventeen plane groups, conjugation
 consistency between dual reflections and verified isometries, the
-discovery cross-check on a sample of refined configurations, and the
+discovery cross-check on all seventeen refined configurations, and the
 empty overlap between reflection words and configuration isometries.
 The integer-row checks are compared with the per-circle ``QuadExt``
-versions they replaced, kept here as references.
+versions they replaced, and the motif check, the integer quotient and the
+integer signature with the window check and the complex-arithmetic
+quotient and signature they replaced, all kept here as references.
 """
 
 from __future__ import annotations
@@ -16,11 +18,20 @@ import math
 
 import pytest
 
-from invpack.configs import Configuration, SymmetryDecl, Window, config_names, make_config
+from invpack.configs import (
+    WALLPAPER_GROUPS,
+    Configuration,
+    SymmetryDecl,
+    Window,
+    _vec_float,
+    config_names,
+    make_config,
+)
 from invpack.engine import _row_lattice
-from invpack.exact import QuadExt
+from invpack.exact import QuadExt, as_float, scalar_sign
 from invpack.inversive import (
     PlanarIsometry,
+    _cadd,
     _cconj,
     _cmul,
     apply_isometry,
@@ -30,17 +41,11 @@ from invpack.inversive import (
 from invpack.lattice import LatticeOverflowError
 from invpack.symmetry import (
     SymmetrySignature,
-    _lattice_coords,
-    _lattice_shifts,
     _probes,
-    _violation,
-    _window_pools,
     classify_wallpaper,
-    default_window,
     discover_symmetries,
     discovery_cross_check,
     isometry_violation,
-    lattice_diameter,
     quotient_isometries,
     signature_of,
     translations,
@@ -60,6 +65,16 @@ def q3(a, b=0, div=1):
 
 def pt(x, y):
     return (q(x), q(y))
+
+
+# the order of each periodic configuration's group modulo its lattice
+QUOTIENT_ORDERS = {
+    "wallpaper:p1": 1, "wallpaper:p2": 2, "wallpaper:pm": 2, "wallpaper:pg": 2,
+    "wallpaper:cm": 2, "wallpaper:p3": 3, "wallpaper:pmm": 4, "wallpaper:pmg": 4,
+    "wallpaper:pgg": 4, "wallpaper:cmm": 4, "wallpaper:p4": 4, "wallpaper:p3m1": 6,
+    "wallpaper:p31m": 6, "wallpaper:p6": 6, "wallpaper:p4m": 8, "wallpaper:p4g": 8,
+    "square": 8, "wallpaper:p6m": 12, "triangular": 12, "hexagonal": 12,
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +114,33 @@ class TestVerifyIsometry:
         )
         assert verify_isometry(triangular, rot)
 
-    def test_explicit_window(self, square):
-        g = PlanarIsometry.translation(pt(0, 2))
-        assert verify_isometry(square, g, Window(-6.0, -6.0, 6.0, 6.0))
+    def test_square_second_period_translation(self, square):
+        assert verify_isometry(square, PlanarIsometry.translation(pt(0, 2)))
 
-    def test_default_window_covers_a_cell(self, square):
-        assert lattice_diameter(square) == pytest.approx(math.sqrt(8))
-        w = default_window(square)
-        assert w.x1 - w.x0 > 2 * lattice_diameter(square)
+    def test_dual_motif_is_checked(self, square):
+        # a dual circle off the quarter turn's orbit: every base circle maps
+        # into the packing, and the dual motif holds the violation, as the
+        # window reference finds it
+        cfg = Configuration(
+            "square-offdual", 1, square.motif_base,
+            [from_center_radius(pt(1, 0), QuadExt(1, 0, 2))], square.lattice, (),
+        )
+        rot = PlanarIsometry.rotation(pt(0, 0), pt(0, 1))
+        kind, circle = isometry_violation(cfg, rot)
+        assert kind == "dual" and circle.key() == cfg.motif_dual[0].key()
+        assert reference_violation(cfg, rot, reference_pools(cfg))[0] == "dual"
+
+    def test_motif_verdict_holds_far_away(self, square):
+        # a quarter turn about a dual center verifies on the motif alone,
+        # and then maps every circle of a far window into the packing
+        rot = PlanarIsometry.rotation(pt(1, 1), pt(0, 1))
+        assert verify_isometry(square, rot)
+        far = Window(40.0, -44.0, 44.0, -40.0)
+        for kind in ("base", "dual"):
+            recs = square.circles_in_window(kind, far)
+            assert recs
+            for rec in recs:
+                assert square.contains_circle(apply_isometry(rot, rec.circle), kind)
 
 
 class TestTranslations:
@@ -147,6 +181,29 @@ class TestQuotient:
         with pytest.raises(ValueError, match="translation quotient"):
             quotient_isometries(apo, [PlanarIsometry.identity()])
 
+    @pytest.mark.parametrize("name, order", sorted(QUOTIENT_ORDERS.items()))
+    def test_order_and_reps_match_reference(self, name, order):
+        cfg = make_config(name)
+        gens = [d.iso for d in cfg.symmetries]
+        reps, want = quotient_isometries(cfg, gens), reference_quotient(cfg, gens)
+        assert len(reps) == len(want) == order
+        assert sum(r.conj for r in reps) == sum(r.conj for r in want)
+        assert set(reps) == set(want)
+        for r in reps:
+            m, n = reference_cell_coords(cfg, r.t)
+            assert 0 <= m < 1 and 0 <= n < 1
+
+    def test_irrational_translation_rejected(self, triangular):
+        # (sqrt 3, 0) is sqrt(3)/2 v1: no rational point of the cell
+        shift = PlanarIsometry.translation((q3(0, 1), q3(0)))
+        with pytest.raises(ValueError, match="irrational"):
+            quotient_isometries(triangular, [shift])
+
+    def test_lattice_breaking_generator_rejected(self, triangular):
+        rot = PlanarIsometry.rotation((q3(0), q3(0)), (q3(0), q3(1)))
+        with pytest.raises(ValueError, match="does not preserve the lattice"):
+            quotient_isometries(triangular, [rot])
+
 
 class TestSignature:
     def test_square_signature(self, square):
@@ -162,6 +219,15 @@ class TestSignature:
 
     def test_classify_refined_pgg(self):
         assert classify_wallpaper(make_wallpaper("pgg")) == "pgg"
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_ORDERS))
+    def test_signature_matches_reference(self, name):
+        cfg = make_config(name)
+        sig = signature_of(cfg)
+        reps = reference_quotient(cfg, [d.iso for d in cfg.symmetries])
+        assert sig == reference_signature(cfg, reps)
+        if name.startswith("wallpaper:"):
+            assert sig.group_name() == name.split(":")[1]
 
     def test_p4_lost_its_mirrors(self):
         cfg = make_wallpaper("p4")
@@ -248,7 +314,7 @@ class TestConjugationConsistency:
 
 
 class TestDiscovery:
-    @pytest.mark.parametrize("group", ["p1", "pgg", "p4", "p3"])
+    @pytest.mark.parametrize("group", WALLPAPER_GROUPS)
     def test_cross_check_agrees(self, group):
         assert discovery_cross_check(make_wallpaper(group))
 
@@ -297,6 +363,14 @@ class TestDiscovery:
         assert found.subtranslations
         assert not discovery_cross_check(coarse)
 
+    def test_discovered_signature_reads_the_verified_group(self):
+        found = discover_symmetries(make_wallpaper("cmm"))
+        assert found.isometries
+        assert len(found.isometries) == sum(
+            len(x) for x in (found.rotations, found.mirrors, found.glides, found.subtranslations)
+        )
+        assert found.signature() == SymmetrySignature(2, True, True, True)
+
 
 class TestTrivialIntersection:
     def test_square_window(self, square):
@@ -310,31 +384,168 @@ class TestTrivialIntersection:
 
 
 # ---------------------------------------------------------------------------
-# the integer-row checks against the per-circle references
+# references: the window check, and the quotient and signature in complex
+# arithmetic, as they were before the motif check and lattice coordinates
+
+_HALF = QuadExt(1, 0, 2)
 
 
-def reference_pools(cfg, w=None):
-    """Exact circles meeting the safe interior of the window, by kind."""
+def reference_lattice_diameter(cfg):
+    """Diameter of the fundamental cell (longest diagonal)."""
+    (ax, ay), (bx, by) = map(_vec_float, cfg.lattice)
+    return max(math.hypot(ax + bx, ay + by), math.hypot(ax - bx, ay - by))
+
+
+def reference_window(cfg):
+    """A window whose interior, less a cell diameter, holds a full cell."""
+    r = 1.5 * reference_lattice_diameter(cfg) + 1.0
+    return Window(-r, -r, r, r)
+
+
+def reference_pools(cfg):
+    """Exact circles meeting the safe interior of the window, by kind; the
+    motif of a finite configuration."""
     if cfg.lattice is None:
-        return [(kind, list(cfg.motif(kind))) for kind in ("base", "dual")]
-    inner = (default_window(cfg) if w is None else w).shrunk(lattice_diameter(cfg))
+        return motif_pools(cfg)
+    inner = reference_window(cfg).shrunk(reference_lattice_diameter(cfg))
     return [
         (kind, [rec.circle for rec in cfg.circles_in_window(kind, inner)])
         for kind in ("base", "dual")
     ]
 
 
+def motif_pools(cfg):
+    return [(kind, list(cfg.motif(kind))) for kind in ("base", "dual")]
+
+
+def reference_lattice_coords(cfg, vec):
+    """Integer (m, n) with vec = m v1 + n v2, or None."""
+    v1, v2 = cfg.lattice
+    det = v1[0] * v2[1] - v1[1] * v2[0]
+    m = (vec[0] * v2[1] - vec[1] * v2[0]) / det
+    n = (v1[0] * vec[1] - v1[1] * vec[0]) / det
+    if not (m.is_integer() and n.is_integer()):
+        return None
+    return (round(as_float(m)), round(as_float(n)))
+
+
 def reference_violation(cfg, g, pools):
-    """``isometry_violation`` one QuadExt circle at a time."""
+    """``isometry_violation`` one QuadExt circle at a time, on the pools."""
     if cfg.lattice is not None:
         for v in cfg.lattice:
-            if _lattice_coords(cfg, _cmul(g.a, _cconj(v) if g.conj else v)) is None:
+            if reference_lattice_coords(cfg, _cmul(g.a, _cconj(v) if g.conj else v)) is None:
                 return ("lattice", None)
     for kind, circles in pools:
         for c in circles:
             if cfg.contains_circle(apply_isometry(g, c), kind) is None:
                 return (kind, c)
     return None
+
+
+def reference_cell_coords(cfg, t):
+    return cfg._cell_coords(*_vec_float(t))
+
+
+def reference_cell_rep(cfg, t):
+    """Translate t by the lattice so its cell coordinates land in [0, 1)."""
+    v1, v2 = cfg.lattice
+    mf, nf = reference_cell_coords(cfg, t)
+    m, n = math.floor(mf + 1e-9), math.floor(nf + 1e-9)
+    return (t[0] - m * v1[0] - n * v2[0], t[1] - m * v1[1] - n * v2[1])
+
+
+def reference_quotient(cfg, gens):
+    """Coset representatives modulo the lattice, closed in complex
+    arithmetic with float-chosen cell representatives."""
+
+    def canon(g):
+        return PlanarIsometry(g.a, reference_cell_rep(cfg, g.t), g.conj)
+
+    seeds = [canon(g) for g in gens]
+    ident = canon(seeds[0] * seeds[0].inverse())
+    reps = {(ident.a, ident.t, ident.conj): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for s in seeds:
+                cand = canon(s * q)
+                key = (cand.a, cand.t, cand.conj)
+                if key not in reps:
+                    reps[key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+        assert len(reps) <= 24
+    return list(reps.values())
+
+
+def reference_point_order(a):
+    cur = a
+    for k in range(1, 7):
+        if cur[0] == 1 and cur[1] == 0:
+            return k
+        cur = _cmul(cur, a)
+    raise ValueError("linear part has order above six")
+
+
+def reference_lattice_shifts(cfg, reach):
+    v1, v2 = cfg.lattice
+    return [
+        (m * v1[0] + n * v2[0], m * v1[1] + n * v2[1])
+        for m in range(-reach, reach + 1)
+        for n in range(-reach, reach + 1)
+    ]
+
+
+def reference_signature(cfg, reps):
+    """The signature read by searching lattice shifts of each coset."""
+
+    def square_shift(a, t):
+        return _cadd(_cmul(a, _cconj(t)), t)
+
+    def is_zero(v):
+        return scalar_sign(v[0], 1e-12) == 0 and scalar_sign(v[1], 1e-12) == 0
+
+    def fixes(m, p):
+        img = m.apply_point(p)
+        return bool(img[0] == p[0]) and bool(img[1] == p[1])
+
+    rotational = [q for q in reps if not q.conj]
+    reflective = [q for q in reps if q.conj]
+    order = max(reference_point_order(q.a) for q in rotational)
+    near, far = reference_lattice_shifts(cfg, 2), reference_lattice_shifts(cfg, 4)
+    mirrors = []
+    for q in reflective:
+        for shift in far:
+            t = _cadd(q.t, shift)
+            if is_zero(square_shift(q.a, t)):
+                mirrors.append(PlanarIsometry(q.a, t, True))
+    mirror_keys = {(m.a, m.t) for m in mirrors}
+    off_axis = False
+    for q in reflective:
+        for shift in near:
+            t = _cadd(q.t, shift)
+            s = square_shift(q.a, t)
+            if not is_zero(s) and (q.a, (t[0] - s[0] * _HALF, t[1] - s[1] * _HALF)) not in mirror_keys:
+                off_axis = True
+    centered = None
+    if order >= 2 and mirrors:
+        centers = {}
+        for q in rotational:
+            if reference_point_order(q.a) != order:
+                continue
+            denom = (1 - q.a[0], -q.a[1])
+            norm = denom[0] * denom[0] + denom[1] * denom[1]
+            for shift in near:
+                u = _cadd(q.t, shift)
+                c = reference_cell_rep(cfg, (
+                    (u[0] * denom[0] + u[1] * denom[1]) / norm,
+                    (u[1] * denom[0] - u[0] * denom[1]) / norm,
+                ))
+                centers[c] = c
+        on = [any(fixes(m, c) for m in mirrors) for c in centers]
+        centered = any(on) if order == 2 else all(on)
+    return SymmetrySignature(order, bool(mirrors), off_axis, centered)
 
 
 def reference_trivial_intersection(cfg, window, max_len):
@@ -348,7 +559,7 @@ def reference_trivial_intersection(cfg, window, max_len):
 
     targets = set()
     for q in reps:
-        for shift in _lattice_shifts(cfg, 6):
+        for shift in reference_lattice_shifts(cfg, 6):
             g = PlanarIsometry(q.a, (q.t[0] + shift[0], q.t[1] + shift[1]), q.conj)
             targets.add(state([apply_isometry(g, c) for c in bases]))
     frontier = [(-1, tuple(bases))]
@@ -417,12 +628,12 @@ class TestIsometryRows:
 
     @pytest.mark.parametrize("group", ["p4m", "p31m", "pgg", "cm"])
     def test_violation_matches_reference_on_every_probe(self, group):
-        # isometry_violation is _violation on the default window's pools
+        # the rows and the per-circle reference check the same motif circles
         cfg = make_wallpaper(group)
-        pools, ref_pools = _window_pools(cfg, None), reference_pools(cfg)
+        ref_pools = motif_pools(cfg)
         held = 0
         for _, _, iso in _probes(cfg):
-            got = _violation(cfg, iso, pools)
+            got = isometry_violation(cfg, iso)
             want = reference_violation(cfg, iso, ref_pools)
             if want is None:
                 held += 1
@@ -433,6 +644,24 @@ class TestIsometryRows:
                 if want[1] is not None:
                     assert got[1].key() == want[1].key()
         assert held
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_ORDERS))
+    def test_motif_verdict_matches_window_reference(self, name):
+        # the motif decides as a window holding a full cell of circles does
+        cfg = make_config(name)
+        pools = reference_pools(cfg)
+        isos = [iso for _, _, iso in _probes(cfg)]
+        isos += [d.iso for d in cfg.symmetries] + [non_symmetry(cfg)]
+        held = 0
+        for iso in isos:
+            got = isometry_violation(cfg, iso)
+            want = reference_violation(cfg, iso, pools)
+            assert (got is None) == (want is None)
+            if want is None:
+                held += 1
+            else:
+                assert got[0] == want[0]
+        assert held >= len(cfg.symmetries)
 
     def test_declared_symmetries_of_a_finite_configuration(self):
         apo = make_config("apollonian")
