@@ -1,10 +1,13 @@
 """Integrality and curvature-relation checks for exact packings.
 
 Three families of arithmetic claims are decided here: curvature
-integrality of generated packings (per-circle class tallies with
-failure witnesses), membership of triangular-configuration orbits in
-their Eisenstein coordinate lattices, and polynomial curvature
-relations that persist along reflection orbits.
+integrality of generated packings (class tallies with failure witnesses),
+membership of triangular-configuration orbits in their Eisenstein
+coordinate lattices, and polynomial curvature relations that persist along
+reflection orbits.  A circle is integral when its curvature (or each of its
+coordinates) is an algebraic integer of the configuration's field
+Q(sqrt d), as in the integral packings of Kontorovich and Nakamura
+(*Geometry and arithmetic of crystallographic sphere packings*, PNAS 2019).
 
 Relation sweeps enumerate every reduced word up to a length bound over
 the dual mirrors meeting a window.  Orbit states are int64 rows of the
@@ -26,9 +29,9 @@ import numpy as np
 
 from .configs import Configuration, Window, _catalog_rows, _row_lattice, make_config
 from .engine import GroupWord, Packing, apply_word
-from .exact import FieldMismatchError, QuadExt, Scalar, as_float
+from .exact import QuadExt, Scalar, as_float, reduce_terms
 from .inversive import InversiveCircle, PairClass, classify_pair
-from .lattice import Mirrors
+from .lattice import Mirrors, as_floats
 
 Term = Tuple[int, Tuple[int, ...]]
 MotifEntry = Tuple[int, int, PairClass]
@@ -426,76 +429,45 @@ class IntegralityReport:
         return out
 
 
-_ALLOWED_CLASSES = {
-    ("square", "packing"): {"integer"},
-    ("square", "dual"): {"integer"},
-    ("square", "super"): {"integer"},
-    ("hexagonal", "packing"): {"integer"},
-    ("triangular", "packing"): {"integer"},
-    ("triangular", "dual"): {"sqrt3-integer"},
-    ("triangular", "super"): {"integer", "sqrt3-integer"},
-}
-
-
-def _curvature_class(b: Scalar) -> str:
-    if not isinstance(b, QuadExt):
-        raise ValueError("integrality requires exact scalars")
-    if b.is_integer():
-        return "integer"
-    try:
-        if (b / _SQRT3).is_integer():
-            return "sqrt3-integer"
-    except FieldMismatchError:
-        pass
-    return "other"
+def _algebraic_integers(a, b, q, d) -> np.ndarray:
+    """Which (a + b sqrt d) / q, reduced as ``exact.reduce_terms`` leaves
+    them, are algebraic integers of Q(sqrt d), d squarefree: q = 1, or q = 2
+    and a = b (mod 2) where d = 1 (mod 4).  For d = 1, b is folded into a,
+    so only q = 1 counts."""
+    return (q == 1) | ((d % 4 == 1) & (q == 2) & ((a - b) % 2 == 0))
 
 
 def integrality_report(p: Packing, coordinates: bool = False) -> IntegralityReport:
-    """Classify every curvature (or with ``coordinates``, all four
-    coordinates) of an exact packing.
+    """Tally the curvatures of an exact packing as ``integer`` (in Z),
+    ``algebraic-integer`` (an algebraic integer of Q(sqrt d) not in Z) or
+    ``other``, and count its integral circles: those whose curvature, or
+    with ``coordinates`` all four coordinates, are algebraic integers.
 
-    A circle counts as integral when its curvature class is allowed for
-    the packing's configuration and mode; unknown combinations default
-    to plain integers.  The first ten failures are kept as witnesses.
+    The field alone decides, never the configuration's name: hexagonal
+    dual, with curvatures in (1/sqrt 3) Z, is integral only after a scaling
+    that is not tried here.  The first ten failures are kept as witnesses.
+    The report reads the packing's columns and builds no circle objects.
     """
-    allowed = _ALLOWED_CLASSES.get((p.config.name, p.mode), {"integer"})
-    tallies: Dict[str, int] = {}
-    witnesses: List[Tuple[int, Tuple[float, float, float, float]]] = []
-    integral = 0
-    membership_kind = None
-    if p.config.name == "triangular" and p.mode in ("packing", "dual"):
-        membership_kind = f"triangular-{'base' if p.mode == 'packing' else 'dual'}"
-    for rec in p.circles:
-        c = rec.circle
-        if not c.is_exact:
-            raise ValueError("integrality requires an exact-mode packing")
-        cls = _curvature_class(c.curvature)
-        tallies[cls] = tallies.get(cls, 0) + 1
-        good = cls in allowed
-        if coordinates:
-            good = all(
-                isinstance(x, QuadExt) and x.is_integer() for x in c.key()
-            )
-            label = "integer-coordinates"
-            if good:
-                tallies[label] = tallies.get(label, 0) + 1
-        if membership_kind is not None and lattice_membership(membership_kind, c):
-            tallies[membership_kind] = tallies.get(membership_kind, 0) + 1
-        if good:
-            integral += 1
-        elif len(witnesses) < 10:
-            witnesses.append(
-                (rec.height, tuple(round(as_float(x), 6) for x in c.key()))
-            )
-    return IntegralityReport(
-        config=p.config.name,
-        mode=p.mode,
-        total=len(p.circles),
-        integral=integral,
-        tallies=tallies,
-        witnesses=witnesses,
-        coordinates=coordinates,
-    )
+    cols = p.columns()
+    if not cols.exact.all():
+        raise ValueError("integrality requires an exact-mode packing")
+    # one row per circle in InversiveCircle.key order: curvature is column 1
+    a, b, q = (x.reshape(-1, 4) for x in reduce_terms(*cols.terms))
+    ring = _algebraic_integers(a, b, q, cols.terms[3].reshape(-1, 4))
+    # 0 in Z, 1 algebraic integer, 2 other
+    kind = 2 - ring[:, 1] - ((b[:, 1] == 0) & (q[:, 1] == 1))
+    counts = np.bincount(kind, minlength=3)
+    tallies = {k: int(n) for k, n in zip(("integer", "algebraic-integer", "other"), counts) if n}
+    good = ring.all(axis=1) if coordinates else ring[:, 1]
+    integral = int(np.count_nonzero(good))
+    if coordinates and integral:
+        tallies["integer-coordinates"] = integral
+    bad = np.flatnonzero(~good)[:10]
+    keys = as_floats(a[bad], b[bad], q[bad], p.config.d).tolist()
+    witnesses = [(cols.heights[i], tuple(round(x, 6) for x in key))
+                 for i, key in zip(bad.tolist(), keys)]
+    return IntegralityReport(p.config.name, p.mode, len(cols), integral, tallies, witnesses,
+                             coordinates)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import QuadExt
+from .exact import _SQRT_FRAC, QuadExt
 from .inversive import InversiveCircle, PlanarIsometry
 
 # v - 2<v, m> m, coordinate by coordinate: v'_i = v_i + sum_j _K[j] m_i m_SWAP[j] v_j
@@ -108,7 +108,7 @@ def as_floats(a, b, q, d: int) -> np.ndarray:
     fast = (b == 0) & (np.abs(a) <= 2**53) & (q <= 2**53)
     out[fast] = a[fast] / q[fast]
     if not fast.all():
-        rn, rd = QuadExt.sqrt_d(d).float_terms()
+        rn, rd = _SQRT_FRAC[d].numerator, _SQRT_FRAC[d].denominator
         slow = ~fast
         out[slow] = [(x * rd + y * rn) / (z * rd)
                      for x, y, z in zip(a[slow].tolist(), b[slow].tolist(), q[slow].tolist())]

@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +57,8 @@ Basis = Tuple[Vec, Vec]
 # modulo L in lattice coordinates: (A, N tau reduced modulo N)
 Mat = Tuple[int, int, int, int]
 Elem = Tuple[Mat, Tuple[int, int]]
+# (a, conj) -> the integer matrix of z -> a z or a conj(z), or None (``_matrix``)
+Linear = Callable[[Vec, bool], Optional[Mat]]
 
 _ONE: Mat = (1, 0, 0, 1)
 
@@ -112,9 +115,19 @@ def _matrix(basis: Basis, a: Vec, conj: bool) -> Optional[Mat]:
     return tuple(x.a for x in entries)
 
 
-def _quotient(basis: Basis, gens: Sequence[PlanarIsometry]) -> Tuple[List[Elem], int]:
+def _linear_parts(basis: Basis) -> Linear:
+    """``_matrix`` on the basis, each distinct (a, conj) converted once by
+    the returned function: the probes of one discovery pass, or the
+    generators of one signature, share a handful of linear parts."""
+    return lru_cache(maxsize=None)(partial(_matrix, basis))
+
+
+def _quotient(
+    basis: Basis, gens: Sequence[PlanarIsometry], matrix: Optional[Linear] = None
+) -> Tuple[List[Elem], int]:
     """The group the generators span modulo L, as elements (A, N tau mod N)
-    in breadth-first order from the identity, and N.
+    in breadth-first order from the identity, and N.  ``matrix`` converts
+    the linear parts, by default a fresh ``_linear_parts`` of the basis.
 
     N is twelve times the least common denominator of the generators'
     tau: every element's tau stays over N, and so do the halves, thirds
@@ -122,9 +135,10 @@ def _quotient(basis: Basis, gens: Sequence[PlanarIsometry]) -> Tuple[List[Elem],
     by its full translation lattice has order at most twelve; failure to
     close by 24 means the lattice is not the full translation subgroup.
     """
+    matrix = matrix or _linear_parts(basis)
     forms = []
     for g in gens:
-        A = _matrix(basis, g.a, g.conj)
+        A = matrix(g.a, g.conj)
         if A is None:
             raise ValueError(f"generator {g} does not preserve the lattice")
         tau = _coords(basis, g.t)
@@ -213,7 +227,14 @@ def isometry_violation(
     circle.  With the lattice preserved, the motif decides for every
     circle of the configuration.
     """
-    if cfg.lattice is not None and _matrix(cfg.lattice, g.a, g.conj) is None:
+    return _violation(cfg, g, partial(_matrix, cfg.lattice))
+
+
+def _violation(
+    cfg: Configuration, g: PlanarIsometry, matrix: Linear
+) -> Optional[Tuple[str, Optional[InversiveCircle]]]:
+    """``isometry_violation``, converting g's linear part with ``matrix``."""
+    if cfg.lattice is not None and matrix(g.a, g.conj) is None:
         return ("lattice", None)
     for kind in ("base", "dual"):
         lat = _row_lattice(cfg, "packing", kind)
@@ -350,8 +371,9 @@ def signature_of(cfg: Configuration) -> SymmetrySignature:
         raise ValueError("finite configuration has no wallpaper signature")
     if not cfg.symmetries:
         raise ValueError(f"{cfg.name} declares no symmetries to verify")
+    matrix = _linear_parts(cfg.lattice)
     for decl in cfg.symmetries:
-        bad = isometry_violation(cfg, decl.iso)
+        bad = _violation(cfg, decl.iso, matrix)
         if bad is not None:
             kind, circle = bad
             where = "lattice basis" if circle is None else (
@@ -361,7 +383,7 @@ def signature_of(cfg: Configuration) -> SymmetrySignature:
                 f"declared {decl.kind} {decl.meta} of {cfg.name} is not a "
                 f"symmetry (witness: {where})"
             )
-    return _signature(*_quotient(cfg.lattice, [d.iso for d in cfg.symmetries]))
+    return _signature(*_quotient(cfg.lattice, [d.iso for d in cfg.symmetries], matrix))
 
 
 def classify_wallpaper(cfg: Configuration) -> str:
@@ -481,8 +503,9 @@ def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
     if cfg.lattice is None:
         raise ValueError("discovery needs a periodic configuration")
     found = DiscoveredSymmetries(cfg.lattice)
+    matrix = _linear_parts(cfg.lattice)
     for name, entry, iso in _probes(cfg):
-        if isometry_violation(cfg, iso) is None:
+        if _violation(cfg, iso, matrix) is None:
             getattr(found, name).append(entry)
             found.isometries.append(iso)
     return found

@@ -6,13 +6,16 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from invpack.arithmetic import (
     CurvatureRelation,
+    IntegralityReport,
     RelationSweepReport,
+    _algebraic_integers,
     _vanishing,
     builtin_relations,
     integrality_report,
@@ -20,17 +23,48 @@ from invpack.arithmetic import (
     sweep_relation_words,
     verify_relation_orbit,
 )
-from invpack.configs import Configuration, Window, make_config
-from invpack.engine import GenerationLimits, _row_lattice, apply_word, generate
-from invpack.exact import QuadExt
+from invpack.configs import Configuration, Window, config_names, make_config
+from invpack.engine import (
+    MODES, GenerationLimits, PackedCircle, PackedColumns, Packing, _row_lattice, apply_word, generate,
+)
+from invpack.exact import QuadExt, as_float, int_array, reduce_terms
 from invpack.inversive import InversiveCircle, PairClass, from_center_radius
 from invpack.lattice import LatticeOverflowError
+from invpack.render import from_json, to_json
 
 SQRT3 = QuadExt.sqrt_d(3)
 
 
 def icirc(a, b, c, d):
     return InversiveCircle(QuadExt(a), QuadExt(b), QuadExt(c), QuadExt(d))
+
+
+def _in_ring(a, b, q, d):
+    """Is (a + b sqrt d) / q an algebraic integer: are its trace 2a/q and
+    norm (a^2 - d b^2)/q^2 integers?"""
+    return (Fraction(2 * a, q).denominator == 1
+            and Fraction(a * a - d * b * b, q * q).denominator == 1)
+
+
+def _reference_report(p, coordinates=False):
+    """``integrality_report`` circle by circle, on the circle objects."""
+    def ring(x):
+        return _in_ring(x.a, x.b, x.q, x.d)
+
+    tallies, witnesses, integral = {}, [], 0
+    for rec in p.circles:
+        c = rec.circle
+        label = ("integer" if c.curvature.is_integer()
+                 else "algebraic-integer" if ring(c.curvature) else "other")
+        tallies[label] = tallies.get(label, 0) + 1
+        if all(ring(x) for x in c.key()) if coordinates else ring(c.curvature):
+            integral += 1
+        elif len(witnesses) < 10:
+            witnesses.append((rec.height, tuple(round(as_float(x), 6) for x in c.key())))
+    if coordinates and integral:
+        tallies["integer-coordinates"] = integral
+    return IntegralityReport(p.config.name, p.mode, len(p.circles), integral, tallies,
+                             witnesses, coordinates)
 
 
 @pytest.fixture(scope="module")
@@ -478,7 +512,7 @@ class TestIntegralityReport:
         )
         report = integrality_report(p)
         assert report.ok
-        assert report.tallies["triangular-base"] == report.total
+        assert all(lattice_membership("triangular-base", rec.circle) for rec in p.circles)
         d = generate(
             triangular,
             "dual",
@@ -486,8 +520,8 @@ class TestIntegralityReport:
         )
         dreport = integrality_report(d)
         assert dreport.ok
-        assert dreport.tallies["sqrt3-integer"] == dreport.total
-        assert dreport.tallies["triangular-dual"] == dreport.total
+        assert dreport.tallies["algebraic-integer"] == dreport.total
+        assert all(lattice_membership("triangular-dual", rec.circle) for rec in d.circles)
 
     def test_rejects_float_packings(self, square):
         p = generate(
@@ -529,8 +563,84 @@ class TestIntegralityReport:
         report = integrality_report(p)
         assert sum(
             v for k, v in report.tallies.items()
-            if k in ("integer", "sqrt3-integer", "other")
+            if k in ("integer", "algebraic-integer", "other")
         ) == report.total
+
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_columns_match_reference(self, name):
+        cfg = make_config(name)
+        for mode in MODES:
+            p = generate(cfg, mode, GenerationLimits(1, 0.05, Window.square(1.5)))
+            reports = [integrality_report(p, coordinates) for coordinates in (False, True)]
+            assert reports == [_reference_report(p, coordinates) for coordinates in (False, True)]
+
+    def test_round_trip_reports_alike(self):
+        p = generate(make_config("hexagonal"), "dual", GenerationLimits(2, 0.05, Window.square(2.0)))
+        report = integrality_report(p)
+        assert report.witnesses and report.tallies["other"]
+        back = from_json(to_json(p))
+        assert integrality_report(back) == report == _reference_report(back)
+
+    def test_empty_packing(self, square):
+        limits = GenerationLimits(1, 0.05, Window.square(1.0))
+        for p in (Packing(square, "packing", limits, []),
+                  Packing(square, "packing", limits, columns=PackedColumns.of([]))):
+            report = integrality_report(p, coordinates=True)
+            assert (report.total, report.integral, report.tallies, report.witnesses) == (0, 0, {}, [])
+            assert report.ok
+
+    def test_terms_past_int64(self, triangular):
+        big = 2**70
+        keys = [
+            (QuadExt(big), QuadExt(-big + 1), QuadExt(big, 3, 1, 3), QuadExt(0)),
+            (QuadExt(big, 1, 1, 3), QuadExt(big + 1, 0, 3, 3), QuadExt(0), QuadExt(1)),
+            (QuadExt(1, 0, 2), QuadExt(3, big, 1, 3), QuadExt(big, 0, 1, 3), QuadExt(2)),
+        ]
+        circles = [PackedCircle(InversiveCircle(*k), "base", i, (), "b0") for i, k in enumerate(keys)]
+        limits = GenerationLimits(1, 0.05, Window.square(1.0))
+        p = Packing(triangular, "packing", limits, columns=PackedColumns.of(circles))
+        assert p.columns().terms[0].dtype == object
+        reports = [integrality_report(p, coordinates) for coordinates in (False, True)]
+        assert reports == [_reference_report(p, coordinates) for coordinates in (False, True)]
+        assert reports[0].integral == 2 and reports[1].integral == 1
+        assert reports[0].tallies == {"integer": 1, "algebraic-integer": 1, "other": 1}
+
+    def test_rule_on_d_one_mod_four(self):
+        # the ring of Q(sqrt 5) is Z[(1 + sqrt 5)/2]; Q(sqrt 3) has no halves
+        cases = [(1, 1, 2, 5), (3, 1, 2, 5), (1, 2, 2, 5), (0, 1, 2, 5), (5, 0, 2, 5),
+                 (1, 1, 4, 5), (2, 1, 1, 5), (1, 1, 2, 3), (0, 1, 1, 2), (1, 1, 2, 1),
+                 (1, 0, 2, 1), (-6, 4, -2, 5)]
+        a, b, q, d = (int_array(x) for x in zip(*cases))
+        got = _algebraic_integers(*reduce_terms(a, b, q, d), d).tolist()
+        assert got == [_in_ring(*t) for t in cases]
+        assert got == [True, True, False, False, False, False, True, False, True, True, False, True]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_renamed_configurations_report_alike(self, mode):
+        limits = GenerationLimits(2, 0.05, Window.square(2.0))
+        for name, twin in (("triangular", "wallpaper:p6m"), ("square", "wallpaper:p4m")):
+            reports = [integrality_report(generate(make_config(n), mode, limits)) for n in (name, twin)]
+            assert replace(reports[0], config="") == replace(reports[1], config="")
+            assert reports[0].ok
+
+    def test_builds_no_exact_scalars(self, monkeypatch):
+        limits = GenerationLimits(2, 0.05, Window.square(2.0))
+        packings = [generate(make_config(name), mode, limits)
+                    for name in ("square", "hexagonal", "apollonian") for mode in MODES]
+        init = QuadExt.__init__
+        count = [0]
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadExt, "__init__", counted)
+        reports = [integrality_report(p, coordinates) for p in packings for coordinates in (False, True)]
+        monkeypatch.setattr(QuadExt, "__init__", init)
+        assert count[0] == 0
+        # irrational witnesses are converted to floats without objects too
+        assert any(x != round(x) for r in reports for _, key in r.witnesses for x in key)
 
 
 class TestLatticeMembership:

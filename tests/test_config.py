@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import weakref
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invpack
 from invpack.configs import (
     GeneratorCircle,
     TangencyGraph,
@@ -385,6 +388,62 @@ class TestMakeConfig:
         assert failed and all(
             c.witnesses or "no circles" in c.detail for c in failed
         )
+
+
+# where a configuration's name may appear as a string in the package: the
+# constructors that give the built-in configurations their names, and the
+# curvature relations stated on particular configurations
+_NAMES_ALLOWED = {
+    "configs.py": {"_square_config", "_triangular_config", "_hexagonal_config",
+                   "_apollonian_config", "_BUILTIN", "config_names", "make_config"},
+    "wallpaper.py": {"make_wallpaper"},
+    "arithmetic.py": {"builtin_relations"},
+}
+
+
+def named_strings(source, names):
+    """(top-level definition, line, text) of each string constant in the
+    module source that is a configuration name or starts with "wallpaper:".
+    A top-level definition is a def or class name, or an assigned name."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            owner = stmt.name
+        else:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            owner = ",".join(t.id for t in targets if isinstance(t, ast.Name))
+        out += [
+            (owner, node.lineno, node.value)
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (node.value in names or node.value.startswith("wallpaper:"))
+        ]
+    return out
+
+
+class TestNoNameKeys:
+    def test_names_only_where_configurations_are_made(self):
+        names = set(config_names())
+        found = [
+            (path.name, owner, line, text)
+            for path in sorted(Path(invpack.__file__).parent.glob("*.py"))
+            for owner, line, text in named_strings(path.read_text(), names)
+            if owner not in _NAMES_ALLOWED.get(path.name, ())
+        ]
+        assert found == []
+
+    def test_guard_sees_names(self):
+        names = set(config_names())
+        source = (
+            'TABLE = {("square", "dual"): 1}\n'
+            "def f(cfg):\n"
+            '    return cfg.name == "wallpaper:p6m" or f"wallpaper:{cfg}"\n'
+            "class C:\n"
+            '    """square"""\n'
+        )
+        assert named_strings(source, names) == [
+            ("TABLE", 1, "square"), ("f", 3, "wallpaper:p6m"), ("f", 3, "wallpaper:"), ("C", 5, "square"),
+        ]
 
 
 # configuration -> its exact translations by (m, n) and translates by
