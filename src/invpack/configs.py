@@ -5,12 +5,14 @@ repeated by a rank-2 translation lattice.  The built-in families are the
 square and triangular/hexagonal grids, a finite Apollonian-type seed, and
 the refined wallpaper variants constructed in :mod:`invpack.wallpaper`.
 
-All built-in configurations carry exact ``QuadExt`` coordinates.  The
-validation, tangency and duality checks take the catalogued circles of a
-window as integer rows of the lattices their translations generate
-(``lattice``) and classify every pair at once by the exact signs of its
-inversive product, ``RowLattice.products``, which the engine's host
-check uses.
+All built-in configurations carry exact ``QuadExt`` coordinates.  Every
+circle is an integer row of its kind's translation lattice (``lattice``):
+ids, catalog circles and catalog ties are built from ``RowLattice.rows_at``,
+and one membership test, ``_locate``, answers ``contains_circle`` and the
+symmetry checks.  The validation, tangency and duality checks classify
+every pair of a window's catalog rows at once by the exact signs of its
+inversive product, ``RowLattice.products``, which the engine's host check
+uses.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .exact import QuadExt, Scalar, as_float
-from .inversive import (
-    InversiveCircle,
-    PairClass,
-    PlanarIsometry,
-    apply_isometry,
-    from_center_radius,
-)
-from .lattice import RowLattice, derive_lattice, signs
+from .inversive import InversiveCircle, PairClass, PlanarIsometry, from_center_radius
+from .lattice import LatticeOverflowError, RowLattice, _guard, derive_lattice, signs
 
 Vec = Tuple[Scalar, Scalar]
 
@@ -81,10 +77,10 @@ class Window:
     def contains_point(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    def meets_disk(self, cx: float, cy: float, r: float) -> bool:
-        """True when the closed disk intersects the closed window."""
-        dx = max(self.x0 - cx, 0.0, cx - self.x1)
-        dy = max(self.y0 - cy, 0.0, cy - self.y1)
+    def meets_disk(self, cx, cy, r):
+        """Whether the closed disk meets the closed window, elementwise."""
+        dx = np.maximum(np.maximum(self.x0 - cx, 0.0), cx - self.x1)
+        dy = np.maximum(np.maximum(self.y0 - cy, 0.0), cy - self.y1)
         return dx * dx + dy * dy <= r * r
 
     def contains_disk(self, cx, cy, r):
@@ -174,7 +170,7 @@ class Catalog(Sequence[GeneratorCircle]):
     ``kind``, ``index`` and ``shift`` give each circle's kind, motif index
     and lattice shift (m, n) (zero in a finite configuration); ``idents``
     gives its id.  Indexing or iterating builds the exact circles, all of
-    them, on first use.
+    them, on first use, from their rows on the kind's translation lattice.
     """
 
     def __init__(
@@ -208,13 +204,19 @@ class Catalog(Sequence[GeneratorCircle]):
 
     def circles(self) -> List[GeneratorCircle]:
         if self._circles is None:
-            motif = {k: self.cfg.motif(k) for k in ("base", "dual")}
-            self._circles = [
-                GeneratorCircle(ident, kind, self.cfg._placed(motif[kind][i], (m, n)))
-                for ident, kind, i, (m, n) in zip(
-                    self.idents, self.kind.tolist(), self.index.tolist(), self.shift.tolist()
-                )
-            ]
+            kinds = self.kind.tolist()
+            built: Dict[int, InversiveCircle] = {}
+            for kind in dict.fromkeys(kinds):
+                at = np.flatnonzero(self.kind == kind)
+                if self.cfg.lattice is None:
+                    circles = [self.cfg.motif(kind)[i] for i in self.index[at].tolist()]
+                else:
+                    lat = _row_lattice(self.cfg, None, kind)
+                    idents = [self.idents[j] for j in at.tolist()]
+                    circles = lat.circles(lat.rows_at(self.index[at], self.shift[at], idents))
+                built.update(zip(at.tolist(), circles))
+            self._circles = [GeneratorCircle(ident, kind, built[j])
+                             for j, (ident, kind) in enumerate(zip(self.idents, kinds))]
         return self._circles
 
     def __len__(self) -> int:
@@ -250,17 +252,8 @@ class Configuration:
             if lattice is None
             else (_vec_float(lattice[0]), _vec_float(lattice[1]))
         )
-        # integer row lattices by (kind, mirror kinds), derived on first use
+        # integer row lattices by (kind, mirror kinds) on first use; a catalog tie derives (kind, ())
         self.row_lattices: Dict[Tuple[str, Tuple[str, ...]], RowLattice] = {}
-        self._lookup: Dict[Tuple[str, object], List[Tuple[int, InversiveCircle]]] = {}
-        for kind, motif in (("base", self.motif_base), ("dual", self.motif_dual)):
-            for i, c in enumerate(motif):
-                self._lookup.setdefault((kind, self._curv_key(c)), []).append((i, c))
-
-    @staticmethod
-    def _curv_key(c: InversiveCircle) -> object:
-        b = c.curvature
-        return b if isinstance(b, QuadExt) else round(b, 12)
 
     # -- enumeration ---------------------------------------------------
 
@@ -278,12 +271,6 @@ class Configuration:
         return PlanarIsometry.translation(
             (v1[0] * m + v2[0] * n, v1[1] * m + v2[1] * n)
         )
-
-    def _placed(self, c: InversiveCircle, shift: Tuple[int, int]) -> InversiveCircle:
-        """The motif circle c moved by its lattice shift, exactly."""
-        if self.lattice is None:
-            return c
-        return apply_isometry(self.translation(*shift), c)
 
     def _cell_coords(self, x, y):
         """The float (m, n) with (x, y) = m v1 + n v2, elementwise: x and y
@@ -317,21 +304,19 @@ class Configuration:
         Lattice translates are tested together on float centers and radii:
         the motif center plus m v1 + n v2, over the ``_shift_range`` grid of
         each motif circle.  A translate within a relative slack of 1e-9 of
-        the boundary is a tie, and a tie is decided by ``Window`` on the
-        exact translate, the test every circle went through one at a time
-        before; the slack bounds the rounding that separates the two
-        tests, so both keep the same circles.
+        the boundary is a tie, decided by ``Window`` on the float view of
+        its row, with the floats and formula of the per-circle test on the
+        exact translate that every circle went through before; the slack
+        bounds the rounding that separates the two tests, so both keep the
+        same circles.
         """
-        keep: Callable[[InversiveCircle], bool]
-        if predicate == "meets":
-            keep = lambda c: w.meets_circle(c, expand)  # noqa: E731
-        elif predicate == "inside":
-            keep = lambda c: w.contains_circle(c)  # noqa: E731
-        else:
+        if predicate not in ("meets", "inside"):
             raise ValueError(f"unknown predicate {predicate!r}")
         motif = self.motif(kind)
         if self.lattice is None:
-            index = np.array([i for i, c in enumerate(motif) if keep(c)], dtype=np.int64)
+            keep = [w.meets_circle(c, expand) if predicate == "meets" else w.contains_circle(c)
+                    for c in motif]
+            index = np.flatnonzero(keep).astype(np.int64)
             shift = np.zeros((len(index), 2), dtype=np.int64)
             idents = [make_id(kind, i, None) for i in index.tolist()]
             return Catalog(self, np.full(len(index), kind), index, shift, idents)
@@ -364,8 +349,15 @@ class Configuration:
             + np.abs(m) * (abs(ax) + abs(ay)) + np.abs(n) * (abs(bx) + abs(by))
         )
         kept = margin > slack
-        for j in np.nonzero(np.abs(margin) <= slack)[0].tolist():
-            kept[j] = keep(self._placed(motif[index[j]], (int(m[j]), int(n[j]))))
+        tie = np.flatnonzero(np.abs(margin) <= slack)
+        if tie.size:
+            lat = _row_lattice(self, None, kind)
+            shift = np.column_stack([m[tie], n[tie]])
+            idents = [make_id(kind, i, s) for i, s in zip(index[tie].tolist(), shift.tolist())]
+            b, h1, h2 = lat.as_float(lat.rows_at(index[tie], shift, idents))[:, 1:].T
+            tx, ty, tr = h1 / b, h2 / b, np.abs(1.0 / b)
+            kept[tie] = (w.meets_disk(tx, ty, tr + expand) if predicate == "meets"
+                         else w.contains_disk(tx, ty, tr))
         sel = np.nonzero(kept)[0]
         idents = [
             make_id(kind, i, shift)
@@ -397,6 +389,8 @@ class Configuration:
         return self.catalog(kind, w, predicate, expand).circles()
 
     def circle_from_id(self, ident: str) -> InversiveCircle:
+        """The circle with this id, from its row on the kind's translation
+        lattice; LatticeOverflowError where that row would leave int64."""
         kind, idx, shift = parse_id(ident)
         motif = self.motif(kind)
         if idx >= len(motif):
@@ -404,36 +398,28 @@ class Configuration:
         if (shift is None) != (self.lattice is None):
             want = "a lattice shift" if shift is None else "no shift"
             raise KeyError(f"circle id {ident!r}: this configuration's ids take {want}")
-        c = motif[idx]
         if shift is None:
-            return c
-        return self._placed(c, shift)
+            return motif[idx]
+        lat = _row_lattice(self, None, kind)
+        shifts = RowLattice._ints(np.array([shift], dtype=object), ident)
+        return lat.circles(lat.rows_at(np.array([idx]), shifts, [ident]))[0]
 
     def contains_circle(self, c: InversiveCircle, kind: str) -> Optional[str]:
-        """Id of the configuration circle equal to c, or None.
-
-        Matches curvature first, then solves the lattice decomposition of
-        the center offset; the co-curvature is confirmed via the full key.
-        """
-        cands = self._lookup.get((kind, self._curv_key(c)), [])
-        if not cands:
+        """Id of the configuration circle equal to c, or None: c's row on
+        the kind's translation lattice, looked up by ``_locate``, or None off
+        that lattice or for a circle not exact in Q(sqrt d).
+        LatticeOverflowError where the row would leave int64."""
+        lat = _row_lattice(self, None, kind)
+        try:
+            rows = lat.rows_of([c])
+        except LatticeOverflowError:
+            raise
+        except (ArithmeticError, ValueError):
             return None
-        if self.lattice is None:
-            for i, m in cands:
-                if m.key() == c.key():
-                    return make_id(kind, i, None)
+        found, index, shift = _locate(self, lat, rows)
+        if not found[0]:
             return None
-        cx, cy = c.center()
-        for i, mc in cands:
-            mx, my = mc.center()
-            m_f, n_f = self._cell_coords(cx - mx, cy - my)
-            m, n = round(m_f), round(n_f)
-            if abs(m_f - m) > 1e-6 or abs(n_f - n) > 1e-6:
-                continue
-            moved = apply_isometry(self.translation(m, n), mc)
-            if moved.key() == c.key():
-                return make_id(kind, i, (m, n))
-        return None
+        return make_id(kind, int(index[0]), None if self.lattice is None else tuple(shift[0].tolist()))
 
     def safe_margin(self) -> float:
         """Distance from the window boundary beyond which local structure
@@ -455,12 +441,47 @@ _MIRROR_KINDS = {"packing": ("dual",), "dual": ("dual",), "super": ("base", "dua
 def _row_lattice(cfg: Configuration, mode: Optional[str], kind: str) -> RowLattice:
     """The lattice of ``kind`` rows in ``mode``, cached on ``cfg``: closed
     under the mode's reflections where the kind is reflected, under
-    translations only where it only mirrors or where no mode is given."""
+    translations only where it only mirrors or where no mode is given,
+    the lattice of ids, lookups, catalog ties and the validation checks."""
     kinds = _MIRROR_KINDS[mode] if mode and kind in _SEED_KINDS[mode] else ()
     if (kind, kinds) not in cfg.row_lattices:
         mirrors = [c for k in kinds for c in cfg.motif(k)]
         cfg.row_lattices[kind, kinds] = derive_lattice(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
     return cfg.row_lattices[kind, kinds]
+
+
+def _locate(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Which rows of ``lat``, a lattice of one kind's rows, are circles of
+    that kind in the configuration, and the motif index and lattice shift
+    (m, n) of each one found (zero elsewhere, and in a finite
+    configuration).
+
+    A motif circle of the same curvature, moved by the (m, n) that its
+    float center offset rounds to within 1e-6, must equal the row; the
+    comparison is exact.  The first such motif circle is the one found.
+    """
+    motif = lat.motif
+    found = np.zeros(len(rows), dtype=bool)
+    index, shift = np.zeros(len(rows), dtype=np.int64), np.zeros((len(rows), 2), dtype=np.int64)
+    (p, r), (mp, mr) = lat.values(rows), lat.values(motif)
+    k, i = np.nonzero((p[:, None, 1] == mp[None, :, 1]) & (r[:, None, 1] == mr[None, :, 1]))
+    moved = np.zeros((len(k), 2), dtype=np.int64)
+    if cfg.lattice is not None:
+        fv, mv = lat.approx(rows), lat.approx(motif)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
+            py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
+        mf, nf = cfg._cell_coords(px, py)
+        m, n = np.rint(mf), np.rint(nf)
+        near = (np.abs(mf - m) <= 1e-6) & (np.abs(nf - n) <= 1e-6)
+        _guard(np.maximum(np.abs(m[near]), np.abs(n[near])), "a lattice shift of an image")
+        k, i = k[near], i[near]
+        moved = np.column_stack([m[near], n[near]]).astype(np.int64)
+    same = (lat.translated(motif[i], moved, "a translated motif circle") == rows[k]).all(axis=1)
+    # np.nonzero lists the candidates of each row by motif index
+    k, first = np.unique(k[same], return_index=True)
+    found[k], index[k], shift[k] = True, i[same][first], moved[same][first]
+    return found, index, shift
 
 
 @dataclass
@@ -873,19 +894,15 @@ def kleinian_class(cfg: Configuration) -> str:
 
     A configuration with a lattice is the motif repeated over it, so both
     lattice translations map it onto itself by construction: it is
-    doubly periodic without a check.
+    doubly periodic without a check.  A finite one is a strip when a
+    declared translation verifies as a symmetry.
     """
     if cfg.lattice is not None:
         return "doubly-periodic"
-    for s in cfg.symmetries:
-        if s.kind == "translation":
-            ok = all(
-                cfg.contains_circle(apply_isometry(s.iso, c), kind) is not None
-                for kind in ("base", "dual")
-                for c in cfg.motif(kind)
-            )
-            if ok:
-                return "strip"
+    from .symmetry import verify_isometry
+
+    if any(s.kind == "translation" and verify_isometry(cfg, s.iso) for s in cfg.symmetries):
+        return "strip"
     return "finite"
 
 

@@ -460,14 +460,15 @@ class RowLattice:
         # not give the values back, which lie outside the span
         if (num % den2).any() or (rows.dot(self._exact) * den != flat * self._qs).any():
             raise ArithmeticError("circle does not lie on the integer lattice")
-        return rows.astype(np.int64)
+        return self._ints(rows, "a circle's row")
 
     def _basis_values(self) -> List[List[Triple]]:
         """The basis vectors as values."""
         return [[(b[j], b[4 + j], self._q[j]) for j in range(4)] for b in self._basis]
 
     def rows_of(self, circles: Sequence[InversiveCircle]) -> np.ndarray:
-        """Integer rows of exact circles; ArithmeticError off the lattice."""
+        """Integer rows of exact circles; ArithmeticError off the lattice
+        (LatticeOverflowError past the int64 budget)."""
         return self._exact_rows([_triples(c.key(), self.d) for c in circles])
 
     def _solved(self, maps: Sequence[Entries]) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -554,9 +555,10 @@ class RowLattice:
         self, u: np.ndarray, shift: np.ndarray, idents: Union[str, Sequence[str]]
     ) -> np.ndarray:
         """Rows ``u`` moved by lattice shifts (m, n), one shift per row."""
-        m, n = shift[:, 0], shift[:, 1]
-        mono = np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
-        bound = np.einsum("nk,kij,nj->ni", _abs_f(mono), _abs_f(self._shift), _abs_f(u))
+        # the bound takes the monomials in float, before m^2 can wrap in int64
+        bound_mono, mono = (np.stack([np.ones_like(m), m, n, m * m, m * n, n * n], axis=1)
+                            for m, n in (_abs_f(shift).T, shift.T))
+        bound = np.einsum("nk,kij,nj->ni", bound_mono, _abs_f(self._shift), _abs_f(u))
         _guard(bound.max(axis=1, initial=0.0), idents)
         rows = np.einsum("nk,kij,nj->ni", mono, self._shift, u)
         if (rows % self._shift_den).any():

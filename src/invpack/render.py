@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -429,19 +430,19 @@ def _scalar(v: object) -> Scalar:
     return float(v)
 
 
-def _circle(v: object) -> InversiveCircle:
-    return InversiveCircle(*_items(v, _scalar, 4))
+def _circle(v: object, scalar: Callable[[object], Scalar] = _scalar) -> InversiveCircle:
+    return InversiveCircle(*_items(v, scalar, 4))
 
 
-def _vec(v: object) -> Tuple[Scalar, Scalar]:
-    x, y = _items(v, _scalar, 2)
+def _vec(v: object, scalar: Callable[[object], Scalar]) -> Tuple[Scalar, Scalar]:
+    x, y = _items(v, scalar, 2)
     return (x, y)
 
 
-def _symmetry(v: object) -> SymmetryDecl:
+def _symmetry(v: object, vec: Callable[[object], Tuple[Scalar, Scalar]]) -> SymmetryDecl:
     doc = _object(v)
     kind = _field(doc, "kind", _one_of(_SYMMETRY_KINDS))
-    a, t = _field(doc, "a", _vec), _field(doc, "t", _vec)
+    a, t = _field(doc, "a", vec), _field(doc, "t", vec)
     conj = _field(doc, "conj", _boolean)
     meta = _optional(doc, "meta", _object, {})
     try:
@@ -456,12 +457,18 @@ def _config(v: object) -> Configuration:
     _field(doc, "type", _one_of(("configuration",)))
     name = _field(doc, "name", _string)
     d = _field(doc, "d", _integer)
-    motif_base = _field(doc, "motif_base", lambda x: _items(x, _circle))
-    motif_dual = _field(doc, "motif_dual", lambda x: _items(x, _circle))
-    lattice = _optional(
-        doc, "lattice", lambda x: None if x is None else tuple(_items(x, _vec, 2)), None
-    )
-    symmetries = _optional(doc, "symmetries", lambda x: _items(x, _symmetry), [])
+    parsed: Dict[str, Scalar] = {}
+
+    def scalar(v: object) -> Scalar:  # ``_scalar``, each distinct string parsed once
+        if isinstance(v, str):
+            return parsed[v] if v in parsed else parsed.setdefault(v, _scalar(v))
+        return _scalar(v)
+
+    circles, vec = partial(_items, read=partial(_circle, scalar=scalar)), partial(_vec, scalar=scalar)
+    motif_base = _field(doc, "motif_base", circles)
+    motif_dual = _field(doc, "motif_dual", circles)
+    lattice = _optional(doc, "lattice", lambda x: None if x is None else tuple(_items(x, vec, 2)), None)
+    symmetries = _optional(doc, "symmetries", partial(_items, read=partial(_symmetry, vec=vec)), [])
     return Configuration(name, d, motif_base, motif_dual, lattice, symmetries)
 
 

@@ -13,8 +13,9 @@ Circles are integer rows of the packing-mode lattices of ``lattice``
 (base rows closed under the dual reflections, dual rows under the
 translations).  An isometry maps rows by one integer matrix
 (``RowLattice.moved``); an image off the lattice is no configuration
-circle, and an image on it is one when it equals, row for row, the motif
-circle moved by the lattice shift its float center rounds to.  The
+circle, and an image on it is one when ``configs._locate``, the test
+``Configuration.contains_circle`` runs, finds it equal to the motif circle
+moved by the lattice shift its float center rounds to, row for row.  The
 reflection words of ``trivial_intersection`` act on the same rows, along
 ``lattice.Mirrors.walk``.
 
@@ -46,10 +47,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _catalog_rows, _row_lattice
+from .configs import Configuration, Window, _catalog_rows, _locate, _row_lattice
 from .exact import QuadExt, Scalar
 from .inversive import InversiveCircle, PlanarIsometry, _cconj, _cmul
-from .lattice import Mirrors, RowLattice, _guard
+from .lattice import Mirrors
 
 Vec = Tuple[Scalar, Scalar]
 Basis = Tuple[Vec, Vec]
@@ -187,35 +188,6 @@ def _isometry(basis: Basis, A: Mat, u: Tuple[int, int], n: int) -> PlanarIsometr
 # ---------------------------------------------------------------------------
 
 
-def _members(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> np.ndarray:
-    """Which rows of ``lat`` are circles of the configuration.
-
-    As ``Configuration.contains_circle``: a motif circle of the same
-    curvature, moved by the (m, n) that its float center offset rounds to
-    within 1e-6, must equal the row; the comparison is exact.
-    """
-    motif = lat.motif
-    if cfg.lattice is None:
-        known = {m.tobytes() for m in motif}
-        return np.array([r.tobytes() in known for r in rows], dtype=bool)
-    (p, r), (mp, mr) = lat.values(rows), lat.values(motif)
-    k, i = np.nonzero((p[:, None, 1] == mp[None, :, 1]) & (r[:, None, 1] == mr[None, :, 1]))
-    fv, mv = lat.approx(rows), lat.approx(motif)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
-        py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
-    mf, nf = cfg._cell_coords(px, py)
-    m, n = np.rint(mf), np.rint(nf)
-    near = (np.abs(mf - m) <= 1e-6) & (np.abs(nf - n) <= 1e-6)
-    _guard(np.maximum(np.abs(m[near]), np.abs(n[near])), "a lattice shift of an image")
-    k, i = k[near], i[near]
-    shift = np.column_stack([m[near], n[near]]).astype(np.int64)
-    same = (lat.translated(motif[i], shift, "a translated motif circle") == rows[k]).all(axis=1)
-    out = np.zeros(len(rows), dtype=bool)
-    out[k[same]] = True
-    return out
-
-
 def isometry_violation(
     cfg: Configuration, g: PlanarIsometry
 ) -> Optional[Tuple[str, Optional[InversiveCircle]]]:
@@ -239,7 +211,7 @@ def _violation(
     for kind in ("base", "dual"):
         lat = _row_lattice(cfg, "packing", kind)
         images, ok = lat.moved(g, lat.motif, f"an image of a {kind} circle")
-        ok[ok] = _members(cfg, lat, images[ok])
+        ok[ok] = _locate(cfg, lat, images[ok])[0]
         bad = np.flatnonzero(~ok)
         if bad.size:
             return (kind, lat.circles(lat.motif[bad[:1]])[0])
@@ -451,13 +423,14 @@ def _cell_points(cfg: Configuration) -> List[Vec]:
     ]
 
 
-def _shortest_parallel(cfg: Configuration, a: Vec) -> Optional[Vec]:
+def _shortest_parallel(cfg: Configuration, a: Vec, matrix: Linear) -> Optional[Vec]:
     """A shortest nonzero lattice vector the reflection z -> a*conj(z)
-    fixes, or None when the reflection does not preserve the lattice.
+    fixes, or None when the reflection does not preserve the lattice;
+    ``matrix`` converts the linear part.
 
     The fixed vectors of A are the image of A + I; a nonzero column of it
     divided by its content is primitive."""
-    A = _matrix(cfg.lattice, a, True)
+    A = matrix(a, True)
     if A is None:
         return None
     col = (A[0] + 1, A[2]) if (A[0] + 1, A[2]) != (0, 0) else (A[1], A[3] + 1)
@@ -466,10 +439,10 @@ def _shortest_parallel(cfg: Configuration, a: Vec) -> Optional[Vec]:
     return (m * ax + n * bx, m * ay + n * by)
 
 
-def _probes(cfg: Configuration) -> Iterator[Tuple[str, object, PlanarIsometry]]:
+def _probes(cfg: Configuration, matrix: Linear) -> Iterator[Tuple[str, object, PlanarIsometry]]:
     """The candidate isometries of ``discover_symmetries`` in probe order:
     (the ``DiscoveredSymmetries`` list it joins when it verifies, its entry
-    there, the isometry)."""
+    there, the isometry); ``matrix`` converts linear parts."""
     points = _cell_points(cfg)
     for order, a in _ROTATION_A.items():
         for p in points:
@@ -482,7 +455,7 @@ def _probes(cfg: Configuration) -> Iterator[Tuple[str, object, PlanarIsometry]]:
             if m not in probed:
                 probed.add(m)
                 yield "mirrors", m, m
-        par = _shortest_parallel(cfg, a)
+        par = _shortest_parallel(cfg, a, matrix)
         if par is None:
             continue
         for p in points:
@@ -504,7 +477,7 @@ def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
         raise ValueError("discovery needs a periodic configuration")
     found = DiscoveredSymmetries(cfg.lattice)
     matrix = _linear_parts(cfg.lattice)
-    for name, entry, iso in _probes(cfg):
+    for name, entry, iso in _probes(cfg, matrix):
         if _violation(cfg, iso, matrix) is None:
             getattr(found, name).append(entry)
             found.isometries.append(iso)

@@ -36,11 +36,13 @@ from invpack.exact import QuadExt
 from invpack.inversive import (
     InversiveCircle,
     PairClass,
+    PlanarIsometry,
     apply_isometry,
     classify_pair,
     from_center_radius,
     inversive_product,
 )
+from invpack.lattice import LatticeOverflowError
 
 
 def key_of(c):
@@ -558,6 +560,107 @@ class TestArrayCatalog:
     def test_unknown_predicate(self):
         with pytest.raises(ValueError, match="unknown predicate"):
             make_config("square").catalog("base", Window.square(1.0), "touches")
+
+
+# ---------------------------------------------------------------------------
+# ids and lookups on lattice rows against the exact objects they replace
+
+
+def reference_placed(cfg, ident):
+    """The circle of an id as exact objects: its motif circle, translated
+    by ``apply_isometry`` in a lattice configuration."""
+    kind, i, shift = parse_id(ident)
+    return cfg.motif(kind)[i] if shift is None else _translate(cfg, kind, i, *shift)
+
+
+def reference_contains_circle(cfg, c, kind):
+    """``Configuration.contains_circle`` on exact objects: a motif circle
+    of the same curvature, translated by the (m, n) that the float center
+    offset rounds to within 1e-6, must have c's key."""
+    cands = [(i, mc) for i, mc in enumerate(cfg.motif(kind)) if mc.curvature == c.curvature]
+    for i, mc in cands:
+        shift = None
+        if cfg.lattice is not None:
+            (cx, cy), (mx, my) = c.center(), mc.center()
+            m_f, n_f = cfg._cell_coords(cx - mx, cy - my)
+            shift = (round(m_f), round(n_f))
+            if abs(m_f - shift[0]) > 1e-6 or abs(n_f - shift[1]) > 1e-6:
+                continue
+        if reference_placed(cfg, make_id(kind, i, shift)).key() == c.key():
+            return make_id(kind, i, shift)
+    return None
+
+
+class TestRowLookups:
+    @pytest.mark.parametrize("name", config_names())
+    def test_every_catalogued_id_round_trips(self, name):
+        cfg = make_config(name)
+        for kind in ("base", "dual"):
+            cat = cfg.catalog(kind, Window.square(3.0))
+            assert len(cat) > 0
+            for ident, g in zip(cat.idents, cat):
+                want = reference_placed(cfg, ident)
+                c = cfg.circle_from_id(ident)
+                assert c == want and g.circle == want
+                assert cfg.contains_circle(c, kind) == ident
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_non_members_answer_none_as_before(self, name):
+        cfg = make_config(name)
+        nudge = PlanarIsometry.translation((QuadExt(1, 0, 1000), QuadExt(0)))
+        for kind, other in (("base", "dual"), ("dual", "base")):
+            c = cfg.circle_from_id(cfg.catalog(kind, Window.square(1.0)).idents[0])
+            off = apply_isometry(nudge, c)
+            with pytest.raises(ArithmeticError, match="does not lie on the integer lattice"):
+                _row_lattice(cfg, None, kind).rows_of([off])
+            for probe, as_kind in ((c.reversed(), kind), (c, other), (off, kind), (c.as_floats(), kind)):
+                assert cfg.contains_circle(probe, as_kind) is None
+                assert reference_contains_circle(cfg, probe, as_kind) is None
+            assert reference_contains_circle(cfg, c, kind) == cfg.contains_circle(c, kind)
+
+    @pytest.mark.parametrize("name", ["square", "triangular", "hexagonal"])
+    def test_checks_and_catalog_build_no_exact_scalars(self, name, monkeypatch):
+        # a fresh configuration for the catalog, which then derives its lattice
+        cfg, fresh = make_config(name), make_config(name)
+        made, init = [], QuadExt.__init__
+        monkeypatch.setattr(QuadExt, "__init__", lambda *a, **k: made.append(a) or init(*a, **k))
+        validate_base_dual(cfg, Window.square(6.0))
+        check_duality(cfg, Window.square(6.0))
+        fresh.catalog("base", Window.square(7.0))
+        assert made == []
+
+    @pytest.mark.parametrize("name", [n for n in config_names() if n != "apollonian"])
+    def test_reach(self, name):
+        cfg = make_config(name)
+        for kind in ("base", "dual"):
+            for i in range(len(cfg.motif(kind))):
+                near, far = make_id(kind, i, (10**7, -10**7)), make_id(kind, i, (10**12, -10**12))
+                assert cfg.contains_circle(cfg.circle_from_id(near), kind) == near
+                with pytest.raises(LatticeOverflowError):
+                    cfg.contains_circle(reference_placed(cfg, far), kind)
+                # m^2 = 2^64 is 0 in int64
+                for ident in (far, make_id(kind, i, (2**32, 0))):
+                    with pytest.raises(LatticeOverflowError):
+                        cfg.circle_from_id(ident)
+
+    def test_tie_with_a_pad_decided_as_before(self):
+        # b0@2,0 lies at distance 2 from the window, its radius plus the pad
+        cfg, w = make_config("square"), Window.square(2.0)
+        got = cfg.catalog("base", w, expand=1.0).idents
+        assert "b0@2,0" in got and got == per_translate_catalog(cfg, "base", w, expand=1.0)
+
+    def test_far_row_names_its_overflow(self):
+        # the row of a far circle leaves int64 as Python integers
+        cfg = make_config("square")
+        far = reference_placed(cfg, "b0@3000000000,0")
+        with pytest.raises(LatticeOverflowError, match="a circle's row"):
+            _row_lattice(cfg, None, "base").rows_of([far])
+
+    def test_finite_ids_are_the_motif(self):
+        cfg = make_config("apollonian")
+        cat = cfg.catalog("base", Window.square(3.0))
+        assert [g.circle for g in cat] == [cfg.circle_from_id(i) for i in cat.idents]
+        assert all(cfg.circle_from_id(f"b{i}") is c for i, c in enumerate(cfg.motif_base))
 
 
 # ---------------------------------------------------------------------------

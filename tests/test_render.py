@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import invpack
 
-from invpack.configs import Configuration, Window, make_config
+from invpack.configs import Configuration, Window, config_names, make_config
 from invpack.engine import MODES, GenerationLimits, PackedCircle, Packing, generate
 from invpack.exact import QuadExt, format_terms, int_array, parse_scalar, reduce_terms, scalar_terms
 from invpack.inversive import InversiveCircle, from_center_radius, from_line
@@ -155,6 +155,18 @@ class TestJson:
         back = from_json(to_json(square))
         assert isinstance(back, Configuration)
         assert config_fields_equal(square, back)
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_config_parses_each_distinct_scalar_once(self, name, monkeypatch):
+        text = to_json(make_config(name))
+        doc = json.loads(text)
+        scalars = [x for key in ("motif_base", "motif_dual") for c in doc[key] for x in c]
+        scalars += [x for v in doc["lattice"] or () for x in v]
+        scalars += [x for s in doc["symmetries"] for key in ("a", "t") for x in s[key]]
+        parsed = []
+        monkeypatch.setattr(invpack.render, "parse_scalar", lambda x: parsed.append(x) or parse_scalar(x))
+        assert to_json(from_json(text)) == text
+        assert sorted(parsed) == sorted(set(scalars)) and len(set(scalars)) < len(scalars)
 
     def test_refined_config_keeps_exact_radii(self):
         # the tiny circles of radius (5-3*sqrt(2))/7 serialize through

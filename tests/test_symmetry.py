@@ -18,6 +18,7 @@ import math
 
 import pytest
 
+from invpack import symmetry
 from invpack.configs import (
     WALLPAPER_GROUPS,
     Configuration,
@@ -41,6 +42,7 @@ from invpack.inversive import (
 from invpack.lattice import LatticeOverflowError
 from invpack.symmetry import (
     SymmetrySignature,
+    _linear_parts,
     _probes,
     classify_wallpaper,
     discover_symmetries,
@@ -371,6 +373,26 @@ class TestDiscovery:
         )
         assert found.signature() == SymmetrySignature(2, True, True, True)
 
+    # (rotations, mirrors, glides, sub-lattice translations) that discovery
+    # finds, as it found them when each glide probe converted its mirror apart
+    FOUND = {"p1": (0, 0, 0, 0), "p2": (4, 0, 0, 0), "pm": (0, 2, 0, 0), "pg": (0, 0, 2, 0),
+             "cm": (0, 2, 2, 0), "pmm": (4, 4, 0, 0), "pmg": (4, 2, 2, 0), "pgg": (4, 0, 4, 0),
+             "cmm": (4, 4, 3, 0), "p4": (6, 0, 0, 0), "p4m": (6, 7, 4, 0), "p4g": (6, 4, 7, 0),
+             "p3": (3, 0, 0, 0), "p3m1": (3, 7, 6, 0), "p31m": (3, 4, 1, 0), "p6": (8, 0, 0, 0),
+             "p6m": (8, 11, 10, 0)}
+
+    def test_discovery_converts_each_linear_part_once(self, monkeypatch):
+        # the glide probes share the discovery's converter: 13 linear parts
+        # a group, where converting each mirror's part apart made 21
+        calls = []
+        matrix = symmetry._matrix
+        monkeypatch.setattr(symmetry, "_matrix", lambda *args: calls.append(args) or matrix(*args))
+        for group in WALLPAPER_GROUPS:
+            found = discover_symmetries(make_wallpaper(group))
+            assert tuple(map(len, (found.rotations, found.mirrors, found.glides,
+                                   found.subtranslations))) == self.FOUND[group]
+        assert len(calls) == 13 * len(WALLPAPER_GROUPS) == 221
+
 
 class TestTrivialIntersection:
     def test_square_window(self, square):
@@ -429,6 +451,24 @@ def reference_lattice_coords(cfg, vec):
     return (round(as_float(m)), round(as_float(n)))
 
 
+def reference_member(cfg, c, kind):
+    """Whether c is a ``kind`` circle of the configuration, on exact
+    objects: a motif circle of its curvature, translated by the (m, n) that
+    the float center offset rounds to within 1e-6, has c's key."""
+    for mc in cfg.motif(kind):
+        if mc.curvature != c.curvature:
+            continue
+        if cfg.lattice is not None:
+            (cx, cy), (mx, my) = c.center(), mc.center()
+            m, n = cfg._cell_coords(cx - mx, cy - my)
+            if abs(m - round(m)) > 1e-6 or abs(n - round(n)) > 1e-6:
+                continue
+            mc = apply_isometry(cfg.translation(round(m), round(n)), mc)
+        if mc.key() == c.key():
+            return True
+    return False
+
+
 def reference_violation(cfg, g, pools):
     """``isometry_violation`` one QuadExt circle at a time, on the pools."""
     if cfg.lattice is not None:
@@ -437,7 +477,7 @@ def reference_violation(cfg, g, pools):
                 return ("lattice", None)
     for kind, circles in pools:
         for c in circles:
-            if cfg.contains_circle(apply_isometry(g, c), kind) is None:
+            if not reference_member(cfg, apply_isometry(g, c), kind):
                 return (kind, c)
     return None
 
@@ -632,7 +672,7 @@ class TestIsometryRows:
         cfg = make_wallpaper(group)
         ref_pools = motif_pools(cfg)
         held = 0
-        for _, _, iso in _probes(cfg):
+        for _, _, iso in _probes(cfg, _linear_parts(cfg.lattice)):
             got = isometry_violation(cfg, iso)
             want = reference_violation(cfg, iso, ref_pools)
             if want is None:
@@ -650,7 +690,7 @@ class TestIsometryRows:
         # the motif decides as a window holding a full cell of circles does
         cfg = make_config(name)
         pools = reference_pools(cfg)
-        isos = [iso for _, _, iso in _probes(cfg)]
+        isos = [iso for _, _, iso in _probes(cfg, _linear_parts(cfg.lattice))]
         isos += [d.iso for d in cfg.symmetries] + [non_symmetry(cfg)]
         held = 0
         for iso in isos:
