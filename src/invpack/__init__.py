@@ -17,7 +17,6 @@ from .inversive import (
     from_line,
     inversive_product,
     reflect,
-    reflect_geometric,
 )
 
 __version__ = "0.1.0"
@@ -35,6 +34,5 @@ __all__ = [
     "from_line",
     "inversive_product",
     "reflect",
-    "reflect_geometric",
     "__version__",
 ]

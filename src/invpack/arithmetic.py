@@ -1,13 +1,12 @@
 """Integrality and curvature-relation checks for exact packings.
 
-Three families of arithmetic claims are decided here: curvature
-integrality of generated packings (class tallies with failure witnesses),
-membership of triangular-configuration orbits in their Eisenstein
-coordinate lattices, and polynomial curvature relations that persist along
-reflection orbits.  A circle is integral when its curvature (or each of its
-coordinates) is an algebraic integer of the configuration's field
-Q(sqrt d), as in the integral packings of Kontorovich and Nakamura
-(*Geometry and arithmetic of crystallographic sphere packings*, PNAS 2019).
+Two families of arithmetic claims are decided here: curvature integrality
+of generated packings (class tallies with failure witnesses), and
+polynomial curvature relations that persist along reflection orbits.  A
+circle is integral when its curvature (or each of its coordinates) is an
+algebraic integer of the configuration's field Q(sqrt d), as in the
+integral packings of Kontorovich and Nakamura (*Geometry and arithmetic of
+crystallographic sphere packings*, PNAS 2019).
 
 Relation sweeps enumerate every reduced word up to a length bound over
 the dual mirrors meeting a window.  Orbit states are int64 rows of the
@@ -19,24 +18,21 @@ predicates of Broennimann, Emiris, Pan and Pion (SoCG 1997): in int64,
 which gives it modulo 2^64, and in float64, which pins it to within a
 proven error bound smaller than 2^63.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .configs import Configuration, Window, _catalog_rows, _row_lattice, make_config
-from .engine import GroupWord, Packing, apply_word
-from .exact import QuadExt, Scalar, as_float, reduce_terms
+from .engine import Packing
+from .exact import Scalar, reduce_terms
 from .inversive import InversiveCircle, PairClass, classify_pair
 from .lattice import Mirrors, as_floats
 
 Term = Tuple[int, Tuple[int, ...]]
 MotifEntry = Tuple[int, int, PairClass]
-
-_SQRT3 = QuadExt.sqrt_d(3)
 
 # a residual known modulo 2^64 and to within tol is pinned while 2 tol < 2^64;
 # stopping a factor two short absorbs the rounding of tol itself
@@ -56,7 +52,7 @@ class CurvatureRelation:
     ``motif`` pins the pairwise geometry the instance must have, and
     ``instance`` holds the canonical circles the relation was stated
     for (images of that instance under the reflection group satisfy the
-    same relation).
+    same relation); a given instance is checked against the motif.
     """
 
     name: str
@@ -73,8 +69,8 @@ class CurvatureRelation:
         for i, j, _ in self.motif:
             if not (0 <= i < self.arity and 0 <= j < self.arity and i != j):
                 raise ValueError("motif indices out of range")
-        if self.instance and len(self.instance) != self.arity:
-            raise ValueError("instance size must equal the arity")
+        if self.instance:
+            self.check_instance(self.instance)
 
     @property
     def degree(self) -> int:
@@ -108,25 +104,6 @@ class CurvatureRelation:
                     f"relation {self.name}: circles {i},{j} classify as "
                     f"{got.value}, motif requires {want.value}"
                 )
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "arity": self.arity,
-            "terms": [[c, list(e)] for c, e in self.terms],
-            "motif": [[i, j, cls.value] for i, j, cls in self.motif],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CurvatureRelation":
-        return cls(
-            name=data["name"],
-            arity=int(data["arity"]),
-            terms=tuple((int(c), tuple(int(x) for x in e)) for c, e in data["terms"]),
-            motif=tuple(
-                (int(i), int(j), PairClass(v)) for i, j, v in data["motif"]
-            ),
-        )
 
 
 def _instance(cfg: Configuration, idents: Sequence[str]) -> Tuple[InversiveCircle, ...]:
@@ -228,58 +205,6 @@ def builtin_relations() -> List[CurvatureRelation]:
             instance=_instance(tri, ["b0@0,0", "b0@1,0", "b0@2,-1", "b0@0,-1"]),
         ),
     ]
-
-
-# ---------------------------------------------------------------------------
-# orbit verification
-
-
-@dataclass
-class RelationOrbitReport:
-    relation: str
-    words_checked: int
-    max_abs_residual: float
-    exact: bool
-    failures: List[Tuple[Tuple[str, ...], float]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_relation_orbit(
-    cfg: Configuration,
-    rel: CurvatureRelation,
-    instance: Sequence[InversiveCircle],
-    words: Sequence[GroupWord],
-) -> RelationOrbitReport:
-    """Evaluate the relation on every word image of the instance.
-
-    The instance must realize the relation's motif.  In exact mode a
-    nonzero residual is a failure; in float mode residuals are compared
-    against 1e-9 relative to the monomial magnitude.
-    """
-    rel.check_instance(instance)
-    exact = all(c.is_exact for c in instance)
-    report = RelationOrbitReport(rel.name, 0, 0.0, exact)
-    for word in words:
-        images = [apply_word(cfg, word, c) for c in instance]
-        curvatures = [c.curvature for c in images]
-        residual = rel.evaluate(curvatures)
-        value = abs(as_float(residual))
-        report.words_checked += 1
-        report.max_abs_residual = max(report.max_abs_residual, value)
-        if exact:
-            bad = residual != 0
-        else:
-            scale = sum(
-                abs(coeff) * float(np.prod([abs(b) ** e for b, e in zip(curvatures, exps)]))
-                for coeff, exps in rel.terms
-            )
-            bad = value > 1e-9 * max(1.0, scale)
-        if bad and len(report.failures) < 10:
-            report.failures.append((tuple(word), value))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -468,44 +393,3 @@ def integrality_report(p: Packing, coordinates: bool = False) -> IntegralityRepo
                  for i, key in zip(bad.tolist(), keys)]
     return IntegralityReport(p.config.name, p.mode, len(cols), integral, tallies, witnesses,
                              coordinates)
-
-
-# ---------------------------------------------------------------------------
-# lattice membership
-
-
-def _is_even_integer(x: QuadExt) -> bool:
-    half = x / 2
-    return half.is_integer()
-
-
-def lattice_membership(kind: str, v: InversiveCircle) -> bool:
-    """Decide membership in the triangular coordinate lattices.
-
-    ``triangular-base``: curvature and co-curvature are integers and
-    h1 + i h2 lies in 2Z[w] for w = (1 + i sqrt(3))/2.
-    ``triangular-dual``: curvature and co-curvature are in sqrt(3) Z and
-    h1 + i h2 lies in 2i Z[w] but outside 2 sqrt(3) Z[w].
-    """
-    if kind not in ("triangular-base", "triangular-dual"):
-        raise ValueError(f"unknown lattice kind {kind!r}")
-    if not v.is_exact:
-        raise ValueError("lattice membership requires exact coordinates")
-    b, bt, h1, h2 = v.curvature, v.co_curvature, v.h1, v.h2
-    if kind == "triangular-base":
-        if not (b.is_integer() and bt.is_integer()):
-            return False
-        # 2Z[w] = {(2a + m) + i m sqrt(3)}
-        m = h2 / _SQRT3
-        return m.is_integer() and _is_even_integer(h1 - m)
-    if not ((b / _SQRT3).is_integer() and (bt / _SQRT3).is_integer()):
-        return False
-    # 2iZ[w] = {-m sqrt(3) + i (2a + m)}
-    m = -h1 / _SQRT3
-    if not (m.is_integer() and _is_even_integer(h2 - m)):
-        return False
-    # 2 sqrt(3) Z[w] = {sqrt(3)(2a + m) + i 3m}: excluded
-    m3 = h2 / 3
-    if m3.is_integer() and _is_even_integer(h1 / _SQRT3 - m3):
-        return False
-    return True

@@ -55,13 +55,6 @@ class Window:
             raise ValueError("window corners out of order")
 
     @classmethod
-    def parse(cls, text: str) -> "Window":
-        parts = [float(p) for p in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected 'x0,y0,x1,y1'")
-        return cls(*parts)
-
-    @classmethod
     def square(cls, half: float) -> "Window":
         return cls(-half, -half, half, half)
 
@@ -887,23 +880,6 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
     ok3, detail = _is_three_connected(graphs["base"], interior)
     rep.add("base tangency graph 3-connected", ok3, detail=detail)
     return rep
-
-
-def kleinian_class(cfg: Configuration) -> str:
-    """Coarse classification by translational symmetry content.
-
-    A configuration with a lattice is the motif repeated over it, so both
-    lattice translations map it onto itself by construction: it is
-    doubly periodic without a check.  A finite one is a strip when a
-    declared translation verifies as a symmetry.
-    """
-    if cfg.lattice is not None:
-        return "doubly-periodic"
-    from .symmetry import verify_isometry
-
-    if any(s.kind == "translation" and verify_isometry(cfg, s.iso) for s in cfg.symmetries):
-        return "strip"
-    return "finite"
 
 
 # ---------------------------------------------------------------------------

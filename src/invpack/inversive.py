@@ -11,9 +11,7 @@ the limit of large interior-bounded circles.
 The inversive product <v, w> = h1*h1' + h2*h2' - (b*bt' + bt*b')/2 has
 <v, v> = 1, external tangency at -1 and orthogonality at 0.  Reflection
 across a mirror m is the product-preserving involution v - 2<v, m>*m; it
-works verbatim for line mirrors.  ``reflect_geometric`` implements classical
-center/radius inversion independently and serves as the oracle for
-``reflect``.
+works verbatim for line mirrors.
 
 Scalars are either ``QuadExt`` (exact mode) or ``float`` throughout; a single
 object never mixes the two.
@@ -296,19 +294,6 @@ class PlanarIsometry:
         mt = _cmul(self.a, _cconj(self.t))
         return PlanarIsometry(self.a, (-mt[0], -mt[1]), conj=True)
 
-    def is_identity(self) -> bool:
-        return (
-            not self.conj
-            and scalar_sign(self.a[0] - 1, 1e-12) == 0
-            and scalar_sign(self.a[1], 1e-12) == 0
-            and scalar_sign(self.t[0], 1e-12) == 0
-            and scalar_sign(self.t[1], 1e-12) == 0
-        )
-
-    def apply_point(self, p: Tuple[Scalar, Scalar]) -> Tuple[Scalar, Scalar]:
-        z = _cconj(p) if self.conj else p
-        return _cadd(_cmul(self.a, z), self.t)
-
 
 def apply_isometry(g: PlanarIsometry, v: InversiveCircle) -> InversiveCircle:
     """Act on a circle; uniform over circles and lines.
@@ -331,80 +316,3 @@ def apply_isometry(g: PlanarIsometry, v: InversiveCircle) -> InversiveCircle:
         ah[0] + t[0] * b,
         ah[1] + t[1] * b,
     )
-
-
-# ---------------------------------------------------------------------------
-# Independent geometric route: classical inversion on centers and radii
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Geom:
-    """Center/radius (or normal/offset) form of an oriented circle or line.
-
-    ``kind`` is "circle" with (x, y) = center and r the signed radius
-    (negative for an unbounded interior), or "line" with (x, y) the unit
-    normal and r the offset, interior {p : p.n > offset}.
-    """
-
-    kind: str
-    x: Scalar
-    y: Scalar
-    r: Scalar
-
-    def to_inversive(self) -> InversiveCircle:
-        if self.kind == "circle":
-            bounded = scalar_sign(self.r, eps=0.0) > 0
-            return from_center_radius((self.x, self.y), abs_scalar(self.r), bounded)
-        return from_line((self.x, self.y), self.r)
-
-
-def abs_scalar(x: Scalar) -> Scalar:
-    return -x if scalar_sign(x, eps=0.0) < 0 else x
-
-
-def reflect_geometric(mirror: Geom, v: Geom) -> Geom:
-    """Inversion of v in a circle mirror, or Euclidean reflection in a line
-    mirror, computed purely on centers and radii.
-
-    For a circle mirror (center q, radius R) and circle v (center c, signed
-    radius r) with D = |c - q|^2 - r^2:  image radius R^2 r / D and center
-    q + R^2 (c - q) / D; the sign of D carries the orientation flip when v
-    surrounds q.  D = 0 (v passes through q) yields a line.
-    """
-    if mirror.kind == "line":
-        n, o = (mirror.x, mirror.y), mirror.r
-        if v.kind == "circle":
-            dot = v.x * n[0] + v.y * n[1]
-            s = 2 * (o - dot)
-            return Geom("circle", v.x + s * n[0], v.y + s * n[1], v.r)
-        ndot = v.x * n[0] + v.y * n[1]
-        n2 = (v.x - 2 * ndot * n[0], v.y - 2 * ndot * n[1])
-        # image offset from the reflected image of a point on the line
-        p0 = (v.r * v.x, v.r * v.y)
-        s = 2 * (o - (p0[0] * n[0] + p0[1] * n[1]))
-        p1 = (p0[0] + s * n[0], p0[1] + s * n[1])
-        return Geom("line", n2[0], n2[1], p1[0] * n2[0] + p1[1] * n2[1])
-
-    q = (mirror.x, mirror.y)
-    R2 = mirror.r * mirror.r
-    if v.kind == "circle":
-        dx, dy = v.x - q[0], v.y - q[1]
-        D = dx * dx + dy * dy - v.r * v.r
-        if scalar_sign(D, eps=0.0) == 0:
-            # through the center of inversion: a line results
-            dist = abs_scalar(v.r)
-            u = (dx / dist, dy / dist)
-            off = q[0] * u[0] + q[1] * u[1] + R2 / (2 * dist)
-            if scalar_sign(v.r, eps=0.0) < 0:
-                u, off = (-u[0], -u[1]), -off
-            return Geom("line", u[0], u[1], off)
-        return Geom(
-            "circle", q[0] + R2 * dx / D, q[1] + R2 * dy / D, R2 * v.r / D
-        )
-    # line -> circle through q (or itself when it passes through q)
-    s = v.r - (q[0] * v.x + q[1] * v.y)
-    if scalar_sign(s, eps=0.0) == 0:
-        return v
-    rr = R2 / (2 * s)
-    return Geom("circle", q[0] + rr * v.x, q[1] + rr * v.y, rr)

@@ -32,9 +32,9 @@ rotation center c solves (I - A) c = v.  The signature feeds the standard
 decision tree over the seventeen plane groups (Conway, Burgiel and
 Goodman-Strauss, *The Symmetries of Things*, 2008).  A discovery pass
 independently probes a grid of candidate rotation centers, axes and
-sub-lattice translations and reads the group the verified probes span, so
-configurations that drop a symmetry under refinement are confirmed to have
-actually dropped it.
+sub-lattice translations and reads the group the verified probes span.
+Where that group equals the declared one, a configuration that drops a
+symmetry under refinement has actually dropped it.
 """
 
 from __future__ import annotations
@@ -223,16 +223,6 @@ def verify_isometry(cfg: Configuration, g: PlanarIsometry) -> bool:
     return isometry_violation(cfg, g) is None
 
 
-def translations(cfg: Configuration) -> Optional[Tuple[Vec, Vec]]:
-    """The declared lattice basis once both vectors verify, else None."""
-    if cfg.lattice is None:
-        return None
-    for v in cfg.lattice:
-        if not verify_isometry(cfg, PlanarIsometry.translation(v)):
-            return None
-    return cfg.lattice
-
-
 def quotient_isometries(
     cfg: Configuration, gens: Sequence[PlanarIsometry]
 ) -> List[PlanarIsometry]:
@@ -364,7 +354,7 @@ def classify_wallpaper(cfg: Configuration) -> str:
 
 
 # ---------------------------------------------------------------------------
-# discovery cross-check
+# discovery
 # ---------------------------------------------------------------------------
 
 _FRACS = (
@@ -482,20 +472,6 @@ def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
             getattr(found, name).append(entry)
             found.isometries.append(iso)
     return found
-
-
-def discovery_cross_check(cfg: Configuration) -> bool:
-    """Does independent discovery agree with the declared group?
-
-    False as soon as a sub-lattice translation verifies: refinement then
-    left the declared lattice coarser than the true one.  Otherwise True
-    when the group the verified probes span has the declared signature,
-    i.e. refinement really removed the symmetries it meant to remove.
-    """
-    found = discover_symmetries(cfg)
-    if found.subtranslations:
-        return False
-    return signature_of(cfg) == found.signature()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Tests for integrality reports, lattice membership, and curvature
-relations, including the exhaustive reduced-word sweeps."""
+relations, including the exhaustive reduced-word sweeps.
+
+Two object routes are kept here as references: ``verify_relation_orbit``,
+which evaluates a relation on each word image of its instance, for the
+row sweep, and ``lattice_membership``, the hand-written triangular
+coordinate lattices, for the lattices ``derive_lattice`` derives."""
 
 from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +25,7 @@ from invpack.arithmetic import (
     _vanishing,
     builtin_relations,
     integrality_report,
-    lattice_membership,
     sweep_relation_words,
-    verify_relation_orbit,
 )
 from invpack.configs import Configuration, Window, config_names, make_config
 from invpack.engine import (
@@ -37,6 +41,86 @@ SQRT3 = QuadExt.sqrt_d(3)
 
 def icirc(a, b, c, d):
     return InversiveCircle(QuadExt(a), QuadExt(b), QuadExt(c), QuadExt(d))
+
+
+@dataclass
+class RelationOrbitReport:
+    relation: str
+    words_checked: int
+    max_abs_residual: float
+    exact: bool
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.failures
+
+
+def verify_relation_orbit(cfg, rel, instance, words):
+    """Evaluate the relation on every word image of the instance.
+
+    The instance must realize the relation's motif.  In exact mode a
+    nonzero residual is a failure; in float mode residuals are compared
+    against 1e-9 relative to the monomial magnitude.
+    """
+    rel.check_instance(instance)
+    exact = all(c.is_exact for c in instance)
+    report = RelationOrbitReport(rel.name, 0, 0.0, exact)
+    for word in words:
+        images = [apply_word(cfg, word, c) for c in instance]
+        curvatures = [c.curvature for c in images]
+        residual = rel.evaluate(curvatures)
+        value = abs(as_float(residual))
+        report.words_checked += 1
+        report.max_abs_residual = max(report.max_abs_residual, value)
+        if exact:
+            bad = residual != 0
+        else:
+            scale = sum(
+                abs(coeff) * float(np.prod([abs(b) ** e for b, e in zip(curvatures, exps)]))
+                for coeff, exps in rel.terms
+            )
+            bad = value > 1e-9 * max(1.0, scale)
+        if bad and len(report.failures) < 10:
+            report.failures.append((tuple(word), value))
+    return report
+
+
+def _is_even_integer(x):
+    half = x / 2
+    return half.is_integer()
+
+
+def lattice_membership(kind, v):
+    """Decide membership in the triangular coordinate lattices.
+
+    ``triangular-base``: curvature and co-curvature are integers and
+    h1 + i h2 lies in 2Z[w] for w = (1 + i sqrt(3))/2.
+    ``triangular-dual``: curvature and co-curvature are in sqrt(3) Z and
+    h1 + i h2 lies in 2i Z[w] but outside 2 sqrt(3) Z[w].
+    """
+    if kind not in ("triangular-base", "triangular-dual"):
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    if not v.is_exact:
+        raise ValueError("lattice membership requires exact coordinates")
+    b, bt, h1, h2 = v.curvature, v.co_curvature, v.h1, v.h2
+    if kind == "triangular-base":
+        if not (b.is_integer() and bt.is_integer()):
+            return False
+        # 2Z[w] = {(2a + m) + i m sqrt(3)}
+        m = h2 / SQRT3
+        return m.is_integer() and _is_even_integer(h1 - m)
+    if not ((b / SQRT3).is_integer() and (bt / SQRT3).is_integer()):
+        return False
+    # 2iZ[w] = {-m sqrt(3) + i (2a + m)}
+    m = -h1 / SQRT3
+    if not (m.is_integer() and _is_even_integer(h2 - m)):
+        return False
+    # 2 sqrt(3) Z[w] = {sqrt(3)(2a + m) + i 3m}: excluded
+    m3 = h2 / 3
+    if m3.is_integer() and _is_even_integer(h1 / SQRT3 - m3):
+        return False
+    return True
 
 
 def _in_ring(a, b, q, d):
@@ -106,15 +190,14 @@ class TestCurvatureRelation:
         with pytest.raises(ValueError, match="classif"):
             chain.check_instance(block.instance)
 
-    def test_json_round_trip(self, relations):
-        rel = relations["triangular-rhombus-quadratic"]
-        clone = CurvatureRelation.from_json(rel.as_json())
-        assert clone.name == rel.name
-        assert clone.arity == rel.arity
-        assert clone.terms == rel.terms
-        assert clone.motif == rel.motif
-        clone.check_instance(rel.instance)
-        assert clone.evaluate([c.curvature for c in rel.instance]) == 0
+    def test_instance_checked_when_built(self, relations):
+        chain = relations["square-chain-quadratic"]
+        shuffled = (chain.instance[0], chain.instance[2], chain.instance[1], chain.instance[3])
+        with pytest.raises(ValueError, match="classif"):
+            replace(chain, instance=shuffled)
+        with pytest.raises(ValueError, match="needs 4 circles"):
+            replace(chain, instance=chain.instance[:3])
+        assert [r.name for r in builtin_relations()] == list(relations)
 
     def test_relabeling_symmetry(self, square, relations):
         """Reversing the chain maps the relation onto itself."""
@@ -165,6 +248,18 @@ class TestFrozenQuadruples:
         assert 2 * (b1**2 + b2**2 + b3**2) + 10 * b4**2 == total**2 == QuadExt(1600)
 
 
+def _broken_late(relations):
+    """(b1 - b2)(b3 - b4) on the square chain.  It vanishes on the chain and
+    on its images under the four mirrors meeting the unit window (b1 = b2
+    on the chain and two images, b3 = b4 on the other two), but not on
+    every image of length two."""
+    return replace(
+        relations["square-chain-quadratic"],
+        name="broken-late",
+        terms=((1, (1, 0, 1, 0)), (-1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0)), (1, (0, 1, 0, 1))),
+    )
+
+
 class TestVerifyRelationOrbit:
     def test_exact_orbit_is_clean(self, square, relations):
         rel = relations["square-chain-quadratic"]
@@ -186,6 +281,23 @@ class TestVerifyRelationOrbit:
         shuffled = (rel.instance[0], rel.instance[2], rel.instance[1], rel.instance[3])
         with pytest.raises(ValueError):
             verify_relation_orbit(square, rel, shuffled, [[]])
+
+    @pytest.mark.parametrize("name", [r.name for r in builtin_relations()] + ["broken-late"])
+    def test_agrees_with_the_sweep(self, name, relations):
+        """The object route and the row sweep give one verdict on every
+        reduced word of length <= 2 over the sweep's dual mirrors."""
+        if name == "broken-late":
+            rel = _broken_late(relations)
+        else:
+            rel = relations[name]
+        cfg, window = make_config(rel.config), Window.square(1.0)
+        (sweep,) = sweep_relation_words(cfg, [rel], max_len=2, window=window)
+        ids = cfg.catalog("dual", window).idents
+        words = [[]] + [[a] for a in ids] + [[a, b] for a, b in product(ids, ids) if a != b]
+        oracle = verify_relation_orbit(cfg, rel, rel.instance, words)
+        assert oracle.words_checked == sweep.words_checked
+        assert oracle.ok == sweep.ok
+        assert sweep.ok == (name != "broken-late")
 
 
 class TestSweep:
@@ -233,17 +345,7 @@ class TestSweep:
             sweep_relation_words(apo, [fake])
 
     def test_detects_break_past_length_one(self, square, relations):
-        # (b1 - b2)(b3 - b4) vanishes on the chain and on its images under
-        # the four mirrors meeting the unit window (b1 = b2 on the chain and
-        # two images, b3 = b4 on the other two), but not on every image of
-        # length two
-        chain = relations["square-chain-quadratic"]
-        broken = replace(
-            chain,
-            name="broken-late",
-            terms=((1, (1, 0, 1, 0)), (-1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0)),
-                   (1, (0, 1, 0, 1))),
-        )
+        broken = _broken_late(relations)
         window = Window.square(1.0)
         (early,) = sweep_relation_words(square, [broken], max_len=1, window=window)
         (late,) = sweep_relation_words(square, [broken], max_len=2, window=window)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from invpack.configs import (
     _row_lattice,
     check_duality,
     config_names,
-    kleinian_class,
     make_config,
     make_id,
     parse_id,
@@ -50,14 +50,6 @@ def key_of(c):
 
 
 class TestWindow:
-    def test_parse(self):
-        w = Window.parse("-1,-2,3,4")
-        assert (w.x0, w.y0, w.x1, w.y1) == (-1.0, -2.0, 3.0, 4.0)
-
-    def test_parse_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            Window.parse("1,0,-1,0")
-
     def test_meets_and_contains(self):
         w = Window.square(2.0)
         assert w.meets_disk(3.0, 0.0, 1.0)  # touches the edge
@@ -73,10 +65,6 @@ class TestWindow:
     def test_non_finite_corners_rejected(self, corners):
         with pytest.raises(ValueError, match="window corners must be finite"):
             Window(*corners)
-
-    def test_parse_rejects_nan(self):
-        with pytest.raises(ValueError, match="window corners must be finite"):
-            Window.parse("nan,0,1,1")
 
 
 class TestIds:
@@ -153,9 +141,6 @@ class TestSquareConfig:
     def test_duality_passes(self):
         rep = check_duality(self.cfg, Window.square(6.0))
         assert rep.ok, rep.lines()
-
-    def test_kleinian(self):
-        assert kleinian_class(self.cfg) == "doubly-periodic"
 
 
 class TestTriangularConfig:
@@ -263,9 +248,6 @@ class TestApollonianConfig:
         assert rep.ok, rep.lines()
         hosted = [c for c in rep.checks if "dual graph" in c.name]
         assert hosted and hosted[0].detail.startswith("3 faces")
-
-    def test_kleinian(self):
-        assert kleinian_class(self.cfg) == "finite"
 
 
 class TestTangencyGraph:
@@ -446,6 +428,114 @@ class TestNoNameKeys:
         assert named_strings(source, names) == [
             ("TABLE", 1, "square"), ("f", 3, "wallpaper:p6m"), ("f", 3, "wallpaper:"), ("C", 5, "square"),
         ]
+
+
+# public names of the package that nothing in src, perfbench or tools calls,
+# each kept for a reason of its own; every other public name needs a caller
+_SURFACE_KEPT = {
+    "configs.tangency_graph": "the graph that defines a polyhedral packing; check_duality builds it",
+    "engine.normal_form": "the structure theorem made constructive: symmetries = reflections x| isometries",
+    "engine.commuting_letters": "the commuting relations that normal_form's reduced words obey",
+    "engine.Packing.height_of": "a circle's height, the documented equal of its peeled word length",
+    "inversive.InversiveCircle.quadric_residual": "the zero-residual invariant every circle satisfies",
+    "inversive.PlanarIsometry.inverse": "the group inverse of a symmetry",
+    "inversive.from_line": "the constructor of lines, the b = 0 circles of the inversive model",
+    "arithmetic.CurvatureRelation.evaluate": "the exact value of a relation, what the row sweep decides",
+    "render.to_svg": "the picture of a packing",
+    "symmetry.verify_isometry": "the yes/no symmetry test; isometry_violation names the witness",
+    "symmetry.discover_symmetries": "the group a configuration has, found without its declarations",
+    "symmetry.DiscoveredSymmetries.signature": "the signature of the discovered group",
+}
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _mentions(node, skip):
+    """Identifiers a syntax tree names: names, attributes, and the parts of
+    dotted strings (``"Configuration.contains_circle"``) other than those
+    in ``skip``."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in skip
+              and _DOTTED.match(n.value)):
+            out.update(n.value.split("."))
+    return out
+
+
+def _not_counted(tree):
+    """Ids of the docstrings and ``__all__`` strings of a module."""
+    skip = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant):
+            skip.add(id(n.value))
+        elif isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets):
+            skip.update(id(x) for x in ast.walk(n.value))
+    return skip
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of a public class."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                for m in stmt.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield f"{stmt.name}.{m.name}", m
+
+
+def uncalled(package, callers):
+    """Qualified names ("module.name") of the public names in ``package``
+    (module name -> source) that no source in ``package`` or ``callers``
+    names outside their own definition.  ``__init__`` is neither a
+    definition nor a caller: its re-exports do not count.  Names match by
+    identifier alone, so a method that shares its name with a called one
+    counts as called."""
+    trees = {mod: ast.parse(src) for mod, src in package.items() if mod != "__init__"}
+    skips = {mod: _not_counted(tree) for mod, tree in trees.items()}
+    named = sum((_mentions(t, skips[m]) for m, t in trees.items()), Counter())
+    for src in callers:
+        tree = ast.parse(src)
+        named += _mentions(tree, _not_counted(tree))
+    found = set()
+    for mod, tree in trees.items():
+        for qual, node in _public_defs(tree):
+            name = qual.rsplit(".", 1)[-1]
+            if named[name] <= _mentions(node, skips[mod])[name]:
+                found.add(f"{mod}.{qual}")
+    return found
+
+
+class TestPublicSurface:
+    def test_every_public_name_has_a_caller_or_a_reason(self):
+        root = Path(invpack.__file__).resolve().parents[2]
+        package = {p.stem: p.read_text() for p in Path(invpack.__file__).parent.glob("*.py")}
+        callers = [p.read_text() for d in ("perfbench", "tools") for p in sorted((root / d).glob("*.py"))]
+        assert callers
+        assert uncalled(package, callers) == set(_SURFACE_KEPT)
+
+    def test_guard_sees_an_uncalled_name(self):
+        package = {
+            "m": (
+                "def planted():\n"
+                "    return planted()\n"
+                "class C:\n"
+                "    def used(self):\n"
+                "        return self.hidden\n"
+                "    def hidden(self):\n"
+                "        return 1\n"
+                "    def spare(self):\n"
+                '        """planted"""\n'
+            ),
+            "__init__": 'from .m import planted\n__all__ = ["planted", "spare"]\n',
+        }
+        callers = ['"""C.spare"""\nfrom m import C\nC().used()\n__all__ = ["spare"]\n']
+        assert uncalled(package, callers) == {"m.planted", "m.C.spare"}
+        assert uncalled(package, callers + ['trace = ("m", "C.spare")']) == {"m.planted"}
 
 
 # configuration -> its exact translations by (m, n) and translates by

@@ -1,11 +1,14 @@
 """A tier-1 sample of the benchmark's recorded outputs.
 
-Every job of the ``certify`` workload at window offset (0, 0) runs as the
-benchmark runs it and is checked by ``workloads.check_output`` against
-its count and sha256 in ``perfbench/expected.json``: the relation sweeps,
-whose instances come from ``Configuration.circle_from_id``, wallpaper
+Every job of the ``certify`` and ``atlas`` workloads at window offset
+(0, 0) runs as the benchmark runs it and is checked by
+``workloads.check_output`` against its count and sha256 in
+``perfbench/expected.json``.  ``certify`` gives the relation sweeps, whose
+instances come from ``Configuration.circle_from_id``, wallpaper
 classification, validation, trivial intersection and the integrality
-packing.  ``tools/check_expected.py`` checks every job of every workload.
+packing; ``atlas`` gives every built-in and wallpaper cell on both lanes,
+exact and float.  ``tools/check_expected.py`` checks every job of every
+workload.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ def _workloads():
 
 
 workloads = _workloads()
-JOBS = {job.key: job for job in workloads.universe("certify")
-        if getattr(job, "offset", (0, 0)) == (0, 0)}
+CERTIFY, ATLAS = ({job.key: job for job in workloads.universe(workload)
+                   if getattr(job, "offset", (0, 0)) == (0, 0)}
+                  for workload in ("certify", "atlas"))
+JOBS = {**CERTIFY, **ATLAS}
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +45,13 @@ def records():
 
 
 def test_sample_covers_every_certify_check():
-    heads = {key.split("|")[0] for key in JOBS}
+    heads = {key.split("|")[0] for key in CERTIFY}
     assert heads == {"sweep", "classify", "validate", "trivial", "integrality"}
+
+
+def test_sample_covers_every_atlas_cell():
+    assert {job.cell for job in workloads.universe("atlas")} == {job.cell for job in ATLAS.values()}
+    assert {job.exact for job in ATLAS.values()} == {True, False}
 
 
 @pytest.mark.parametrize("key", sorted(JOBS))
