@@ -70,10 +70,6 @@ class QuadExt:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, f: Fraction, d: int = 1) -> "QuadExt":
-        return cls(f.numerator, 0, f.denominator, d)
-
-    @classmethod
     def sqrt_d(cls, d: int) -> "QuadExt":
         """The element sqrt(d) itself."""
         return cls(0, 1, 1, d)
@@ -257,49 +253,6 @@ class QuadExt:
             self.q * root.denominator,
         )
 
-    def sqrt(self) -> "QuadExt | None":
-        """Exact square root within the same field, or None.
-
-        Solves (x + y*sqrt(d))^2 = value over the rationals: x^2 and y^2 d
-        are the roots of t^2 - A t + (B^2 d)/4 with A, B the rational and
-        sqrt(d) parts, which is solvable in the field iff the norm A^2 - B^2 d
-        has a rational square root.
-        """
-        s = self.sign()
-        if s < 0:
-            return None
-        if s == 0:
-            return QuadExt(0, 0, 1, self.d)
-        A = Fraction(self.a, self.q)
-        B = Fraction(self.b, self.q)
-        if B == 0:
-            r = _frac_sqrt(A)
-            if r is not None:
-                return QuadExt.from_fraction(r, self.d)
-            r = _frac_sqrt(A / self.d)
-            if r is not None:
-                return QuadExt(0, r.numerator, r.denominator, self.d)
-            return None
-        n = _frac_sqrt(A * A - B * B * self.d)
-        if n is None:
-            return None
-        for x2 in ((A + n) / 2, (A - n) / 2):
-            if x2 <= 0:
-                continue
-            x = _frac_sqrt(x2)
-            if x is None:
-                continue
-            y = B / (2 * x)
-            cand = QuadExt(
-                x.numerator * y.denominator,
-                y.numerator * x.denominator,
-                x.denominator * y.denominator,
-                self.d,
-            )
-            if cand * cand == self:
-                return abs(cand)
-        return None
-
     # -- text form -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -310,17 +263,6 @@ class QuadExt:
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a}, {self.b}, {self.q}, d={self.d})"
-
-
-def _frac_sqrt(f: Fraction) -> Fraction | None:
-    """Rational square root of a nonnegative Fraction, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # Every canonical form in one pattern, with the whitespace around and inside

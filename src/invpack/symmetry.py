@@ -30,20 +30,16 @@ largest order of an A; x -> A x + v with A a reflection is a mirror when
 is either in the group or makes it a glide off every mirror axis; a
 rotation center c solves (I - A) c = v.  The signature feeds the standard
 decision tree over the seventeen plane groups (Conway, Burgiel and
-Goodman-Strauss, *The Symmetries of Things*, 2008).  A discovery pass
-independently probes a grid of candidate rotation centers, axes and
-sub-lattice translations and reads the group the verified probes span.
-Where that group equals the declared one, a configuration that drops a
-symmetry under refinement has actually dropped it.
+Goodman-Strauss, *The Symmetries of Things*, 2008).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -351,127 +347,6 @@ def signature_of(cfg: Configuration) -> SymmetrySignature:
 def classify_wallpaper(cfg: Configuration) -> str:
     """Name of the plane symmetry group of a periodic configuration."""
     return signature_of(cfg).group_name()
-
-
-# ---------------------------------------------------------------------------
-# discovery
-# ---------------------------------------------------------------------------
-
-_FRACS = (
-    QuadExt(0),
-    QuadExt(1, 0, 4),
-    QuadExt(1, 0, 3),
-    QuadExt(1, 0, 2),
-    QuadExt(2, 0, 3),
-    QuadExt(3, 0, 4),
-)
-
-_SQRT3_HALF = QuadExt(0, 1, 2, 3)
-_ROTATION_A: Dict[int, Vec] = {
-    2: (QuadExt(-1), QuadExt(0)),
-    3: (QuadExt(-1, 0, 2), _SQRT3_HALF),
-    4: (QuadExt(0), QuadExt(1)),
-    6: (QuadExt(1, 0, 2), _SQRT3_HALF),
-}
-_MIRROR_A: Tuple[Vec, ...] = (
-    (QuadExt(1), QuadExt(0)),
-    (QuadExt(-1), QuadExt(0)),
-    (QuadExt(0), QuadExt(1)),
-    (QuadExt(0), QuadExt(-1)),
-    (QuadExt(1, 0, 2), _SQRT3_HALF),
-    (QuadExt(-1, 0, 2), _SQRT3_HALF),
-    (QuadExt(-1, 0, 2), -_SQRT3_HALF),
-    (QuadExt(1, 0, 2), -_SQRT3_HALF),
-)
-
-
-@dataclass
-class DiscoveredSymmetries:
-    """Symmetries found by probing candidate centers, axes, and
-    sub-lattice translations over a fundamental cell of ``basis``;
-    ``isometries`` holds every verified probe."""
-
-    basis: Basis
-    rotations: List[Tuple[int, Vec]] = field(default_factory=list)
-    mirrors: List[PlanarIsometry] = field(default_factory=list)
-    glides: List[PlanarIsometry] = field(default_factory=list)
-    subtranslations: List[Vec] = field(default_factory=list)
-    isometries: List[PlanarIsometry] = field(default_factory=list)
-
-    def signature(self) -> SymmetrySignature:
-        """The signature of the group the verified probes span modulo the
-        lattice, read as ``signature_of`` reads the declared one."""
-        return _signature(*_quotient(self.basis, [PlanarIsometry.identity()] + self.isometries))
-
-
-def _cell_points(cfg: Configuration) -> List[Vec]:
-    v1, v2 = cfg.lattice
-    return [
-        (x * v1[0] + y * v2[0], x * v1[1] + y * v2[1])
-        for x in _FRACS
-        for y in _FRACS
-    ]
-
-
-def _shortest_parallel(cfg: Configuration, a: Vec, matrix: Linear) -> Optional[Vec]:
-    """A shortest nonzero lattice vector the reflection z -> a*conj(z)
-    fixes, or None when the reflection does not preserve the lattice;
-    ``matrix`` converts the linear part.
-
-    The fixed vectors of A are the image of A + I; a nonzero column of it
-    divided by its content is primitive."""
-    A = matrix(a, True)
-    if A is None:
-        return None
-    col = (A[0] + 1, A[2]) if (A[0] + 1, A[2]) != (0, 0) else (A[1], A[3] + 1)
-    m, n = (x // math.gcd(*col) for x in col)
-    (ax, ay), (bx, by) = cfg.lattice
-    return (m * ax + n * bx, m * ay + n * by)
-
-
-def _probes(cfg: Configuration, matrix: Linear) -> Iterator[Tuple[str, object, PlanarIsometry]]:
-    """The candidate isometries of ``discover_symmetries`` in probe order:
-    (the ``DiscoveredSymmetries`` list it joins when it verifies, its entry
-    there, the isometry); ``matrix`` converts linear parts."""
-    points = _cell_points(cfg)
-    for order, a in _ROTATION_A.items():
-        for p in points:
-            yield "rotations", (order, p), PlanarIsometry.rotation(p, a)
-
-    probed = set()
-    for a in _MIRROR_A:
-        for p in points:
-            m = PlanarIsometry.mirror_a(p, a)
-            if m not in probed:
-                probed.add(m)
-                yield "mirrors", m, m
-        par = _shortest_parallel(cfg, a, matrix)
-        if par is None:
-            continue
-        for p in points:
-            g = PlanarIsometry.glide_a(p, a, (par[0] / 2, par[1] / 2))
-            if g not in probed:
-                probed.add(g)
-                yield "glides", g, g
-
-    for t in points[1:]:  # all but the origin
-        yield "subtranslations", t, PlanarIsometry.translation(t)
-
-
-def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
-    """Probe rotations, mirrors, glides, and sub-lattice translations on
-    a grid of half, third, and quarter cell points, keeping the verified
-    ones.  The grid covers every center and axis position the plane
-    groups realize, so an empty result is evidence of absence."""
-    if cfg.lattice is None:
-        raise ValueError("discovery needs a periodic configuration")
-    found = DiscoveredSymmetries(cfg.lattice)
-    matrix = _linear_parts(cfg.lattice)
-    for name, entry, iso in _probes(cfg, matrix):
-        if _violation(cfg, iso, matrix) is None:
-            getattr(found, name).append(entry)
-            found.isometries.append(iso)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -9,44 +9,57 @@ group while keeping every circle's data in the quadratic field of the
 family (sqrt(2) for square cells, sqrt(3) for triangular ones).
 
 One builder serves both grids.  A family (``_Family``) is data: its field,
-the map from integer grid pairs to exact points, its radii, the tiny
+the map from integer grid pairs to integer points, its radii, the tiny
 circles' offset and directions, and the cell shapes its grid points anchor,
 each with its side table.  A group (``_GROUPS``) picks a family, an integer
 lattice, one decoration rule per cell shape and its symmetries beyond the
-lattice.  ``_cells`` lists the cells of one motif, each a center, a
-decoration (the tiny circles' directions, or None for a plain cell) and its
-sides; ``_decorate`` turns them into the motif's base and dual circles, and
+lattice.  ``_cells`` lists the cells of one motif, each an anchor, a cell
+shape and a decoration (the tiny circles' directions, or None for a plain
+cell); ``_decorate`` turns them into the motif's base and dual circles, and
 ``make_wallpaper`` adds the two lattice translations and the group's other
 symmetries.
 
-Dual circles are rebuilt cell by cell: each tangency face of the decorated
-packing gets the circle through its three tangency points, computed exactly
-as a radical-center solve.
+Circles are built on integer triples: each coordinate is (a + b sqrt d) / q
+with integers a, b and q, and one circle's four coordinates share q.  A
+``make_wallpaper`` call computes a few templates around the origin: the unit
+base circle, and per cell shape its middle circle, its plain dual, a tiny
+circle per side, and the face circles of each side, with and without that
+side's tiny circle.  A face circle, through the tangency points of three
+pairwise externally tangent circles, is a quarter of their Lorentz cross
+product.  In the augmented curvature-center coordinates of
+Lagarias-Mallows-Wilks (*Beyond the Descartes circle theorem*, 2002) the
+three have Gram determinant -4.  So the 4 x 4 matrix of the three and the
+circle orthogonal to them has determinant +-4, and that determinant is the
+inversive product of the circle with the cross product, which is therefore
++-4 times the circle.  Every template is checked to lie on the quadric.
+Every motif circle is a template translated by an integer grid vector,
+which keeps it there exactly, and the ``QuadExt`` of each coordinate is made
+once, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configs import Configuration, SymmetryDecl, make_config
 from .exact import QuadExt
-from .inversive import (
-    InversiveCircle,
-    PlanarIsometry,
-    from_center_radius,
-    inversive_product,
-)
+from .inversive import InversiveCircle, PlanarIsometry
 
 IntPt = Tuple[int, int]
 Point = Tuple[QuadExt, QuadExt]
 Dirs = Tuple[str, ...]
 Rule = Callable[[int, int], Optional[Dirs]]
 Sides = Dict[str, Tuple[IntPt, IntPt]]
-# A cell: its center, its decoration (the directions of its tiny circles, or
-# None for a plain cell, which gets one dual) and its sides, each a direction
-# with the grid pairs at its two ends.
-Cell = Tuple[Point, Optional[Dirs], List[Tuple[str, IntPt, IntPt]]]
+# A cell: its anchor, the index of its shape in the family and its
+# decoration (the directions of its tiny circles, or None for a plain cell,
+# which gets one dual).
+Cell = Tuple[IntPt, int, Optional[Dirs]]
+Pair = Tuple[int, int]  # a + b sqrt d
+Triple = Tuple[int, int, int]  # (a, b, q): (a + b sqrt d) / q
+# A circle's (co_curvature, curvature, h1, h2), each a Pair over one q > 0.
+Row = Tuple[int, Tuple[Pair, Pair, Pair, Pair]]
 
 # Square-cell interstitial sizes: middle radius sqrt(2)-1, tiny radius
 # (5-3*sqrt(2))/7 at offset (4*sqrt(2)-2)/7 from the cell center.
@@ -115,42 +128,135 @@ def _canon(p: IntPt, v1: IntPt, v2: IntPt) -> IntPt:
     return (p[0] - i * v1[0] - j * v2[0], p[1] - i * v1[1] - j * v2[1])
 
 
-def _reps(
-    v1: IntPt, v2: IntPt, points: Iterable[IntPt]
-) -> List[IntPt]:
-    return sorted({_canon(p, v1, v2) for p in points})
+def _reps(v1: IntPt, v2: IntPt, keep: Callable[[int, int], bool]) -> List[IntPt]:
+    """The canonical representatives that ``keep`` accepts, sorted: the
+    integer points of the cell {a v1 + b v2 : 0 <= a, b < 1}."""
+    xs = (0, v1[0], v2[0], v1[0] + v2[0])
+    ys = (0, v1[1], v2[1], v1[1] + v2[1])
+    box = product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1))
+    return [p for p in box if keep(*p) and _canon(p, v1, v2) == p]
 
 
-def radical_circle(circles: Sequence[InversiveCircle]) -> InversiveCircle:
-    """Circle orthogonal to three pairwise tangent circles, through their
-    tangency points.  Exact; raises if the radius leaves the field."""
-    if len(circles) != 3:
-        raise ValueError("need exactly three circles")
-    ps = [c.exact_center() for c in circles]
-    rs = [c.exact_radius() for c in circles]
-    ks = [p[0] * p[0] + p[1] * p[1] - r * r for p, r in zip(ps, rs)]
-    a1x, a1y = 2 * (ps[1][0] - ps[0][0]), 2 * (ps[1][1] - ps[0][1])
-    a2x, a2y = 2 * (ps[2][0] - ps[0][0]), 2 * (ps[2][1] - ps[0][1])
-    b1, b2 = ks[1] - ks[0], ks[2] - ks[0]
-    det = a1x * a2y - a1y * a2x
-    px = (b1 * a2y - b2 * a1y) / det
-    py = (a1x * b2 - a2x * b1) / det
-    rr2 = (px - ps[0][0]) ** 2 + (py - ps[0][1]) ** 2 - rs[0] * rs[0]
-    if isinstance(rr2, QuadExt):
-        rr = rr2.sqrt()
-        if rr is None:
-            raise ArithmeticError(f"radical radius^2 {rr2} is not a square")
-    else:
-        rr = math.sqrt(rr2)
-    out = from_center_radius((px, py), rr)
-    for c in circles:
-        prod = inversive_product(out, c)
-        if isinstance(prod, QuadExt):
-            if prod != 0:
-                raise ArithmeticError("radical circle not orthogonal to input")
-        elif abs(prod) > 1e-9:
-            raise ArithmeticError("radical circle not orthogonal to input")
-    return out
+# ---------------------------------------------------------------------------
+# circles on integer triples
+
+
+def _zmul(x: Pair, y: Pair, d: int) -> Pair:
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _zsign(x: Pair, d: int) -> int:
+    """Exact sign of a + b sqrt d, d not a square."""
+    a, b = x
+    if not a or a * b < 0 and a * a < d * b * b:
+        a = b
+    return (a > 0) - (a < 0)
+
+
+def _t(x: QuadExt) -> Triple:
+    return (x.a, x.b, x.q)
+
+
+def _mul(x: Triple, y: Triple, d: int) -> Triple:
+    return (*_zmul(x[:2], y[:2], d), x[2] * y[2])
+
+
+def _add(x: Triple, y: Triple) -> Triple:
+    return (x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2])
+
+
+def _inv(x: Triple, d: int) -> Triple:
+    """1 / x, over a positive q; x is not 0."""
+    n = x[0] * x[0] - d * x[1] * x[1]
+    s = 1 if n > 0 else -1
+    return (s * x[2] * x[0], -s * x[2] * x[1], s * n)
+
+
+def _row(coords: Sequence[Triple]) -> Row:
+    """Four triples with positive q over their least common q, the common
+    content divided out."""
+    q = math.lcm(*(c[2] for c in coords))
+    flat = [x * (q // c[2]) for c in coords for x in c[:2]]
+    g = math.gcd(q, *flat)
+    return (q // g, tuple((a // g, b // g) for a, b in zip(flat[::2], flat[1::2])))
+
+
+def _on_quadric(row: Row, d: int, what: Callable[[], str]) -> Row:
+    """The row, if h1^2 + h2^2 - b bt = 1 exactly; else ArithmeticError,
+    naming ``what()``."""
+    q, (c, b, h1, h2) = row
+    x, y, z = _zmul(h1, h1, d), _zmul(h2, h2, d), _zmul(b, c, d)
+    res = (x[0] + y[0] - z[0] - q * q, x[1] + y[1] - z[1])
+    if res != (0, 0):
+        raise ArithmeticError(
+            f"{what()} has quadric residual ({res[0]} + {res[1]}*sqrt({d}))/{q * q}, not 0"
+        )
+    return row
+
+
+def _disk(x: Triple, y: Triple, r: Triple, d: int) -> Row:
+    """The circle of center (x, y) and radius r > 0, oriented to its
+    bounded disk: curvature 1/r, h = (x, y)/r, co-curvature
+    (x^2 + y^2 - r^2)/r."""
+    b = _inv(r, d)
+    rr = _mul(r, r, d)
+    s = _add(_add(_mul(x, x, d), _mul(y, y, d)), (-rr[0], -rr[1], rr[2]))
+    row = _row((_mul(s, b, d), b, _mul(x, b, d), _mul(y, b, d)))
+    return _on_quadric(row, d, lambda: f"the circle of center {x}, {y} and radius {r}")
+
+
+def _face(rows: Sequence[Row], d: int) -> Row:
+    """The circle orthogonal to three pairwise externally tangent circles,
+    through their tangency points, oriented to its bounded disk.
+
+    With m_k the 3 x 3 minor of the rows without column k, the covector
+    c = (m_0, -m_1, m_2, -m_3) has c.u = +-det [rows; u] = +-4 for the
+    orthogonal circle u, and the form's inverse turns it into the vector
+    w = (2 m_1, -2 m_0, m_2, -m_3) with <w, x> = c.x.  So u = +-w / 4;
+    three circles that are not pairwise externally tangent leave it off
+    the quadric, and raise ArithmeticError.
+    """
+    (q1, r1), (q2, r2), (q3, r3) = rows
+    # 2 x 2 minors of the last two rows, by pair of columns
+    m2 = {}
+    for i, j in combinations(range(4), 2):
+        x, y = _zmul(r2[i], r3[j], d), _zmul(r2[j], r3[i], d)
+        m2[i, j] = (x[0] - y[0], x[1] - y[1])
+    m = []
+    for k in range(4):
+        i, j, l = (c for c in range(4) if c != k)
+        terms = _zmul(r1[i], m2[j, l], d), _zmul(r1[j], m2[i, l], d), _zmul(r1[l], m2[i, j], d)
+        m.append(tuple(x - y + z for x, y, z in zip(*terms)))
+    w = ((2 * m[1][0], 2 * m[1][1]), (-2 * m[0][0], -2 * m[0][1]), m[2], (-m[3][0], -m[3][1]))
+
+    def what() -> str:
+        return f"the circle orthogonal to the rows {tuple(rows)}"
+
+    sign = _zsign(w[1], d)
+    if not sign:
+        raise ArithmeticError(f"{what()} is a line, with no bounded disk")
+    q = 4 * q1 * q2 * q3
+    return _on_quadric(_row([(sign * a, sign * b, q) for a, b in w]), d, what)
+
+
+def _moved(row: Row, t: Tuple[Pair, Pair], d: int) -> Row:
+    """The row translated by the integer vector t: h + b t, and
+    co-curvature + 2 h.t + b |t|^2 = co-curvature + (2 h + b t).t."""
+    q, (c, b, h1, h2) = row
+    u1, u2 = _zmul(b, t[0], d), _zmul(b, t[1], d)
+    s1 = _zmul((2 * h1[0] + u1[0], 2 * h1[1] + u1[1]), t[0], d)
+    s2 = _zmul((2 * h2[0] + u2[0], 2 * h2[1] + u2[1]), t[1], d)
+    return (q, (
+        (c[0] + s1[0] + s2[0], c[1] + s1[1] + s2[1]),
+        b,
+        (h1[0] + u1[0], h1[1] + u1[1]),
+        (h2[0] + u2[0], h2[1] + u2[1]),
+    ))
+
+
+def _circle(row: Row, d: int) -> InversiveCircle:
+    q, coords = row
+    return InversiveCircle(*(QuadExt(a, b, q, d) for a, b in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +266,16 @@ def radical_circle(circles: Sequence[InversiveCircle]) -> InversiveCircle:
 class _Family(NamedTuple):
     """A grid family as data.
 
-    Grid pairs map to exact points by ``point``.  Base circles of radius
-    one sit at the pairs ``base_at`` accepts, and each pair ``cell_at``
-    accepts anchors one cell per entry of ``shapes``: the cell center's
-    offset from the anchor's point and its side table, in grid offsets from
-    the anchor.  A plain cell gets one dual of radius ``dual_r``.
+    Grid pairs map to integer points of Z[sqrt d]^2 by ``grid``.  Base
+    circles of radius one sit at the pairs ``base_at`` accepts, and each
+    pair ``cell_at`` accepts anchors one cell per entry of ``shapes``: the
+    cell center's offset from the anchor's point and its side table, in
+    grid offsets from the anchor.  A plain cell gets one dual of radius
+    ``dual_r``.
     """
 
     d: int
-    point: Callable[[int, int], Point]
+    grid: Callable[[int, int], Tuple[Pair, Pair]]
     dual_r: QuadExt
     mid_r: QuadExt
     tiny_r: QuadExt
@@ -179,9 +286,13 @@ class _Family(NamedTuple):
     shapes: Tuple[Tuple[Point, Sides], ...]
 
 
+def _point(fam: _Family, p: IntPt) -> Point:
+    return tuple(QuadExt(a, b, 1, fam.d) for a, b in fam.grid(*p))
+
+
 # Grid circles at the even pairs (x, y); one cell centered at each odd pair.
 _SQUARE = _Family(
-    2, lambda x, y: (_q2(x), _q2(y)), _q2(1), SQ_MID_R, SQ_TINY_R, SQ_TINY_OFF, _SQ_DIR,
+    2, lambda x, y: ((x, 0), (y, 0)), _q2(1), SQ_MID_R, SQ_TINY_R, SQ_TINY_OFF, _SQ_DIR,
     base_at=lambda x, y: x % 2 == 0 and y % 2 == 0,
     cell_at=lambda x, y: x % 2 == 1 and y % 2 == 1,
     shapes=(((_q2(0), _q2(0)), _SQ_SIDES),),
@@ -193,7 +304,7 @@ _SQUARE = _Family(
 # (top vertex there, gaps S, NW, NE), their centroids 2/sqrt(3) above and
 # below it.
 _TRIANGULAR = _Family(
-    3, lambda m, n: (_q3(m), QuadExt(0, n, 1, 3)), QuadExt(0, 1, 3, 3),
+    3, lambda m, n: ((m, 0), (0, n)), QuadExt(0, 1, 3, 3),
     TRI_MID_R, TRI_TINY_R, TRI_TINY_OFF, _TRI_DIR,
     base_at=lambda m, n: (m - n) % 2 == 0,
     cell_at=lambda m, n: (m - n) % 2 == 0,
@@ -210,15 +321,32 @@ def _cells(
     """The base pairs and the cells of one motif of the lattice (v1, v2):
     anchors in sorted order, each anchor's cells in ``fam.shapes`` order,
     decorated by the rule of their shape."""
-    box = [(i, j) for i in range(-8, 16) for j in range(-8, 16)]
-    base = _reps(v1, v2, [p for p in box if fam.base_at(*p)])
-    cells: List[Cell] = []
-    for i, j in _reps(v1, v2, [p for p in box if fam.cell_at(*p)]):
-        x, y = fam.point(i, j)
-        for ((ox, oy), sides), rule in zip(fam.shapes, rules):
-            ends = [(s, (i + p[0], j + p[1]), (i + q[0], j + q[1])) for s, (p, q) in sides.items()]
-            cells.append(((x + ox, y + oy), rule(i, j), ends))
-    return base, cells
+    cells = [(p, k, rule(*p)) for p in _reps(v1, v2, fam.cell_at) for k, rule in enumerate(rules)]
+    return _reps(v1, v2, fam.base_at), cells
+
+
+# A cell shape's templates, around its anchor at the origin: its middle
+# circle, its tiny circles and its faces by side (the face circles without
+# and with that side's tiny circle), and its plain dual.
+Shape = Tuple[Row, Dict[str, Row], Dict[str, Tuple[List[Row], List[Row]]], Row]
+
+
+def _shape(fam: _Family, center: Point, sides: Sides, unit: Row) -> Shape:
+    d = fam.d
+    x, y = map(_t, center)
+    mid = _disk(x, y, _t(fam.mid_r), d)
+    off = _t(fam.tiny_off)
+    tiny, faces = {}, {}
+    for side, (p1, p2) in sides.items():
+        ux, uy = map(_t, fam.dirs[side])
+        t = _disk(_add(x, _mul(off, ux, d)), _add(y, _mul(off, uy, d)), _t(fam.tiny_r), d)
+        b1, b2 = _moved(unit, fam.grid(*p1), d), _moved(unit, fam.grid(*p2), d)
+        tiny[side] = t
+        faces[side] = (
+            [_face((b1, b2, mid), d)],
+            [_face((b1, b2, t), d), _face((b1, t, mid), d), _face((b2, t, mid), d)],
+        )
+    return mid, tiny, faces, _disk(x, y, _t(fam.dual_r), d)
 
 
 def _decorate(
@@ -226,33 +354,23 @@ def _decorate(
 ) -> Tuple[List[InversiveCircle], List[InversiveCircle]]:
     """The motif's base circles (the grid's, then each decorated cell's
     middle and tiny circles) and dual circles (a plain cell's one, or the
-    faces of a decorated cell, side by side)."""
-    one = QuadExt(1, 0, 1, fam.d)
-    motif_base = [from_center_radius(fam.point(*p), one) for p in base]
-    motif_dual: List[InversiveCircle] = []
-    for center, dirs, sides in cells:
+    faces of a decorated cell, side by side), each a template moved to its
+    anchor."""
+    d = fam.d
+    zero, one = (0, 0, 1), (1, 0, 1)
+    unit = _disk(zero, zero, one, d)
+    shapes = [_shape(fam, center, sides, unit) for center, sides in fam.shapes]
+    rows_base = [_moved(unit, fam.grid(*p), d) for p in base]
+    rows_dual = []
+    for anchor, k, dirs in cells:
+        t = fam.grid(*anchor)
+        mid, tiny, faces, plain = shapes[k]
         if dirs is None:
-            motif_dual.append(from_center_radius(center, fam.dual_r))
+            rows_dual.append(_moved(plain, t, d))
             continue
-        mid = from_center_radius(center, fam.mid_r)
-        motif_base.append(mid)
-        tiny: Dict[str, InversiveCircle] = {}
-        for dn in dirs:
-            ux, uy = fam.dirs[dn]
-            at = (center[0] + fam.tiny_off * ux, center[1] + fam.tiny_off * uy)
-            tiny[dn] = from_center_radius(at, fam.tiny_r)
-            motif_base.append(tiny[dn])
-        for side, p1, p2 in sides:
-            b1 = from_center_radius(fam.point(*p1), one)
-            b2 = from_center_radius(fam.point(*p2), one)
-            if side in tiny:
-                t = tiny[side]
-                motif_dual.append(radical_circle((b1, b2, t)))
-                motif_dual.append(radical_circle((b1, t, mid)))
-                motif_dual.append(radical_circle((b2, t, mid)))
-            else:
-                motif_dual.append(radical_circle((b1, b2, mid)))
-    return motif_base, motif_dual
+        rows_base += [_moved(x, t, d) for x in [mid] + [tiny[s] for s in dirs]]
+        rows_dual += [_moved(x, t, d) for s in faces for x in faces[s][s in dirs]]
+    return [_circle(r, d) for r in rows_base], [_circle(r, d) for r in rows_dual]
 
 
 def _axis(fam: _Family, vertical: bool) -> Point:
@@ -262,14 +380,14 @@ def _axis(fam: _Family, vertical: bool) -> Point:
 
 def _mirror(fam: _Family, point: IntPt, vertical: bool, label: str) -> SymmetryDecl:
     return SymmetryDecl(
-        "mirror", PlanarIsometry.mirror_a(fam.point(*point), _axis(fam, vertical)), {"axis": label}
+        "mirror", PlanarIsometry.mirror_a(_point(fam, point), _axis(fam, vertical)), {"axis": label}
     )
 
 
 def _glide(fam: _Family, point: IntPt, vertical: bool, shift: IntPt, label: str) -> SymmetryDecl:
     return SymmetryDecl(
         "glide",
-        PlanarIsometry.glide_a(fam.point(*point), _axis(fam, vertical), fam.point(*shift)),
+        PlanarIsometry.glide_a(_point(fam, point), _axis(fam, vertical), _point(fam, shift)),
         {"axis": label, "shift": shift},
     )
 
@@ -288,7 +406,7 @@ def _rot(fam: _Family, point: IntPt, order: int) -> SymmetryDecl:
     cos, sin = (QuadExt(*c, fam.d) for c in _TURNS[order])
     return SymmetryDecl(
         "rotation",
-        PlanarIsometry.rotation(fam.point(*point), (cos, sin)),
+        PlanarIsometry.rotation(_point(fam, point), (cos, sin)),
         {"center": point, "order": order},
     )
 
@@ -481,10 +599,10 @@ def make_wallpaper(group: str) -> Configuration:
     fam, (v1, v2), rules, extra = _GROUPS[group]
     motif_base, motif_dual = _decorate(fam, *_cells(fam, v1, v2, rules))
     syms = [
-        SymmetryDecl("translation", PlanarIsometry.translation(fam.point(*v)), {"vector": v})
+        SymmetryDecl("translation", PlanarIsometry.translation(_point(fam, v)), {"vector": v})
         for v in (v1, v2)
     ]
-    lattice = (fam.point(*v1), fam.point(*v2))
+    lattice = (_point(fam, v1), _point(fam, v2))
     return Configuration(
         f"wallpaper:{group}", fam.d, motif_base, motif_dual, lattice, syms + extra(fam)
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import math
 import re
 import weakref
@@ -43,6 +44,7 @@ from invpack.inversive import (
     inversive_product,
 )
 from invpack.lattice import LatticeOverflowError
+from invpack.render import to_json
 
 
 def key_of(c):
@@ -374,6 +376,63 @@ class TestMakeConfig:
         )
 
 
+# sha256 of to_json(make_config(name)) for every built-in configuration, as
+# the radical-center constructor of the wallpaper motifs made them
+CONFIG_SHA256 = {
+    "apollonian": "d165eb7db3e6ee92ff6123a1708f159b2520bc12bee4edee8b39fff155f07440",
+    "hexagonal": "8273d200c532c89ac64b85426ae313a2c4a6276313ec1c5c93eac90181b45c4a",
+    "square": "ad2f5c43ef91055d7685662fc8e6fcc76d12bd1805bbaffe0d6640d84c88733e",
+    "triangular": "58bdd2a4dc3f4e22480b432823319011f18d799d4d0f3bb05b73fa328c28f92d",
+    "wallpaper:p1": "0f642c9117b4e98a8ecab7e321332411bed147902e0ceacfdc32312a6f3f2162",
+    "wallpaper:p2": "4d7c04f6aea9ceebea2dd7b8cb05a6a1a70715ce616f2eba8821d18fa5751ee3",
+    "wallpaper:pm": "83da1ac615c70f5f13e9818c8e94816e892b20ab90c8a50a7d84f5e370064905",
+    "wallpaper:pg": "c4138b5facdb667ffdd9ce6b60c55217ee2e832ac7342f4a348a9ce67a7f9382",
+    "wallpaper:cm": "ea48a9bb05ad3cdca4a87124836dd8e7a1b029bd5d8a1565a5222b7e77e59284",
+    "wallpaper:pmm": "ee699c8682fc12e21e257162f701e2eb3b33cbc1c453c0eb402e5cb90ceb1e31",
+    "wallpaper:pmg": "5cbdee572112d55c707778f73ee9a83b20c233c05b8ce9095955ef8c5a2c428e",
+    "wallpaper:pgg": "c5963d03d7fbf093731c21fb5389a6d81701265255ec2606d50c33df6762f746",
+    "wallpaper:cmm": "4b6cea573cfd3d8c4452ba93eb49c04adb41806d0def551e37a438cf43c2d853",
+    "wallpaper:p4": "05b842394c3dfcd123712fbd84313ed44d327c43e5fae282c6da5f799bedd887",
+    "wallpaper:p4m": "d0a6ab3002f2216b3a707bc13e16f42508ff061ccd32fb170c97a8e1bfa8dd48",
+    "wallpaper:p4g": "edc8a2cb896591b32c05bb483673b2e526d576460ea27c79267c70b62c73494a",
+    "wallpaper:p3": "c3aca5c71be547695ab74fa146c7671c1ba142608be11307d0907bb11b0bbafa",
+    "wallpaper:p3m1": "e545e86210e0656c83dccf907bf452ef8a20380ed5114c8597ae4f9d90367a7b",
+    "wallpaper:p31m": "3b43690fc5958be37933e635e57281949b8c541264467f99bd03087d9db24601",
+    "wallpaper:p6": "49bd415c8f4f0ddaa2ae25429b580481272a542e547f4cf7b54bf46d218d7a46",
+    "wallpaper:p6m": "7b27dcac9f5788a434179d185ad218cf312861d7241b2a0b56159ce32a6fdc97",
+}
+
+
+class TestFreshConfigurations:
+    """``make_config`` does all of its work when called: each configuration
+    comes back complete and exact, with no derived state, so that a timed
+    job on a fresh configuration pays for everything it uses."""
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_document_pinned(self, name):
+        text = to_json(make_config(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == CONFIG_SHA256[name]
+
+    def test_exact_scalars_made(self, monkeypatch):
+        # 67,917 when the wallpaper faces were radical-center solves
+        made, init = [], QuadExt.__init__
+        monkeypatch.setattr(QuadExt, "__init__", lambda *a, **k: made.append(a) or init(*a, **k))
+        for name in config_names():
+            make_config(name)
+        assert len(made) <= 6000
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_fresh_and_eager(self, name):
+        cfg = make_config(name)
+        assert cfg.row_lattices == {}
+        for kind in ("base", "dual"):
+            motif = cfg.motif(kind)
+            assert type(motif) is list and motif
+            for c in motif:
+                assert type(c) is InversiveCircle
+                assert all(type(x) is QuadExt for x in c.key())
+
+
 # where a configuration's name may appear as a string in the package: the
 # constructors that give the built-in configurations their names, and the
 # curvature relations stated on particular configurations
@@ -440,11 +499,11 @@ _SURFACE_KEPT = {
     "inversive.InversiveCircle.quadric_residual": "the zero-residual invariant every circle satisfies",
     "inversive.PlanarIsometry.inverse": "the group inverse of a symmetry",
     "inversive.from_line": "the constructor of lines, the b = 0 circles of the inversive model",
+    "inversive.InversiveCircle.exact_center": "the exact center, read back from what from_center_radius takes",
+    "inversive.InversiveCircle.exact_radius": "the exact signed radius, read back from what from_center_radius takes",
     "arithmetic.CurvatureRelation.evaluate": "the exact value of a relation, what the row sweep decides",
     "render.to_svg": "the picture of a packing",
     "symmetry.verify_isometry": "the yes/no symmetry test; isometry_violation names the witness",
-    "symmetry.discover_symmetries": "the group a configuration has, found without its declarations",
-    "symmetry.DiscoveredSymmetries.signature": "the signature of the discovered group",
 }
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 

@@ -9,12 +9,16 @@ empty overlap between reflection words and configuration isometries.
 The integer-row checks are compared with the per-circle ``QuadExt``
 versions they replaced, and the motif check, the integer quotient and the
 integer signature with the window check and the complex-arithmetic
-quotient and signature they replaced, all kept here as references.
+quotient and signature they replaced, all kept here as references.  So is
+the discovery pass, which probes a grid of candidate isometries without the
+declarations.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -41,11 +45,15 @@ from invpack.inversive import (
 )
 from invpack.lattice import LatticeOverflowError
 from invpack.symmetry import (
+    Basis,
+    Linear,
     SymmetrySignature,
+    Vec,
     _linear_parts,
-    _probes,
+    _quotient,
+    _signature,
+    _violation,
     classify_wallpaper,
-    discover_symmetries,
     isometry_violation,
     quotient_isometries,
     signature_of,
@@ -308,6 +316,128 @@ class TestConjugationConsistency:
         mirrors = [d.iso for d in triangular.symmetries if d.kind == "mirror"]
         assert mirrors
         self._check(triangular, mirrors[0], Window(-3.0, -3.0, 3.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# the discovery pass: a grid of candidate rotation centers, axes and
+# sub-lattice translations, probed independently of the declarations, and
+# the group the verified probes span
+
+_FRACS = (
+    QuadExt(0),
+    QuadExt(1, 0, 4),
+    QuadExt(1, 0, 3),
+    QuadExt(1, 0, 2),
+    QuadExt(2, 0, 3),
+    QuadExt(3, 0, 4),
+)
+
+_SQRT3_HALF = QuadExt(0, 1, 2, 3)
+_ROTATION_A: Dict[int, Vec] = {
+    2: (QuadExt(-1), QuadExt(0)),
+    3: (QuadExt(-1, 0, 2), _SQRT3_HALF),
+    4: (QuadExt(0), QuadExt(1)),
+    6: (QuadExt(1, 0, 2), _SQRT3_HALF),
+}
+_MIRROR_A: Tuple[Vec, ...] = (
+    (QuadExt(1), QuadExt(0)),
+    (QuadExt(-1), QuadExt(0)),
+    (QuadExt(0), QuadExt(1)),
+    (QuadExt(0), QuadExt(-1)),
+    (QuadExt(1, 0, 2), _SQRT3_HALF),
+    (QuadExt(-1, 0, 2), _SQRT3_HALF),
+    (QuadExt(-1, 0, 2), -_SQRT3_HALF),
+    (QuadExt(1, 0, 2), -_SQRT3_HALF),
+)
+
+
+@dataclass
+class DiscoveredSymmetries:
+    """Symmetries found by probing candidate centers, axes, and
+    sub-lattice translations over a fundamental cell of ``basis``;
+    ``isometries`` holds every verified probe."""
+
+    basis: Basis
+    rotations: List[Tuple[int, Vec]] = field(default_factory=list)
+    mirrors: List[PlanarIsometry] = field(default_factory=list)
+    glides: List[PlanarIsometry] = field(default_factory=list)
+    subtranslations: List[Vec] = field(default_factory=list)
+    isometries: List[PlanarIsometry] = field(default_factory=list)
+
+    def signature(self) -> SymmetrySignature:
+        """The signature of the group the verified probes span modulo the
+        lattice, read as ``signature_of`` reads the declared one."""
+        return _signature(*_quotient(self.basis, [PlanarIsometry.identity()] + self.isometries))
+
+
+def _cell_points(cfg: Configuration) -> List[Vec]:
+    v1, v2 = cfg.lattice
+    return [
+        (x * v1[0] + y * v2[0], x * v1[1] + y * v2[1])
+        for x in _FRACS
+        for y in _FRACS
+    ]
+
+
+def _shortest_parallel(cfg: Configuration, a: Vec, matrix: Linear) -> Optional[Vec]:
+    """A shortest nonzero lattice vector the reflection z -> a*conj(z)
+    fixes, or None when the reflection does not preserve the lattice;
+    ``matrix`` converts the linear part.
+
+    The fixed vectors of A are the image of A + I; a nonzero column of it
+    divided by its content is primitive."""
+    A = matrix(a, True)
+    if A is None:
+        return None
+    col = (A[0] + 1, A[2]) if (A[0] + 1, A[2]) != (0, 0) else (A[1], A[3] + 1)
+    m, n = (x // math.gcd(*col) for x in col)
+    (ax, ay), (bx, by) = cfg.lattice
+    return (m * ax + n * bx, m * ay + n * by)
+
+
+def _probes(cfg: Configuration, matrix: Linear) -> Iterator[Tuple[str, object, PlanarIsometry]]:
+    """The candidate isometries of ``discover_symmetries`` in probe order:
+    (the ``DiscoveredSymmetries`` list it joins when it verifies, its entry
+    there, the isometry); ``matrix`` converts linear parts."""
+    points = _cell_points(cfg)
+    for order, a in _ROTATION_A.items():
+        for p in points:
+            yield "rotations", (order, p), PlanarIsometry.rotation(p, a)
+
+    probed = set()
+    for a in _MIRROR_A:
+        for p in points:
+            m = PlanarIsometry.mirror_a(p, a)
+            if m not in probed:
+                probed.add(m)
+                yield "mirrors", m, m
+        par = _shortest_parallel(cfg, a, matrix)
+        if par is None:
+            continue
+        for p in points:
+            g = PlanarIsometry.glide_a(p, a, (par[0] / 2, par[1] / 2))
+            if g not in probed:
+                probed.add(g)
+                yield "glides", g, g
+
+    for t in points[1:]:  # all but the origin
+        yield "subtranslations", t, PlanarIsometry.translation(t)
+
+
+def discover_symmetries(cfg: Configuration) -> DiscoveredSymmetries:
+    """Probe rotations, mirrors, glides, and sub-lattice translations on
+    a grid of half, third, and quarter cell points, keeping the verified
+    ones.  The grid covers every center and axis position the plane
+    groups realize, so an empty result is evidence of absence."""
+    if cfg.lattice is None:
+        raise ValueError("discovery needs a periodic configuration")
+    found = DiscoveredSymmetries(cfg.lattice)
+    matrix = _linear_parts(cfg.lattice)
+    for name, entry, iso in _probes(cfg, matrix):
+        if _violation(cfg, iso, matrix) is None:
+            getattr(found, name).append(entry)
+            found.isometries.append(iso)
+    return found
 
 
 def discovery_cross_check(cfg):

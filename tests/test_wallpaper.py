@@ -1,4 +1,9 @@
-"""Cell-refined configurations for the seventeen plane symmetry groups."""
+"""Cell-refined configurations for the seventeen plane symmetry groups.
+
+The closed-form face circles are compared with the radical-center solve
+they replaced, and the motifs with a reference builder on that solve, both
+kept here as references.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from test_exact import field_sqrt
 
 from invpack import wallpaper
 from invpack.configs import (
@@ -27,7 +33,6 @@ from invpack.wallpaper import (
     TRI_TINY_OFF,
     TRI_TINY_R,
     make_wallpaper,
-    radical_circle,
 )
 
 SQUARE_GROUPS = ("p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg",
@@ -50,6 +55,51 @@ def q2(a, b=0, q=1):
 
 def q3(a, b=0, q=1):
     return QuadExt(a, b, q, 3)
+
+
+def radical_circle(circles):
+    """Circle orthogonal to three pairwise tangent circles, through their
+    tangency points, by a radical-center solve.  Exact; raises if the
+    radius leaves the field."""
+    if len(circles) != 3:
+        raise ValueError("need exactly three circles")
+    ps = [c.exact_center() for c in circles]
+    rs = [c.exact_radius() for c in circles]
+    ks = [p[0] * p[0] + p[1] * p[1] - r * r for p, r in zip(ps, rs)]
+    a1x, a1y = 2 * (ps[1][0] - ps[0][0]), 2 * (ps[1][1] - ps[0][1])
+    a2x, a2y = 2 * (ps[2][0] - ps[0][0]), 2 * (ps[2][1] - ps[0][1])
+    b1, b2 = ks[1] - ks[0], ks[2] - ks[0]
+    det = a1x * a2y - a1y * a2x
+    px = (b1 * a2y - b2 * a1y) / det
+    py = (a1x * b2 - a2x * b1) / det
+    rr2 = (px - ps[0][0]) ** 2 + (py - ps[0][1]) ** 2 - rs[0] * rs[0]
+    if isinstance(rr2, QuadExt):
+        rr = field_sqrt(rr2)
+        if rr is None:
+            raise ArithmeticError(f"radical radius^2 {rr2} is not a square")
+    else:
+        rr = math.sqrt(rr2)
+    out = from_center_radius((px, py), rr)
+    for c in circles:
+        prod = inversive_product(out, c)
+        if isinstance(prod, QuadExt):
+            if prod != 0:
+                raise ArithmeticError("radical circle not orthogonal to input")
+        elif abs(prod) > 1e-9:
+            raise ArithmeticError("radical circle not orthogonal to input")
+    return out
+
+
+def _row_of(c):
+    """An exact circle as the closed form's row: its coordinates over
+    their least common denominator."""
+    q = math.lcm(*(x.q for x in c.key()))
+    return (q, tuple((x.a * (q // x.q), x.b * (q // x.q)) for x in c.key()))
+
+
+def closed_form(circles):
+    d = max(x.d for c in circles for x in c.key())
+    return wallpaper._circle(wallpaper._face([_row_of(c) for c in circles], d), d)
 
 
 class TestGapFillers:
@@ -208,7 +258,7 @@ def _ref_config(group, fam, point, v1, v2, motif_base, motif_dual, extra):
     return Configuration(f"wallpaper:{group}", fam.d, motif_base, motif_dual, lattice, syms)
 
 
-def _ref_square_family(group):
+def _ref_square_family(group, face):
     fam, (v1, v2), (rule,), extra = wallpaper._GROUPS[group]
     box = [(x, y) for x in range(-8, 16) for y in range(-8, 16)]
     base_pts = _ref_reps(v1, v2, [p for p in box if p[0] % 2 == 0 and p[1] % 2 == 0])
@@ -236,15 +286,15 @@ def _ref_square_family(group):
             b2 = from_center_radius(_sq_point(cx + dx2, cy + dy2), one)
             if side in tiny:
                 t = tiny[side]
-                motif_dual.append(radical_circle((b1, b2, t)))
-                motif_dual.append(radical_circle((b1, t, mid)))
-                motif_dual.append(radical_circle((b2, t, mid)))
+                motif_dual.append(face((b1, b2, t)))
+                motif_dual.append(face((b1, t, mid)))
+                motif_dual.append(face((b2, t, mid)))
             else:
-                motif_dual.append(radical_circle((b1, b2, mid)))
+                motif_dual.append(face((b1, b2, mid)))
     return _ref_config(group, fam, _sq_point, v1, v2, motif_base, motif_dual, extra)
 
 
-def _ref_triangular_family(group):
+def _ref_triangular_family(group, face):
     fam, (v1, v2), (up_rule, down_rule), extra = wallpaper._GROUPS[group]
     box = [(m, n) for m in range(-8, 16) for n in range(-8, 16) if (m - n) % 2 == 0]
     pts = _ref_reps(v1, v2, box)
@@ -277,25 +327,62 @@ def _ref_triangular_family(group):
                 b2 = from_center_radius(_tri_point(m + d2[0], n + d2[1]), one)
                 if side in tiny:
                     t = tiny[side]
-                    motif_dual.append(radical_circle((b1, b2, t)))
-                    motif_dual.append(radical_circle((b1, t, mid)))
-                    motif_dual.append(radical_circle((b2, t, mid)))
+                    motif_dual.append(face((b1, b2, t)))
+                    motif_dual.append(face((b1, t, mid)))
+                    motif_dual.append(face((b2, t, mid)))
                 else:
-                    motif_dual.append(radical_circle((b1, b2, mid)))
+                    motif_dual.append(face((b1, b2, mid)))
     return _ref_config(group, fam, _tri_point, v1, v2, motif_base, motif_dual, extra)
 
 
-def _ref_wallpaper(group):
+def _ref_wallpaper(group, face=radical_circle):
+    """The group's configuration, each face circle made by ``face`` from
+    its three circles."""
     if group in ("p4m", "p6m"):
         cfg = make_config("square" if group == "p4m" else "triangular")
         cfg.name = f"wallpaper:{group}"
         return cfg
     if group in TRIANGULAR_GROUPS:
-        return _ref_triangular_family(group)
-    return _ref_square_family(group)
+        return _ref_triangular_family(group, face)
+    return _ref_square_family(group, face)
 
 
 class TestReferenceBuilder:
     @pytest.mark.parametrize("group", SQUARE_GROUPS + TRIANGULAR_GROUPS)
     def test_json_matches_reference(self, group):
         assert to_json(make_wallpaper(group)) == to_json(_ref_wallpaper(group))
+
+
+class TestClosedForm:
+    def test_matches_radical_solve_on_every_face(self):
+        # every face triple of the fifteen decorated groups, as the
+        # reference builder meets them
+        faces = []
+
+        def record(triple):
+            faces.append((triple, radical_circle(triple)))
+            return faces[-1][1]
+
+        for group in wallpaper._GROUPS:
+            _ref_wallpaper(group, record)
+        assert len(faces) == 351
+        for triple, want in faces:
+            got = closed_form(triple)
+            assert got.key() == want.key()
+            assert got.curvature.sign() > 0
+
+    def test_rejects_triples_that_are_not_tangent(self):
+        a = from_center_radius((q2(0), q2(0)), q2(1))
+        b = from_center_radius((q2(0), q2(0)), q2(2))
+        c = from_center_radius((q2(3), q2(0)), q2(1))
+        far = from_center_radius((q2(0), q2(3)), q2(1))
+        # concentric: the circles orthogonal to a and b are lines
+        with pytest.raises(ArithmeticError, match="orthogonal to the rows .* is a line"):
+            closed_form((a, b, c))
+        # disjoint unit circles: a quarter cross product is off the quadric
+        with pytest.raises(ArithmeticError, match="quadric residual"):
+            closed_form((a, c, far))
+
+    def test_template_off_the_quadric_rejected(self):
+        with pytest.raises(ArithmeticError, match="probe has quadric residual"):
+            wallpaper._on_quadric((1, ((0, 0), (1, 0), (0, 0), (0, 0))), 2, lambda: "probe")
