@@ -8,6 +8,10 @@ algebraic integer of the configuration's field Q(sqrt d), as in the
 integral packings of Kontorovich and Nakamura (*Geometry and arithmetic of
 crystallographic sphere packings*, PNAS 2019).
 
+Relations are derived from their instance circles by ``relation_of``, and
+a relation applies wherever its instance lies: a sweep checks that each
+instance circle is a circle of the configuration, never the name.
+
 Relation sweeps enumerate every reduced word up to a length bound over
 the dual mirrors meeting a window.  Orbit states are int64 rows of the
 configuration's integer lattice, moved along the reduced words of
@@ -20,16 +24,17 @@ proven error bound smaller than 2^63.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _catalog_rows, _row_lattice, make_config
+from .configs import Configuration, Window, _catalog_rows, _locate, _row_lattice, make_config
 from .engine import Packing
-from .exact import Scalar, reduce_terms
-from .inversive import InversiveCircle, PairClass, classify_pair
-from .lattice import Mirrors, as_floats
+from .exact import QuadExt, Scalar, reduce_terms
+from .inversive import InversiveCircle, PairClass, classify_pair, inversive_product
+from .lattice import LatticeOverflowError, Mirrors, as_floats
 
 Term = Tuple[int, Tuple[int, ...]]
 MotifEntry = Tuple[int, int, PairClass]
@@ -106,12 +111,84 @@ class CurvatureRelation:
                 )
 
 
-def _instance(cfg: Configuration, idents: Sequence[str]) -> Tuple[InversiveCircle, ...]:
-    return tuple(cfg.circle_from_id(i) for i in idents)
+def _reduced(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form of an exact matrix, and its pivot columns."""
+    m = [list(r) for r in rows]
+    pivots: List[int] = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i, f in enumerate([row[col] for row in m]):
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def relation_of(name: str, config: str, instance: Sequence[InversiveCircle]) -> CurvatureRelation:
+    """The curvature relation of the instance circles, read off their exact
+    vectors v_i = (bt, b, h1, h2).
+
+    Exactly one linear dependency sum c_i v_i = 0 gives sum c_i b_i = 0.
+    Four independent circles give sum_{i <= j} (2 - delta_ij) (G^-1)_ij
+    b_i b_j = 0, G the Gram matrix of their inversive products (Lagarias,
+    Mallows and Wilks, *Beyond the Descartes circle theorem*, 2002).
+    Proof: with W the matrix whose rows are the v_i and Q the inversive
+    form, G = W Q W^T and b = W e_b, so b^T G^-1 b = e_b^T Q^-1 e_b = 0,
+    because Q^-1 has a zero (b, b) entry.  A reflection is linear and
+    preserves Q, so it keeps G and every linear dependency: the relation
+    holds on every image of the instance, in any configuration that holds
+    the instance.
+
+    Coefficients are primitive integers, positive on the term with the
+    largest exponent vector; terms run by exponent vector, descending, and
+    the motif is the ``classify_pair`` class of every pair i < j.  Any
+    other instance raises ValueError naming the relation: fewer than four
+    independent circles, two or more dependencies, a coefficient outside
+    Q, or a circle that is not exact.
+    """
+    n = len(instance)
+    if not n or not all(c.is_exact for c in instance):
+        raise ValueError(f"relation {name} needs exact instance circles")
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    ech, pivots = _reduced([list(col) for col in zip(*(c.key() for c in instance))])
+    free = [k for k in range(n) if k not in pivots]
+    if len(free) == 1:
+        coeff = [QuadExt(int(k in free)) for k in range(n)]
+        for row, p in zip(ech, pivots):
+            coeff[p] = -row[free[0]]
+        found = [(c, unit[k]) for k, c in enumerate(coeff)]
+    elif n == 4 and not free:
+        gram = [[inversive_product(u, v) for v in instance] + list(unit[i])
+                for i, u in enumerate(instance)]
+        inv = [row[n:] for row in _reduced(gram)[0]]
+        found = [((2 - (i == j)) * inv[i][j], tuple(a + b for a, b in zip(unit[i], unit[j])))
+                 for i in range(n) for j in range(i, n)]
+    else:
+        raise ValueError(
+            f"relation {name}: {n} circles with {len(free)} linear dependencies; "
+            "a relation needs exactly one, or four independent circles"
+        )
+    found = sorted(((c, e) for c, e in found if c), key=lambda t: t[1], reverse=True)
+    ratios = [c / found[0][0] for c, _ in found]
+    if any(r.b for r in ratios):
+        raise ValueError(f"relation {name}: a coefficient lies outside Q")
+    den = math.lcm(*(r.q for r in ratios))
+    nums = [r.a * (den // r.q) for r in ratios]
+    g = math.gcd(*nums)
+    terms = tuple((x // g, e) for x, (_, e) in zip(nums, found))
+    motif = tuple((i, j, classify_pair(u, v)) for i, u in enumerate(instance)
+                  for j, v in enumerate(instance) if i < j)
+    return CurvatureRelation(name, n, terms, motif, config, tuple(instance))
 
 
 def builtin_relations() -> List[CurvatureRelation]:
-    """The six stock curvature relations with their canonical instances.
+    """The six stock curvature relations, each derived by ``relation_of``
+    from its canonical instance.
 
     Three live in the square configuration (a quadratic on a tangent
     4-chain and two linear relations, on a plus of four circles around
@@ -119,92 +196,17 @@ def builtin_relations() -> List[CurvatureRelation]:
     (quadratics on a tangent rhombus and on a 3-star, and a linear
     relation on a staircase strip).
     """
-    t, d = PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS
-    sq = make_config("square")
-    tri = make_config("triangular")
-    return [
-        # (b1-3b2)^2 + (b4-3b3)^2 - 2(b1+b2)(b3+b4)
-        CurvatureRelation(
-            name="square-chain-quadratic",
-            arity=4,
-            terms=(
-                (1, (2, 0, 0, 0)), (-6, (1, 1, 0, 0)), (9, (0, 2, 0, 0)),
-                (9, (0, 0, 2, 0)), (-6, (0, 0, 1, 1)), (1, (0, 0, 0, 2)),
-                (-2, (1, 0, 1, 0)), (-2, (1, 0, 0, 1)),
-                (-2, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
-            ),
-            motif=((0, 1, t), (1, 2, t), (2, 3, t), (0, 2, d), (1, 3, d), (0, 3, d)),
-            config="square",
-            instance=_instance(sq, ["b0@-1,0", "b0@0,0", "b0@0,-1", "b0@1,-1"]),
-        ),
-        # b1 - b2 + b3 - b4 on the arms of a plus, b5 the center
-        CurvatureRelation(
-            name="square-plus-linear",
-            arity=5,
-            terms=(
-                (1, (1, 0, 0, 0, 0)), (-1, (0, 1, 0, 0, 0)),
-                (1, (0, 0, 1, 0, 0)), (-1, (0, 0, 0, 1, 0)),
-            ),
-            motif=(
-                (0, 4, t), (1, 4, t), (2, 4, t), (3, 4, t),
-                (0, 1, d), (1, 2, d), (2, 3, d), (0, 3, d), (0, 2, d), (1, 3, d),
-            ),
-            config="square",
-            instance=_instance(sq, ["b0@-1,0", "b0@0,1", "b0@1,0", "b0@0,-1", "b0@0,0"]),
-        ),
-        # b1 - b2 + b3 - b4 around a tangent 2x2 block
-        CurvatureRelation(
-            name="square-block-linear",
-            arity=4,
-            terms=(
-                (1, (1, 0, 0, 0)), (-1, (0, 1, 0, 0)),
-                (1, (0, 0, 1, 0)), (-1, (0, 0, 0, 1)),
-            ),
-            motif=((0, 1, t), (1, 2, t), (2, 3, t), (0, 3, t), (0, 2, d), (1, 3, d)),
-            config="square",
-            instance=_instance(sq, ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"]),
-        ),
-        # (3b1-b2+3b3-b4)^2 - 12 b1 b3 - 4 b2 b4
-        CurvatureRelation(
-            name="triangular-rhombus-quadratic",
-            arity=4,
-            terms=(
-                (9, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (9, (0, 0, 2, 0)),
-                (1, (0, 0, 0, 2)), (-6, (1, 1, 0, 0)), (6, (1, 0, 1, 0)),
-                (-6, (1, 0, 0, 1)), (-6, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
-                (-6, (0, 0, 1, 1)),
-            ),
-            motif=((0, 1, t), (0, 2, t), (0, 3, t), (1, 2, t), (2, 3, t), (1, 3, d)),
-            config="triangular",
-            instance=_instance(tri, ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"]),
-        ),
-        # 2b1^2+2b2^2+2b3^2+10b4^2 - (b1+b2+b3+b4)^2, b4 the star center
-        CurvatureRelation(
-            name="triangular-star-quadratic",
-            arity=4,
-            terms=(
-                (1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 0, 2, 0)),
-                (9, (0, 0, 0, 2)), (-2, (1, 1, 0, 0)), (-2, (1, 0, 1, 0)),
-                (-2, (1, 0, 0, 1)), (-2, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
-                (-2, (0, 0, 1, 1)),
-            ),
-            motif=((0, 3, t), (1, 3, t), (2, 3, t), (0, 1, d), (0, 2, d), (1, 2, d)),
-            config="triangular",
-            instance=_instance(tri, ["b0@-1,0", "b0@0,1", "b0@1,-1", "b0@0,0"]),
-        ),
-        # 2b1 - 2b2 + b3 - b4 on a staircase strip
-        CurvatureRelation(
-            name="triangular-strip-linear",
-            arity=4,
-            terms=(
-                (2, (1, 0, 0, 0)), (-2, (0, 1, 0, 0)),
-                (1, (0, 0, 1, 0)), (-1, (0, 0, 0, 1)),
-            ),
-            motif=((0, 1, t), (0, 3, t), (1, 2, t), (0, 2, d), (1, 3, d), (2, 3, d)),
-            config="triangular",
-            instance=_instance(tri, ["b0@0,0", "b0@1,0", "b0@2,-1", "b0@0,-1"]),
-        ),
+    stated = [
+        ("square-chain-quadratic", "square", ["b0@-1,0", "b0@0,0", "b0@0,-1", "b0@1,-1"]),
+        ("square-plus-linear", "square", ["b0@-1,0", "b0@0,1", "b0@1,0", "b0@0,-1", "b0@0,0"]),
+        ("square-block-linear", "square", ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"]),
+        ("triangular-rhombus-quadratic", "triangular", ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"]),
+        ("triangular-star-quadratic", "triangular", ["b0@-1,0", "b0@0,1", "b0@1,-1", "b0@0,0"]),
+        ("triangular-strip-linear", "triangular", ["b0@0,0", "b0@1,0", "b0@2,-1", "b0@0,-1"]),
     ]
+    cfgs = {label: make_config(label) for label in dict.fromkeys(s[1] for s in stated)}
+    return [relation_of(name, label, [cfgs[label].circle_from_id(i) for i in ids])
+            for name, label, ids in stated]
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +274,42 @@ def sweep_relation_words(
     LatticeOverflowError, naming the mirror, where a coordinate could leave
     int64, and the last level forms the curvature entry of its images
     only.  Every relation is decided exactly on every word by
-    ``_vanishing``.
+    ``_vanishing``.  A relation applies wherever its instance lies: each
+    instance circle must be a base circle of ``cfg``, found by one
+    ``configs._locate`` of the instance rows, or ValueError names the
+    relation and the first circle that is not.
     """
-    for rel in relations:
-        if rel.config != cfg.name:
-            raise ValueError(f"relation {rel.name} belongs to {rel.config!r}")
-        if not rel.instance:
-            raise ValueError(f"relation {rel.name} has no canonical instance")
     lat = _row_lattice(cfg, "packing", "base")
     (cols,) = np.nonzero(lat.basis[:, 1])
     if lat.q[1] != 1 or lat.basis[:, 5].any() or len(cols) != 1 or lat.basis[cols[0], 1] != 1:
         raise ValueError("relation sweep needs an integer-lattice configuration")
     col = int(cols[0])
+    rows: List[np.ndarray] = []
+    spans: List[slice] = []
+    for rel in relations:
+        if not rel.instance:
+            raise ValueError(f"relation {rel.name} has no canonical instance")
+        try:
+            rows.append(lat.rows_of(rel.instance))
+        except LatticeOverflowError:
+            raise
+        except (ArithmeticError, ValueError) as err:
+            raise ValueError(f"relation {rel.name}: its instance is off the base lattice") from err
+        start = spans[-1].stop if spans else 0
+        spans.append(slice(start, start + rel.arity))
+    stack = np.concatenate(rows)
+    found = _locate(cfg, lat, stack)[0]
+    if not found.all():
+        k = int(np.argmin(found))
+        rel, span = next((r, s) for r, s in zip(relations, spans) if k < s.stop)
+        raise ValueError(
+            f"relation {rel.name}: instance circle {k - span.start} is not a base circle here"
+        )
     gens = _catalog_rows(cfg, "dual", window)
     if not gens.cat:
         raise ValueError("no dual mirrors meet the window")
     mirrors = Mirrors(lat.reflections(gens.lat, gens.rows, gens.cat.idents), gens.cat.idents)
-    stack = lat.rows_of([c for rel in relations for c in rel.instance]).T
-    spans: List[slice] = []
-    for rel in relations:
-        start = sum(s.stop - s.start for s in spans)
-        spans.append(slice(start, start + rel.arity))
+    stack = stack.T
 
     ok = [True] * len(relations)
     max_curv = 0.0

@@ -234,6 +234,10 @@ class Configuration:
         lattice: Optional[Tuple[Vec, Vec]] = None,
         symmetries: Sequence[SymmetryDecl] = (),
     ) -> None:
+        for kind, motif in (("base", motif_base), ("dual", motif_dual)):
+            for i in (i for i, c in enumerate(motif) if c.is_line):
+                ident = make_id(kind, i, None if lattice is None else (0, 0))
+                raise ValueError(f"configuration {name}: {ident} is a line; configurations hold circles only")
         self.name = name
         self.d = d
         self.motif_base = list(motif_base)
@@ -366,9 +370,7 @@ class Configuration:
             [idents[i] for i in perm],
         )
 
-    def circles_in_window(
-        self, kind: str, w: Window, predicate: str = "meets", expand: float = 0.0
-    ) -> List[GeneratorCircle]:
+    def circles_in_window(self, kind: str, w: Window, predicate: str = "meets") -> List[GeneratorCircle]:
         """The circles of ``catalog`` as exact circles with their ids.
 
         Every configuration circle of the given kind meeting (or contained
@@ -379,7 +381,7 @@ class Configuration:
         tangent to the window is kept exactly when the float test on its
         exact coordinates keeps it.
         """
-        return self.catalog(kind, w, predicate, expand).circles()
+        return self.catalog(kind, w, predicate).circles()
 
     def circle_from_id(self, ident: str) -> InversiveCircle:
         """The circle with this id, from its row on the kind's translation
@@ -461,9 +463,8 @@ def _locate(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> Tuple[np.n
     moved = np.zeros((len(k), 2), dtype=np.int64)
     if cfg.lattice is not None:
         fv, mv = lat.approx(rows), lat.approx(motif)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
-            py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
+        px = fv[k, 2] / fv[k, 1] - mv[i, 2] / mv[i, 1]
+        py = fv[k, 3] / fv[k, 1] - mv[i, 3] / mv[i, 1]
         mf, nf = cfg._cell_coords(px, py)
         m, n = np.rint(mf), np.rint(nf)
         near = (np.abs(mf - m) <= 1e-6) & (np.abs(nf - n) <= 1e-6)
@@ -494,8 +495,7 @@ class _CatalogRows:
     def geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float centers x, y and radii, as ``InversiveCircle`` gives them."""
         fv = self.view
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
+        return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
 
 
 def _catalog_rows(

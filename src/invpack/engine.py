@@ -18,9 +18,10 @@ follows from its own radius: mirrors and seeds are catalogued over the
 pad of the largest motif radius, and every image is kept only over its
 own pad, so heights, unique in these modes, are never reached by a
 pruned row.  Super mode, where radii may grow, keeps the worst-case pad
-of each level.  Lines never arise in the descending modes and are
-dropped in super mode, where an orbit member through a mirror center
-inverts to one.
+of each level.  Configurations hold no lines, so every seed and mirror
+is a disk with a center and a radius.  Lines never arise in the
+descending modes and are dropped in super mode, where an orbit member
+through a mirror center inverts to one.
 
 Every mode takes heights, witness words and sources from the discovery
 chains the BFS stores: each row keeps its parent row and the mirror it was
@@ -450,13 +451,7 @@ def _exact_key(k: tuple, quotient: bool) -> tuple:
 
 
 def _motif_max_radius(cfg: Configuration, kinds: Sequence[str]) -> float:
-    r_max = 0.0
-    for kind in kinds:
-        motif = cfg.motif_base if kind == "base" else cfg.motif_dual
-        for c in motif:
-            if not c.is_line:
-                r_max = max(r_max, abs(c.radius()))
-    return r_max
+    return max((c.radius() for kind in kinds for c in cfg.motif(kind)), default=0.0)
 
 
 def _pad_schedule(src, mirror_r: float, rho: float, levels: int, descending: bool) -> list:
@@ -561,8 +556,6 @@ def _canonical_sign(rows: np.ndarray) -> np.ndarray:
 
 
 def _center_text(fv: np.ndarray) -> str:
-    if fv[1] == 0:
-        return "line"
     return f"({fv[2] / fv[1]}, {fv[3] / fv[1]})"
 
 
@@ -642,11 +635,7 @@ class _ArrayLane:
             for sel, lat in self._by_kind(mirrors.kind):
                 self.float_mats[sel] = lat.float_reflections(ints[sel, : lat.width])
         b = mv[:, 1]
-        self.mirror_circle = np.abs(b) > 1e-9
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.mirror_cx = mv[:, 2] / b
-            self.mirror_cy = mv[:, 3] / b
-            self.mirror_r = np.abs(1.0 / b)
+        self.mirror_cx, self.mirror_cy, self.mirror_r = mv[:, 2] / b, mv[:, 3] / b, np.abs(1.0 / b)
 
         # Seeds: those under the radius floor start no chain, since every
         # ancestor of a kept row is larger than it.
@@ -654,9 +643,7 @@ class _ArrayLane:
         ints = self._catalog_ints(seeds)
         sv = self._view(ints, seeds.kind, view)
         seed_rows = ints if exact else sv
-        sb = sv[:, 1]
-        with np.errstate(divide="ignore"):
-            root = (np.abs(sb) <= 1e-9) | (np.abs(1.0 / sb) >= limits.min_radius)
+        root = np.abs(1.0 / sv[:, 1]) >= limits.min_radius
         batch = []
         for k in self.kinds:
             sel = np.nonzero(root & (seeds.kind == k))[0]
@@ -816,9 +803,7 @@ class _ArrayLane:
         if self.mode == "super":
             return np.arange(len(self.mirrors))
         rad = self.mirror_r * (1.0 + 1e-6) + 1e-9
-        with np.errstate(invalid="ignore"):
-            live = self._gap2(self.mirror_cx, self.mirror_cy, self.pads[level]) <= rad * rad
-        return np.nonzero(live | ~self.mirror_circle)[0]
+        return np.nonzero(self._gap2(self.mirror_cx, self.mirror_cy, self.pads[level]) <= rad * rad)[0]
 
     def _pairs(self, fv: np.ndarray, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(row, mirror) pairs of a frontier that can give an image of
@@ -830,35 +815,27 @@ class _ArrayLane:
         live radius, in quarter octaves, and each bucket is joined to the
         mirror centers on a grid of its largest reach, which keeps the
         3 x 3 cell blocks of the join tight; each pair is then held to the
-        bound at its own mirror's radius, with 1e-6 slack.  Line rows and
-        line mirrors pair with everything.
+        bound at its own mirror's radius, with 1e-6 slack.
         """
         floor = self.limits.min_radius * (1.0 - 1e-6)
         b = fv[:, 1]
-        circle = np.abs(b) > 1e-9
-        rows = np.nonzero(circle)[0]
-        r = np.abs(1.0 / b[rows])
-        cx, cy = fv[rows, 2] / b[rows], fv[rows, 3] / b[rows]
-        disks = live[self.mirror_circle[live]]
-        line_mirrors = live[~self.mirror_circle[live]]
-        ri, mi = [], []
-        if len(rows) and len(disks):
-            r_max = float(self.mirror_r[disks].max())
+        r = np.abs(1.0 / b)
+        cx, cy = fv[:, 2] / b, fv[:, 3] / b
+        ri, mi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        if len(fv) and len(live):
+            r_max = float(self.mirror_r[live].max())
             reach = np.sqrt(r_max * r_max * r / floor + r * r) * (1.0 + 1e-6)
-            centers = np.column_stack([self.mirror_cx[disks], self.mirror_cy[disks]])
+            centers = np.column_stack([self.mirror_cx[live], self.mirror_cy[live]])
             scale = np.ceil(4.0 * np.log2(reach))
             for e in np.unique(scale):
                 sel = np.nonzero(scale == e)[0]
                 a, m = _box_pairs(np.column_stack([cx[sel], cy[sel]]), centers, reach[sel].max())
-                i, j = sel[a], disks[m]
+                i, j = sel[a], live[m]
                 d2 = (cx[i] - self.mirror_cx[j]) ** 2 + (cy[i] - self.mirror_cy[j]) ** 2
                 rr = self.mirror_r[j]
                 near = d2 <= (rr * rr * r[i] / floor + r[i] * r[i]) * (1.0 + 1e-6)
-                ri.append(rows[i[near]])
+                ri.append(i[near])
                 mi.append(j[near])
-        line_rows = np.nonzero(~circle)[0]
-        ri += [np.repeat(line_rows, len(live)), np.tile(rows, len(line_mirrors))]
-        mi += [np.tile(live, len(line_rows)), np.repeat(line_mirrors, len(rows))]
         ri, mi = np.concatenate(ri), np.concatenate(mi)
         order = np.argsort(mi * len(fv) + ri)
         return ri[order], mi[order]
@@ -979,16 +956,13 @@ class _ArrayLane:
         and are confirmed on the rows: exactly on integers, with the
         tolerances of the float object peel on floats.
         """
-        elig = np.nonzero(self.mirror_circle & (self.mirror_vec[:, 1] > 0))[0]
+        elig = np.nonzero(self.mirror_vec[:, 1] > 0)[0]
         d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
         reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
         fv = self._float_view(rows, kind)
         b = fv[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
-        rows_in = np.nonzero(b > 1e-9)[0]
-        pr, pm = _box_pairs(np.column_stack([cx, cy])[rows_in], np.column_stack([d_cx, d_cy]), reach)
-        pr = rows_in[pr]
+        cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
+        pr, pm = _box_pairs(np.column_stack([cx, cy]), np.column_stack([d_cx, d_cy]), reach)
         slack = d_r[pm] - r[pr] + 1e-6
         close = (slack > 0) & ((d_cx[pm] - cx[pr]) ** 2 + (d_cy[pm] - cy[pr]) ** 2 <= slack**2)
         pr, pm = pr[close], elig[pm[close]]

@@ -155,16 +155,14 @@ def reflect(mirror: InversiveCircle, v: InversiveCircle) -> InversiveCircle:
     )
 
 
-def classify_pair(
-    v: InversiveCircle, w: InversiveCircle, eps: float = EPS
-) -> PairClass:
+def classify_pair(v: InversiveCircle, w: InversiveCircle) -> PairClass:
     if v.key() == w.key():
         return PairClass.EQUAL
     if v.key() == w.reversed().key():
         return PairClass.OPPOSITE
     p = inversive_product(v, w)
-    sp1 = scalar_sign(p + 1, eps)
-    sm1 = scalar_sign(p - 1, eps)
+    sp1 = scalar_sign(p + 1, EPS)
+    sm1 = scalar_sign(p - 1, EPS)
     if sp1 == 0:
         return PairClass.EXTERNALLY_TANGENT
     if sm1 == 0:
@@ -173,7 +171,7 @@ def classify_pair(
         return PairClass.DISJOINT_EXTERIORS
     if sm1 > 0:
         return PairClass.NESTED
-    if scalar_sign(p, eps) == 0:
+    if scalar_sign(p, EPS) == 0:
         return PairClass.ORTHOGONAL
     return PairClass.CROSSING
 
@@ -209,9 +207,8 @@ class PlanarIsometry:
             raise ValueError("rotation part must have |a| = 1")
 
     @classmethod
-    def identity(cls, exact: bool = True) -> "PlanarIsometry":
-        one, zero = (QuadExt(1), QuadExt(0)) if exact else (1.0, 0.0)
-        return cls((one, zero), (zero, zero))
+    def identity(cls) -> "PlanarIsometry":
+        return cls((QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(0)))
 
     @classmethod
     def translation(cls, t: Tuple[Scalar, Scalar]) -> "PlanarIsometry":
@@ -229,35 +226,13 @@ class PlanarIsometry:
         return cls(a, (center[0] - ac[0], center[1] - ac[1]))
 
     @classmethod
-    def mirror(
-        cls, point: Tuple[Scalar, Scalar], direction: Tuple[Scalar, Scalar]
-    ) -> "PlanarIsometry":
-        """Reflection across the line through ``point`` along ``direction``
-        (unit vector)."""
-        a = _cmul(direction, direction)  # u^2
-        # z -> p + u^2 conj(z - p) = u^2 conj(z) + (p - u^2 conj(p))
-        ap = _cmul(a, _cconj(point))
-        return cls(a, (point[0] - ap[0], point[1] - ap[1]), conj=True)
-
-    @classmethod
-    def glide(
-        cls,
-        point: Tuple[Scalar, Scalar],
-        direction: Tuple[Scalar, Scalar],
-        shift: Tuple[Scalar, Scalar],
-    ) -> "PlanarIsometry":
-        """Mirror along (point, direction) followed by the translation
-        ``shift`` (which should be parallel to the axis)."""
-        m = cls.mirror(point, direction)
-        return cls(m.a, _cadd(m.t, shift), conj=True)
-
-    @classmethod
     def mirror_a(
         cls, point: Tuple[Scalar, Scalar], a: Tuple[Scalar, Scalar]
     ) -> "PlanarIsometry":
-        """Mirror given directly by its rotation part a = u^2 (u the unit axis
-        direction).  Useful when u itself is outside the working field, e.g.
-        the diagonal axis with a = i."""
+        """Reflection across the line through ``point`` along the unit
+        direction u, given by its rotation part a = u^2, which stays in the
+        working field where u does not (the diagonal axis, a = i)."""
+        # z -> p + u^2 conj(z - p) = u^2 conj(z) + (p - u^2 conj(p))
         ap = _cmul(a, _cconj(point))
         return cls(a, (point[0] - ap[0], point[1] - ap[1]), conj=True)
 
@@ -268,6 +243,8 @@ class PlanarIsometry:
         a: Tuple[Scalar, Scalar],
         shift: Tuple[Scalar, Scalar],
     ) -> "PlanarIsometry":
+        """``mirror_a`` followed by the translation ``shift``, parallel to
+        the axis."""
         m = cls.mirror_a(point, a)
         return cls(m.a, _cadd(m.t, shift), conj=True)
 

@@ -469,7 +469,10 @@ def _config(v: object) -> Configuration:
     motif_dual = _field(doc, "motif_dual", circles)
     lattice = _optional(doc, "lattice", lambda x: None if x is None else tuple(_items(x, vec, 2)), None)
     symmetries = _optional(doc, "symmetries", partial(_items, read=partial(_symmetry, vec=vec)), [])
-    return Configuration(name, d, motif_base, motif_dual, lattice, symmetries)
+    try:
+        return Configuration(name, d, motif_base, motif_dual, lattice, symmetries)
+    except ValueError as err:  # a line in a motif
+        raise _Invalid(str(err)) from None
 
 
 def _window(v: object) -> Window:

@@ -25,6 +25,7 @@ from invpack.arithmetic import (
     _vanishing,
     builtin_relations,
     integrality_report,
+    relation_of,
     sweep_relation_words,
 )
 from invpack.configs import Configuration, Window, config_names, make_config
@@ -154,6 +155,120 @@ def _reference_report(p, coordinates=False):
 @pytest.fixture(scope="module")
 def relations():
     return {r.name: r for r in builtin_relations()}
+
+
+_T, _D = PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS
+
+# the six stock relations as stated by hand: instance ids, terms and
+# motif; ``relation_of`` must derive the terms and motif from the instance
+# circles alone
+STATED = {
+    # (b1-3b2)^2 + (b4-3b3)^2 - 2(b1+b2)(b3+b4)
+    "square-chain-quadratic": (
+        ["b0@-1,0", "b0@0,0", "b0@0,-1", "b0@1,-1"],
+        (
+            (1, (2, 0, 0, 0)), (-6, (1, 1, 0, 0)), (9, (0, 2, 0, 0)),
+            (9, (0, 0, 2, 0)), (-6, (0, 0, 1, 1)), (1, (0, 0, 0, 2)),
+            (-2, (1, 0, 1, 0)), (-2, (1, 0, 0, 1)),
+            (-2, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
+        ),
+        ((0, 1, _T), (1, 2, _T), (2, 3, _T), (0, 2, _D), (1, 3, _D), (0, 3, _D)),
+    ),
+    # b1 - b2 + b3 - b4 on the arms of a plus, b5 the center
+    "square-plus-linear": (
+        ["b0@-1,0", "b0@0,1", "b0@1,0", "b0@0,-1", "b0@0,0"],
+        (
+            (1, (1, 0, 0, 0, 0)), (-1, (0, 1, 0, 0, 0)),
+            (1, (0, 0, 1, 0, 0)), (-1, (0, 0, 0, 1, 0)),
+        ),
+        (
+            (0, 4, _T), (1, 4, _T), (2, 4, _T), (3, 4, _T),
+            (0, 1, _D), (1, 2, _D), (2, 3, _D), (0, 3, _D), (0, 2, _D), (1, 3, _D),
+        ),
+    ),
+    # b1 - b2 + b3 - b4 around a tangent 2x2 block
+    "square-block-linear": (
+        ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"],
+        ((1, (1, 0, 0, 0)), (-1, (0, 1, 0, 0)), (1, (0, 0, 1, 0)), (-1, (0, 0, 0, 1))),
+        ((0, 1, _T), (1, 2, _T), (2, 3, _T), (0, 3, _T), (0, 2, _D), (1, 3, _D)),
+    ),
+    # (3b1-b2+3b3-b4)^2 - 12 b1 b3 - 4 b2 b4
+    "triangular-rhombus-quadratic": (
+        ["b0@0,0", "b0@1,0", "b0@1,-1", "b0@0,-1"],
+        (
+            (9, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (9, (0, 0, 2, 0)),
+            (1, (0, 0, 0, 2)), (-6, (1, 1, 0, 0)), (6, (1, 0, 1, 0)),
+            (-6, (1, 0, 0, 1)), (-6, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
+            (-6, (0, 0, 1, 1)),
+        ),
+        ((0, 1, _T), (0, 2, _T), (0, 3, _T), (1, 2, _T), (2, 3, _T), (1, 3, _D)),
+    ),
+    # 2b1^2+2b2^2+2b3^2+10b4^2 - (b1+b2+b3+b4)^2, b4 the star center
+    "triangular-star-quadratic": (
+        ["b0@-1,0", "b0@0,1", "b0@1,-1", "b0@0,0"],
+        (
+            (1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 0, 2, 0)),
+            (9, (0, 0, 0, 2)), (-2, (1, 1, 0, 0)), (-2, (1, 0, 1, 0)),
+            (-2, (1, 0, 0, 1)), (-2, (0, 1, 1, 0)), (-2, (0, 1, 0, 1)),
+            (-2, (0, 0, 1, 1)),
+        ),
+        ((0, 3, _T), (1, 3, _T), (2, 3, _T), (0, 1, _D), (0, 2, _D), (1, 2, _D)),
+    ),
+    # 2b1 - 2b2 + b3 - b4 on a staircase strip
+    "triangular-strip-linear": (
+        ["b0@0,0", "b0@1,0", "b0@2,-1", "b0@0,-1"],
+        ((2, (1, 0, 0, 0)), (-2, (0, 1, 0, 0)), (1, (0, 0, 1, 0)), (-1, (0, 0, 0, 1))),
+        ((0, 1, _T), (0, 3, _T), (1, 2, _T), (0, 2, _D), (1, 3, _D), (2, 3, _D)),
+    ),
+}
+
+
+class TestRelationOf:
+    """``relation_of`` derives each stock relation from its instance."""
+
+    @pytest.mark.parametrize("name", sorted(STATED))
+    def test_derived_equals_stated(self, name, relations):
+        rel = relations[name]
+        _, terms, motif = STATED[name]
+        assert set(rel.terms) == set(terms) and len(rel.terms) == len(terms)
+        assert set(rel.motif) == set(motif) and len(rel.motif) == len(motif)
+        assert rel.arity == len(rel.instance)
+
+    def test_builtins_keep_their_labels_and_instances(self, relations):
+        assert list(relations) == list(STATED)
+        for rel in relations.values():
+            assert rel.config == rel.name.split("-")[0]
+            cfg = make_config(rel.config)
+            assert [cfg.contains_circle(c, "base") for c in rel.instance] == STATED[rel.name][0]
+
+    def test_normal_form(self, relations):
+        for rel in relations.values():
+            exps = [e for _, e in rel.terms]
+            assert exps == sorted(exps, reverse=True)
+            assert rel.terms[0][0] > 0
+            assert np.gcd.reduce([c for c, _ in rel.terms]) == 1
+            assert [(i, j) for i, j, _ in rel.motif] == [
+                (i, j) for i in range(rel.arity) for j in range(i + 1, rel.arity)
+            ]
+
+    @pytest.mark.parametrize("name", sorted(STATED))
+    def test_invariant_under_words(self, name, relations):
+        rel = relations[name]
+        cfg = make_config(rel.config)
+        for word in (["d0@0,0"], ["d0@1,0", "d0@0,0"], ["d0@0,-1", "d0@1,0", "d0@0,0"]):
+            image = [apply_word(cfg, word, c) for c in rel.instance]
+            derived = relation_of(name, rel.config, image)
+            assert (derived.terms, derived.motif) == (rel.terms, rel.motif)
+
+    def test_refuses_three_circles(self, relations):
+        chain = relations["square-chain-quadratic"]
+        with pytest.raises(ValueError, match="relation short: 3 circles with 0"):
+            relation_of("short", "square", chain.instance[:3])
+
+    def test_refuses_two_dependencies(self, square):
+        row = [square.circle_from_id(f"b0@{m},0") for m in range(5)]
+        with pytest.raises(ValueError, match="relation row: 5 circles with 2"):
+            relation_of("row", "square", row)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +449,22 @@ class TestSweep:
     def test_config_mismatch_rejected(self, triangular, relations):
         with pytest.raises(ValueError):
             sweep_relation_words(triangular, [relations["square-plus-linear"]])
+
+    def test_relations_apply_wherever_their_instances_lie(self, square, triangular, relations):
+        rels = [r for r in relations.values() if r.config == "square"]
+        window = Window.square(2.0)
+        got = sweep_relation_words(make_config("wallpaper:p4m"), rels, 2, window)
+        assert all(r.ok for r in got)
+        assert got == sweep_relation_words(square, rels, 2, window)
+        with pytest.raises(ValueError, match="square-chain-quadratic: its instance is off"):
+            sweep_relation_words(triangular, rels, 2, window)
+
+    def test_instance_must_be_configuration_circles(self, square, relations):
+        # the images lie on the packing lattice, but one is no base circle
+        chain = relations["square-chain-quadratic"]
+        moved = relation_of("moved", "square", [apply_word(square, ["d0@0,0"], c) for c in chain.instance])
+        with pytest.raises(ValueError, match="relation moved: instance circle 0 is not a base circle"):
+            sweep_relation_words(square, [chain, moved], 1)
 
     def test_needs_integer_lattice(self, relations):
         apo = make_config("apollonian")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import invpack
 from invpack.configs import (
+    Configuration,
     GeneratorCircle,
     TangencyGraph,
     ValidationReport,
@@ -41,6 +42,7 @@ from invpack.inversive import (
     apply_isometry,
     classify_pair,
     from_center_radius,
+    from_line,
     inversive_product,
 )
 from invpack.lattice import LatticeOverflowError
@@ -355,6 +357,17 @@ class TestMakeConfig:
         for k in (-7, 3, 10**4):
             m, n = cfg._cell_coords(k * (ax + bx), k * (ay + by))
             assert m == pytest.approx(k, rel=1e-12) and n == pytest.approx(k, rel=1e-12)
+
+    def test_lines_are_refused_by_id(self):
+        # a line (b = 0) has no center or radius: the base line of an
+        # Apollonian seed was once dropped silently from its packing, and a
+        # dual line broke the catalog of a lattice configuration
+        line = from_line((QuadExt(0), QuadExt(1)), QuadExt(-3))
+        apo, square = make_config("apollonian"), make_config("square")
+        with pytest.raises(ValueError, match="configuration apo: b4 is a line"):
+            Configuration("apo", apo.d, apo.motif_base + [line], apo.motif_dual)
+        with pytest.raises(ValueError, match="configuration sq: d1@0,0 is a line"):
+            Configuration("sq", 1, square.motif_base, square.motif_dual + [line], square.lattice)
 
     def test_corrupted_config_detected(self):
         cfg = make_config("square")

@@ -1,14 +1,14 @@
 """A tier-1 sample of the benchmark's recorded outputs.
 
-Every job of the ``certify`` and ``atlas`` workloads at window offset
-(0, 0) runs as the benchmark runs it and is checked by
+Every job of the ``certify``, ``atlas`` and ``lattice_deep`` workloads at
+window offset (0, 0) runs as the benchmark runs it and is checked by
 ``workloads.check_output`` against its count and sha256 in
 ``perfbench/expected.json``.  ``certify`` gives the relation sweeps, whose
 instances come from ``Configuration.circle_from_id``, wallpaper
 classification, validation, trivial intersection and the integrality
 packing; ``atlas`` gives every built-in and wallpaper cell on both lanes,
-exact and float.  ``tools/check_expected.py`` checks every job of every
-workload.
+exact and float; ``lattice_deep`` gives the four deep cells, exact and
+float.  ``tools/check_expected.py`` checks every job of every workload.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ def _workloads():
 
 
 workloads = _workloads()
-CERTIFY, ATLAS = ({job.key: job for job in workloads.universe(workload)
-                   if getattr(job, "offset", (0, 0)) == (0, 0)}
-                  for workload in ("certify", "atlas"))
-JOBS = {**CERTIFY, **ATLAS}
+CERTIFY, ATLAS, DEEP = ({job.key: job for job in workloads.universe(workload)
+                         if getattr(job, "offset", (0, 0)) == (0, 0)}
+                        for workload in ("certify", "atlas", "lattice_deep"))
+JOBS = {**CERTIFY, **ATLAS, **DEEP}
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,11 @@ def test_sample_covers_every_certify_check():
 def test_sample_covers_every_atlas_cell():
     assert {job.cell for job in workloads.universe("atlas")} == {job.cell for job in ATLAS.values()}
     assert {job.exact for job in ATLAS.values()} == {True, False}
+
+
+def test_sample_covers_every_deep_cell():
+    assert {job.cell for job in workloads.universe("lattice_deep")} == {job.cell for job in DEEP.values()}
+    assert len(DEEP) == 4 and {job.exact for job in DEEP.values()} == {True, False}
 
 
 @pytest.mark.parametrize("key", sorted(JOBS))

@@ -304,6 +304,7 @@ MUTATIONS = {
     "long window": (_set(["limits", "window"], [-1, -1, 1, 1, 0]), "$.limits.window"),
     "short lattice vector": (_set(["config", "lattice", 1], ["0"]), "$.config.lattice[1]"),
     "short motif circle": (_set(["config", "motif_base", 0], ["1"]), "$.config.motif_base[0]"),
+    "line in motif": (_set(["config", "motif_base", 0], ["-6", "0", "0", "1"]), "$.config"),
     "kind bogus": (_set(["circles", 2, "kind"], "bogus"), "$.circles[2].kind"),
     "kind of another mode": (_relabel("dual"), "$.circles[0].kind"),
     "super kind in packing mode": (_set(["circles", 5, "kind"], "super"), "$.circles[5].kind"),
