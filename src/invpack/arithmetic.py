@@ -391,7 +391,7 @@ def integrality_report(p: Packing, coordinates: bool = False) -> IntegralityRepo
     The report reads the packing's columns and builds no circle objects.
     """
     cols = p.columns()
-    if not cols.exact.all():
+    if not cols.exact:
         raise ValueError("integrality requires an exact-mode packing")
     # one row per circle in InversiveCircle.key order: curvature is column 1
     a, b, q = (x.reshape(-1, 4) for x in reduce_terms(*cols.terms))

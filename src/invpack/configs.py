@@ -81,24 +81,14 @@ class Window:
         return (self.x0 <= cx - r) & (cx + r <= self.x1) & (self.y0 <= cy - r) & (cy + r <= self.y1)
 
     def meets_circle(self, c: InversiveCircle, expand: float = 0.0) -> bool:
-        if c.is_line:
-            return self._meets_line(c, expand)
-        (cx, cy), r = c.center(), abs(c.radius())
+        """``meets_disk`` of a circle, never a line, grown by ``expand``."""
+        (cx, cy), r = c.center(), c.radius()
         return self.meets_disk(cx, cy, r + expand)
 
     def contains_circle(self, c: InversiveCircle) -> bool:
-        if c.is_line:
-            return False
-        (cx, cy), r = c.center(), abs(c.radius())
+        """``contains_disk`` of a circle, never a line."""
+        (cx, cy), r = c.center(), c.radius()
         return self.contains_disk(cx, cy, r)
-
-    def _meets_line(self, c: InversiveCircle, expand: float) -> bool:
-        n1, n2 = as_float(c.h1), as_float(c.h2)
-        off = as_float(c.co_curvature) / 2.0
-        xs = (self.x0 - expand, self.x1 + expand)
-        ys = (self.y0 - expand, self.y1 + expand)
-        vals = [n1 * x + n2 * y - off for x in xs for y in ys]
-        return min(vals) <= 0.0 <= max(vals)
 
     def sample_grid(self, count: int) -> Iterable[Tuple[float, float]]:
         for i in range(count):
@@ -300,7 +290,8 @@ class Configuration:
 
         Lattice translates are tested together on float centers and radii:
         the motif center plus m v1 + n v2, over the ``_shift_range`` grid of
-        each motif circle.  A translate within a relative slack of 1e-9 of
+        each motif circle, or (m, n) = (0, 0) alone in a finite
+        configuration.  A translate within a relative slack of 1e-9 of
         the boundary is a tie, decided by ``Window`` on the float view of
         its row, with the floats and formula of the per-circle test on the
         exact translate that every circle went through before; the slack
@@ -310,24 +301,19 @@ class Configuration:
         if predicate not in ("meets", "inside"):
             raise ValueError(f"unknown predicate {predicate!r}")
         motif = self.motif(kind)
+        geo = np.array([(*c.center(), c.radius()) for c in motif]).reshape(-1, 3)
         if self.lattice is None:
-            keep = [w.meets_circle(c, expand) if predicate == "meets" else w.contains_circle(c)
-                    for c in motif]
-            index = np.flatnonzero(keep).astype(np.int64)
-            shift = np.zeros((len(index), 2), dtype=np.int64)
-            idents = [make_id(kind, i, None) for i in index.tolist()]
-            return Catalog(self, np.full(len(index), kind), index, shift, idents)
-
-        geo = np.array([(*c.center(), abs(c.radius())) for c in motif]).reshape(-1, 3)
-        m_lo, m_hi, n_lo, n_hi = self._shift_range((geo[:, 0], geo[:, 1]), geo[:, 2], w, expand)
-        n_count = n_hi - n_lo + 1
-        count = (m_hi - m_lo + 1) * n_count
-        index = np.repeat(np.arange(len(motif), dtype=np.int64), count)
-        k = np.arange(len(index)) - np.repeat(np.cumsum(count) - count, count)
-        m = m_lo[index] + k // n_count[index]
-        n = n_lo[index] + k % n_count[index]
-
-        (ax, ay), (bx, by) = self._lattice_float
+            index = np.arange(len(motif), dtype=np.int64)
+            m = n = np.zeros(len(motif), dtype=np.int64)
+        else:
+            m_lo, m_hi, n_lo, n_hi = self._shift_range((geo[:, 0], geo[:, 1]), geo[:, 2], w, expand)
+            n_count = n_hi - n_lo + 1
+            count = (m_hi - m_lo + 1) * n_count
+            index = np.repeat(np.arange(len(motif), dtype=np.int64), count)
+            k = np.arange(len(index)) - np.repeat(np.cumsum(count) - count, count)
+            m = m_lo[index] + k // n_count[index]
+            n = n_lo[index] + k % n_count[index]
+        (ax, ay), (bx, by) = self._lattice_float or ((0.0, 0.0), (0.0, 0.0))
         x, y, r = geo[index, 0], geo[index, 1], geo[index, 2]
         cx = x + m * ax + n * bx
         cy = y + m * ay + n * by
@@ -345,43 +331,37 @@ class Configuration:
             1.0 + reach + r + np.abs(x) + np.abs(y)
             + np.abs(m) * (abs(ax) + abs(ay)) + np.abs(n) * (abs(bx) + abs(by))
         )
+        shift = np.column_stack([m, n])
+
+        def ids(at: np.ndarray) -> List[str]:
+            return [make_id(kind, i, None if self.lattice is None else s)
+                    for i, s in zip(index[at].tolist(), shift[at].tolist())]
+
         kept = margin > slack
         tie = np.flatnonzero(np.abs(margin) <= slack)
         if tie.size:
             lat = _row_lattice(self, None, kind)
-            shift = np.column_stack([m[tie], n[tie]])
-            idents = [make_id(kind, i, s) for i, s in zip(index[tie].tolist(), shift.tolist())]
-            b, h1, h2 = lat.as_float(lat.rows_at(index[tie], shift, idents))[:, 1:].T
+            b, h1, h2 = lat.as_float(lat.rows_at(index[tie], shift[tie], ids(tie)))[:, 1:].T
             tx, ty, tr = h1 / b, h2 / b, np.abs(1.0 / b)
             kept[tie] = (w.meets_disk(tx, ty, tr + expand) if predicate == "meets"
                          else w.contains_disk(tx, ty, tr))
         sel = np.nonzero(kept)[0]
-        idents = [
-            make_id(kind, i, shift)
-            for i, shift in zip(index[sel].tolist(), zip(m[sel].tolist(), n[sel].tolist()))
-        ]
+        idents = ids(sel)
         perm = sorted(range(len(sel)), key=idents.__getitem__)
         order = sel[np.array(perm, dtype=np.intp)]
-        return Catalog(
-            self,
-            np.full(len(order), kind),
-            index[order],
-            np.column_stack([m[order], n[order]]),
-            [idents[i] for i in perm],
-        )
+        return Catalog(self, np.full(len(order), kind), index[order], shift[order], [idents[i] for i in perm])
 
-    def circles_in_window(self, kind: str, w: Window, predicate: str = "meets") -> List[GeneratorCircle]:
+    def circles_in_window(self, kind: str, w: Window) -> List[GeneratorCircle]:
         """The circles of ``catalog`` as exact circles with their ids.
 
-        Every configuration circle of the given kind meeting (or contained
-        in) the window, in id order; only the kept translates are built.
-        A translate within a relative slack of 1e-9 of the window's
-        boundary is decided by ``Window.meets_circle`` (or
-        ``Window.contains_circle``) on its exact translate, so a circle
-        tangent to the window is kept exactly when the float test on its
-        exact coordinates keeps it.
+        Every configuration circle of the given kind meeting the window, in
+        id order; only the kept translates are built.  A translate within a
+        relative slack of 1e-9 of the window's boundary is decided by
+        ``Window.meets_circle`` on its exact translate, so a circle tangent
+        to the window is kept exactly when the float test on its exact
+        coordinates keeps it.
         """
-        return self.catalog(kind, w, predicate).circles()
+        return self.catalog(kind, w).circles()
 
     def circle_from_id(self, ident: str) -> InversiveCircle:
         """The circle with this id, from its row on the kind's translation

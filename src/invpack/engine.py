@@ -62,13 +62,15 @@ rows.
 A ``Packing`` holds that output as columns (``PackedColumns``): the
 integer terms (P, R, q) of each kept row's coordinates over its lattice,
 or the float rows of a float run, with heights, words and sources in
-output order.  ``render`` writes and reads these columns directly; the
-``PackedCircle`` and ``QuadExt`` objects are built only when the packing's
-circles are asked for.
+output order: proper circles (b != 0 exactly) with finite scalars, all
+exact or all float, of the mode's kind, as every packing holds them.
+``render`` writes and reads these columns directly; the ``PackedCircle``
+and ``QuadExt`` objects are built only when the circles are asked for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -221,19 +223,19 @@ class PackedCircle:
 
 @dataclass
 class PackedColumns:
-    """Packed circles as columns, in output order.
+    """Packed circles as columns, in output order, all of one kind.
 
     The 4 n scalars, circle by circle in ``InversiveCircle.key`` order, are
-    exact where the flat mask ``exact`` is set, each (a + b sqrt d) / q of
-    the next entries of the integer columns ``terms`` = (a, b, q, d) (int64
-    or Python integers, not necessarily reduced), and otherwise the next
-    entry of ``floats``.
+    all exact (``exact``), each (a + b sqrt d) / q of the next entries of
+    the integer columns ``terms`` = (a, b, q, d) (int64 or Python integers,
+    not necessarily reduced), or all float, the entries of ``floats``.  An
+    empty packing counts as exact.
     """
 
-    exact: np.ndarray
+    exact: bool
     terms: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     floats: np.ndarray
-    kinds: List[str]
+    kind: str
     heights: List[int]
     words: List[Tuple[str, ...]]
     sources: List[str]
@@ -243,15 +245,31 @@ class PackedColumns:
 
     @classmethod
     def of(cls, circles: Sequence[PackedCircle]) -> "PackedColumns":
-        """Columns of packed circle objects."""
+        """Columns of packed circle objects of circle 0's kind and lane,
+        each a proper circle with finite scalars; ValueError naming the
+        first circle that breaks this."""
+        exact = not circles or circles[0].circle.is_exact
+        kind = circles[0].kind if circles else _CIRCLE_KIND["packing"]
+        for i, pc in enumerate(circles):
+            key = pc.circle.key()
+            if pc.kind != kind:
+                why = f"is {pc.kind!r}, circle 0 {kind!r}"
+            elif any(isinstance(x, QuadExt) != exact for x in key):
+                why = f"mixes lanes: the first curvature is {'exact' if exact else 'float'}"
+            elif not exact and not all(math.isfinite(x) for x in key):
+                why = "has a non-finite scalar"
+            elif not key[1]:
+                why = "is a line"
+            else:
+                continue
+            raise ValueError(f"packed circle {i} {why}; a packing holds proper circles of one kind and lane")
         scalars = [x for pc in circles for x in pc.circle.key()]
-        exact = np.array([isinstance(x, QuadExt) for x in scalars], dtype=bool)
-        terms = [(x.a, x.b, x.q, x.d) for x in scalars if isinstance(x, QuadExt)]
+        terms = [(x.a, x.b, x.q, x.d) for x in scalars] if exact else []
         return cls(
             exact,
             tuple(map(int_array, zip(*terms))) if terms else _NO_TERMS,
-            np.array([float(x) for x in scalars if not isinstance(x, QuadExt)], dtype=np.float64),
-            [pc.kind for pc in circles],
+            np.array([] if exact else scalars, dtype=np.float64),
+            kind,
             [pc.height for pc in circles],
             [pc.word for pc in circles],
             [pc.source for pc in circles],
@@ -259,17 +277,11 @@ class PackedColumns:
 
     def circles(self) -> List[PackedCircle]:
         """The packed circle objects, one ``QuadExt`` per exact scalar."""
-        exact = map(QuadExt, *(t.tolist() for t in self.terms))
-        if self.exact.all():
-            scalars = iter(exact)
-        else:
-            floats = iter(self.floats.tolist())
-            scalars = iter([next(exact) if e else next(floats) for e in self.exact.tolist()])
+        scalars = iter(map(QuadExt, *(t.tolist() for t in self.terms)) if self.exact else self.floats.tolist())
         return [
-            PackedCircle(InversiveCircle(*key), kind, height, word, source)
-            for key, kind, height, word, source in zip(
-                zip(scalars, scalars, scalars, scalars),
-                self.kinds, self.heights, self.words, self.sources,
+            PackedCircle(InversiveCircle(*key), self.kind, height, word, source)
+            for key, height, word, source in zip(
+                zip(scalars, scalars, scalars, scalars), self.heights, self.words, self.sources
             )
         ]
 
@@ -287,7 +299,9 @@ class Packing:
     iteration, ``find`` or ``height_of``.  From then on the list is the
     packing: ``len``, ``columns`` and so ``render.to_json`` read it, and
     edits to it show.  ``Packing(config, mode, limits, circles)`` starts
-    from a list.
+    from a list.  A list is checked against a packing's invariants (see the
+    module) then and whenever ``columns`` reads it, so ``to_json`` of an
+    edited list that breaks one raises ValueError naming the circle.
     """
 
     def __init__(
@@ -307,6 +321,8 @@ class Packing:
         self._circles = circles
         self._columns = columns
         self._index: Optional[_Index] = None
+        if circles is not None:
+            self.columns()
 
     @property
     def circles(self) -> List[PackedCircle]:
@@ -320,6 +336,9 @@ class Packing:
         list is built, then the list's."""
         if self._circles is None:
             return self._columns
+        kind = _CIRCLE_KIND[self.mode]
+        if self._circles and self._circles[0].kind != kind:
+            raise ValueError(f"packed circle 0 is {self._circles[0].kind!r}, not {self.mode} mode's {kind!r}")
         return PackedColumns.of(self._circles)
 
     def __len__(self) -> int:
@@ -368,8 +387,10 @@ class _Index:
     """Lookup tables of a list of packed circles; a lookup gives the first
     match in list order.
 
-    Exact coordinates key a dict, up to orientation when ``quotient``.
-    Float keys (``as_float`` of the coordinates) x and y match when
+    The circles are all exact or all float, as in a packing.  An exact
+    query on exact circles is looked up in a dict of their coordinates, up
+    to orientation when ``quotient``, and every other query among the float
+    keys (``as_float`` of the coordinates): x and y match when
     |x - y|_inf <= _RTOL max(|x|_inf, |y|_inf).  Every circle has
     |x|_inf >= 1/sqrt(3), since h1^2 + h2^2 - b bt = 1, so the tolerance is
     never void.  The keys are sorted on x . w, and a match of y lies within
@@ -381,27 +402,22 @@ class _Index:
     def __init__(self, circles: Sequence[PackedCircle], quotient: bool) -> None:
         self.circles = tuple(circles)
         self.quotient = quotient
-        self.inexact = np.array([not pc.circle.is_exact for pc in circles], dtype=bool)
+        self.exact = not circles or circles[0].circle.is_exact
         self._exact: Optional[Dict[tuple, int]] = None
         self._floats: Optional[tuple] = None
 
     def find(self, circle: InversiveCircle) -> Optional[PackedCircle]:
-        if circle.is_exact:
+        if circle.is_exact and self.exact:
             if self._exact is None:
                 self._exact = {}
                 for i, pc in enumerate(self.circles):
-                    if pc.circle.is_exact:
-                        self._exact.setdefault(_exact_key(pc.circle.key(), self.quotient), i)
+                    self._exact.setdefault(_exact_key(pc.circle.key(), self.quotient), i)
             hit = self._exact.get(_exact_key(circle.key(), self.quotient))
-            if hit is not None:
-                return self.circles[hit]
-            if not self.inexact.any():
-                return None
-        return self._near(np.array([as_float(x) for x in circle.key()]), circle.is_exact)
+            return None if hit is None else self.circles[hit]
+        return self._near(np.array([as_float(x) for x in circle.key()]))
 
-    def _near(self, key: np.ndarray, among_floats: bool) -> Optional[PackedCircle]:
-        """First circle within the tolerance of the float key ``key``; only
-        float circles when ``among_floats``."""
+    def _near(self, key: np.ndarray) -> Optional[PackedCircle]:
+        """First circle within the tolerance of the float key ``key``."""
         if self._floats is None:
             keys = np.array([[as_float(x) for x in pc.circle.key()] for pc in self.circles],
                             dtype=np.float64).reshape(-1, 4)
@@ -415,8 +431,6 @@ class _Index:
         for k in (key, -key) if self.quotient else (key,):
             p = float(k @ _WEIGHTS)
             cand = order[np.searchsorted(proj, p - reach, "left"):np.searchsorted(proj, p + reach, "right")]
-            if among_floats:
-                cand = cand[self.inexact[cand]]
             close = np.abs(keys[cand] - k).max(axis=1, initial=0.0) <= _RTOL * np.maximum(norms[cand], size)
             hits.append(cand[close])
         found = np.concatenate(hits)
@@ -903,16 +917,13 @@ class _ArrayLane:
             keys.append(picked)
         level, key = np.concatenate(levels), np.concatenate(keys)
         order = np.lexsort((key[:, 0], key[:, 3], key[:, 2], key[:, 1], level))
-        n = len(order)
-        if self.exact:
-            cols = (np.ones(4 * n, dtype=bool),
-                    tuple(np.concatenate(t)[order].ravel() for t in zip(*terms)), np.zeros(0))
-        else:
-            cols = (np.zeros(4 * n, dtype=bool), _NO_TERMS, key[order].ravel())
+        cols = ((tuple(np.concatenate(t)[order].ravel() for t in zip(*terms)), np.zeros(0)) if self.exact
+                else (_NO_TERMS, key[order].ravel()))
         olist = order.tolist()
         return PackedColumns(
+            bool(self.exact),
             *cols,
-            [_CIRCLE_KIND[self.mode]] * n,
+            _CIRCLE_KIND[self.mode],
             level[order].tolist(),
             [tuple(words[i]) for i in olist],
             [sources[i] for i in olist],

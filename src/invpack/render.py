@@ -1,12 +1,13 @@
 """Deterministic SVG and JSON emission for configurations and packings.
 
-The SVG path is byte-reproducible: circles are filtered against the
-style window, sorted by a canonical key, and printed with nine
-significant digits in fixed notation, so the same data yields the same
-bytes whatever order the generator produced it in.  Geometry uses
-mathematical orientation (y grows upward); emission flips the sign of
-every y coordinate and mirrors the viewBox so the picture is upright in
-SVG's downward y convention.
+The SVG path is byte-reproducible: one ``<circle>`` per circle meeting
+the style window (neither a packing nor a configuration holds lines),
+sorted by a canonical key and printed with nine significant digits in
+fixed notation, so the same data yields the same bytes whatever order
+the generator produced it in.  Geometry uses mathematical orientation
+(y grows upward); emission flips the sign of every y coordinate and
+mirrors the viewBox so the picture is upright in SVG's downward y
+convention.
 
 JSON documents carry exact scalars as their canonical strings and
 floats as numbers, which makes the round trip lossless for both
@@ -14,9 +15,11 @@ arithmetic kinds.  ``from_json`` checks the fixed document shape
 directly while it builds the objects: required keys, value types, array
 lengths, a mode from ``engine.MODES`` whose circle kind every packed
 circle carries, an ordered window, a positive radius floor and a
-nonnegative height bound.  The first violation raises ValueError
-``invalid document at <json path>: <reason>``, with paths such as
-``$.circles[12].kind``.
+nonnegative height bound.  The packed circles must hold a packing's
+invariants (``engine.Packing``): every scalar finite and of the lane of
+the first, and every curvature nonzero.  The first violation raises
+ValueError ``invalid document at <json path>: <reason>``, with paths such
+as ``$.circles[12].kind`` or ``$.circles[3].circle[1]``.
 
 A packing's circle array, most of its document, goes through the
 packing's columns (``engine.PackedColumns``) both ways: ``to_json``
@@ -40,7 +43,7 @@ import numpy as np
 
 from .configs import Configuration, SymmetryDecl, Window
 from .engine import _CIRCLE_KIND, _NO_TERMS, MODES, GenerationLimits, PackedColumns, Packing
-from .exact import QuadExt, Scalar, as_float, format_terms, int_array, parse_scalar, scalar_terms
+from .exact import QuadExt, Scalar, format_terms, int_array, parse_scalar, scalar_terms
 from .inversive import InversiveCircle, PlanarIsometry
 
 __all__ = [
@@ -117,36 +120,6 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _clip_line(c: InversiveCircle, w: Window) -> Optional[Tuple[float, float, float, float]]:
-    """Segment of the line inside the window, or None when they miss.
-
-    The line is {p : p.n = s} with n = (h1, h2) and s = co_curvature/2.
-    Intersections with the four window edges are collected and the two
-    extreme ones along the line direction become the endpoints.
-    """
-    n1, n2 = as_float(c.h1), as_float(c.h2)
-    s = as_float(c.co_curvature) / 2.0
-    pts: List[Tuple[float, float]] = []
-    if abs(n2) > 1e-15:
-        for x in (w.x0, w.x1):
-            y = (s - n1 * x) / n2
-            if w.y0 - 1e-12 <= y <= w.y1 + 1e-12:
-                pts.append((x, min(max(y, w.y0), w.y1)))
-    if abs(n1) > 1e-15:
-        for y in (w.y0, w.y1):
-            x = (s - n2 * y) / n1
-            if w.x0 - 1e-12 <= x <= w.x1 + 1e-12:
-                pts.append((min(max(x, w.x0), w.x1), y))
-    if len(pts) < 2:
-        return None
-    # order along the direction (-n2, n1) and keep the extremes
-    pts.sort(key=lambda p: (-n2 * p[0] + n1 * p[1], p[0], p[1]))
-    (x1, y1), (x2, y2) = pts[0], pts[-1]
-    if x1 == x2 and y1 == y2:
-        return None
-    return (x1, y1, x2, y2)
-
-
 def _sort_key(kind: str, height: Optional[int], c: InversiveCircle):
     f = c.as_floats()
     return (
@@ -174,11 +147,7 @@ def _collect(obj: Union[Packing, Configuration], w: Window):
 
 
 def to_svg(obj: Union[Packing, Configuration], style: RenderStyle) -> str:
-    """SVG document with one element per circle meeting the window.
-
-    Proper circles become circle elements; straight lines (curvature
-    zero) become line segments clipped to the window box.
-    """
+    """SVG document with one ``<circle>`` per circle meeting the window."""
     w = style.window
     view = " ".join(_fmt(v) for v in (w.x0, -w.y1, w.x1 - w.x0, w.y1 - w.y0))
     out = [
@@ -189,17 +158,7 @@ def to_svg(obj: Union[Packing, Configuration], style: RenderStyle) -> str:
     for kind, height, c in _collect(obj, w):
         stroke = style.stroke_for(kind)
         fill = style.fill_for(kind, height)
-        if c.is_line:
-            seg = _clip_line(c, w)
-            if seg is None:
-                continue
-            x1, y1, x2, y2 = seg
-            out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(-y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(-y2)}" stroke="{stroke}"/>'
-            )
-            continue
-        (cx, cy), r = c.center(), abs(c.radius())
+        (cx, cy), r = c.center(), c.radius()
         out.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" '
             f'fill="{fill}" stroke="{stroke}"/>'
@@ -280,22 +239,14 @@ _PACKED = (
 )
 
 
-def _float_text(x: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _packing_text(p: Packing) -> str:
     head = json.dumps(_packing_head(p), indent=2, sort_keys=True)
     cols = p.columns()
     if not len(cols):
         return head + "\n"
-    texts = iter([f'"{t}"' for t in format_terms(*cols.terms)])
-    if cols.exact.all():
-        scalars = texts
-    else:
-        floats = map(_float_text, cols.floats.tolist())
-        scalars = iter([next(texts) if e else next(floats) for e in cols.exact.tolist()])
+    # a finite float as ``json.dumps`` writes it
+    scalars = iter([f'"{t}"' for t in format_terms(*cols.terms)] if cols.exact
+                   else map(float.__repr__, cols.floats.tolist()))
     strings: Dict[str, str] = {}
 
     def text(x: object) -> str:
@@ -311,11 +262,11 @@ def _packing_text(p: Packing) -> str:
         "[\n        " + ",\n        ".join(map(text, w)) + "\n      ]" if w else "[]"
         for w in cols.words
     ]
+    kind = text(cols.kind)
     body = ",\n".join([
         _PACKED % (*key, height, kind, source, word)
-        for key, height, kind, source, word in zip(
-            zip(scalars, scalars, scalars, scalars),
-            map(text, cols.heights), map(text, cols.kinds), map(text, cols.sources), words,
+        for key, height, source, word in zip(
+            zip(scalars, scalars, scalars, scalars), map(text, cols.heights), map(text, cols.sources), words,
         )
     ])
     return '{\n  "circles": [\n' + body + "\n  ]" + head[len(_HEAD_START):] + "\n"
@@ -503,31 +454,50 @@ def _limits(v: object) -> GenerationLimits:
     )
 
 
-def _scalar_columns(flat: List[object]) -> Tuple[np.ndarray, tuple, np.ndarray]:
-    """(exact mask, terms, floats) of ``PackedColumns`` for the scalars
-    ``flat`` of circles read four by four.  Each distinct string is parsed
-    once, and the terms are gathered from those of the distinct strings.
-    The first scalar ``_scalar`` refuses raises its error, with its path
-    from the circle array."""
-    exact = [type(x) is str for x in flat]
-    strings = [x for x, e in zip(flat, exact) if e]
-    numbers = [x for x, e in zip(flat, exact) if not e]
-    distinct = list(set(strings))
-    parsed = [scalar_terms(x) for x in distinct]
-    if None in parsed or not all(type(x) is float or type(x) is int for x in numbers):
-        refused = {x for x, t in zip(distinct, parsed) if t is None}
+def _packed_scalar(x: object, k: int, exact: bool) -> None:
+    """Raise ``_Invalid`` where scalar k of a circle array, whose first
+    scalar is exact (a string) or not, breaks a packing's invariants."""
+    if exact != (type(x) is str) and type(x) in (str, int, float):
+        raise _Invalid(f"{_brief(x)} is not {'a string' if exact else 'a number'}, as the first scalar is")
+    value = _scalar(x)
+    if not (isinstance(value, QuadExt) or math.isfinite(value)):
+        raise _Invalid(f"{x!r} is not finite")
+    if k % 4 == 1 and not value:
+        raise _Invalid(f"{_brief(x)} is a zero curvature; a packing holds no lines")
+
+
+def _scalar_columns(flat: List[object]) -> Tuple[bool, tuple, np.ndarray]:
+    """(exact, terms, floats) of ``PackedColumns`` for the scalars ``flat``
+    of circles read four by four, exact where the first is a string.  Each
+    distinct string is parsed once, and the terms are gathered from those
+    of the distinct strings.  The first scalar ``_packed_scalar`` refuses
+    raises its error, with its path from the circle array."""
+    exact = not flat or type(flat[0]) is str
+    terms, floats, suspect = _NO_TERMS, np.zeros(0), set()
+    if exact:
+        distinct = list({x for x in flat if type(x) is str})
+        parsed = [scalar_terms(x) for x in distinct]
+        # strings that do not parse, and zeros, which no curvature may be
+        suspect = {x for x, t in zip(distinct, parsed)
+                   if not t or not (t[0] + t[1] if t[3] == 1 else t[0] or t[1])}
+        ok = all(type(x) is str for x in flat) and None not in parsed and suspect.isdisjoint(flat[1::4])
+    else:
+        ok = all(type(x) is float or type(x) is int for x in flat)
+        if ok:
+            floats = np.array(flat, dtype=np.float64)
+            ok = np.isfinite(floats).all() and floats[1::4].all()
+    if not ok:
         for k, x in enumerate(flat):
-            if x in refused if type(x) is str else not (type(x) is float or type(x) is int):
+            if not exact or type(x) is not str or x in suspect:
                 try:
-                    _scalar(x)
+                    _packed_scalar(x, k, exact)
                 except _Invalid as err:
                     raise err.at(k % 4).at("circle").at(k // 4)
-    terms = _NO_TERMS
-    if strings:
+    if exact and flat:
         at = {x: i for i, x in enumerate(distinct)}
-        rows = np.fromiter(map(at.__getitem__, strings), dtype=np.intp, count=len(strings))
+        rows = np.fromiter(map(at.__getitem__, flat), dtype=np.intp, count=len(flat))
         terms = tuple(int_array(parsed)[rows].T)
-    return np.array(exact, dtype=bool), terms, np.array(numbers, dtype=np.float64)
+    return exact, terms, floats
 
 
 def _packed_columns(kind: str) -> Callable[[object], PackedColumns]:
@@ -580,7 +550,7 @@ def _packed_columns(kind: str) -> Callable[[object], PackedColumns]:
         exact, terms, floats = _scalar_columns(flat)
         if invalid is not None:
             raise invalid
-        return PackedColumns(exact, terms, floats, [kind] * len(heights), heights, words, sources)
+        return PackedColumns(exact, terms, floats, kind, heights, words, sources)
 
     return read
 

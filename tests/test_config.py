@@ -122,7 +122,7 @@ class TestSquareConfig:
         assert len(bases) == 25
         # dual centers on odd pairs up to (5,5); the four far corners miss
         assert len(duals) == 32
-        inside = self.cfg.circles_in_window("base", w, predicate="inside")
+        inside = self.cfg.catalog("base", w, "inside").circles()
         assert len(inside) == 9
 
     def test_known_members(self):
@@ -694,7 +694,8 @@ class TestArrayCatalog:
     @pytest.mark.parametrize(
         "name, window, kind, tangent",
         [("wallpaper:p4", Window(-1, -3, 5, 3), "dual", ("d13@-1,-1", "d13@-1,0")),
-         ("square", Window(-2, -2, 2, 2), "dual", ("d0@-2,0",))],
+         ("square", Window(-2, -2, 2, 2), "dual", ("d0@-2,0",)),
+         ("apollonian", Window(0.5, -1, 2, 1), "dual", ("d0",))],
     )
     def test_tangent_circles_decided_as_before(self, name, window, kind, tangent):
         cfg = make_config(name)

@@ -2,9 +2,11 @@
 
 Covers style validation, the frozen circle counts for the square
 configuration, canonical ordering independence from generation order,
-line clipping, the y-axis flip, nine-digit fixed-notation numbers, and
-JSON round trips for configurations and packings with exact and float
-scalars, including schema and scalar diagnostics.  ``to_json`` writes a
+the y-axis flip, nine-digit fixed-notation numbers, and JSON round trips
+for configurations and packings with exact and float scalars, including
+schema and scalar diagnostics.  A packing holds proper circles with
+finite scalars, of one lane and the mode's kind, and each way in refuses
+anything else.  ``to_json`` writes a
 packing's circles from integer columns; it is held byte for byte to the
 object writer it replaced, kept here as ``reference_to_json``, and the
 column formatter and parser to ``str(QuadExt)`` and ``parse_scalar``.
@@ -112,30 +114,6 @@ class TestSvg:
         values = re.findall(r'(?:cx|cy|r|x1|y1|x2|y2)="([^"]*)"', svg)
         assert values
         assert not any("e" in v or "E" in v for v in values)
-
-    def test_horizontal_line_clipped(self, square):
-        line = from_line((0.0, 1.0), 0.5)
-        pack = Packing(
-            square,
-            "packing",
-            GenerationLimits(),
-            [PackedCircle(line, "dual", 0, (), "seed")],
-        )
-        svg = to_svg(pack, style(half=2.0))
-        assert svg.count("<line") == 1
-        assert 'y1="-0.5"' in svg and 'y2="-0.5"' in svg
-        assert 'x1="2"' in svg and 'x2="-2"' in svg
-
-    def test_missing_line_emits_nothing(self, square):
-        line = from_line((0.0, 1.0), 10.0)
-        pack = Packing(
-            square,
-            "packing",
-            GenerationLimits(),
-            [PackedCircle(line, "dual", 0, (), "seed")],
-        )
-        svg = to_svg(pack, style(half=2.0))
-        assert "<line" not in svg and "<circle" not in svg
 
 
 def config_fields_equal(a: Configuration, b: Configuration) -> bool:
@@ -447,25 +425,21 @@ class TestColumnWriter:
         assert reference_to_json(back) == text
 
     def test_hand_built_packings_match_the_object_writer(self, square, square_packing):
-        line = from_line((0.0, 1.0), 0.5)
         tiny = from_center_radius((QuadExt(0, 0, 1, 2), QuadExt(1, 0, 3, 2)), QuadExt(5, -3, 7, 2))
         source = 'sêed ☃ "quoted"\\\n'
-        mixed = [
+        odd = [
             PackedCircle(tiny, "base", 7, ("d0@0,0", "été"), source),
-            PackedCircle(line, "base", 0, (), "seed"),
             PackedCircle(tiny, "base", 1, (), ""),
         ]
+        floats = [PackedCircle(pc.circle.as_floats(), pc.kind, pc.height, pc.word, pc.source)
+                  for pc in odd + square_packing.circles[:5]]
         lim = square_packing.limits
-        # the line of test_horizontal_line_clipped is labelled "dual", which a
-        # packing-mode document may not carry, so it is written but not read
-        written = Packing(square, "packing", GenerationLimits(), [PackedCircle(line, "dual", 0, (), "seed")])
-        assert to_json(written) == reference_to_json(written)
-        for circles in ([], list(reversed(square_packing.circles)), mixed):
+        for circles in ([], list(reversed(square_packing.circles)), odd, floats):
             packing = Packing(square, "packing", lim, circles)
             text = to_json(packing)
             assert text == reference_to_json(packing)
             assert to_json(from_json(text)) == text
-        assert json.dumps(source) in to_json(Packing(square, "packing", lim, mixed))
+        assert json.dumps(source) in to_json(Packing(square, "packing", lim, odd))
 
 
 # integers of every size the columns meet: small ones, unreduced ones and
@@ -638,3 +612,122 @@ class TestLazyCircles:
         (low, n_low), (high, n_high) = run(2), run(4)
         assert n_high > n_low + 100
         assert low == high
+
+
+def _with(pc, circle=None, kind=None):
+    return PackedCircle(circle or pc.circle, kind or pc.kind, pc.height, pc.word, pc.source)
+
+
+def _float_circles(circles):
+    return [_with(pc, pc.circle.as_floats()) for pc in circles]
+
+
+# name -> (lane of the packing, a circle as broken, error, the circle named
+# when circle 0 is broken: the first curvature sets the lane)
+def _keyed(change):
+    """A break of a packed circle by a change to its key."""
+    return lambda pc: _with(pc, InversiveCircle(*change(list(pc.circle.key()))))
+
+
+BROKEN = {
+    "exact line": (True, lambda pc: _with(pc, from_line((QuadExt(0), QuadExt(1)), QuadExt(2))), "is a line", 0),
+    "float line": (False, lambda pc: _with(pc, from_line((0.0, 1.0), 0.5)), "is a line", 0),
+    "nan": (False, _keyed(lambda k: k[:2] + [float("nan"), k[3]]), "non-finite", 0),
+    "infinite": (False, _keyed(lambda k: [float("inf")] + k[1:]), "non-finite", 0),
+    "float in exact": (True, lambda pc: _with(pc, pc.circle.as_floats()), "mixes lanes", 1),
+    "one float scalar": (True, _keyed(lambda k: k[:3] + [0.0]), "mixes lanes", 0),
+    "exact in float": (False, _keyed(lambda k: [QuadExt(1)] + k[1:]), "mixes lanes", 0),
+    "wrong kind": (True, lambda pc: _with(pc, kind="dual"), "'dual'", 0),
+}
+
+
+class TestPackingInvariants:
+    @pytest.fixture(scope="class")
+    def lanes(self, square_packing):
+        exact = list(square_packing.circles[:6])
+        return {True: exact, False: _float_circles(exact)}
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_construction_names_the_circle(self, square, square_packing, lanes, case, at):
+        exact, breaking, reason, at_zero = BROKEN[case]
+        circles = list(lanes[exact])
+        Packing(square, "packing", square_packing.limits, list(circles))
+        circles[at] = breaking(circles[at])
+        named = at or at_zero
+        with pytest.raises(ValueError, match=rf"^packed circle {named} .*{re.escape(reason)}"):
+            Packing(square, "packing", square_packing.limits, circles)
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    @pytest.mark.parametrize("read", [False, True])
+    def test_edited_list_refused_by_to_json(self, square, case, read):
+        exact, breaking, reason, _ = BROKEN[case]
+        packing = generate(square, "packing", GenerationLimits(1, 0.1, Window.square(1.0)), exact)
+        if read:
+            packing = from_json(to_json(packing))
+        packing.circles[3] = breaking(packing.circles[3])
+        with pytest.raises(ValueError, match=rf"^packed circle 3 .*{re.escape(reason)}"):
+            to_json(packing)
+
+    def test_tiny_float_curvature_is_a_circle(self, square):
+        # 0 < |b| <= 1e-9 is a line to ``is_line`` but not to the engine's
+        # b != 0 rule, which a float super run may keep
+        tiny = PackedCircle(InversiveCircle(0.0, 1e-10, 1.0, 0.0), "super", 1, ("d0@0,0",), "b0@0,0")
+        assert tiny.circle.is_line
+        packing = Packing(square, "super", GenerationLimits(1, 0.1, Window.square(1.0)), [tiny])
+        text = to_json(packing)
+        assert to_json(from_json(text)) == text
+        svg = to_svg(packing, style())
+        assert svg.count("<circle") == 1 and 'cx="10000000000"' in svg
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_lookups_across_lanes(self, square, exact):
+        limits = GenerationLimits(2, 0.05, Window.square(2.0))
+        packing = from_json(to_json(generate(square, "dual", limits, exact)))
+        other = generate(square, "dual", limits, not exact)
+        for pc in other.circles[::7]:
+            hit = packing.find(pc.circle)
+            assert hit is not None and (hit.word, hit.source, hit.height) == (pc.word, pc.source, pc.height)
+            assert packing.height_of(pc.circle.reversed()) == pc.height
+
+
+@pytest.fixture(scope="module")
+def float_doc(square):
+    limits = GenerationLimits(1, 0.1, Window(-1.0, -1.0, 1.0, 1.0))
+    return json.loads(to_json(generate(square, "packing", limits, exact=False)))
+
+
+# (exact document?, mutation) -> path of the error it must raise
+LANE_MUTATIONS = {
+    "zero curvature": (True, _set(["circles", 3, "circle", 1], "0"), "$.circles[3].circle[1]"),
+    "unreduced zero curvature": (
+        True, _set(["circles", 3, "circle", 1], "(1-1*sqrt(1))"), "$.circles[3].circle[1]"
+    ),
+    "zero float curvature": (False, _set(["circles", 3, "circle", 1], 0.0), "$.circles[3].circle[1]"),
+    "negative zero curvature": (False, _set(["circles", 3, "circle", 1], -0.0), "$.circles[3].circle[1]"),
+    "number in exact": (True, _set(["circles", 3, "circle", 2], 0.5), "$.circles[3].circle[2]"),
+    "string in float": (False, _set(["circles", 3, "circle", 2], "1/2"), "$.circles[3].circle[2]"),
+    "first scalar float": (True, _set(["circles", 0, "circle", 0], 0.5), "$.circles[0].circle[1]"),
+    "nan": (False, _set(["circles", 3, "circle", 0], float("nan")), "$.circles[3].circle[0]"),
+    "infinity": (False, _set(["circles", 4, "circle", 2], float("-inf")), "$.circles[4].circle[2]"),
+    "nan before a zero": (
+        False,
+        _both(_set(["circles", 2, "circle", 3], float("nan")), _set(["circles", 1, "circle", 1], 0.0)),
+        "$.circles[1].circle[1]",
+    ),
+    "zero curvature before a kind": (
+        True,
+        _both(_set(["circles", 2, "kind"], "dual"), _set(["circles", 2, "circle", 1], "0")),
+        "$.circles[2].circle[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_MUTATIONS))
+def test_from_json_refuses_what_a_packing_cannot_hold(small_doc, float_doc, case):
+    exact, mutate, path = LANE_MUTATIONS[case]
+    doc = copy.deepcopy(small_doc if exact else float_doc)
+    assert len(doc["circles"]) > 5
+    mutate(doc)
+    with pytest.raises(ValueError, match=rf"^invalid document at {re.escape(path)}: "):
+        from_json(json.dumps(doc))

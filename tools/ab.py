@@ -18,10 +18,11 @@ uses.
 
 Each round gives the ratio change/parent of its summed times.  The report is
 the median of those ratios with a bootstrap 95% interval, each side's median
-round time, and with jobs, the median ratio of each job over the rounds.
-The last line of standard output is one JSON object with the keys
-``ratio``, ``interval``, ``rounds`` and ``failed``.  The exit status is 1
-when any output fails its check.
+round time, and with jobs, the median ratio of each job over the rounds with
+its own bootstrap 95% interval.  The last line of standard output is one JSON
+object with the keys ``ratio``, ``interval``, ``rounds``, ``failed`` and
+``jobs``, which maps each job key (or "setup") to [median, lo, hi].  The exit
+status is 1 when any output fails its check.
 """
 
 from __future__ import annotations
@@ -167,15 +168,18 @@ def main(argv: Sequence[str]) -> int:
     lo, hi = interval(ratios)
     what = "set-up probe" if args.setup else f"{len(requests)} jobs a round"
     print(f"{args.workload} seed {args.seed}, {what}, CPU {args.cpu}")
+    keys = ["setup"] if args.setup else sides[0].keys
+    jobs = {key: [statistics.median(per_request[r]), *interval(per_request[r])]
+            for key, r in zip(keys, requests)}
     if not args.setup:
-        for i, key in enumerate(sides[0].keys):
-            print(f"  {statistics.median(per_request[str(i)]):.4f}  {key}")
+        for key, (median, job_lo, job_hi) in jobs.items():
+            print(f"  {median:.4f} [{job_lo:.4f}, {job_hi:.4f}]  {key}")
     print(f"round medians: parent {statistics.median(p for p, _ in totals):.4f} s, "
           f"change {statistics.median(c for _, c in totals):.4f} s")
     print(f"change/parent: median {statistics.median(ratios):.4f}, bootstrap 95% interval "
           f"[{lo:.4f}, {hi:.4f}], {len(ratios)} rounds, {failed} failed outputs")
     print(json.dumps({"ratio": statistics.median(ratios), "interval": [lo, hi],
-                      "rounds": len(ratios), "failed": failed}))
+                      "rounds": len(ratios), "failed": failed, "jobs": jobs}))
     return 1 if failed else 0
 
 

@@ -2,7 +2,8 @@
 
     python3 -m pytest -q tools/test_ab.py
 
-A tree compared with itself (A/A) must give a ratio interval that holds 1.
+A tree compared with itself (A/A) must give a ratio interval that holds 1,
+and a median and interval for every job.
 It takes about half a minute on one CPU.
 """
 
@@ -25,9 +26,17 @@ def _ab(*args: str) -> dict:
 
 def test_a_a_jobs_interval_holds_one():
     result = _ab("--workload", "atlas", "--rounds", "10")
+    assert set(result) == {"ratio", "interval", "rounds", "failed", "jobs"}
     lo, hi = result["interval"]
     assert lo <= 1.0 <= hi
     assert result["rounds"] == 10 and result["failed"] == 0
+    # each job has its own interval; with 50 jobs a few A/A intervals miss 1
+    # by chance, so only their shape is checked
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    assert list(result["jobs"]) == [job.key for job in workloads.job_list("atlas", 1)]
+    assert all(job_lo <= median <= job_hi for median, job_lo, job_hi in result["jobs"].values())
 
 
 def test_a_a_setup_probe_runs():
@@ -35,3 +44,4 @@ def test_a_a_setup_probe_runs():
     lo, hi = result["interval"]
     assert lo <= result["ratio"] <= hi
     assert result["rounds"] == 3 and result["failed"] == 0
+    assert list(result["jobs"]) == ["setup"]
