@@ -239,8 +239,8 @@ class Configuration:
             if lattice is None
             else (_vec_float(lattice[0]), _vec_float(lattice[1]))
         )
-        # integer row lattices by (kind, mirror kinds) on first use; a catalog tie derives (kind, ())
-        self.row_lattices: Dict[Tuple[str, Tuple[str, ...]], RowLattice] = {}
+        # integer row lattices by (seed kinds, mirror kinds) on first use; a catalog tie derives ((kind,), ())
+        self.row_lattices: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowLattice] = {}
 
     # -- enumeration ---------------------------------------------------
 
@@ -414,15 +414,29 @@ _MIRROR_KINDS = {"packing": ("dual",), "dual": ("dual",), "super": ("base", "dua
 
 
 def _row_lattice(cfg: Configuration, mode: Optional[str], kind: str) -> RowLattice:
-    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg``: closed
-    under the mode's reflections where the kind is reflected, under
-    translations only where it only mirrors or where no mode is given,
-    the lattice of ids, lookups, catalog ties and the validation checks."""
-    kinds = _MIRROR_KINDS[mode] if mode and kind in _SEED_KINDS[mode] else ()
-    if (kind, kinds) not in cfg.row_lattices:
-        mirrors = [c for k in kinds for c in cfg.motif(k)]
-        cfg.row_lattices[kind, kinds] = derive_lattice(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
-    return cfg.row_lattices[kind, kinds]
+    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg`` by (seed
+    kinds, mirror kinds): for a seed kind, the one lattice of the mode's seed
+    kinds, closed under its reflections, with their motif rows in turn
+    (super: base, then dual); for a kind that only mirrors, or with no mode,
+    the kind's own, closed under translations only: the lattice of ids,
+    lookups, catalog ties and the validation checks."""
+    seeded = mode and kind in _SEED_KINDS[mode]
+    seeds, kinds = (_SEED_KINDS[mode], _MIRROR_KINDS[mode]) if seeded else ((kind,), ())
+    if (seeds, kinds) not in cfg.row_lattices:
+        motif, mirrors = ([c for k in ks for c in cfg.motif(k)] for ks in (seeds, kinds))
+        cfg.row_lattices[seeds, kinds] = derive_lattice(cfg.d, motif, cfg.lattice, mirrors)
+    return cfg.row_lattices[seeds, kinds]
+
+
+def _lattice_rows(
+    cfg: Configuration, mode: Optional[str], kind: str, cat: Catalog
+) -> Tuple[RowLattice, np.ndarray]:
+    """The lattice of ``kind`` rows in ``mode`` and the rows on it of the
+    circles of ``cat``, all of kinds that share it.  On the super lattice a
+    dual circle's motif row comes after the base motif's."""
+    lat = _row_lattice(cfg, mode, kind)
+    index = cat.index + (cat.kind == "dual") * len(cfg.motif_base) if mode == "super" else cat.index
+    return lat, lat.rows_at(index, cat.shift, cat.idents)
 
 
 def _locate(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -485,8 +499,7 @@ def _catalog_rows(
     closed under translations alone, which every exact configuration has,
     so the validation checks can report on any of them."""
     cat = cfg.catalog(kind, w, predicate)
-    lat = _row_lattice(cfg, mode, kind)
-    return _CatalogRows(cat, lat, lat.rows_at(cat.index, cat.shift, cat.idents))
+    return _CatalogRows(cat, *_lattice_rows(cfg, mode, kind, cat))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,13 @@ peeled word and the height its length:
   lookup by row would find first.
 
 One lane runs every configuration.  It holds each circle as a numpy
-row of integers over its kind's lattice (``lattice.derive_lattice``,
-derived from the configuration's data), exactly, or as the ``as_float``
-values of those rows, deduplicated on a 1e-9 grid.  Seeds and mirrors
+row of integers over one lattice of the mode's seed kinds, in super mode
+the span of both motifs (``lattice.derive_lattice``, derived from the
+configuration's data), exactly, or as the ``as_float`` values of those
+rows, deduplicated on a 1e-9 grid.  A row carries the index of its kind
+for two uses only: the first column of its deduplication key, and the
+blocks of the float products, one per kind and mirror, since a float
+product rounds by the rows it shares a block with.  Seeds and mirrors
 come from the configuration's array catalog as motif rows times integer
 lattice-translation matrices.  Reflections act through the guarded
 ``lattice.Mirrors.images`` (float runs take the ``as_float`` values of the
@@ -70,13 +74,13 @@ and ``QuadExt`` objects are built only when the circles are asked for.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, _row_lattice, parse_id
+from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, _lattice_rows, parse_id
 from .exact import QuadExt, as_float, int_array, scalar_sign
 from .inversive import (
     InversiveCircle,
@@ -256,7 +260,7 @@ class PackedColumns:
                 why = f"is {pc.kind!r}, circle 0 {kind!r}"
             elif any(isinstance(x, QuadExt) != exact for x in key):
                 why = f"mixes lanes: the first curvature is {'exact' if exact else 'float'}"
-            elif not exact and not all(math.isfinite(x) for x in key):
+            elif not exact and not all(abs(x) <= sys.float_info.max for x in key):  # NaN fails too
                 why = "has a non-finite scalar"
             elif not key[1]:
                 why = "is a line"
@@ -560,7 +564,7 @@ def _box_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> Tuple[np.ndarray, 
 
 def _canonical_sign(rows: np.ndarray) -> np.ndarray:
     s = np.sign(rows[:, 0])
-    for j in (1, 2, 3):
+    for j in range(1, rows.shape[1]):
         undecided = s == 0
         if not undecided.any():
             break
@@ -575,23 +579,28 @@ def _center_text(fv: np.ndarray) -> str:
 
 @dataclass
 class _Chunk:
-    """The rows one BFS level added for one kind.  ``parent`` indexes the
-    kind's rows in storage order, ``via`` the mirrors and ``seed`` the
-    seed catalog; each is -1 where it does not apply."""
+    """The rows one BFS level added, kind by kind.  ``kind`` indexes the
+    lane's seed kinds, ``parent`` the stored rows in storage order, ``via``
+    the mirrors and ``seed`` the seed catalog; each is -1 where it does not
+    apply.  ``_admit`` takes a batch of candidate rows in the same shape."""
 
     level: int
     rows: np.ndarray
+    kind: np.ndarray
     parent: np.ndarray
     via: np.ndarray
     seed: np.ndarray
 
 
+_FIELDS = ("rows", "kind", "parent", "via", "seed")
+
+
 class _ArrayLane:
-    """BFS over numpy rows: int64 rows over each kind's integer lattice, or
-    float64 rows, the ``as_float`` values of the lattice rows, with grid
-    deduplication.  Each level joins its frontier to the mirror centers
-    once and deduplicates once.  ``finals`` reads words off the chains and,
-    in the descending modes, checks their hosts in one batch."""
+    """BFS over numpy rows: int64 rows over the lattice of the mode's seed
+    kinds, or float64 rows, the ``as_float`` values of the lattice rows,
+    with grid deduplication.  Each level joins its frontier to the mirror
+    centers once and deduplicates once.  ``finals`` reads words off the
+    chains and, in the descending modes, checks their hosts in one batch."""
 
     def __init__(
         self,
@@ -611,17 +620,13 @@ class _ArrayLane:
         self.pad_mirror_r = _motif_max_radius(cfg, _MIRROR_KINDS[mode])
         self.quotient = mode != "packing"
         self.kinds = list(_SEED_KINDS[mode])
-        self.lat = {
-            k: _row_lattice(cfg, mode, k)
-            for k in ("base", "dual")
-            if k in self.kinds or k in _MIRROR_KINDS[mode]
-        }
-        # rows of every kind share one key width
-        self.width = max(self.lat[k].width for k in self.kinds) if exact else 4
+        self.lat, seed_ints = _lattice_rows(cfg, mode, self.kinds[0], seeds)
+        self.mlat, mirror_ints = _lattice_rows(cfg, mode, _MIRROR_KINDS[mode][0], mirrors)
+        self.width = self.lat.width if exact else 4
         self.key = np.dtype((np.void, (1 + self.width) * 8))
 
-        # per kind: the level chunks in storage order; keys of every stored row
-        self.chunks: Dict[str, List[_Chunk]] = {k: [] for k in self.kinds}
+        # the level chunks in storage order; keys of every stored row
+        self.chunks: List[_Chunk] = []
         self.seen = np.zeros(0, dtype=self.key)
 
         # Mirrors: float rows for the masks and geometry, and either every
@@ -629,72 +634,28 @@ class _ArrayLane:
         # real ones (float).
         self.mirror_ids = np.array(mirrors.idents, dtype=object)
         view = RowLattice.approx if exact else RowLattice.as_float
-        ints = self._catalog_ints(mirrors)
-        self.mirror_vec = mv = self._view(ints, mirrors.kind, view)
-        self.mirror_rows = ints if exact else mv
+        self.mirror_vec = mv = view(self.mlat, mirror_ints)
+        self.mirror_rows = mirror_ints if exact else mv
         # <v, m> = v . mirror_q for a float row v
         self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
-        self.reflect: Dict[str, Mirrors] = {}
         if exact:
-            for k in self.kinds:
-                w = self.lat[k].width
-                mats = np.zeros((len(mirrors), w, w), dtype=np.int64)
-                for sel, lat in self._by_kind(mirrors.kind):
-                    mats[sel] = self.lat[k].reflections(
-                        lat, ints[sel, : lat.width], self.mirror_ids[sel]
-                    )
-                self.reflect[k] = Mirrors(mats, self.mirror_ids)
+            mats = self.lat.reflections(self.mlat, mirror_ints, self.mirror_ids)
+            self.reflect = Mirrors(mats, self.mirror_ids)
         else:
-            self.float_mats = np.empty((len(mirrors), 4, 4))
-            for sel, lat in self._by_kind(mirrors.kind):
-                self.float_mats[sel] = lat.float_reflections(ints[sel, : lat.width])
+            self.float_mats = self.mlat.float_reflections(mirror_ints)
         b = mv[:, 1]
         self.mirror_cx, self.mirror_cy, self.mirror_r = mv[:, 2] / b, mv[:, 3] / b, np.abs(1.0 / b)
 
-        # Seeds: those under the radius floor start no chain, since every
-        # ancestor of a kept row is larger than it.
+        # Seeds, kind by kind in id order: those under the radius floor start
+        # no chain, since every ancestor of a kept row is larger than it.
         self.seed_ids = seeds.idents
-        ints = self._catalog_ints(seeds)
-        sv = self._view(ints, seeds.kind, view)
-        seed_rows = ints if exact else sv
-        root = np.abs(1.0 / sv[:, 1]) >= limits.min_radius
-        batch = []
-        for k in self.kinds:
-            sel = np.nonzero(root & (seeds.kind == k))[0]
-            none = np.full(len(sel), -1, dtype=np.intp)
-            batch.append((k, self._stored(k, seed_rows[sel]), none, none, sel))
-        self._admit(0, batch)
+        sv = view(self.lat, seed_ints)
+        sel = np.nonzero(np.abs(1.0 / sv[:, 1]) >= limits.min_radius)[0]
+        kind = np.array([self.kinds.index(k) for k in seeds.kind[sel].tolist()], dtype=np.int8)
+        none = np.full(len(sel), -1, dtype=np.intp)
+        self._admit(_Chunk(0, (seed_ints if exact else sv)[sel], kind, none, none, sel))
 
     # -- plumbing ------------------------------------------------------
-
-    def _by_kind(self, kinds: np.ndarray):
-        """(indices, lattice) of each kind present in ``kinds``."""
-        for k, lat in self.lat.items():
-            sel = np.nonzero(kinds == k)[0]
-            if len(sel):
-                yield sel, lat
-
-    def _catalog_ints(self, gens: Catalog) -> np.ndarray:
-        """Integer rows of catalogued circles, each over its own kind's
-        lattice, padded with zeros to the widest."""
-        out = np.zeros((len(gens), max(lat.width for lat in self.lat.values())), dtype=np.int64)
-        for sel, lat in self._by_kind(gens.kind):
-            out[sel, : lat.width] = lat.rows_at(
-                gens.index[sel], gens.shift[sel], [gens.idents[i] for i in sel.tolist()]
-            )
-        return out
-
-    def _view(self, ints: np.ndarray, kinds: np.ndarray, view) -> np.ndarray:
-        """Float rows of integer rows of mixed kinds, by ``view``
-        (``RowLattice.approx`` or ``RowLattice.as_float``)."""
-        out = np.empty((len(ints), 4))
-        for sel, lat in self._by_kind(kinds):
-            out[sel] = view(lat, ints[sel, : lat.width])
-        return out
-
-    def _stored(self, kind: str, rows: np.ndarray) -> np.ndarray:
-        """Rows of ``kind`` from rows padded to the widest kind."""
-        return rows[:, : self.lat[kind].width] if self.exact else rows
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         """Canonical rows: the rows themselves on integers, a 1e-9 grid
@@ -704,46 +665,34 @@ class _ArrayLane:
             canon = canon * _canonical_sign(canon)[:, None]
         return canon
 
-    def _admit(self, level: int, batch: Sequence[tuple]) -> None:
-        """Store the rows of ``batch`` that are new to the search as one
-        chunk per kind, keeping for each key its first row in batch order.
+    def _admit(self, batch: _Chunk) -> None:
+        """Store the rows of ``batch`` that are new to the search as the next
+        chunk, keeping for each key, of kind and row, its first row.
 
-        ``batch`` holds (kind, rows, parent, via, seed) in discovery order
-        (kind, mirror, frontier row), which fixes the float representative
-        of each grid key and the discovery chains of super mode.  Float
-        grid keys beyond int64 raise LatticeOverflowError.
+        The rows come in discovery order (kind, mirror, frontier row), which
+        fixes the float representative of each grid key and the discovery
+        chains of super mode.  Float grid keys beyond int64 raise
+        LatticeOverflowError.
         """
-        keys = []
-        for kind, rows, _, via, seed in batch:
-            canon = self._keys(rows)
-            if not self.exact:
-                names = self.mirror_ids[via] if level else [self.seed_ids[i] for i in seed]
-                _guard(np.abs(canon).max(axis=1, initial=0.0), names)
-            key = np.zeros((len(rows), 1 + self.width), dtype=np.int64)
-            key[:, 0] = self.kinds.index(kind)
-            key[:, 1 : 1 + canon.shape[1]] = canon
-            keys.append(key)
-        flat = np.concatenate(keys).view(self.key).ravel()
-        uniq, first = np.unique(flat, return_index=True)
+        canon = self._keys(batch.rows)
+        if not self.exact:
+            names = self.mirror_ids[batch.via] if batch.level else [self.seed_ids[i] for i in batch.seed]
+            _guard(np.abs(canon).max(axis=1, initial=0.0), names)
+        key = np.empty((len(canon), 1 + self.width), dtype=np.int64)
+        key[:, 0], key[:, 1:] = batch.kind, canon
+        uniq, first = np.unique(key.view(self.key).ravel(), return_index=True)
+        del key, canon
         pos = np.searchsorted(self.seen, uniq)
         old = pos < len(self.seen)
         old[old] = self.seen[pos[old]] == uniq[old]
         self.seen = np.insert(self.seen, pos[~old], uniq[~old])
         fresh = np.sort(first[~old])
-        lo = 0
-        for kind, rows, parent, via, seed in batch:
-            hi = lo + len(rows)
-            sel = fresh[np.searchsorted(fresh, lo) : np.searchsorted(fresh, hi)] - lo
-            lo = hi
-            if len(sel):
-                self.chunks[kind].append(
-                    _Chunk(level, rows[sel], parent[sel], via[sel], seed[sel])
-                )
+        self.chunks.append(_Chunk(batch.level, *(getattr(batch, f)[fresh] for f in _FIELDS)))
 
-    def _float_view(self, rows: np.ndarray, kind: str) -> np.ndarray:
-        return self.lat[kind].approx(rows) if self.exact else rows
+    def _float_view(self, rows: np.ndarray) -> np.ndarray:
+        return self.lat.approx(rows) if self.exact else rows
 
-    def _kept(self, rows: np.ndarray, kind: str, level: int) -> np.ndarray:
+    def _kept(self, rows: np.ndarray, level: int) -> np.ndarray:
         """Which rows a level keeps: radius >= rho and a disk meeting the
         window padded for the levels below, by each row's own pad in the
         descending modes.  Level H is the window itself.
@@ -754,9 +703,9 @@ class _ArrayLane:
         ``Window.meets_circle`` takes, so ties do not follow the rounding
         of the float view.
         """
-        ok, tie = self._meets(self._float_view(rows, kind), level)
+        ok, tie = self._meets(self._float_view(rows), level)
         if self.exact and tie.any():
-            ok[tie] = self._meets(self.lat[kind].as_float(rows[tie]), level)[0]
+            ok[tie] = self._meets(self.lat.as_float(rows[tie]), level)[0]
         return ok
 
     def _meets(self, fv: np.ndarray, level: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -794,20 +743,22 @@ class _ArrayLane:
     # -- expansion -----------------------------------------------------
 
     def run(self) -> None:
+        """Expand the frontier, the last chunk, level by level, each kind's
+        slice of it apart."""
         for level in range(1, self.limits.max_height + 1):
-            live = self._live_mirrors(level)
-            batch = []
-            for kind in self.kinds:
-                chunks = self.chunks[kind]
-                if not chunks or chunks[-1].level != level - 1:
-                    continue
-                front = chunks[-1]
-                rows, src, via = self._images(kind, front.rows, live, level)
-                start = sum(len(c.rows) for c in chunks[:-1])
-                batch.append((kind, rows, src + start, via, np.full(len(rows), -1)))
-            if not batch:
+            front = self.chunks[-1]
+            if not len(front.rows):
                 break
-            self._admit(level, batch)
+            start = sum(len(c.rows) for c in self.chunks[:-1])
+            live = self._live_mirrors(level)
+            cuts = np.searchsorted(front.kind, np.arange(len(self.kinds) + 1)).tolist()
+            parts = []
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                rows, src, via = self._images(front.rows[lo:hi], live, level)
+                parts.append((rows, np.full(len(rows), k, dtype=np.int8), src + start + lo, via))
+            rows, kind, parent, via = (np.concatenate(p) for p in zip(*parts))
+            del parts
+            self._admit(_Chunk(level, rows, kind, parent, via, np.full(len(rows), -1)))
 
     def _live_mirrors(self, level: int) -> np.ndarray:
         # In descending modes the source sits outside the mirror, so the
@@ -855,11 +806,11 @@ class _ArrayLane:
         return ri[order], mi[order]
 
     def _images(
-        self, kind: str, front: np.ndarray, live: np.ndarray, level: int
+        self, front: np.ndarray, live: np.ndarray, level: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The images a level keeps, with their frontier rows and mirrors,
         in discovery order."""
-        fv = self._float_view(front, kind)
+        fv = self._float_view(front)
         src, via = self._pairs(fv, live)
         p = np.einsum("ij,ij->i", fv[src], self.mirror_q[via])
         if self.mode == "super":
@@ -874,14 +825,14 @@ class _ArrayLane:
         mask &= np.abs(fv[src, 1] - 2.0 * p * self.mirror_vec[via, 1]) * floor <= 1.0
         src, via = src[mask], via[mask]
         if self.exact:
-            img = self.reflect[kind].images(front[src], via)
+            img = self.reflect.images(front[src], via)
         else:
             # float rows: one matrix product per mirror, which fixes their rounding
             img = np.empty((len(src), 4))
             starts = np.flatnonzero(np.diff(via, prepend=-1)).tolist()
             for s, e in zip(starts, starts[1:] + [len(via)]):
                 img[s:e] = front[src[s:e]] @ self.float_mats[int(via[s])].T
-        ok = self._kept(img, kind, level)
+        ok = self._kept(img, level)
         return img[ok], src[ok], via[ok]
 
     # -- output ----------------------------------------------------------
@@ -890,34 +841,19 @@ class _ArrayLane:
         """The kept rows as packed columns in output order: a stable sort by
         height, then ``as_float`` of curvature, h1, h2 and co-curvature.  In
         the descending modes every chain row passes ``_check_hosts``."""
-        words: List[GroupWord] = []
-        sources: List[str] = []
-        levels, keys = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 4))]
-        terms = [tuple(np.zeros((0, 4), dtype=np.int64) for _ in range(4))]
-        for kind in self.kinds:
-            chunks, lat = self.chunks[kind], self.lat[kind]
-            if not chunks:
-                continue
-            fields = ("rows", "parent", "via", "seed")
-            rows, parent, via, seed = (np.concatenate([getattr(c, f) for c in chunks]) for f in fields)
-            level = np.concatenate([np.full(len(c.rows), c.level) for c in chunks])
-            kept = np.nonzero(self._kept(rows, kind, self.limits.max_height))[0]
-            w, s, walked = self._chains(parent, via, seed, kept)
-            if self.mode != "super":
-                self._check_hosts(kind, self._oriented(kind, rows[walked]), via[walked])
-            words += w
-            sources += s
-            picked = self._oriented(kind, rows[kept])
-            if self.exact:
-                p, r = lat.values(picked)
-                q = np.broadcast_to(lat.q, p.shape)
-                terms.append((p, r, q, np.full(p.shape, lat.d)))
-                picked = as_floats(p, r, q, lat.d)
-            levels.append(level[kept])
-            keys.append(picked)
-        level, key = np.concatenate(levels), np.concatenate(keys)
+        rows, _, parent, via, seed = (np.concatenate([getattr(c, f) for c in self.chunks]) for f in _FIELDS)
+        level = np.concatenate([np.full(len(c.rows), c.level) for c in self.chunks])
+        kept = np.nonzero(self._kept(rows, self.limits.max_height))[0]
+        words, sources, walked = self._chains(parent, via, seed, kept)
+        if self.mode != "super":
+            self._check_hosts(self._oriented(rows[walked]), via[walked])
+        level, key = level[kept], self._oriented(rows[kept])
+        if self.exact:
+            p, r = self.lat.values(key)
+            terms = (p, r, np.broadcast_to(self.lat.q, p.shape), np.full(p.shape, self.lat.d))
+            key = as_floats(p, r, self.lat.q, self.lat.d)
         order = np.lexsort((key[:, 0], key[:, 3], key[:, 2], key[:, 1], level))
-        cols = ((tuple(np.concatenate(t)[order].ravel() for t in zip(*terms)), np.zeros(0)) if self.exact
+        cols = ((tuple(t[order].ravel() for t in terms), np.zeros(0)) if self.exact
                 else (_NO_TERMS, key[order].ravel()))
         olist = order.tolist()
         return PackedColumns(
@@ -929,13 +865,13 @@ class _ArrayLane:
             [sources[i] for i in olist],
         )
 
-    def _oriented(self, kind: str, rows: np.ndarray) -> np.ndarray:
+    def _oriented(self, rows: np.ndarray) -> np.ndarray:
         """Rows as reported: in the quotient modes, the positively oriented
         representative; the float view of integer rows has the sign of
         their curvature."""
         if not self.quotient:
             return rows
-        neg = self._float_view(rows, kind)[:, 1] < (0.0 if self.exact else -1e-9)
+        neg = self._float_view(rows)[:, 1] < (0.0 if self.exact else -1e-9)
         return np.where(neg[:, None], -rows, rows)
 
     def _chains(
@@ -959,7 +895,7 @@ class _ArrayLane:
             cur = parent[cur]
         return words, sources, np.unique(np.concatenate(walked))
 
-    def _check_hosts(self, kind: str, rows: np.ndarray, via: np.ndarray) -> None:
+    def _check_hosts(self, rows: np.ndarray, via: np.ndarray) -> None:
         """Check that each row lies inside exactly one catalogued dual, and
         that this dual is ``via``, the mirror it was reached through.
 
@@ -970,7 +906,7 @@ class _ArrayLane:
         elig = np.nonzero(self.mirror_vec[:, 1] > 0)[0]
         d_cx, d_cy, d_r = self.mirror_cx[elig], self.mirror_cy[elig], self.mirror_r[elig]
         reach = (float(d_r.max()) + 1e-6) * (1.0 + 1e-9) if len(elig) else 0.0
-        fv = self._float_view(rows, kind)
+        fv = self._float_view(rows)
         b = fv[:, 1]
         cx, cy, r = fv[:, 2] / b, fv[:, 3] / b, np.abs(1.0 / b)
         pr, pm = _box_pairs(np.column_stack([cx, cy]), np.column_stack([d_cx, d_cy]), reach)
@@ -979,10 +915,7 @@ class _ArrayLane:
         pr, pm = pr[close], elig[pm[close]]
         u = rows[pr]
         if self.exact:
-            mlat = self.lat[_MIRROR_KINDS[self.mode][0]]
-            inside = self.lat[kind].inside(
-                mlat, u, self.mirror_rows[pm, : mlat.width], self.mirror_ids[pm]
-            )
+            inside = self.lat.inside(self.mlat, u, self.mirror_rows[pm], self.mirror_ids[pm])
         else:
             w = self.mirror_vec[pm]
             prod = u[:, 2] * w[:, 2] + u[:, 3] * w[:, 3] - (u[:, 1] * w[:, 0] + u[:, 0] * w[:, 1]) / 2.0

@@ -626,7 +626,7 @@ class RowLattice:
         parts = [(w @ a, w @ c, wf @ _abs_f(a), wf @ _abs_f(c)) for a, c in ((f, g), (f2, g2))]
         bound = sum(af[:, :, None] * gf[:, None, :] + af[:, :, None] + gf[:, None, :]
                     for _, _, af, gf in parts)
-        _guard(bound.reshape(len(w), -1).max(axis=1, initial=0.0), idents)
+        _guard(bound.max(axis=(1, 2), initial=0.0), idents)
         num = sum(a[:, :, None] * c[:, None, :] for a, c, _, _ in parts)
         if (num % (fden * gden)).any():
             raise ArithmeticError("mirror action does not preserve the integer lattice")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
@@ -378,6 +379,8 @@ def _scalar(v: object) -> Scalar:
             raise _Invalid(str(err)) from None
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise _Invalid(f"{_brief(v)} is not a string or a number")
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise _Invalid(f"{_brief(v)} is past the float range")
     return float(v)
 
 
@@ -482,7 +485,7 @@ def _scalar_columns(flat: List[object]) -> Tuple[bool, tuple, np.ndarray]:
                    if not t or not (t[0] + t[1] if t[3] == 1 else t[0] or t[1])}
         ok = all(type(x) is str for x in flat) and None not in parsed and suspect.isdisjoint(flat[1::4])
     else:
-        ok = all(type(x) is float or type(x) is int for x in flat)
+        ok = all(type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max) for x in flat)
         if ok:
             floats = np.array(flat, dtype=np.float64)
             ok = np.isfinite(floats).all() and floats[1::4].all()

@@ -28,9 +28,9 @@ from invpack.arithmetic import (
     relation_of,
     sweep_relation_words,
 )
-from invpack.configs import Configuration, Window, config_names, make_config
+from invpack.configs import Configuration, Window, _row_lattice, config_names, make_config
 from invpack.engine import (
-    MODES, GenerationLimits, PackedCircle, PackedColumns, Packing, _row_lattice, apply_word, generate,
+    MODES, GenerationLimits, PackedCircle, PackedColumns, Packing, apply_word, generate,
 )
 from invpack.exact import QuadExt, as_float, int_array, reduce_terms
 from invpack.inversive import InversiveCircle, PairClass, from_center_radius

@@ -21,10 +21,12 @@ from invpack.configs import Configuration, Window, make_config
 from invpack.engine import (
     _MIRROR_KINDS,
     _SEED_KINDS,
+    MODES,
     GenerationLimits,
     LatticeOverflowError,
     Packing,
     _ArrayLane,
+    _canonical_sign,
     _catalog,
     _margin_schedule,
     apply_word,
@@ -189,6 +191,16 @@ class TestGenerationLimits:
     def test_unknown_mode_rejected(self, square):
         with pytest.raises(ValueError):
             generate(square, "orbit")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nothing_to_store_gives_an_empty_packing(self, mode, exact):
+        # a radius floor above every seed stores no row, and a window far
+        # from the finite Apollonian configuration catalogs no mirror
+        apo = make_config("apollonian")
+        for lim in (GenerationLimits(2, 100.0, Window.square(1.0)),
+                    GenerationLimits(2, 0.05, Window(500, 500, 501, 501))):
+            assert len(generate(apo, mode, lim, exact)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +407,20 @@ class TestSuperMode:
     def test_all_coordinates_integral(self, super_h2):
         for rec in super_h2.circles:
             assert all(x.is_integer() for x in rec.circle.key())
+
+    def test_quotient_key_reads_every_column(self):
+        # hexagonal's super lattice has width 8 and d0 is the row
+        # [0, 0, 0, 0, -1, 1, 0, 0]: its sign sits past column 3, and a
+        # sign read off columns 0-3 alone kept it and its reversal apart
+        row = np.array([[0, 0, 0, 0, -1, 1, 0, 0]], dtype=np.int64)
+        both = np.vstack([row, -row])
+        canon = both * _canonical_sign(both)[:, None]
+        assert (canon[0] == canon[1]).all()
+        cfg = make_config("hexagonal")
+        packing = generate(cfg, "super", GenerationLimits(1, 0.01, Window.square(1.0)))
+        keys = [c.circle.key() for c in packing.circles]
+        assert len(set(keys)) == len(keys)
+        assert [c.height for c in packing.circles if c.circle == cfg.circle_from_id("d0@0,0")] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,15 +675,16 @@ class TestLevelJoin:
         level = 2
         live = lane._live_mirrors(level)
         checked = 0
-        for kind in lane.kinds:
-            (front,) = [c.rows for c in lane.chunks[kind] if c.level == level - 1]
-            fv = lane._float_view(front, kind)
+        (chunk,) = [c for c in lane.chunks if c.level == level - 1]
+        for k in range(len(lane.kinds)):
+            front = chunk.rows[chunk.kind == k]
+            fv = lane._float_view(front)
             # dense: every frontier row against every live mirror
             p = fv @ lane.mirror_q[live].T
             mask = np.abs(p) > 1e-7 if mode == "super" else p <= -1.0 + 1e-6
             src, col = np.nonzero(mask)
             via = live[col]
-            kept = lane._kept(lane.reflect[kind].images(front[src], via), kind, level)
+            kept = lane._kept(lane.reflect.images(front[src], via), level)
             dense = set(zip(src[kept].tolist(), via[kept].tolist()))
             joined = set(zip(*(x.tolist() for x in lane._pairs(fv, live))))
             assert dense <= joined
@@ -812,8 +839,7 @@ class TestHostCheck:
     @pytest.mark.parametrize("exact", [True, False])
     def test_wrong_via_is_named(self, square, mode, exact):
         lane = _lane(square, mode, self.LIMITS, exact)
-        kind = lane.kinds[0]
-        chunk = next(c for c in lane.chunks[kind] if c.level == 1)
+        chunk = next(c for c in lane.chunks if c.level == 1)
         chunk.via[:] = (chunk.via + 1) % len(lane.mirrors)
         with pytest.raises(ArithmeticError, match="not the mirror it was reached through"):
             lane.finals()
@@ -826,7 +852,7 @@ class TestHostCheck:
         cfg = make_config("hexagonal")
         lane = _lane(cfg, "dual", self.LIMITS, exact)
         want = self.summary(lane.finals().circles())
-        for chunk in lane.chunks["dual"][1:]:
+        for chunk in lane.chunks[1:]:
             chunk.rows[::2] *= -1
         assert self.summary(lane.finals().circles()) == want
         assert max(height for *_, height in want) == 2

@@ -29,14 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpack.configs import Window, config_names, make_config
+from invpack.configs import Window, _lattice_rows, _row_lattice, config_names, make_config
 from invpack.engine import (
     _MIRROR_KINDS,
     _SEED_KINDS,
     MODES,
     GenerationLimits,
     LatticeOverflowError,
-    _row_lattice,
     apply_word,
     generate,
 )
@@ -75,18 +74,19 @@ def configs():
 
 
 def _lattice_keys(mode):
-    """The (kind, mirror kinds) keys of the lattices a run in ``mode``
-    derives; None stands for the translation lattices of both kinds."""
+    """The (seed kinds, mirror kinds) keys of the lattices a run in ``mode``
+    derives: one for all its seed kinds, and the translation lattice of a
+    kind that only mirrors; None stands for the translation lattices of
+    both kinds."""
     if mode is None:
-        return {("base", ()), ("dual", ())}
-    kinds = set(_SEED_KINDS[mode] + _MIRROR_KINDS[mode])
-    return {(k, _MIRROR_KINDS[mode] if k in _SEED_KINDS[mode] else ()) for k in kinds}
+        return {(("base",), ()), (("dual",), ())}
+    only = [k for k in _MIRROR_KINDS[mode] if k not in _SEED_KINDS[mode]]
+    return {(_SEED_KINDS[mode], _MIRROR_KINDS[mode])} | {((k,), ()) for k in only}
 
 
 def _rows(cfg, mode, kind, w):
     cat = cfg.catalog(kind, w)
-    lat = _row_lattice(cfg, mode, kind)
-    return cat, lat, lat.rows_at(cat.index, cat.shift, cat.idents)
+    return (cat, *_lattice_rows(cfg, mode, kind, cat))
 
 
 class TestRowLattices:
@@ -109,12 +109,16 @@ class TestRowLattices:
                         (image,) = lat.circles((mats[i] @ seed_rows[j])[None])
                         assert image == reflect(mirrors[i].circle, seeds[j].circle)
 
-    # per coordinate (co-curvature, curvature, h1, h2), up to sign
+    # per coordinate (co-curvature, curvature, h1, h2), the generators up
+    # to sign: of each kind's lattice in packing and dual mode, and of the
+    # one lattice of both kinds in super mode
     PINNED = {
-        "square": {"base": (1, 1, 1, 1), "dual": (1, 1, 1, 1)},
-        "wallpaper:p4m": {"base": (1, 1, 1, 1), "dual": (1, 1, 1, 1)},
-        "triangular": {"base": (1, 1, 1, S3), "dual": (S3, S3, S3, 1)},
-        "hexagonal": {"base": (3, 1, S3, 1), "dual": (S3, S3 / 3, 1, S3)},
+        "square": {"base": (1, 1, 1, 1), "dual": (1, 1, 1, 1), "super": (1, 1, 1, 1)},
+        "wallpaper:p4m": {"base": (1, 1, 1, 1), "dual": (1, 1, 1, 1), "super": (1, 1, 1, 1)},
+        "triangular": {"base": (1, 1, 1, S3), "dual": (S3, S3, S3, 1), "super": ({1, S3},) * 4},
+        "wallpaper:p6m": {"base": (1, 1, 1, S3), "dual": (S3, S3, S3, 1), "super": ({1, S3},) * 4},
+        "hexagonal": {"base": (3, 1, S3, 1), "dual": (S3, S3 / 3, 1, S3),
+                      "super": ({3, S3}, {1, S3 / 3}, {1, S3}, {1, S3})},
     }
 
     @pytest.mark.parametrize("mode", MODES)
@@ -125,11 +129,13 @@ class TestRowLattices:
             lat = _row_lattice(cfg, mode, kind)
             gens = []
             for j in range(4):
-                (row,) = [r for r in lat.basis.tolist() if r[j] or r[4 + j]]
-                assert sum(1 for k in range(4) if row[k] or row[4 + k]) == 1
-                gens.append(abs(QuadExt(row[j], row[4 + j], int(lat.q[j]), lat.d)))
-            assert lat.width == 4
-            assert tuple(gens) == self.PINNED[name][kind]
+                rows = [r for r in lat.basis.tolist() if r[j] or r[4 + j]]
+                assert all(sum(1 for k in range(4) if r[k] or r[4 + k]) == 1 for r in rows)
+                gens.append({abs(QuadExt(r[j], r[4 + j], int(lat.q[j]), lat.d)) for r in rows})
+            pinned = self.PINNED[name][mode if mode == "super" else kind]
+            want = [g if isinstance(g, set) else {g} for g in pinned]
+            assert lat.width == sum(map(len, want))
+            assert gens == want
 
     @pytest.mark.parametrize("mode", MODES)
     def test_apollonian_takes_the_span(self, configs, mode):
@@ -367,11 +373,11 @@ class TestDerivation:
     def test_every_lattice_matches_the_reference(self, name):
         cfg = make_config(name)
         keys = set().union(*(_lattice_keys(mode) for mode in (None, *MODES)))
-        for kind, kinds in sorted(keys):
-            mode = next(m for m in (None, *MODES) if (kind, kinds) in _lattice_keys(m))
-            lat = _row_lattice(cfg, mode, kind)
-            mirrors = [c for k in kinds for c in cfg.motif(k)]
-            basis, q, motif, shift, shift_den = _ref_derive(cfg.d, cfg.motif(kind), cfg.lattice, mirrors)
+        for seeds, kinds in sorted(keys):
+            mode = next(m for m in (None, *MODES) if (seeds, kinds) in _lattice_keys(m))
+            lat = _row_lattice(cfg, mode, seeds[0])
+            circles, mirrors = ([c for k in ks for c in cfg.motif(k)] for ks in (seeds, kinds))
+            basis, q, motif, shift, shift_den = _ref_derive(cfg.d, circles, cfg.lattice, mirrors)
             assert (lat._basis, lat._q) == (basis, q)
             assert lat.motif.tolist() == motif
             assert (lat._shift.tolist(), lat._shift_den) == (shift, shift_den)
@@ -386,6 +392,15 @@ class TestDerivation:
                 cfg = make_config(name)
                 generate(cfg, mode, lim)
                 assert set(cfg.row_lattices) == _lattice_keys(mode)
+
+    def test_super_derives_one_seed_lattice(self):
+        # base and dual rows share the lattice of both motifs, so a super
+        # run derives one lattice, where it used to derive one per kind
+        lim = GenerationLimits(1, 0.05, Window.square(1.0))
+        for name in ("hexagonal", "wallpaper:p6m"):
+            cfg = make_config(name)
+            generate(cfg, "super", lim)
+            assert list(cfg.row_lattices) == [(("base", "dual"), ("base", "dual"))]
 
     # circles of the quadric off the lattice, each caught by one of the two
     # checks of a row: on square, h1 = 1/2 with b = 2 leaves a solve that

@@ -634,6 +634,7 @@ BROKEN = {
     "float line": (False, lambda pc: _with(pc, from_line((0.0, 1.0), 0.5)), "is a line", 0),
     "nan": (False, _keyed(lambda k: k[:2] + [float("nan"), k[3]]), "non-finite", 0),
     "infinite": (False, _keyed(lambda k: [float("inf")] + k[1:]), "non-finite", 0),
+    "integer past the float range": (False, _keyed(lambda k: [10**400] + k[1:]), "non-finite", 0),
     "float in exact": (True, lambda pc: _with(pc, pc.circle.as_floats()), "mixes lanes", 1),
     "one float scalar": (True, _keyed(lambda k: k[:3] + [0.0]), "mixes lanes", 0),
     "exact in float": (False, _keyed(lambda k: [QuadExt(1)] + k[1:]), "mixes lanes", 0),
@@ -710,6 +711,8 @@ LANE_MUTATIONS = {
     "first scalar float": (True, _set(["circles", 0, "circle", 0], 0.5), "$.circles[0].circle[1]"),
     "nan": (False, _set(["circles", 3, "circle", 0], float("nan")), "$.circles[3].circle[0]"),
     "infinity": (False, _set(["circles", 4, "circle", 2], float("-inf")), "$.circles[4].circle[2]"),
+    "integer past the float range": (False, _set(["circles", 2, "circle", 0], 10**400), "$.circles[2].circle[0]"),
+    "curvature past the float range": (False, _set(["circles", 0, "circle", 1], 10**400), "$.circles[0].circle[1]"),
     "nan before a zero": (
         False,
         _both(_set(["circles", 2, "circle", 3], float("nan")), _set(["circles", 1, "circle", 1], 0.0)),

@@ -28,11 +28,11 @@ from invpack.configs import (
     Configuration,
     SymmetryDecl,
     Window,
+    _row_lattice,
     _vec_float,
     config_names,
     make_config,
 )
-from invpack.engine import _row_lattice
 from invpack.exact import QuadExt, as_float, scalar_sign
 from invpack.inversive import (
     PlanarIsometry,
