@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _catalog_rows, _locate, _row_lattice, make_config
+from .configs import Configuration, Window, _locate, _row_lattice, make_config
 from .engine import Packing
 from .exact import QuadExt, Scalar, reduce_terms
 from .inversive import InversiveCircle, PairClass, classify_pair, inversive_product
@@ -277,8 +277,13 @@ def sweep_relation_words(
     ``_vanishing``.  A relation applies wherever its instance lies: each
     instance circle must be a base circle of ``cfg``, found by one
     ``configs._locate`` of the instance rows, or ValueError names the
-    relation and the first circle that is not.
+    relation and the first circle that is not.  ValueError too for no
+    relations or a negative ``max_len``.
     """
+    if not relations:
+        raise ValueError("no relations to sweep")
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     lat = _row_lattice(cfg, "packing", "base")
     (cols,) = np.nonzero(lat.basis[:, 1])
     if lat.q[1] != 1 or lat.basis[:, 5].any() or len(cols) != 1 or lat.basis[cols[0], 1] != 1:
@@ -305,10 +310,10 @@ def sweep_relation_words(
         raise ValueError(
             f"relation {rel.name}: instance circle {k - span.start} is not a base circle here"
         )
-    gens = _catalog_rows(cfg, "dual", window)
-    if not gens.cat:
+    gens = cfg.catalog(("dual",), window)
+    if not gens:
         raise ValueError("no dual mirrors meet the window")
-    mirrors = Mirrors(lat.reflections(gens.lat, gens.rows, gens.cat.idents), gens.cat.idents)
+    mirrors = Mirrors(lat.reflections(gens.lat, gens.rows, gens.idents), gens.idents)
     stack = stack.T
 
     ok = [True] * len(relations)
@@ -335,7 +340,7 @@ def sweep_relation_words(
             check(curv.reshape(len(keep), -1)[keep])
 
     return [
-        RelationSweepReport(rel.name, len(gens.cat), words, max_curv, ok[k])
+        RelationSweepReport(rel.name, len(gens), words, max_curv, ok[k])
         for k, rel in enumerate(relations)
     ]
 

@@ -7,9 +7,12 @@ the refined wallpaper variants constructed in :mod:`invpack.wallpaper`.
 
 All built-in configurations carry exact ``QuadExt`` coordinates.  Every
 circle is an integer row of its kind's translation lattice (``lattice``):
-ids, catalog circles and catalog ties are built from ``RowLattice.rows_at``,
-and one membership test, ``_locate``, answers ``contains_circle`` and the
-symmetry checks.  The validation, tangency and duality checks classify
+ids are built from ``RowLattice.rows_at``, and one membership test,
+``_locate``, answers ``contains_circle`` and the symmetry checks.  A
+``Catalog`` holds the circles of some kinds meeting a window with their
+rows on the lattice of those kinds in an orbit mode (``_row_lattice``),
+where near-boundary ties are decided, and ``Catalog.inside`` keeps those
+inside the window.  The validation, tangency and duality checks classify
 every pair of a window's catalog rows at once by the exact signs of its
 inversive product, ``RowLattice.products``, which the engine's host check
 uses.
@@ -148,59 +151,61 @@ def parse_id(ident: str) -> Tuple[str, int, Optional[Tuple[int, int]]]:
 
 
 class Catalog(Sequence[GeneratorCircle]):
-    """Configuration circles held as arrays, in id order.
+    """Configuration circles held as arrays, in id order, with their rows.
 
     ``kind``, ``index`` and ``shift`` give each circle's kind, motif index
     and lattice shift (m, n) (zero in a finite configuration); ``idents``
-    gives its id.  Indexing or iterating builds the exact circles, all of
-    them, on first use, from their rows on the kind's translation lattice.
+    gives its id.  ``rows`` are the circles' integer rows on ``lat``, the
+    lattice of the catalog's kinds in the mode it was built for
+    (``Configuration.catalog``, which decides its ties on them).  ``view``
+    and ``geometry`` read floats off the rows, ``inside`` keeps the circles
+    inside a window, and indexing or iterating builds the exact circles,
+    all of them, on first use.
     """
 
     def __init__(
         self,
-        cfg: "Configuration",
         kind: np.ndarray,
         index: np.ndarray,
         shift: np.ndarray,
         idents: List[str],
+        lat: RowLattice,
+        rows: np.ndarray,
     ) -> None:
-        self.cfg = cfg
         self.kind = kind
         self.index = index
         self.shift = shift
         self.idents = idents
-        self._circles: Optional[List[GeneratorCircle]] = None
+        self.lat = lat
+        self.rows = rows
 
-    @classmethod
-    def concat(cls, parts: Sequence["Catalog"]) -> "Catalog":
-        """The circles of all parts (at least one, of one configuration),
-        in id order."""
-        idents = [i for p in parts for i in p.idents]
-        order = np.array(sorted(range(len(idents)), key=idents.__getitem__), dtype=np.intp)
-        return cls(
-            parts[0].cfg,
-            np.concatenate([p.kind for p in parts])[order],
-            np.concatenate([p.index for p in parts])[order],
-            np.concatenate([p.shift for p in parts])[order],
-            [idents[i] for i in order.tolist()],
-        )
+    @cached_property
+    def view(self) -> np.ndarray:
+        """``as_float`` of every coordinate of every row."""
+        return self.lat.as_float(self.rows)
+
+    @cached_property
+    def geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float centers x, y and radii, as ``InversiveCircle`` gives them."""
+        fv = self.view
+        return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
+
+    @cached_property
+    def _circles(self) -> List[GeneratorCircle]:
+        return [GeneratorCircle(*g) for g in zip(self.idents, self.kind.tolist(), self.lat.circles(self.rows))]
 
     def circles(self) -> List[GeneratorCircle]:
-        if self._circles is None:
-            kinds = self.kind.tolist()
-            built: Dict[int, InversiveCircle] = {}
-            for kind in dict.fromkeys(kinds):
-                at = np.flatnonzero(self.kind == kind)
-                if self.cfg.lattice is None:
-                    circles = [self.cfg.motif(kind)[i] for i in self.index[at].tolist()]
-                else:
-                    lat = _row_lattice(self.cfg, None, kind)
-                    idents = [self.idents[j] for j in at.tolist()]
-                    circles = lat.circles(lat.rows_at(self.index[at], self.shift[at], idents))
-                built.update(zip(at.tolist(), circles))
-            self._circles = [GeneratorCircle(ident, kind, built[j])
-                             for j, (ident, kind) in enumerate(zip(self.idents, kinds))]
         return self._circles
+
+    def inside(self, w: Window) -> "Catalog":
+        """The circles whose closed disks lie in the closed window, by
+        ``Window.contains_disk`` on ``geometry``: the floats of
+        ``Window.contains_circle`` on the exact circles."""
+        at = np.flatnonzero(w.contains_disk(*self.geometry))
+        sub = Catalog(self.kind[at], self.index[at], self.shift[at], [self.idents[i] for i in at.tolist()],
+                      self.lat, self.rows[at])
+        sub.view = self.view[at]
+        return sub
 
     def __len__(self) -> int:
         return len(self.idents)
@@ -239,7 +244,7 @@ class Configuration:
             if lattice is None
             else (_vec_float(lattice[0]), _vec_float(lattice[1]))
         )
-        # integer row lattices by (seed kinds, mirror kinds) on first use; a catalog tie derives ((kind,), ())
+        # integer row lattices by (seed kinds, mirror kinds), derived on first use
         self.row_lattices: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowLattice] = {}
 
     # -- enumeration ---------------------------------------------------
@@ -282,86 +287,87 @@ class Configuration:
         return lo[0], hi[0], lo[1], hi[1]
 
     def catalog(
-        self, kind: str, w: Window, predicate: str = "meets", expand: float = 0.0
+        self, kinds: Sequence[str], w: Window, expand: float = 0.0, mode: Optional[str] = None
     ) -> Catalog:
-        """Every configuration circle of the given kind meeting the window
-        grown by ``expand`` (predicate "meets") or contained in the window
-        ("inside"), in id order.
+        """Every configuration circle of ``kinds`` meeting the window grown
+        by ``expand``, in id order, with its row on the lattice of those
+        kinds in ``mode`` (``_row_lattice``; with no mode, a kind's
+        translation lattice).  The kinds must share that lattice: one kind,
+        or the seed kinds of a mode.  On the lattice of several kinds'
+        motifs a circle's motif row follows the motifs of the kinds before
+        it (super mode: base, then dual).
 
         Lattice translates are tested together on float centers and radii:
         the motif center plus m v1 + n v2, over the ``_shift_range`` grid of
         each motif circle, or (m, n) = (0, 0) alone in a finite
         configuration.  A translate within a relative slack of 1e-9 of
-        the boundary is a tie, decided by ``Window`` on the float view of
-        its row, with the floats and formula of the per-circle test on the
-        exact translate that every circle went through before; the slack
-        bounds the rounding that separates the two tests, so both keep the
-        same circles.
+        the boundary is a tie, decided by ``Window.meets_disk`` on
+        ``as_float`` of its row, which is the same value on any lattice:
+        the floats and formula of ``Window.meets_circle`` on the exact
+        translate.  The slack bounds the rounding that separates the two
+        tests, so both keep the same circles.
         """
-        if predicate not in ("meets", "inside"):
-            raise ValueError(f"unknown predicate {predicate!r}")
-        motif = self.motif(kind)
+        keys = {_lattice_kinds(mode, kind) for kind in kinds}
+        if len(keys) != 1:
+            raise ValueError(f"kinds {tuple(kinds)} share no one row lattice in mode {mode!r}")
+        ((seeds, _),) = keys
+        lat = _row_lattice(self, mode, seeds[0])
+        # the catalog's motif circles, kind by kind in the lattice's order:
+        # kind, motif index, and motif row on ``lat``
+        starts = np.cumsum([0] + [len(self.motif(k)) for k in seeds]).tolist()
+        entries = [(k, i, start + i) for k, start in zip(seeds, starts) if k in kinds
+                   for i in range(len(self.motif(k)))]
+        e_kind = np.array([k for k, _, _ in entries], dtype=str)
+        e_index, e_row = (np.array([e[f] for e in entries], dtype=np.int64) for f in (1, 2))
+        motif = [self.motif(k)[i] for k, i, _ in entries]
         geo = np.array([(*c.center(), c.radius()) for c in motif]).reshape(-1, 3)
         if self.lattice is None:
-            index = np.arange(len(motif), dtype=np.int64)
+            at = np.arange(len(motif), dtype=np.int64)
             m = n = np.zeros(len(motif), dtype=np.int64)
         else:
             m_lo, m_hi, n_lo, n_hi = self._shift_range((geo[:, 0], geo[:, 1]), geo[:, 2], w, expand)
             n_count = n_hi - n_lo + 1
             count = (m_hi - m_lo + 1) * n_count
-            index = np.repeat(np.arange(len(motif), dtype=np.int64), count)
-            k = np.arange(len(index)) - np.repeat(np.cumsum(count) - count, count)
-            m = m_lo[index] + k // n_count[index]
-            n = n_lo[index] + k % n_count[index]
+            at = np.repeat(np.arange(len(motif), dtype=np.int64), count)
+            k = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+            m = m_lo[at] + k // n_count[at]
+            n = n_lo[at] + k % n_count[at]
         (ax, ay), (bx, by) = self._lattice_float or ((0.0, 0.0), (0.0, 0.0))
-        x, y, r = geo[index, 0], geo[index, 1], geo[index, 2]
+        x, y, r = geo[at, 0], geo[at, 1], geo[at, 2]
         cx = x + m * ax + n * bx
         cy = y + m * ay + n * by
-        if predicate == "meets":
-            dx = np.maximum(np.maximum(w.x0 - cx, 0.0), cx - w.x1)
-            dy = np.maximum(np.maximum(w.y0 - cy, 0.0), cy - w.y1)
-            margin = r + expand - np.hypot(dx, dy)
-        else:
-            margin = np.minimum(
-                np.minimum(cx - r - w.x0, w.x1 - (cx + r)),
-                np.minimum(cy - r - w.y0, w.y1 - (cy + r)),
-            )
+        dx = np.maximum(np.maximum(w.x0 - cx, 0.0), cx - w.x1)
+        dy = np.maximum(np.maximum(w.y0 - cy, 0.0), cy - w.y1)
+        margin = r + expand - np.hypot(dx, dy)
         reach = max(abs(w.x0), abs(w.x1), abs(w.y0), abs(w.y1)) + abs(expand)
         slack = 1e-9 * (
             1.0 + reach + r + np.abs(x) + np.abs(y)
             + np.abs(m) * (abs(ax) + abs(ay)) + np.abs(n) * (abs(bx) + abs(by))
         )
-        shift = np.column_stack([m, n])
 
-        def ids(at: np.ndarray) -> List[str]:
-            return [make_id(kind, i, None if self.lattice is None else s)
-                    for i, s in zip(index[at].tolist(), shift[at].tolist())]
-
-        kept = margin > slack
-        tie = np.flatnonzero(np.abs(margin) <= slack)
+        # the translates kept or tied, in id order, and their rows
+        sel = np.flatnonzero(margin >= -slack)
+        shifts = zip(m[sel].tolist(), n[sel].tolist())
+        ids = [make_id(k, i, None if self.lattice is None else s)
+               for k, i, s in zip(e_kind[at[sel]].tolist(), e_index[at[sel]].tolist(), shifts)]
+        perm = sorted(range(len(sel)), key=ids.__getitem__)
+        sel, ids = sel[np.array(perm, dtype=np.intp)], [ids[i] for i in perm]
+        shift = np.column_stack([m[sel], n[sel]])
+        rows = lat.rows_at(e_row[at[sel]], shift, ids)
+        kept = margin[sel] > slack[sel]
+        tie = np.flatnonzero(~kept)
         if tie.size:
-            lat = _row_lattice(self, None, kind)
-            b, h1, h2 = lat.as_float(lat.rows_at(index[tie], shift[tie], ids(tie)))[:, 1:].T
-            tx, ty, tr = h1 / b, h2 / b, np.abs(1.0 / b)
-            kept[tie] = (w.meets_disk(tx, ty, tr + expand) if predicate == "meets"
-                         else w.contains_disk(tx, ty, tr))
-        sel = np.nonzero(kept)[0]
-        idents = ids(sel)
-        perm = sorted(range(len(sel)), key=idents.__getitem__)
-        order = sel[np.array(perm, dtype=np.intp)]
-        return Catalog(self, np.full(len(order), kind), index[order], shift[order], [idents[i] for i in perm])
+            b, h1, h2 = lat.as_float(rows[tie])[:, 1:].T
+            kept[tie] = w.meets_disk(h1 / b, h2 / b, np.abs(1.0 / b) + expand)
+        on = at[sel[kept]]
+        return Catalog(e_kind[on], e_index[on], shift[kept], [i for i, k in zip(ids, kept.tolist()) if k],
+                       lat, rows[kept])
 
     def circles_in_window(self, kind: str, w: Window) -> List[GeneratorCircle]:
-        """The circles of ``catalog`` as exact circles with their ids.
-
-        Every configuration circle of the given kind meeting the window, in
-        id order; only the kept translates are built.  A translate within a
-        relative slack of 1e-9 of the window's boundary is decided by
-        ``Window.meets_circle`` on its exact translate, so a circle tangent
-        to the window is kept exactly when the float test on its exact
-        coordinates keeps it.
-        """
-        return self.catalog(kind, w).circles()
+        """The circles of ``catalog`` of one kind as exact circles with
+        their ids: every configuration circle of the kind meeting the
+        window, in id order, built from its row."""
+        return self.catalog((kind,), w).circles()
 
     def circle_from_id(self, ident: str) -> InversiveCircle:
         """The circle with this id, from its row on the kind's translation
@@ -413,30 +419,26 @@ _SEED_KINDS = {"packing": ("base",), "dual": ("dual",), "super": ("base", "dual"
 _MIRROR_KINDS = {"packing": ("dual",), "dual": ("dual",), "super": ("base", "dual")}
 
 
+def _lattice_kinds(mode: Optional[str], kind: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """(seed kinds, mirror kinds) of the lattice of ``kind`` rows in ``mode``:
+    the mode's own for a seed kind, and (kind,) with none otherwise."""
+    if mode and kind in _SEED_KINDS[mode]:
+        return _SEED_KINDS[mode], _MIRROR_KINDS[mode]
+    return (kind,), ()
+
+
 def _row_lattice(cfg: Configuration, mode: Optional[str], kind: str) -> RowLattice:
-    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg`` by (seed
-    kinds, mirror kinds): for a seed kind, the one lattice of the mode's seed
+    """The lattice of ``kind`` rows in ``mode``, cached on ``cfg`` by
+    ``_lattice_kinds``: for a seed kind, the one lattice of the mode's seed
     kinds, closed under its reflections, with their motif rows in turn
     (super: base, then dual); for a kind that only mirrors, or with no mode,
     the kind's own, closed under translations only: the lattice of ids,
-    lookups, catalog ties and the validation checks."""
-    seeded = mode and kind in _SEED_KINDS[mode]
-    seeds, kinds = (_SEED_KINDS[mode], _MIRROR_KINDS[mode]) if seeded else ((kind,), ())
-    if (seeds, kinds) not in cfg.row_lattices:
-        motif, mirrors = ([c for k in ks for c in cfg.motif(k)] for ks in (seeds, kinds))
-        cfg.row_lattices[seeds, kinds] = derive_lattice(cfg.d, motif, cfg.lattice, mirrors)
-    return cfg.row_lattices[seeds, kinds]
-
-
-def _lattice_rows(
-    cfg: Configuration, mode: Optional[str], kind: str, cat: Catalog
-) -> Tuple[RowLattice, np.ndarray]:
-    """The lattice of ``kind`` rows in ``mode`` and the rows on it of the
-    circles of ``cat``, all of kinds that share it.  On the super lattice a
-    dual circle's motif row comes after the base motif's."""
-    lat = _row_lattice(cfg, mode, kind)
-    index = cat.index + (cat.kind == "dual") * len(cfg.motif_base) if mode == "super" else cat.index
-    return lat, lat.rows_at(index, cat.shift, cat.idents)
+    lookups and the validation checks."""
+    key = _lattice_kinds(mode, kind)
+    if key not in cfg.row_lattices:
+        motif, mirrors = ([c for k in ks for c in cfg.motif(k)] for ks in key)
+        cfg.row_lattices[key] = derive_lattice(cfg.d, motif, cfg.lattice, mirrors)
+    return cfg.row_lattices[key]
 
 
 def _locate(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -470,36 +472,6 @@ def _locate(cfg: Configuration, lat: RowLattice, rows: np.ndarray) -> Tuple[np.n
     k, first = np.unique(k[same], return_index=True)
     found[k], index[k], shift[k] = True, i[same][first], moved[same][first]
     return found, index, shift
-
-
-@dataclass
-class _CatalogRows:
-    """``Configuration.catalog`` of a window as integer rows of a lattice."""
-
-    cat: Catalog
-    lat: RowLattice
-    rows: np.ndarray
-
-    @cached_property
-    def view(self) -> np.ndarray:
-        """``as_float`` of every coordinate of every row."""
-        return self.lat.as_float(self.rows)
-
-    @cached_property
-    def geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float centers x, y and radii, as ``InversiveCircle`` gives them."""
-        fv = self.view
-        return fv[:, 2] / fv[:, 1], fv[:, 3] / fv[:, 1], np.abs(1.0 / fv[:, 1])
-
-
-def _catalog_rows(
-    cfg: Configuration, kind: str, w: Window, predicate: str = "meets", mode: Optional[str] = None
-) -> _CatalogRows:
-    """Rows on the lattice of ``kind`` in ``mode``: with no mode, the one
-    closed under translations alone, which every exact configuration has,
-    so the validation checks can report on any of them."""
-    cat = cfg.catalog(kind, w, predicate)
-    return _CatalogRows(cat, *_lattice_rows(cfg, mode, kind, cat))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +521,7 @@ _SAME_KIND_OK = [PairClass.EXTERNALLY_TANGENT, PairClass.DISJOINT_EXTERIORS]
 _CROSS_KIND_OK = _SAME_KIND_OK + [PairClass.ORTHOGONAL]
 
 
-def _pair_classes(fa: _CatalogRows, fb: _CatalogRows) -> np.ndarray:
+def _pair_classes(fa: Catalog, fb: Catalog) -> np.ndarray:
     """``classify_pair`` of every pair of an fa circle and an fb circle, as
     a (len fa, len fb) object array, decided exactly by the sign of each
     product p against -1, 1 and 0 (``RowLattice.products``).  A pair with
@@ -570,7 +542,7 @@ def _pair_classes(fa: _CatalogRows, fb: _CatalogRows) -> np.ndarray:
     return classes.reshape(len(fa.rows), len(fb.rows))
 
 
-def _ringed(center: int, f: _CatalogRows, others: _CatalogRows, cross: np.ndarray,
+def _ringed(center: int, f: Catalog, others: Catalog, cross: np.ndarray,
             within: np.ndarray) -> bool:
     """Whether the circles of ``others`` orthogonal to circle ``center`` of
     ``f`` (row ``cross`` of classes) form a ring: at least three, each
@@ -591,7 +563,7 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
     the catalog rows, by the exact products of ``_pair_classes``.
     """
     rep = ValidationReport(cfg.name)
-    bases, duals = _catalog_rows(cfg, "base", w), _catalog_rows(cfg, "dual", w)
+    bases, duals = cfg.catalog(("base",), w), cfg.catalog(("dual",), w)
     if not len(bases.rows) or not len(duals.rows):
         rep.add("nonempty", False, detail="window contains no circles")
         return rep
@@ -606,7 +578,7 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
         i, j = np.triu_indices(len(fa.rows), 1) if fa is fb else np.indices(classes.shape).reshape(2, -1)
         bad = np.flatnonzero(~np.isin(classes[i, j], ok))
         rep.add(label, not bad.size, [
-            f"{fa.cat.idents[i[k]]}|{fb.cat.idents[j[k]]}:{classes[i[k], j[k]].value}"
+            f"{fa.idents[i[k]]}|{fb.idents[j[k]]}:{classes[i[k], j[k]].value}"
             for k in bad[:4].tolist()
         ])
 
@@ -621,7 +593,7 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
         if cfg.lattice is not None:
             centers = centers[inner.contains_disk(*f.geometry)] if inner is not None else centers[:0]
         checked += len(centers)
-        ring_fail += [f"{label}:{f.cat.idents[c]}" for c in centers.tolist()
+        ring_fail += [f"{label}:{f.idents[c]}" for c in centers.tolist()
                       if not _ringed(c, f, others, cross[c], within)]
     rep.add(
         "every interior circle ringed by >= 3 orthogonal circles",
@@ -651,7 +623,7 @@ def validate_base_dual(cfg: Configuration, w: Window) -> ValidationReport:
         sub = Window(
             w.x0 * frac, w.y0 * frac, w.x1 * frac, w.y1 * frac
         )
-        counts.append(len(cfg.catalog("base", sub)) + len(cfg.catalog("dual", sub)))
+        counts.append(len(cfg.catalog(("base",), sub)) + len(cfg.catalog(("dual",), sub)))
     rep.add(
         "growth of circle counts in nested windows",
         None,
@@ -681,10 +653,10 @@ class TangencyGraph:
 def tangency_graph(cfg: Configuration, kind: str, w: Window) -> TangencyGraph:
     """Externally tangent pairs, by ``_pair_classes``, among the ``kind``
     circles inside the window, whose catalog is the vertex list."""
-    return _tangency(_catalog_rows(cfg, kind, w, "inside"))
+    return _tangency(cfg.catalog((kind,), w).inside(w))
 
 
-def _tangency(verts: _CatalogRows) -> TangencyGraph:
+def _tangency(verts: Catalog) -> TangencyGraph:
     n = len(verts.rows)
     adj: Dict[int, List[int]] = {i: [] for i in range(n)}
     edges: List[Tuple[int, int]] = []
@@ -726,7 +698,7 @@ def _tangency(verts: _CatalogRows) -> TangencyGraph:
                 area += x1 * y2 - x2 * y1
             if area > 1e-9 and len(set(cycle)) == len(cycle) and len(cycle) >= 3:
                 faces.append(cycle)
-    return TangencyGraph(verts.cat, edges, faces, adj)
+    return TangencyGraph(verts, edges, faces, adj)
 
 
 def _is_three_connected(
@@ -828,19 +800,22 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
     Each bounded face of the base tangency graph must host exactly one dual
     circle orthogonal to all its boundary circles, and symmetrically for
     the dual graph.  Faces near the window boundary are clipped artifacts
-    and are skipped via the safe margin.  Tangency and orthogonality are
-    read off ``_pair_classes`` of the catalog rows.
+    and are skipped via the safe margin.  Each kind's catalog is built
+    once; its circles inside the window are the graph's vertices.
+    Tangency and orthogonality are read off ``_pair_classes`` of the
+    catalog rows.
     """
     rep = ValidationReport(cfg.name)
     inner = w.shrunk(cfg.safe_margin()) if cfg.lattice is not None else w
-    verts = {kind: _catalog_rows(cfg, kind, w, "inside") for kind in ("base", "dual")}
+    cats = {kind: cfg.catalog((kind,), w) for kind in ("base", "dual")}
+    verts = {kind: cat.inside(w) for kind, cat in cats.items()}
     graphs = {kind: _tangency(f) for kind, f in verts.items()}
     for kind, partner, label in (
         ("base", "dual", "base graph faces host one orthogonal dual"),
         ("dual", "base", "dual graph faces host one orthogonal base"),
     ):
         f, graph = verts[kind], graphs[kind]
-        orth = _pair_classes(_catalog_rows(cfg, partner, w), f) == PairClass.ORTHOGONAL
+        orth = _pair_classes(cats[partner], f) == PairClass.ORTHOGONAL
         cxs, cys = (v.tolist() for v in f.geometry[:2])
         bad: List[str] = []
         n_checked = 0
@@ -854,7 +829,7 @@ def check_duality(cfg: Configuration, w: Window) -> ValidationReport:
             n_checked += 1
             hosts = int(orth[:, face].all(axis=1).sum())
             if hosts != 1:
-                ids = "+".join(f.cat.idents[i] for i in face)
+                ids = "+".join(f.idents[i] for i in face)
                 bad.append(f"face[{ids}]:{hosts} hosts")
         rep.add(
             label,

@@ -50,18 +50,19 @@ rows, deduplicated on a 1e-9 grid.  A row carries the index of its kind
 for two uses only: the first column of its deduplication key, and the
 blocks of the float products, one per kind and mirror, since a float
 product rounds by the rows it shares a block with.  Seeds and mirrors
-come from the configuration's array catalog as motif rows times integer
-lattice-translation matrices.  Reflections act through the guarded
-``lattice.Mirrors.images`` (float runs take the ``as_float`` values of the
-real matrices), and the host check is the exact ``RowLattice.products``
-of a row and its mirror.  Each BFS level is one spatial join of the
-frontier rows to the mirror centers under the locality bound, one batch
-of images over the joined pairs and one vectorised deduplication; a row
-within 1e-9 of its window or radius bound is decided on ``as_float`` of
-its exact coordinates.  The host check runs in one batch over every
-chain row, hosts found by a spatial prefilter confirmed on the rows
-(exactly on integers).  The output is sorted on ``as_float`` keys of the
-rows.
+come from ``Configuration.catalog`` in the mode, with their rows on the
+mode's lattices, on which the catalog's window ties are decided: one
+catalog in dual and super mode, where the seed kinds are the mirror kinds.
+Reflections act through the guarded ``lattice.Mirrors.images`` (float
+runs take the ``as_float`` values of the real matrices), and the host
+check is the exact ``RowLattice.products`` of a row and its mirror.
+Each BFS level is one spatial join of the frontier rows to the mirror
+centers under the locality bound, one batch of images over the joined
+pairs and one vectorised deduplication; a row within 1e-9 of its window
+or radius bound is decided on ``as_float`` of its exact coordinates.
+The host check runs in one batch over every chain row, hosts found by a
+spatial prefilter confirmed on the rows (exactly on integers).  The
+output is sorted on ``as_float`` keys of the rows.
 
 A ``Packing`` holds that output as columns (``PackedColumns``): the
 integer terms (P, R, q) of each kept row's coordinates over its lattice,
@@ -74,13 +75,14 @@ and ``QuadExt`` objects are built only when the circles are asked for.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, _lattice_rows, parse_id
+from .configs import _MIRROR_KINDS, _SEED_KINDS, Catalog, Configuration, Window, parse_id
 from .exact import QuadExt, as_float, int_array, scalar_sign
 from .inversive import (
     InversiveCircle,
@@ -89,7 +91,7 @@ from .inversive import (
     inversive_product,
     reflect,
 )
-from .lattice import LatticeOverflowError, Mirrors, RowLattice, _guard, as_floats
+from .lattice import LatticeOverflowError, Mirrors, _guard, as_floats
 
 GroupWord = List[str]
 
@@ -205,15 +207,24 @@ def normal_form(
 
 @dataclass(frozen=True)
 class GenerationLimits:
+    """Bounds of a ``generate`` run: ``max_height`` an integer (what
+    ``operator.index`` takes, other than a bool) >= 0, ``min_radius``
+    positive and finite, and the window."""
+
     max_height: int = 3
     min_radius: float = 0.01
     window: Window = Window(-8.0, -8.0, 8.0, 8.0)
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_height, bool) or not hasattr(type(self.max_height), "__index__"):
+            raise ValueError(f"max_height must be an integer, got {self.max_height!r}")
+        object.__setattr__(self, "max_height", operator.index(self.max_height))
         if self.max_height < 0:
             raise ValueError("max_height must be nonnegative")
         if not self.min_radius > 0:
             raise ValueError("min_radius must be positive")
+        if not self.min_radius <= sys.float_info.max:
+            raise ValueError(f"min_radius must be finite, got {self.min_radius!r}")
 
 
 @dataclass
@@ -465,7 +476,7 @@ def _exact_key(k: tuple, quotient: bool) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# catalogs and margins
+# margins
 
 
 def _motif_max_radius(cfg: Configuration, kinds: Sequence[str]) -> float:
@@ -516,10 +527,6 @@ def _margin_schedule(cfg: Configuration, mode: str, limits: GenerationLimits) ->
         mode != "super",
     )
     return [float(p) for p in pads]
-
-
-def _catalog(cfg: Configuration, kinds: Sequence[str], w: Window, pad: float) -> Catalog:
-    return Catalog.concat([cfg.catalog(kind, w, "meets", expand=pad) for kind in kinds])
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +627,7 @@ class _ArrayLane:
         self.pad_mirror_r = _motif_max_radius(cfg, _MIRROR_KINDS[mode])
         self.quotient = mode != "packing"
         self.kinds = list(_SEED_KINDS[mode])
-        self.lat, seed_ints = _lattice_rows(cfg, mode, self.kinds[0], seeds)
-        self.mlat, mirror_ints = _lattice_rows(cfg, mode, _MIRROR_KINDS[mode][0], mirrors)
+        self.lat, self.mlat = seeds.lat, mirrors.lat
         self.width = self.lat.width if exact else 4
         self.key = np.dtype((np.void, (1 + self.width) * 8))
 
@@ -633,27 +639,27 @@ class _ArrayLane:
         # integer reflection matrix (exact) or the ``as_float`` values of the
         # real ones (float).
         self.mirror_ids = np.array(mirrors.idents, dtype=object)
-        view = RowLattice.approx if exact else RowLattice.as_float
-        self.mirror_vec = mv = view(self.mlat, mirror_ints)
-        self.mirror_rows = mirror_ints if exact else mv
+        view = (lambda cat: cat.lat.approx(cat.rows)) if exact else (lambda cat: cat.view)
+        self.mirror_vec = mv = view(mirrors)
+        self.mirror_rows = mirrors.rows if exact else mv
         # <v, m> = v . mirror_q for a float row v
         self.mirror_q = np.column_stack([-mv[:, 1] / 2.0, -mv[:, 0] / 2.0, mv[:, 2], mv[:, 3]])
         if exact:
-            mats = self.lat.reflections(self.mlat, mirror_ints, self.mirror_ids)
+            mats = self.lat.reflections(self.mlat, mirrors.rows, self.mirror_ids)
             self.reflect = Mirrors(mats, self.mirror_ids)
         else:
-            self.float_mats = self.mlat.float_reflections(mirror_ints)
+            self.float_mats = self.mlat.float_reflections(mirrors.rows)
         b = mv[:, 1]
         self.mirror_cx, self.mirror_cy, self.mirror_r = mv[:, 2] / b, mv[:, 3] / b, np.abs(1.0 / b)
 
         # Seeds, kind by kind in id order: those under the radius floor start
         # no chain, since every ancestor of a kept row is larger than it.
         self.seed_ids = seeds.idents
-        sv = view(self.lat, seed_ints)
+        sv = view(seeds)
         sel = np.nonzero(np.abs(1.0 / sv[:, 1]) >= limits.min_radius)[0]
         kind = np.array([self.kinds.index(k) for k in seeds.kind[sel].tolist()], dtype=np.int8)
         none = np.full(len(sel), -1, dtype=np.intp)
-        self._admit(_Chunk(0, (seed_ints if exact else sv)[sel], kind, none, none, sel))
+        self._admit(_Chunk(0, (seeds.rows if exact else sv)[sel], kind, none, none, sel))
 
     # -- plumbing ------------------------------------------------------
 
@@ -973,8 +979,9 @@ def generate(
     if limits is None:
         limits = GenerationLimits()
     pads = _margin_schedule(cfg, mode, limits)
-    mirrors = _catalog(cfg, _MIRROR_KINDS[mode], limits.window, pads[0])
-    seeds = _catalog(cfg, _SEED_KINDS[mode], limits.window, pads[0])
+    seeds = cfg.catalog(_SEED_KINDS[mode], limits.window, pads[0], mode)
+    mirrors = (seeds if _MIRROR_KINDS[mode] == _SEED_KINDS[mode]
+               else cfg.catalog(_MIRROR_KINDS[mode], limits.window, pads[0], mode))
     lane = _ArrayLane(cfg, mode, limits, mirrors, seeds, exact, pads)
     lane.run()
     return Packing(cfg, mode, limits, columns=lane.finals())

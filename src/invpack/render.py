@@ -445,6 +445,8 @@ def _max_height(v: object) -> int:
 def _min_radius(v: object) -> Union[int, float]:
     if not _number(v) > 0:
         raise _Invalid(f"{v!r} is not positive")
+    if not v <= sys.float_info.max:
+        raise _Invalid(f"{_brief(v)} is not finite")
     return v
 
 

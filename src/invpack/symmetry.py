@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import Configuration, Window, _catalog_rows, _locate, _row_lattice
+from .configs import Configuration, Window, _locate, _row_lattice
 from .exact import QuadExt, Scalar
 from .inversive import InversiveCircle, PlanarIsometry, _cconj, _cmul
 from .lattice import Mirrors
@@ -368,13 +368,16 @@ def trivial_intersection(
     it is no target.  The words are those of ``Mirrors.walk``, none pruned:
     dual mirrors are tangent or disjoint, so they generate a free product
     of reflections, and a repeated state would only be checked twice.
+    ValueError for a negative ``max_len`` or a window without both kinds.
     """
-    duals, bases = _catalog_rows(cfg, "dual", window), _catalog_rows(cfg, "base", window, mode="packing")
-    if not duals.cat or not bases.cat:
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    duals, bases = cfg.catalog(("dual",), window), cfg.catalog(("base",), window, mode="packing")
+    if not duals or not bases:
         raise ValueError("window holds no circles to compare")
-    lat, start, idents = bases.lat, bases.rows, bases.cat.idents
+    lat, start, idents = bases.lat, bases.rows, bases.idents
     reps = quotient_isometries(cfg, [d.iso for d in cfg.symmetries])
-    mirrors = Mirrors(lat.reflections(duals.lat, duals.rows, duals.cat.idents), duals.cat.idents)
+    mirrors = Mirrors(lat.reflections(duals.lat, duals.rows, duals.idents), duals.idents)
 
     reach = np.arange(-6, 7, dtype=np.int64)
     shifts = np.stack(np.meshgrid(reach, reach, indexing="ij"), axis=-1).reshape(-1, 2)

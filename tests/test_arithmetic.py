@@ -407,7 +407,7 @@ class TestVerifyRelationOrbit:
             rel = relations[name]
         cfg, window = make_config(rel.config), Window.square(1.0)
         (sweep,) = sweep_relation_words(cfg, [rel], max_len=2, window=window)
-        ids = cfg.catalog("dual", window).idents
+        ids = cfg.catalog(("dual",), window).idents
         words = [[]] + [[a] for a in ids] + [[a, b] for a, b in product(ids, ids) if a != b]
         oracle = verify_relation_orbit(cfg, rel, rel.instance, words)
         assert oracle.words_checked == sweep.words_checked
@@ -423,6 +423,18 @@ class TestSweep:
         )
         assert all(r.ok for r in reports)
         assert {r.words_checked for r in reports} == {31777}
+
+    def test_no_relations_is_named(self, square):
+        # numpy used to raise "need at least one array to concatenate"
+        with pytest.raises(ValueError, match="no relations to sweep"):
+            sweep_relation_words(square, [])
+
+    def test_negative_length_rejected(self, square, relations):
+        rels = [r for r in relations.values() if r.config == "square"]
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            sweep_relation_words(square, rels, max_len=-1)
+        (report, *_) = sweep_relation_words(square, rels, max_len=0, window=Window.square(2.0))
+        assert report.ok and report.words_checked == 1
 
     def test_triangular_relations_certify(self, triangular, relations):
         rels = [r for r in relations.values() if r.config == "triangular"]
@@ -520,7 +532,7 @@ class TestSweep:
             warnings.simplefilter("error")
             with pytest.raises(LatticeOverflowError) as info:
                 sweep_relation_words(square, rels, max_len=5, window=window)
-        assert info.value.mirror in square.catalog("dual", window).idents
+        assert info.value.mirror in square.catalog(("dual",), window).idents
 
 
 class TestVanishing:
@@ -534,7 +546,7 @@ class TestVanishing:
         cfg = make_config(rel.config)
         lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
         (col,) = np.nonzero(lat.basis[:, 1])
-        gens = cfg.catalog("dual", Window.square(2.0))
+        gens = cfg.catalog(("dual",), Window.square(2.0))
         mats = lat.reflections(mlat, mlat.rows_at(gens.index, gens.shift, gens.idents),
                                gens.idents)
         # curvatures of the instance under random words of length 3, scaled:
@@ -619,7 +631,7 @@ def _float_sweep(cfg, relations, max_len, window):
     primes beyond that."""
     lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
     (col,) = np.nonzero(lat.basis[:, 1])
-    gens = cfg.catalog("dual", window)
+    gens = cfg.catalog(("dual",), window)
     rows = mlat.rows_at(gens.index, gens.shift, gens.idents)
     mats = lat.reflections(mlat, rows, gens.idents).astype(np.float64)
     stack = lat.rows_of([c for rel in relations for c in rel.instance]).astype(np.float64).T
@@ -702,7 +714,7 @@ def _float_sweep(cfg, relations, max_len, window):
 def _peak_entry(cfg, relations, max_len, window):
     """Largest |row entry| over the sweep's words, on Python integers."""
     lat, mlat = _row_lattice(cfg, "packing", "base"), _row_lattice(cfg, "packing", "dual")
-    gens = cfg.catalog("dual", window)
+    gens = cfg.catalog(("dual",), window)
     mats = lat.reflections(mlat, mlat.rows_at(gens.index, gens.shift, gens.idents),
                            gens.idents).astype(object)
     frontier = [(lat.rows_of([c for r in relations for c in r.instance]).T.astype(object), -1)]

@@ -4,25 +4,28 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
+import importlib.util
 import math
 import re
 import weakref
 from collections import Counter, deque
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invpack
 from invpack.configs import (
+    _SEED_KINDS,
+    Catalog,
     Configuration,
     GeneratorCircle,
     TangencyGraph,
     ValidationReport,
     Window,
-    _catalog_rows,
     _is_three_connected,
     _pair_classes,
     _row_lattice,
@@ -34,6 +37,7 @@ from invpack.configs import (
     tangency_graph,
     validate_base_dual,
 )
+from invpack.engine import MODES
 from invpack.exact import QuadExt
 from invpack.inversive import (
     InversiveCircle,
@@ -122,7 +126,7 @@ class TestSquareConfig:
         assert len(bases) == 25
         # dual centers on odd pairs up to (5,5); the four far corners miss
         assert len(duals) == 32
-        inside = self.cfg.catalog("base", w, "inside").circles()
+        inside = self.cfg.catalog(("base",), w).inside(w).circles()
         assert len(inside) == 9
 
     def test_known_members(self):
@@ -590,6 +594,20 @@ class TestPublicSurface:
         assert callers
         assert uncalled(package, callers) == set(_SURFACE_KEPT)
 
+    def test_every_traced_target_resolves(self):
+        # a rename in the package would otherwise break only traced bench runs
+        path = Path(invpack.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = [t[:2] for t in tracing.SPANS] + list(tracing.COUNTS)
+        assert targets
+        for module, attr in targets:
+            owner = importlib.import_module(f"invpack.{module}")
+            *cls, name = attr.split(".")
+            found = vars(getattr(owner, cls[0])).get(name) if cls else getattr(owner, name, None)
+            assert callable(found), f"{module}.{attr}"
+
     def test_guard_sees_an_uncalled_name(self):
         package = {
             "m": (
@@ -683,12 +701,12 @@ class TestArrayCatalog:
             for half, pad in self.cases(name, cfg):
                 w = Window(ox - half, oy - half, ox + half, oy + half)
                 for kind in ("base", "dual"):
-                    got = cfg.catalog(kind, w, "meets", pad)
+                    got = cfg.catalog((kind,), w, pad)
                     assert got.idents == per_translate_catalog(cfg, kind, w, "meets", pad)
                     if pad == 0.0:
                         wrapped = [g.ident for g in cfg.circles_in_window(kind, w)]
                         assert wrapped == got.idents
-                        inside = cfg.catalog(kind, w, "inside").idents
+                        inside = got.inside(w).idents
                         assert inside == per_translate_catalog(cfg, kind, w, "inside")
 
     @pytest.mark.parametrize(
@@ -699,7 +717,7 @@ class TestArrayCatalog:
     )
     def test_tangent_circles_decided_as_before(self, name, window, kind, tangent):
         cfg = make_config(name)
-        got = cfg.catalog(kind, window).idents
+        got = cfg.catalog((kind,), window).idents
         assert got == per_translate_catalog(cfg, kind, window)
         for ident in tangent:
             c = cfg.circle_from_id(ident)
@@ -713,16 +731,76 @@ class TestArrayCatalog:
     def test_catalog_arrays_rebuild_the_circles(self):
         cfg = make_config("triangular")
         w = Window(2.5, -3.0, 6.0, 1.0)
-        cat = cfg.catalog("dual", w, expand=0.5)
+        cat = cfg.catalog(("dual",), w, expand=0.5)
         for ident, kind, index, shift, g in zip(
             cat.idents, cat.kind.tolist(), cat.index.tolist(), cat.shift.tolist(), cat
         ):
             assert make_id(kind, index, tuple(shift)) == ident == g.ident
             assert g.circle == cfg.circle_from_id(ident)
 
-    def test_unknown_predicate(self):
-        with pytest.raises(ValueError, match="unknown predicate"):
-            make_config("square").catalog("base", Window.square(1.0), "touches")
+
+def _tangent_windows(cfg, kind):
+    """Windows with edges on motif circle 0 of ``kind``, and on its
+    translate by v1 + v2 (where the float test rounds differently)."""
+    c = cfg.motif(kind)[0]
+    (cx, cy), r = c.center(), abs(c.radius())
+    out = [Window(cx - r, cy - r, cx + r, cy + r), Window(cx - r, cy - r - 2.0, cx + r + 3.0, cy + r)]
+    if cfg.lattice is not None:
+        (ax, ay), (bx, by) = cfg._lattice_float
+        x, y = cx + ax + bx, cy + ay + by
+        out += [Window(x - r, y - r, x + r + 1.5, y + r + 1.5), Window(x - r - 2.0, y - r - 1.0, x + r, y + r)]
+    return out
+
+
+class TestCatalogRows:
+    """A catalog's rows are the exact translates of its circles on the
+    lattice of its kinds in its mode, and ``inside`` keeps the circles the
+    per-translate loop keeps."""
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_rows_are_the_exact_translates_on_the_mode_lattice(self, name):
+        cfg, w = make_config(name), Window.square(1.5)
+        for mode in (None, *MODES):
+            # every kind alone, and the seed kinds together; on the super
+            # lattice a dual's motif row follows the base motif's
+            for kinds in {("base",), ("dual",)} | ({_SEED_KINDS[mode]} if mode else set()):
+                cat = cfg.catalog(kinds, w, mode=mode)
+                assert cat.lat is _row_lattice(cfg, mode, kinds[0])
+                assert cat.idents == [i for k in kinds for i in per_translate_catalog(cfg, k, w)]
+                assert [make_id(*k) for k in zip(cat.kind.tolist(), cat.index.tolist(), (
+                    None if cfg.lattice is None else tuple(s) for s in cat.shift.tolist()))] == cat.idents
+                want = cat.lat.rows_of([reference_placed(cfg, i) for i in cat.idents])
+                assert cat.rows.dtype == np.int64 and cat.rows.tolist() == want.tolist()
+
+    def test_kinds_of_two_lattices_refused(self):
+        cfg = make_config("square")
+        for mode in (None, "packing", "dual"):
+            with pytest.raises(ValueError, match="share no one row lattice"):
+                cfg.catalog(("base", "dual"), Window.square(1.0), mode=mode)
+        with pytest.raises(ValueError, match="share no one row lattice"):
+            cfg.catalog((), Window.square(1.0))
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_inside_matches_the_per_translate_loop_on_tangent_windows(self, name):
+        cfg = make_config(name)
+        for kind in ("base", "dual"):
+            for w in _tangent_windows(cfg, kind):
+                cat = cfg.catalog((kind,), w)
+                inside = cat.inside(w)
+                assert inside.idents == per_translate_catalog(cfg, kind, w, "inside")
+                kept = set(inside.idents)
+                assert inside.rows.tolist() == [r for i, r in zip(cat.idents, cat.rows.tolist()) if i in kept]
+                assert inside.view.tolist() == inside.lat.as_float(inside.rows).tolist()
+        # the base motif circle spanning the first window is inside it
+        w = _tangent_windows(cfg, "base")[0]
+        assert "b0" in [i.partition("@")[0] for i in cfg.catalog(("base",), w).inside(w).idents]
+
+    def test_a_tie_derives_no_other_lattice(self):
+        # d0@-2,0 is tangent to the window (``test_tangent_circles_decided_as_before``)
+        cfg, w = make_config("square"), Window.square(2.0)
+        cat = cfg.catalog(("dual",), w, mode="dual")
+        assert "d0@-2,0" in cat.idents
+        assert list(cfg.row_lattices) == [(("dual",), ("dual",))]
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +837,7 @@ class TestRowLookups:
     def test_every_catalogued_id_round_trips(self, name):
         cfg = make_config(name)
         for kind in ("base", "dual"):
-            cat = cfg.catalog(kind, Window.square(3.0))
+            cat = cfg.catalog((kind,), Window.square(3.0))
             assert len(cat) > 0
             for ident, g in zip(cat.idents, cat):
                 want = reference_placed(cfg, ident)
@@ -772,7 +850,7 @@ class TestRowLookups:
         cfg = make_config(name)
         nudge = PlanarIsometry.translation((QuadExt(1, 0, 1000), QuadExt(0)))
         for kind, other in (("base", "dual"), ("dual", "base")):
-            c = cfg.circle_from_id(cfg.catalog(kind, Window.square(1.0)).idents[0])
+            c = cfg.circle_from_id(cfg.catalog((kind,), Window.square(1.0)).idents[0])
             off = apply_isometry(nudge, c)
             with pytest.raises(ArithmeticError, match="does not lie on the integer lattice"):
                 _row_lattice(cfg, None, kind).rows_of([off])
@@ -789,7 +867,7 @@ class TestRowLookups:
         monkeypatch.setattr(QuadExt, "__init__", lambda *a, **k: made.append(a) or init(*a, **k))
         validate_base_dual(cfg, Window.square(6.0))
         check_duality(cfg, Window.square(6.0))
-        fresh.catalog("base", Window.square(7.0))
+        fresh.catalog(("base",), Window.square(7.0))
         assert made == []
 
     @pytest.mark.parametrize("name", [n for n in config_names() if n != "apollonian"])
@@ -809,7 +887,7 @@ class TestRowLookups:
     def test_tie_with_a_pad_decided_as_before(self):
         # b0@2,0 lies at distance 2 from the window, its radius plus the pad
         cfg, w = make_config("square"), Window.square(2.0)
-        got = cfg.catalog("base", w, expand=1.0).idents
+        got = cfg.catalog(("base",), w, expand=1.0).idents
         assert "b0@2,0" in got and got == per_translate_catalog(cfg, "base", w, expand=1.0)
 
     def test_far_row_names_its_overflow(self):
@@ -821,7 +899,7 @@ class TestRowLookups:
 
     def test_finite_ids_are_the_motif(self):
         cfg = make_config("apollonian")
-        cat = cfg.catalog("base", Window.square(3.0))
+        cat = cfg.catalog(("base",), Window.square(3.0))
         assert [g.circle for g in cat] == [cfg.circle_from_id(i) for i in cat.idents]
         assert all(cfg.circle_from_id(f"b{i}") is c for i, c in enumerate(cfg.motif_base))
 
@@ -994,15 +1072,15 @@ class TestRowChecks:
         # tangent ones internally tangent and disjoint ones nested
         cfg = make_config(name)
         w = Window.square(1.0)
-        fams = {kind: _catalog_rows(cfg, kind, w) for kind in ("base", "dual")}
+        fams = {kind: cfg.catalog((kind,), w) for kind in ("base", "dual")}
         seen = set()
         for a, b in (("base", "base"), ("dual", "dual"), ("base", "dual")):
             fa, fb = fams[a], fams[b]
-            flipped = replace(fb, rows=-fb.rows)
+            flipped = Catalog(fb.kind, fb.index, fb.shift, fb.idents, fb.lat, -fb.rows)
             for other, sign in ((fb, 1), (flipped, -1)):
                 got = _pair_classes(fa, other)
-                for i, u in enumerate(fa.cat):
-                    for j, v in enumerate(fb.cat):
+                for i, u in enumerate(fa):
+                    for j, v in enumerate(fb):
                         want = classify_pair(u.circle, v.circle if sign > 0 else v.circle.reversed())
                         assert got[i, j] is want, (u.ident, v.ident, sign)
                         seen.add(want)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invpack import configs
 from invpack.configs import Configuration, Window, make_config
 from invpack.engine import (
     _MIRROR_KINDS,
@@ -27,7 +28,6 @@ from invpack.engine import (
     Packing,
     _ArrayLane,
     _canonical_sign,
-    _catalog,
     _margin_schedule,
     apply_word,
     commuting_letters,
@@ -187,6 +187,24 @@ class TestGenerationLimits:
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError, match="min_radius must be positive"):
             GenerationLimits(2, float("nan"), Window.square(1.0))
+
+    @pytest.mark.parametrize("height", [2.0, True, False, "2", None])
+    def test_rejects_a_height_that_is_not_an_integer(self, height):
+        # 2.0 used to build and then fail in ``range``, and True ran as H=1
+        with pytest.raises(ValueError, match="max_height must be an integer"):
+            GenerationLimits(height, 0.05, Window.square(1.0))
+
+    def test_height_takes_what_operator_index_takes(self, square):
+        want = GenerationLimits(1, 0.05, Window.square(1.0))
+        lim = GenerationLimits(np.int64(1), 0.05, Window.square(1.0))
+        assert type(lim.max_height) is int and lim == want
+        assert generate(square, "packing", lim) == generate(square, "packing", want)
+
+    @pytest.mark.parametrize("radius", [float("inf"), 10**400], ids=["inf", "10**400"])
+    def test_rejects_an_infinite_radius(self, radius):
+        # an infinite floor used to be written as the non-JSON ``Infinity``
+        with pytest.raises(ValueError, match="min_radius must be finite"):
+            GenerationLimits(2, radius, Window.square(1.0))
 
     def test_unknown_mode_rejected(self, square):
         with pytest.raises(ValueError):
@@ -649,10 +667,40 @@ class TestWindowCompleteness:
         assert summary(inside) == summary(small)
 
 
+class TestCatalogs:
+    """``generate`` builds one catalog where the seed kinds are the mirror
+    kinds, and derives one lattice per catalog, a tie included."""
+
+    @staticmethod
+    def seed_tie(cfg, mode):
+        """Limits whose padded window has a seed translate on its edge: the
+        first seed motif circle moved by k v1 = (2k, 0) on the square."""
+        lim = GenerationLimits(1, 0.05, Window.square(1.0))
+        pad = _margin_schedule(cfg, mode, lim)[0]
+        seed = cfg.motif(_SEED_KINDS[mode][0])[0]
+        (cx, cy), r = seed.center(), seed.radius()
+        x = cx + 2 * (int((r + pad) / 2) + 2)
+        w = Window(cx - 1.0, cy - 1.0, x - r - pad, cy + 1.0)
+        assert abs((x - w.x1) - (r + pad)) < 1e-12
+        return GenerationLimits(1, 0.05, w)
+
+    @pytest.mark.parametrize("mode, builds", [("packing", 2), ("dual", 1), ("super", 1)])
+    def test_one_catalog_and_lattice_where_seeds_mirror(self, mode, builds, monkeypatch):
+        made, derived = [], []
+        catalog, derive = Configuration.catalog, configs.derive_lattice
+        monkeypatch.setattr(Configuration, "catalog", lambda *a, **k: made.append(a[1]) or catalog(*a, **k))
+        monkeypatch.setattr(configs, "derive_lattice", lambda *a: derived.append(a) or derive(*a))
+        cfg = make_config("square")
+        packing = generate(cfg, mode, self.seed_tie(cfg, mode))
+        assert len(packing) > 0
+        assert len(made) == len(derived) == builds
+        assert made[0] == _SEED_KINDS[mode] and made[-1] == _MIRROR_KINDS[mode]
+
+
 def _lane(cfg, mode, lim, exact=True):
     pads = _margin_schedule(cfg, mode, lim)
-    mirrors = _catalog(cfg, _MIRROR_KINDS[mode], lim.window, pads[0])
-    seeds = _catalog(cfg, _SEED_KINDS[mode], lim.window, pads[0])
+    mirrors = cfg.catalog(_MIRROR_KINDS[mode], lim.window, pads[0], mode)
+    seeds = cfg.catalog(_SEED_KINDS[mode], lim.window, pads[0], mode)
     lane = _ArrayLane(cfg, mode, lim, mirrors, seeds, exact, pads)
     lane.run()
     return lane
@@ -790,7 +838,7 @@ class TestBatchedPeel:
         lim = GenerationLimits(window=self.window(cfg, shift), **self.LIMITS)
         packing = generate(cfg, mode, lim)
         pads = _margin_schedule(cfg, mode, lim)
-        index = _PeelIndex(_catalog(cfg, ("dual",), lim.window, pads[0]))
+        index = _PeelIndex(cfg.catalog(("dual",), lim.window, pads[0]))
         seed_kind = "base" if mode == "packing" else "dual"
         assert max(p.height for p in packing.circles) == 2
         for p in packing.circles:

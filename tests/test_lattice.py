@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpack.configs import Window, _lattice_rows, _row_lattice, config_names, make_config
+from invpack.configs import Window, _row_lattice, config_names, make_config
 from invpack.engine import (
     _MIRROR_KINDS,
     _SEED_KINDS,
@@ -85,8 +85,8 @@ def _lattice_keys(mode):
 
 
 def _rows(cfg, mode, kind, w):
-    cat = cfg.catalog(kind, w)
-    return (cat, *_lattice_rows(cfg, mode, kind, cat))
+    cat = cfg.catalog((kind,), w, mode=mode)
+    return cat, cat.lat, cat.rows
 
 
 class TestRowLattices:

@@ -295,6 +295,10 @@ MUTATIONS = {
     "zero min_radius": (_set(["limits", "min_radius"], 0), "$.limits.min_radius"),
     "negative min_radius": (_set(["limits", "min_radius"], -0.5), "$.limits.min_radius"),
     "negative max_height": (_set(["limits", "max_height"], -1), "$.limits.max_height"),
+    "fractional max_height": (_set(["limits", "max_height"], 2.0), "$.limits.max_height"),
+    "boolean max_height": (_set(["limits", "max_height"], True), "$.limits.max_height"),
+    "infinite min_radius": (_set(["limits", "min_radius"], float("inf")), "$.limits.min_radius"),
+    "min_radius past the float range": (_set(["limits", "min_radius"], 10**400), "$.limits.min_radius"),
     "malformed scalar": (_set(["circles", 3, "circle", 0], "2+oops"), "$.circles[3].circle[0]"),
     "malformed motif scalar": (_set(["config", "motif_dual", 0, 2], "x"), "$.config.motif_dual[0][2]"),
     "zero denominator": (_set(["circles", 3, "circle", 1], "1/0"), "$.circles[3].circle[1]"),
@@ -330,6 +334,14 @@ class TestJsonErrors:
         assert "-1e309" in text
         with pytest.raises(ValueError, match=r"^invalid document at \$\.limits\.window: "
                                              "window corners must be finite"):
+            from_json(text)
+
+    def test_infinite_min_radius_is_named(self, small_doc):
+        # json reads 1e999 as infinity, as it reads the Infinity an
+        # infinite floor used to be written as
+        text = json.dumps(small_doc).replace('"min_radius": 0.1', '"min_radius": 1e999')
+        assert "1e999" in text
+        with pytest.raises(ValueError, match=r"^invalid document at \$\.limits\.min_radius: inf is not finite"):
             from_json(text)
 
     def test_unmutated_document_loads(self, small_doc):

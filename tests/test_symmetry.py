@@ -543,6 +543,11 @@ class TestTrivialIntersection:
         with pytest.raises(ValueError, match="window"):
             trivial_intersection(square, Window(-0.1, -0.1, 0.1, 0.1))
 
+    def test_negative_length_rejected(self, square):
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            trivial_intersection(square, Window.square(3.0), max_len=-1)
+        assert trivial_intersection(square, Window.square(3.0), max_len=0)
+
 
 # ---------------------------------------------------------------------------
 # references: the window check, and the quotient and signature in complex
@@ -776,9 +781,8 @@ class TestIsometryRows:
         cfg = make_config(name)
         isos = [d.iso for d in cfg.symmetries] + [non_symmetry(cfg)]
         for kind in ("base", "dual"):
-            lat = _row_lattice(cfg, "packing", kind)
-            cat = cfg.catalog(kind, Window.square(3.0))
-            rows = lat.rows_at(cat.index, cat.shift, cat.idents)
+            cat = cfg.catalog((kind,), Window.square(3.0), mode="packing")
+            lat, rows = cat.lat, cat.rows
             assert len(rows)
             for g in isos:
                 images, on = lat.moved(g, rows, cat.idents)
