@@ -28,41 +28,50 @@ chains the BFS stores: each row keeps its parent row and the mirror it was
 reached through, so a chain's length is its level by construction.  In
 super mode base mirrors do not shrink radii monotonically, so the height
 is the BFS level over the catalogued region and the word is the first
-discovery.  In "packing" and "dual" mode a non-seed circle lies inside
-exactly one dual, and reflecting it back out strictly grows its radius,
-so peeling reflects out of that dual until a seed.  Every non-seed row
-on a kept row's chain is checked, once, to lie inside exactly one
-catalogued dual, the mirror it was reached through.  Peeling a kept row
-would then retrace its chain to the same seed, so the chain word is the
-peeled word and the height its length:
-- the ancestors of a kept row are strictly larger than it, so they are
-  above the radius floor;
-- every seed above the floor is stored at level 0, so no row of a later
-  level equals a seed;
-- among equal seeds the first in catalog order is stored, the one a
-  lookup by row would find first.
+discovery, and a key set of the stored rows (kind, then the canonically
+signed row) keeps each circle's first row.  In "packing" and "dual" mode
+the duals are disjoint disks: a non-seed circle lies inside exactly one
+dual, and reflecting it back out strictly grows its radius, so peeling
+reflects out of that dual until a seed, and every circle has one reduced
+word (the Apollonian descent of Graham, Lagarias, Mallows, Wilks and Yan,
+2005).  Every non-seed row on a kept row's chain is checked, once, to lie
+inside exactly one catalogued dual, the mirror it was reached through.
+Peeling a kept row would then retrace its chain to the same seed, so the
+chain word is the peeled word and the height its length; the ancestors
+of a kept row are strictly larger than it, so they are above the radius
+floor, and every seed above the floor is stored at level 0.  These modes
+store each level as found, with no key set, since no row is reached twice:
+- two chains that reach one row both end in its one host dual, so their
+  parents are equal, and by induction so are their seeds;
+- a row of level >= 1 lies strictly inside a dual, and no seed does, so
+  no later row equals a seed and two chains to one row have one length;
+- catalog ids name distinct circles, so equal seeds are one seed;
+- ``_box_pairs`` yields each (row, mirror) pair at most once.
+Where duals overlap a row may be stored twice, and the host check still
+raises on it once it reaches the output.
 
-One lane runs every configuration.  It holds each circle as a numpy
-row of integers over one lattice of the mode's seed kinds, in super mode
-the span of both motifs (``lattice.derive_lattice``, derived from the
+One lane runs every configuration.  It holds each circle as a numpy row
+of integers over one lattice of the mode's seed kinds, in super mode the
+span of both motifs (``lattice.derive_lattice``, derived from the
 configuration's data), exactly, or as the ``as_float`` values of those
-rows, deduplicated on a 1e-9 grid.  A row carries the index of its kind
-for two uses only: the first column of its deduplication key, and the
-blocks of the float products, one per kind and mirror, since a float
-product rounds by the rows it shares a block with.  Seeds and mirrors
-come from ``Configuration.catalog`` in the mode, with their rows on the
-mode's lattices, on which the catalog's window ties are decided: one
-catalog in dual and super mode, where the seed kinds are the mirror kinds.
+rows, whose 1e-9 grid (super mode's key) every float run keeps within
+int64.  A row carries the index of its kind for two uses only:
+the first column of super mode's key, and the blocks of the float
+products, one per kind and mirror, since a float product rounds by the
+rows it shares a block with.  Seeds and mirrors come from
+``Configuration.catalog`` in the mode, with their rows on the mode's
+lattices, on which the catalog's window ties are decided: one catalog in
+dual and super mode, where the seed kinds are the mirror kinds.
 Reflections act through the guarded ``lattice.Mirrors.images`` (float
 runs take the ``as_float`` values of the real matrices), and the host
 check is the exact ``RowLattice.products`` of a row and its mirror.
 Each BFS level is one spatial join of the frontier rows to the mirror
 centers under the locality bound, one batch of images over the joined
-pairs and one vectorised deduplication; a row within 1e-9 of its window
-or radius bound is decided on ``as_float`` of its exact coordinates.
-The host check runs in one batch over every chain row, hosts found by a
-spatial prefilter confirmed on the rows (exactly on integers).  The
-output is sorted on ``as_float`` keys of the rows.
+pairs and, in super mode, one vectorised deduplication; a row within
+1e-9 of its window or radius bound is decided on ``as_float`` of its
+exact coordinates.  The host check runs in one batch over every chain
+row, hosts found by a spatial prefilter confirmed on the rows (exactly
+on integers).  The output is sorted on ``as_float`` keys of the rows.
 
 A ``Packing`` holds that output as columns (``PackedColumns``): the
 integer terms (P, R, q) of each kept row's coordinates over its lattice,
@@ -149,7 +158,7 @@ def commuting_letters(cfg: Configuration) -> Callable[[str, str], bool]:
                 prod = inversive_product(
                     cfg.circle_from_id(a), cfg.circle_from_id(b)
                 )
-                hit = _scalar_is_zero(prod)
+                hit = scalar_sign(prod) == 0
             cache[key] = hit
         return hit
 
@@ -362,15 +371,6 @@ class Packing:
     def __iter__(self):
         return iter(self.circles)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Packing):
-            return NotImplemented
-        return (self.config, self.mode, self.limits, self.circles) == (
-            other.config, other.mode, other.limits, other.circles
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def find(self, circle: InversiveCircle) -> Optional[PackedCircle]:
         """The packed circle equal to ``circle``, in either orientation in
         the quotient modes: exactly between exact circles, and within a
@@ -454,12 +454,6 @@ class _Index:
 
 # ---------------------------------------------------------------------------
 # scalar helpers
-
-
-def _scalar_is_zero(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.sign() == 0
-    return abs(float(x)) < 1e-9
 
 
 def _exact_key(k: tuple, quotient: bool) -> tuple:
@@ -604,9 +598,9 @@ _FIELDS = ("rows", "kind", "parent", "via", "seed")
 
 class _ArrayLane:
     """BFS over numpy rows: int64 rows over the lattice of the mode's seed
-    kinds, or float64 rows, the ``as_float`` values of the lattice rows,
-    with grid deduplication.  Each level joins its frontier to the mirror
-    centers once and deduplicates once.  ``finals`` reads words off the
+    kinds, or float64 rows, the ``as_float`` values of the lattice rows.
+    Each level joins its frontier to the mirror centers once and, in super
+    mode, deduplicates once.  ``finals`` reads words off the
     chains and, in the descending modes, checks their hosts in one batch."""
 
     def __init__(
@@ -628,12 +622,12 @@ class _ArrayLane:
         self.quotient = mode != "packing"
         self.kinds = list(_SEED_KINDS[mode])
         self.lat, self.mlat = seeds.lat, mirrors.lat
-        self.width = self.lat.width if exact else 4
-        self.key = np.dtype((np.void, (1 + self.width) * 8))
 
-        # the level chunks in storage order; keys of every stored row
+        # the level chunks in storage order; in super mode alone, the keys of
+        # every stored row as sorted opaque bytes (the module docstring says why)
         self.chunks: List[_Chunk] = []
-        self.seen = np.zeros(0, dtype=self.key)
+        width = 1 + (self.lat.width if exact else 4)
+        self.seen = np.zeros(0, dtype=(np.void, 8 * width)) if mode == "super" else None
 
         # Mirrors: float rows for the masks and geometry, and either every
         # integer reflection matrix (exact) or the ``as_float`` values of the
@@ -659,34 +653,30 @@ class _ArrayLane:
         sel = np.nonzero(np.abs(1.0 / sv[:, 1]) >= limits.min_radius)[0]
         kind = np.array([self.kinds.index(k) for k in seeds.kind[sel].tolist()], dtype=np.int8)
         none = np.full(len(sel), -1, dtype=np.intp)
-        self._admit(_Chunk(0, (seeds.rows if exact else sv)[sel], kind, none, none, sel))
+        self._admit(_Chunk(0, (seeds.rows if exact else sv)[sel], kind, none, none.copy(), sel))
 
     # -- plumbing ------------------------------------------------------
 
-    def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical rows: the rows themselves on integers, a 1e-9 grid
-        (still float) on floats; quotient keys identify the orientations."""
-        canon = rows if self.exact else np.round(rows * 1e9)
-        if self.quotient:
-            canon = canon * _canonical_sign(canon)[:, None]
-        return canon
-
     def _admit(self, batch: _Chunk) -> None:
-        """Store the rows of ``batch`` that are new to the search as the next
-        chunk, keeping for each key, of kind and row, its first row.
+        """Store ``batch`` as the next chunk: whole in the descending modes,
+        and in super mode only the first row of each key (the kind, then the
+        canonically signed row) that the search has not stored yet.
 
         The rows come in discovery order (kind, mirror, frontier row), which
-        fixes the float representative of each grid key and the discovery
-        chains of super mode.  Float grid keys beyond int64 raise
-        LatticeOverflowError.
+        fixes the discovery chains and, in super mode, the representative of
+        each key.  Float rows are keyed on a 1e-9 grid, and grid values
+        beyond int64 raise LatticeOverflowError in every mode.
         """
-        canon = self._keys(batch.rows)
+        canon = batch.rows if self.exact else np.round(batch.rows * 1e9)
         if not self.exact:
             names = self.mirror_ids[batch.via] if batch.level else [self.seed_ids[i] for i in batch.seed]
             _guard(np.abs(canon).max(axis=1, initial=0.0), names)
-        key = np.empty((len(canon), 1 + self.width), dtype=np.int64)
-        key[:, 0], key[:, 1:] = batch.kind, canon
-        uniq, first = np.unique(key.view(self.key).ravel(), return_index=True)
+        if self.seen is None:
+            self.chunks.append(batch)
+            return
+        key = np.empty((len(canon), 1 + canon.shape[1]), dtype=np.int64)
+        key[:, 0], key[:, 1:] = batch.kind, canon * _canonical_sign(canon)[:, None]
+        uniq, first = np.unique(key.view(self.seen.dtype).ravel(), return_index=True)
         del key, canon
         pos = np.searchsorted(self.seen, uniq)
         old = pos < len(self.seen)

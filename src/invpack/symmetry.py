@@ -9,15 +9,16 @@ the lattice and it maps each base motif circle onto a base circle and each
 dual motif circle onto a dual circle, exactly.  A configuration with no
 lattice (Apollonian) has nothing but its motif to check.
 
-Circles are integer rows of the packing-mode lattices of ``lattice``
-(base rows closed under the dual reflections, dual rows under the
-translations).  An isometry maps rows by one integer matrix
-(``RowLattice.moved``); an image off the lattice is no configuration
-circle, and an image on it is one when ``configs._locate``, the test
-``Configuration.contains_circle`` runs, finds it equal to the motif circle
-moved by the lattice shift its float center rounds to, row for row.  The
-reflection words of ``trivial_intersection`` act on the same rows, along
-``lattice.Mirrors.walk``.
+Circles are integer rows of each kind's translation lattice of
+``lattice``, the lattice of ids and of ``Configuration.contains_circle``:
+every circle of a kind is a motif circle plus a lattice vector.  An
+isometry maps rows by one integer matrix (``RowLattice.moved``); an image
+off the lattice is no configuration circle, and an image on it is one when
+``configs._locate``, the test ``Configuration.contains_circle`` runs, finds
+it equal to the motif circle moved by the lattice shift its float center
+rounds to, row for row.  The reflection words of ``trivial_intersection``
+act along ``lattice.Mirrors.walk`` on base rows of the packing-mode
+lattice, which the dual reflections keep closed.
 
 Classification studies the verified group modulo lattice translations, in
 lattice coordinates as the *International Tables for Crystallography*
@@ -205,7 +206,7 @@ def _violation(
     if cfg.lattice is not None and matrix(g.a, g.conj) is None:
         return ("lattice", None)
     for kind in ("base", "dual"):
-        lat = _row_lattice(cfg, "packing", kind)
+        lat = _row_lattice(cfg, None, kind)
         images, ok = lat.moved(g, lat.motif, f"an image of a {kind} circle")
         ok[ok] = _locate(cfg, lat, images[ok])[0]
         bad = np.flatnonzero(~ok)

@@ -5,9 +5,10 @@ validity, the height adjacency structure (reflecting through the
 containing dual lowers height by one, through any other non-orthogonal
 dual raises it by one), agreement with an independent mask-free
 brute-force oracle, completeness over the closed window, the level join
-against dense pairs, the chain words against a reference object peel
-(kept here), the host check's named errors, and the named error for
-integer rows and float grid keys beyond int64.
+against dense pairs, the stored rows of the descending modes against
+super mode's deduplication key (kept here), the chain words against a
+reference object peel (kept here), the host check's named errors, and the
+named error for integer rows and float grid values beyond int64.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class TestGenerationLimits:
         want = GenerationLimits(1, 0.05, Window.square(1.0))
         lim = GenerationLimits(np.int64(1), 0.05, Window.square(1.0))
         assert type(lim.max_height) is int and lim == want
-        assert generate(square, "packing", lim) == generate(square, "packing", want)
+        assert generate(square, "packing", lim).circles == generate(square, "packing", want).circles
 
     @pytest.mark.parametrize("radius", [float("inf"), 10**400], ids=["inf", "10**400"])
     def test_rejects_an_infinite_radius(self, radius):
@@ -706,6 +707,86 @@ def _lane(cfg, mode, lim, exact=True):
     return lane
 
 
+def _reference_keys(lane, chunk):
+    """The key super mode deduplicates on, for any lane's rows, kept here as
+    the reference: the kind index, then the row on integers or its 1e-9 grid
+    on floats, canonically signed in the quotient modes."""
+    canon = chunk.rows if lane.exact else np.round(chunk.rows * 1e9)
+    if lane.quotient:
+        canon = canon * _canonical_sign(canon)[:, None]
+    return [(k, *row) for k, row in zip(chunk.kind.tolist(), canon.astype(np.int64).tolist())]
+
+
+def _offset_window(cfg, where):
+    """A unit window at the origin, moved by the lattice vector 3 v1 - 2 v2,
+    or moved off the lattice by (0.41, -0.23)."""
+    ox = oy = 0.0
+    if where == "lattice":
+        (v1, v2) = cfg.lattice
+        ox, oy = as_float(3 * v1[0] - 2 * v2[0]), as_float(3 * v1[1] - 2 * v2[1])
+    elif where == "off-lattice":
+        ox, oy = 0.41, -0.23
+    return Window(ox - 1.0, oy - 1.0, ox + 1.0, oy + 1.0)
+
+
+class TestStoredLevels:
+    """Packing and dual mode store every level as found: no row is reached
+    twice (see the engine module), so no row is dropped, no key is built,
+    and no two stored rows share the reference key.  Super mode still drops
+    the rows its key set has seen."""
+
+    @staticmethod
+    def admitted(monkeypatch):
+        """Record each batch the lanes admit, before any deduplication."""
+        batches = []
+        admit = _ArrayLane._admit
+
+        def record(lane, batch):
+            batches.append(_reference_keys(lane, batch))
+            admit(lane, batch)
+
+        monkeypatch.setattr(_ArrayLane, "_admit", record)
+        return batches
+
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    @pytest.mark.parametrize("name", configs.config_names())
+    def test_no_row_is_reached_twice(self, name, mode, monkeypatch):
+        cfg = make_config(name)
+        places = ["origin", "off-lattice"] + (["lattice"] if cfg.lattice is not None else [])
+        batches = self.admitted(monkeypatch)
+        for exact in (True, False):
+            for where in places:
+                batches.clear()
+                lane = _lane(cfg, mode, GenerationLimits(2, 0.02, _offset_window(cfg, where)), exact)
+                assert lane.seen is None
+                assert [len(c.rows) > 0 for c in lane.chunks] == [True] * 3, (exact, where)
+                stored = [key for c in lane.chunks for key in _reference_keys(lane, c)]
+                assert len(stored) == sum(map(len, batches))
+                assert len(set(stored)) == len(stored)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_overlapping_duals_store_a_row_twice(self, square, exact):
+        # the premise fails where duals overlap: the reference key then
+        # sees repeats among the stored rows, which the host check names
+        extra = from_center_radius((QuadExt(1), QuadExt(0)), QuadExt(1))
+        cfg = Configuration("square+edge dual", 1, square.motif_base,
+                            square.motif_dual + [extra], square.lattice)
+        lane = _lane(cfg, "packing", GenerationLimits(2, 0.05, Window.square(2.0)), exact)
+        stored = [key for c in lane.chunks for key in _reference_keys(lane, c)]
+        assert len(set(stored)) < len(stored)
+        with pytest.raises(ArithmeticError, match="the dual family is not disjoint"):
+            lane.finals()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_super_drops_repeats(self, square, exact, monkeypatch):
+        batches = self.admitted(monkeypatch)
+        lane = _lane(square, "super", GenerationLimits(3, 0.05, Window.square(1.0)), exact)
+        stored = [key for c in lane.chunks for key in _reference_keys(lane, c)]
+        candidates = [key for keys in batches for key in keys]
+        assert len(set(stored)) == len(stored) == len(lane.seen) == len(set(candidates))
+        assert len(candidates) > len(stored)
+
+
 class TestLevelJoin:
     """The join of a level's frontier to the mirror centers must keep every
     (row, mirror) pair that the dense product of all rows with all live
@@ -927,6 +1008,18 @@ class TestLatticeOverflow:
             generate(square, "super", lim, exact=False)
         assert err.value.magnitude >= 2.0**62
         assert square.circle_from_id(err.value.mirror) is not None
+
+    @pytest.mark.parametrize("mode", ["packing", "dual"])
+    def test_descending_float_runs_keep_the_grid_guard(self, square, mode):
+        # the descending modes build no grid keys, yet their float runs
+        # raise where super mode's do, naming a catalogued mirror
+        far = Window(3e4 - 1, 3e4 - 1, 3e4 + 1, 3e4 + 1)
+        lim = GenerationLimits(max_height=1, min_radius=0.05, window=far)
+        with pytest.raises(LatticeOverflowError) as err:
+            generate(square, mode, lim, exact=False)
+        assert err.value.magnitude >= 2.0**62
+        pad = _margin_schedule(square, mode, lim)[0]
+        assert err.value.mirror in square.catalog(_MIRROR_KINDS[mode], far, pad, mode).idents
 
 
 class TestOutputOrder:

@@ -10,16 +10,19 @@ The integer-row checks are compared with the per-circle ``QuadExt``
 versions they replaced, and the motif check, the integer quotient and the
 integer signature with the window check and the complex-arithmetic
 quotient and signature they replaced, all kept here as references.  So is
-the discovery pass, which probes a grid of candidate isometries without the
-declarations.
+the membership check on the packing-mode lattices, which the translation
+lattices replaced, and the discovery pass, which probes a grid of candidate
+isometries without the declarations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from invpack import symmetry
@@ -28,6 +31,7 @@ from invpack.configs import (
     Configuration,
     SymmetryDecl,
     Window,
+    _locate,
     _row_lattice,
     _vec_float,
     config_names,
@@ -854,6 +858,66 @@ class TestIsometryRows:
         assert isometry_violation(apo, g) == reference_violation(
             apo, g, reference_pools(apo)
         )
+
+
+def packing_lattice_violation(cfg, g, matrix):
+    """``_violation`` on the packing-mode lattices, base rows closed under
+    the dual reflections as well as the translations: the reference for the
+    translation lattices it reads."""
+    if cfg.lattice is not None and matrix(g.a, g.conj) is None:
+        return ("lattice", None)
+    for kind in ("base", "dual"):
+        lat = _row_lattice(cfg, "packing", kind)
+        images, ok = lat.moved(g, lat.motif, f"an image of a {kind} circle")
+        ok[ok] = _locate(cfg, lat, images[ok])[0]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            return (kind, lat.circles(lat.motif[bad[:1]])[0])
+    return None
+
+
+class TestTranslationLatticeMembership:
+    """Every circle of a kind is a motif circle moved by a lattice vector,
+    so verification reads each kind's translation lattice; the packing-mode
+    lattices give the same verdicts and the same first bad motif circle."""
+
+    @staticmethod
+    def summary(bad):
+        return bad if bad is None else (bad[0], bad[1] and bad[1].key())
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_verdicts_match_the_packing_lattices(self, name):
+        cfg = make_config(name)
+        matrix = partial(symmetry._matrix, cfg.lattice)
+        isos = [d.iso for d in cfg.symmetries] + [non_symmetry(cfg)]
+        if cfg.lattice is not None:
+            isos += [iso for _, _, iso in _probes(cfg, _linear_parts(cfg.lattice))]
+        verdicts = [self.summary(isometry_violation(cfg, g)) for g in isos]
+        assert verdicts == [self.summary(packing_lattice_violation(cfg, g, matrix)) for g in isos]
+        assert {v and v[0] for v in verdicts} >= {None, "base"}
+
+    @pytest.mark.parametrize("name", config_names())
+    def test_broken_declaration_names_the_same_witness(self, name, monkeypatch):
+        cfg = make_config(name)
+        decl = SymmetryDecl("translation", non_symmetry(cfg), {"vector": "a third of the diagonal"})
+
+        def error():
+            broken = Configuration(cfg.name, cfg.d, cfg.motif_base, cfg.motif_dual, cfg.lattice,
+                                   [decl, *cfg.symmetries])
+            with pytest.raises(ValueError) as err:
+                signature_of(broken)
+            return str(err.value)
+
+        got = error()
+        monkeypatch.setattr(symmetry, "_violation", packing_lattice_violation)
+        assert got == error()
+        assert ("witness: base circle" in got) == (cfg.lattice is not None)
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_ORDERS))
+    def test_classification_derives_translation_lattices_only(self, name):
+        cfg = make_config(name)
+        classify_wallpaper(cfg)
+        assert set(cfg.row_lattices) == {(("base",), ()), (("dual",), ())}
 
 
 class TestTrivialIntersectionRows:
